@@ -15,7 +15,7 @@ terminal time; there it is evaluated with z = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,20 +25,24 @@ from .filtration import (
     ProbabilityTree,
     is_martingale,
     is_strongly_orthogonal,
+    sup_abs,
 )
 
-GeneratorFn = Callable[[int, np.ndarray, np.ndarray, tuple], np.ndarray]
+GeneratorFn = Callable[[int, np.ndarray, np.ndarray, Sequence[tuple]], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Generator:
-    """Driver of a backward equation: fn(t, y, z, node) -> vector of length n.
+    """Driver of a backward equation, evaluated one time slab at a time.
 
-    ``y`` is passed as a flat length-n array and ``z`` as an (n, d) array;
-    ``node`` is the tree node at time t, so drivers may depend on observed
-    outcomes.  ``terminal_z_independent`` declares that fn(T, y, z, node)
-    ignores z; solving requires it.  Optional Lipschitz constants are carried
-    for diagnostics only.
+    ``fn(t, y, z, nodes)`` takes ``y`` of shape (N, n), ``z`` of shape
+    (N, n, d) and the N tree nodes the rows belong to (on a whole slab,
+    ``tree.nodes(t)``), and returns the driver values as an (N, n) array.
+    It must not modify its arguments.  Per-node drivers
+    ``fn(t, y, z, node)`` with ``y`` of length n and ``z`` of shape (n, d)
+    are wrapped by :meth:`pointwise`.  ``terminal_z_independent`` declares
+    that the driver ignores z at the horizon; solving requires it.  Optional
+    Lipschitz constants are carried for diagnostics only.
     """
 
     n: int
@@ -48,6 +52,26 @@ class Generator:
     lipschitz_c1: float | None = None
     lipschitz_c2: float | None = None
 
+    @classmethod
+    def pointwise(cls, n: int, d: int, fn: Callable[[int, np.ndarray, np.ndarray, tuple], np.ndarray], **options):
+        """Generator from a per-node driver, called once per row of a slab."""
+
+        def slab_fn(t, y, z, nodes):
+            out = np.empty((len(nodes), n))
+            for i, node in enumerate(nodes):
+                out[i] = np.asarray(fn(t, y[i], z[i], node), dtype=float).reshape(n)
+            return out
+
+        return cls(n, d, slab_fn, **options)
+
+    def on_slab(self, tree: ProbabilityTree, t: int, y_slab: np.ndarray, z_slab: np.ndarray | None) -> np.ndarray:
+        """Driver values on the whole time-t slab as (N, n, 1); z = 0 when ``z_slab`` is None."""
+        count = y_slab.shape[0]
+        if z_slab is None:
+            z_slab = np.zeros((count, self.n, self.d))
+        value = np.asarray(self.fn(t, y_slab[:, :, 0], z_slab, tree.nodes(t)), dtype=float)
+        return value.reshape(count, self.n, 1)
+
 
 @dataclass(frozen=True)
 class BsdeSolution:
@@ -56,17 +80,6 @@ class BsdeSolution:
     Y: AdaptedProcess
     Z: AdaptedProcess
     N: AdaptedProcess
-
-
-def _driver_slice(
-    tree: ProbabilityTree, gen: Generator, t: int, y_slab: np.ndarray, z_slab: np.ndarray
-) -> np.ndarray:
-    """Evaluate the driver at every node of one time slice."""
-    out = np.empty((y_slab.shape[0], gen.n, 1))
-    for i, node in enumerate(tree.nodes(t)):
-        value = gen.fn(t, y_slab[i, :, 0], z_slab[i], node)
-        out[i] = np.asarray(value, dtype=float).reshape(gen.n, 1)
-    return out
 
 
 def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> BsdeSolution:
@@ -82,37 +95,27 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Bs
         raise ValueError(f"terminal data must be ({gen.n}, 1)-valued, got {eta.shape}")
 
     y_slabs: list[np.ndarray] = [np.empty(0)] * (horizon + 1)
-    z_slabs: list[np.ndarray] = [np.empty(0)] * horizon
-    n_slabs: list[np.ndarray] = [np.empty(0)] * (horizon + 1)
+    z_slabs: list[np.ndarray | None] = [None] * (horizon + 1)
+    aggregates: list[np.ndarray] = [np.empty(0)] * horizon
     y_slabs[horizon] = np.array(eta.at(horizon))
 
     for t in range(horizon - 1, -1, -1):
-        count_next = tree.node_count(t + 1)
-        if t + 1 == horizon:
-            z_next = np.zeros((count_next, gen.n, tree.d))
-        else:
-            z_next = z_slabs[t + 1]
-        aggregate = y_slabs[t + 1] + _driver_slice(tree, gen, t + 1, y_slabs[t + 1], z_next)
+        aggregate = y_slabs[t + 1] + gen.on_slab(tree, t + 1, y_slabs[t + 1], z_slabs[t + 1])
+        aggregates[t] = aggregate
         y_slabs[t] = tree.expect_next(aggregate, t)
         z_slabs[t] = tree.expect_next_increment(aggregate, t)
 
-    n_slabs[0] = np.zeros((1, gen.n, 1))
+    n_slabs = [np.zeros((1, gen.n, 1))]
     for t in range(horizon):
         k = tree.branch_count(t)
-        count_next = tree.node_count(t + 1)
-        if t + 1 == horizon:
-            z_next = np.zeros((count_next, gen.n, tree.d))
-        else:
-            z_next = z_slabs[t + 1]
-        aggregate = y_slabs[t + 1] + _driver_slice(tree, gen, t + 1, y_slabs[t + 1], z_next)
         zdw = np.einsum("nrd,kd->nkr", z_slabs[t], tree.steps[t].points)
-        grouped = tree.children_view(aggregate, t)
+        grouped = tree.children_view(aggregates[t], t)
         delta_n = grouped - y_slabs[t][:, None, :, :] - zdw[:, :, :, None]
-        n_slabs[t + 1] = np.repeat(n_slabs[t], k, axis=0) + delta_n.reshape(count_next, gen.n, 1)
+        n_slabs.append(np.repeat(n_slabs[t], k, axis=0) + delta_n.reshape(tree.node_count(t + 1), gen.n, 1))
 
     return BsdeSolution(
         Y=AdaptedProcess(tree, 0, horizon, tuple(y_slabs)),
-        Z=AdaptedProcess(tree, 0, horizon - 1, tuple(z_slabs)),
+        Z=AdaptedProcess(tree, 0, horizon - 1, tuple(z_slabs[:horizon])),
         N=AdaptedProcess(tree, 0, horizon, tuple(n_slabs)),
     )
 
@@ -138,20 +141,15 @@ def bsde_residuals(
     horizon = tree.horizon
     worst_eq = 0.0
     for t in range(horizon):
-        count_next = tree.node_count(t + 1)
-        if t + 1 == horizon:
-            z_next = np.zeros((count_next, gen.n, tree.d))
-        else:
-            z_next = sol.Z.at(t + 1)
-        f_next = _driver_slice(tree, gen, t + 1, sol.Y.at(t + 1), z_next)
+        z_next = sol.Z.at(t + 1) if t + 1 < horizon else None
+        f_next = gen.on_slab(tree, t + 1, sol.Y.at(t + 1), z_next)
         k = tree.branch_count(t)
         dy = sol.Y.at(t + 1) - np.repeat(sol.Y.at(t), k, axis=0)
         dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
         zdw = np.einsum("nrd,kd->nkr", sol.Z.at(t), tree.steps[t].points)
-        zdw = zdw.reshape(count_next, gen.n, 1)
-        resid = dy + f_next - zdw - dn
-        worst_eq = max(worst_eq, float(np.abs(resid).max()))
-    terminal = float(np.abs(sol.Y.at(horizon) - eta.at(horizon)).max())
+        resid = dy + f_next - zdw.reshape(dy.shape) - dn
+        worst_eq = max(worst_eq, sup_abs(resid))
+    terminal = sup_abs(sol.Y.at(horizon) - eta.at(horizon))
     mart: CheckResult = is_martingale(tree, sol.N)
     orth: CheckResult = is_strongly_orthogonal(tree, sol.N)
     return BsdeResidualReport(
@@ -203,9 +201,9 @@ def spot_check_terminal_independence(
         y = rng.uniform(-box, box, size=gen.n)
         z1 = rng.uniform(-box, box, size=(gen.n, gen.d))
         z2 = rng.uniform(-box, box, size=(gen.n, gen.d))
-        f1 = np.asarray(gen.fn(horizon, y, z1, node), dtype=float)
-        f2 = np.asarray(gen.fn(horizon, y, z2, node), dtype=float)
-        worst = max(worst, float(np.abs(f1 - f2).max()))
+        rows = gen.fn(horizon, np.stack([y, y]), np.stack([z1, z2]), (node, node))
+        f1, f2 = np.asarray(rows, dtype=float)
+        worst = max(worst, sup_abs(f1 - f2))
     return worst
 
 
@@ -230,16 +228,15 @@ def spot_check_lipschitz(
         z1, z2 = rng.uniform(-box, box, size=(2, gen.n, gen.d))
         if t == horizon:
             z1 = z2 = np.zeros((gen.n, gen.d))
-        fy1 = np.asarray(gen.fn(t, y1, z1, node), dtype=float)
-        fy2 = np.asarray(gen.fn(t, y2, z1, node), dtype=float)
+        # one 3-row slab: (y1, z1), (y2, z1), (y1, z2)
+        rows = gen.fn(t, np.stack([y1, y2, y1]), np.stack([z1, z1, z2]), (node,) * 3)
+        f11, f21, f12 = np.asarray(rows, dtype=float)
         dy = float(np.linalg.norm(y1 - y2))
         if dy > 0:
-            c1_obs = max(c1_obs, float(np.linalg.norm(fy1 - fy2)) / dy)
-        fz1 = np.asarray(gen.fn(t, y1, z1, node), dtype=float)
-        fz2 = np.asarray(gen.fn(t, y1, z2, node), dtype=float)
+            c1_obs = max(c1_obs, float(np.linalg.norm(f11 - f21)) / dy)
         dz = float(np.linalg.norm(z1 - z2))
         if dz > 0:
-            c2_obs = max(c2_obs, float(np.linalg.norm(fz1 - fz2)) / dz)
+            c2_obs = max(c2_obs, float(np.linalg.norm(f11 - f12)) / dz)
     within: bool | None = None
     if gen.lipschitz_c1 is not None and gen.lipschitz_c2 is not None:
         within = c1_obs <= gen.lipschitz_c1 + 1e-9 and c2_obs <= gen.lipschitz_c2 + 1e-9

@@ -10,8 +10,9 @@ produce byte-identical output.
 Exit codes:
     0   success
     2   solver failure: singular backward step, stalled continuation,
-        non-convergent reference solve, or an oracle comparison above the
-        acceptance threshold
+        non-convergent reference solve, an oracle comparison above the
+        acceptance threshold, or an expression that overflows, divides by
+        zero or has no real value
     3   validation failure: bad increment moments, incomplete or
         inconsistent payload, bad settings, or a failed monotonicity check
     4   input problems: unreadable files, malformed JSON, expression syntax
@@ -46,7 +47,7 @@ from .linear_fbsde import (
     riccati_matrices,
     solve_linear,
 )
-from .model_dsl import ExprEvalError, ExprSyntaxError, eval_expr, parse_expr
+from .model_dsl import ExprEvalError, ExprSyntaxError, compile_expr, eval_expr, parse_expr
 from .nonlinear_fbsde import (
     ContinuationConfig,
     ContinuationFailedError,
@@ -259,10 +260,11 @@ def _parse_bsde(tree: ProbabilityTree, payload: dict) -> tuple[Generator, Adapte
         raise ScenarioError(f"model.d disagrees with the tree noise dimension {tree.d}")
     exprs = _parse_expr_list(_require(payload, "driver", "model"), n, 0, n, "model.driver")
 
-    def driver(t, y, z, node):
-        z = np.asarray(z)
-        z_first = z[:, 0] if z.ndim == 2 else z.reshape(-1)
-        return np.array([eval_expr(e, t=t, y=y, z=z_first) for e in exprs])
+    compiled = [compile_expr(e) for e in exprs]
+
+    def driver(t, y, z, nodes):
+        z_first = z[:, :, 0]
+        return np.stack([fn(t, y=y, z=z_first) for fn in compiled], axis=1)
 
     gen = _build_checked(Generator, n=n, d=tree.d, fn=driver)
     horizon = tree.horizon

@@ -10,6 +10,7 @@ package exact up to floating-point rounding.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,6 +38,15 @@ class MomentReport(NamedTuple):
 
     ok: bool
     failures: tuple[tuple[str, float], ...]
+
+
+def sup_abs(a: np.ndarray) -> float:
+    """Largest absolute entry, 0 for an empty array, and inf as soon as any
+    entry is not finite, so that a NaN can never pass a check as 0."""
+    if a.size == 0:
+        return 0.0
+    worst = float(np.abs(a).max())
+    return worst if math.isfinite(worst) else math.inf
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -312,7 +322,7 @@ class AdaptedProcess:
         return self * -1.0
 
     def sup_norm(self) -> float:
-        return max(float(np.abs(v).max()) if v.size else 0.0 for v in self.values)
+        return max(sup_abs(v) for v in self.values)
 
 
 # -- conditional operators on processes ----------------------------------
@@ -342,8 +352,7 @@ def is_martingale(tree: ProbabilityTree, x: AdaptedProcess, tol: float = MARTING
     """Whether E[x_{t+1}|F_t] = x_t across the whole domain of x."""
     worst = 0.0
     for t in range(x.t_lo, x.t_hi):
-        dev = tree.expect_next(x.at(t + 1), t) - x.at(t)
-        worst = max(worst, float(np.abs(dev).max()) if dev.size else 0.0)
+        worst = max(worst, sup_abs(tree.expect_next(x.at(t + 1), t) - x.at(t)))
     return CheckResult(worst <= tol, worst)
 
 
@@ -366,6 +375,5 @@ def is_strongly_orthogonal(
     for t in range(lo, hi):
         k = tree.branch_count(t)
         delta = n_proc.at(t + 1) - np.repeat(n_proc.at(t), k, axis=0)
-        cov = tree.expect_next_increment(delta, t)
-        worst = max(worst, float(np.abs(cov).max()) if cov.size else 0.0)
+        worst = max(worst, sup_abs(tree.expect_next_increment(delta, t)))
     return CheckResult(worst <= tol, worst)

@@ -8,14 +8,22 @@ right, everything else to the left.  The function set is fixed: ``sin``,
 ``cos``, ``exp``, ``tanh``, ``abs`` (one argument) and ``min``, ``max`` (two
 arguments).  Expressions contain no randomness: node-dependent data belongs
 in per-node tables, not in formulas.
+
+``eval_expr`` evaluates one point with Python floats and is the reference;
+``compile_expr`` turns an expression once into a NumPy function over column
+arrays, for evaluating a whole time slab in one call.  Both refuse the same
+operations with :class:`ExprEvalError`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
+
+import numpy as np
 
 
 class ExprSyntaxError(ValueError):
@@ -141,7 +149,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, at = self.advance()
         if kind == "num":
-            return Num(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExprSyntaxError(f"literal {value!r} at position {at} is out of range")
+            return Num(number)
         if kind == "ident":
             if self.peek()[:2] == ("op", "("):
                 return self.call(value, at)
@@ -189,7 +200,32 @@ def parse_expr(text: str, m: int = 0, n: int = 0) -> Expr:
 
 # -- evaluation ------------------------------------------------------------
 
-_UNARY_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh, "abs": abs}
+
+def _nan_min(a: float, b: float) -> float:
+    return math.nan if math.isnan(a) or math.isnan(b) else min(a, b)
+
+
+def _nan_max(a: float, b: float) -> float:
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
+_CALL_FN = {
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh, "abs": abs,
+    "min": _nan_min, "max": _nan_max,
+}
+_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+def _checked(expr: Expr, value, operands: tuple[float, ...]) -> float:
+    """Refuse what IEEE arithmetic would flag: a NaN made from non-NaN
+    operands, an infinity made from finite ones, or a complex power."""
+    if isinstance(value, complex):
+        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: negative base raised to a non-integer power")
+    if math.isnan(value) and not any(math.isnan(a) for a in operands):
+        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: undefined result")
+    if math.isinf(value) and all(math.isfinite(a) for a in operands):
+        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: result out of range")
+    return value
 
 
 def eval_expr(
@@ -199,7 +235,12 @@ def eval_expr(
     y: Sequence[float] = (),
     z: Sequence[float] = (),
 ) -> float:
-    """Evaluate with the given variable bindings; exact float semantics."""
+    """Evaluate with the given variable bindings; exact float semantics.
+
+    An operation that overflows, divides by zero or has no real value raises
+    :class:`ExprEvalError` naming that subexpression; underflow gives 0.
+    This is the reference for :func:`compile_expr`.
+    """
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -214,31 +255,91 @@ def eval_expr(
     if isinstance(expr, Neg):
         return -eval_expr(expr.operand, t, x, y, z)
     if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, t, x, y, z)
-        right = eval_expr(expr.right, t, x, y, z)
+        args = (eval_expr(expr.left, t, x, y, z), eval_expr(expr.right, t, x, y, z))
+        fn = _BINARY_FN[expr.op]
+    elif isinstance(expr, Call):
+        args = tuple(eval_expr(a, t, x, y, z) for a in expr.args)
+        fn = _CALL_FN[expr.fn]
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    try:
+        value = fn(*args)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: {exc}") from exc
+    return _checked(expr, value, args)
+
+
+# -- compilation to NumPy ------------------------------------------------------
+
+_UFUNC = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
+    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh, "abs": np.abs,
+    "min": np.minimum, "max": np.maximum,
+}
+
+def _compile(expr: Expr):
+    """Closure evaluating ``expr`` on the bindings (t, x, y, z)."""
+    if isinstance(expr, Num):
+        value = expr.value
+        return lambda b: value
+    if isinstance(expr, Var):
+        if expr.name == "t":
+            return lambda b: b[0]
+        slot, index, name = {"x": 1, "y": 2, "z": 3}[expr.name[0]], int(expr.name[1:]) - 1, expr.name
+
+        def var(b):
+            cols = b[slot]
+            if index >= cols.shape[1]:
+                raise ExprEvalError(f"variable {name} has no binding (vector of length {cols.shape[1]})")
+            return cols[:, index]
+
+        return var
+    if isinstance(expr, Neg):
+        operand = _compile(expr.operand)
+        return lambda b: np.negative(operand(b))
+    if isinstance(expr, BinOp):
+        key, parts = expr.op, (_compile(expr.left), _compile(expr.right))
+    elif isinstance(expr, Call):
+        key, parts = expr.fn, tuple(_compile(a) for a in expr.args)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    ufunc, text = _UFUNC[key], format_expr(expr)
+
+    def apply(b):
+        args = [part(b) for part in parts]
         try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right
-            return float(left**right)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: {exc}") from exc
-    if isinstance(expr, Call):
-        args = [eval_expr(a, t, x, y, z) for a in expr.args]
-        try:
-            if expr.fn == "min":
-                return min(args[0], args[1])
-            if expr.fn == "max":
-                return max(args[0], args[1])
-            return _UNARY_FN[expr.fn](args[0])
-        except (OverflowError, ValueError) as exc:
-            raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: {exc}") from exc
-    raise TypeError(f"not an expression node: {expr!r}")
+            return ufunc(*args)
+        except FloatingPointError as exc:
+            raise ExprEvalError(f"cannot evaluate {text!r}: {exc}") from exc
+
+    return apply
+
+
+def compile_expr(expr: Expr) -> Callable[..., np.ndarray]:
+    """Compile once into ``fn(t, x=None, y=None, z=None) -> (N,) array``.
+
+    ``x``, ``y`` and ``z`` are column arrays of shapes (N, m), (N, n) and
+    (N, n), one row per evaluation point; at least one must be given, and a
+    missing one binds no variables.  Evaluation follows :func:`eval_expr`:
+    overflow, division by zero and undefined results raise
+    :class:`ExprEvalError` naming the subexpression, underflow gives 0.
+    Transcendental functions come from NumPy and may differ from ``math``
+    in the last few bits.
+    """
+    run = _compile(expr)
+
+    def evaluate(t: float, x=None, y=None, z=None) -> np.ndarray:
+        cols = [None if a is None else np.asarray(a, dtype=float) for a in (x, y, z)]
+        rows = next((a.shape[0] for a in cols if a is not None), None)
+        if rows is None:
+            raise ValueError("compiled expressions need at least one binding array")
+        empty = np.empty((rows, 0))
+        bindings = (float(t), *(empty if a is None else a for a in cols))
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            out = run(bindings)
+        return np.array(np.broadcast_to(out, (rows,)), dtype=float)
+
+    return evaluate
 
 
 # -- printing ----------------------------------------------------------------

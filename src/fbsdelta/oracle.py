@@ -266,18 +266,13 @@ def build_residual_system(
         gen = problem
         if gen.d != tree.d:
             raise ValueError("generator and tree disagree on the noise dimension")
-        n, d = gen.n, tree.d
+        n = gen.n
         if eta.shape != (n, 1) or eta.t_hi < tree.horizon or eta.t_lo > tree.horizon:
             raise ValueError("eta must be an (n, 1) process defined at the horizon")
         eta_slab = eta.at(tree.horizon)
 
         def minus_driver(t, x, y, z):
-            cnt = tree.node_count(t)
-            out = np.empty((cnt, n, 1))
-            for i, node in enumerate(tree.nodes(t)):
-                z_i = z[i] if z is not None else np.zeros((n, d))
-                out[i] = -np.asarray(gen.fn(t, y[i][:, 0], z_i, node), dtype=float).reshape(n, 1)
-            return out
+            return -gen.on_slab(tree, t, y, z)
 
         return ResidualSystem(
             tree=tree,

@@ -112,7 +112,7 @@ def dsl_generator(
         z_bind = np.asarray(z)[:, 0]
         return np.array([eval_expr(e, t=float(t), y=y, z=z_bind) for e in exprs])
 
-    return Generator(n=n, d=d, fn=fn)
+    return Generator.pointwise(n=n, d=d, fn=fn)
 
 
 def random_dsl_generator(

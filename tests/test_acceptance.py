@@ -192,7 +192,7 @@ def test_criterion_02_orthogonal_part_vanishes_exactly_on_complete_trees():
         horizon,
         horizon,
     )
-    zero_gen = Generator(n=1, d=1, fn=lambda t, y, z, node: np.zeros(1))
+    zero_gen = Generator.pointwise(n=1, d=1, fn=lambda t, y, z, node: np.zeros(1))
     sol = solve_bsde(trinomial, zero_gen, eta)
     report = bsde_residuals(trinomial, zero_gen, eta, sol)
     incomplete_sup = sol.N.sup_norm()

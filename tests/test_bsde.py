@@ -1,5 +1,7 @@
 """Backward-equation solver: exactness, structure of N, linearity, stability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,15 @@ from fbsdelta import (
     ProbabilityTree,
     bsde_residuals,
     conditional_expectation,
+    eval_expr,
     is_martingale,
     is_strongly_orthogonal,
+    parse_expr,
     solution_energy,
     solve_bsde,
 )
 from fbsdelta.bsde import spot_check_lipschitz, spot_check_terminal_independence
+from fbsdelta.cli import parse_scenario
 
 from helpers import (
     rademacher_tree,
@@ -29,7 +34,7 @@ RESIDUAL_TOL = 1e-10
 
 
 def zero_generator(n, d):
-    return Generator(n=n, d=d, fn=lambda t, y, z, node: np.zeros(n))
+    return Generator.pointwise(n=n, d=d, fn=lambda t, y, z, node: np.zeros(n))
 
 
 def test_zero_driver_gives_conditional_expectations():
@@ -50,7 +55,7 @@ def test_hand_computed_one_step_instance():
     # increment itself: the aggregate is 2*dW, so Y_0 = 0, Z_0 = 2, N = 0.
     tree = rademacher_tree(1)
     eta = AdaptedProcess(tree, 1, 1, (tree.steps[0].points[:, :, None],))
-    gen = Generator(n=1, d=1, fn=lambda t, y, z, node: np.array([y[0]]))
+    gen = Generator.pointwise(n=1, d=1, fn=lambda t, y, z, node: np.array([y[0]]))
     sol = solve_bsde(tree, gen, eta)
     assert sol.Y.at(0)[0, 0, 0] == pytest.approx(0.0, abs=EXACT_TOL)
     assert sol.Z.at(0)[0, 0, 0] == pytest.approx(2.0, abs=EXACT_TOL)
@@ -110,7 +115,7 @@ def test_linearity_in_terminal_data_for_linear_homogeneous_driver():
             return m_y @ y
         return m_y @ y + np.einsum("ijd,jd->i", m_z, z)
 
-    gen = Generator(n=n, d=2, fn=fn)
+    gen = Generator.pointwise(n=n, d=2, fn=fn)
     eta = random_terminal(rng, tree, n)
     sol1 = solve_bsde(tree, gen, eta)
     sol2 = solve_bsde(tree, gen, 2.5 * eta)
@@ -137,7 +142,7 @@ def test_stability_under_shrinking_terminal_perturbations():
 
 def test_terminal_z_dependence_is_rejected_and_detectable():
     tree = rademacher_tree(2)
-    gen = Generator(
+    gen = Generator.pointwise(
         n=1, d=1, fn=lambda t, y, z, node: np.array([z[0, 0]]), terminal_z_independent=False
     )
     with pytest.raises(ValueError, match="terminal"):
@@ -174,7 +179,7 @@ def test_energy_diagnostics():
 
 def test_lipschitz_spot_check_reports_observed_slopes():
     tree = rademacher_tree(3)
-    gen = Generator(
+    gen = Generator.pointwise(
         n=1,
         d=1,
         fn=lambda t, y, z, node: np.array([0.5 * np.tanh(y[0]) + (0.0 if t == 3 else 0.25 * z[0, 0])]),
@@ -185,3 +190,68 @@ def test_lipschitz_spot_check_reports_observed_slopes():
     assert report["observed_c1"] <= 0.5 + 1e-9
     assert report["observed_c2"] <= 0.25 + 1e-9
     assert report["within_declared"] is True
+
+
+# -- slab-level drivers ------------------------------------------------------------
+
+SLAB_DRIVER = ["-0.5*y1 + 0.1*sin(z1) + 0.05*t", "0.2*tanh(y2) - 0.1*z2*y1 + min(y1, 0.3) + exp(-y2^2)"]
+
+
+@pytest.mark.parametrize("step", ["rademacher", "trinomial(0.25)"])
+def test_compiled_cli_driver_matches_a_pointwise_reference(step):
+    scenario = parse_scenario(
+        {
+            "schema_version": 1,
+            "kind": "bsde",
+            "tree": {"horizon": 5, "step": step},
+            "model": {"n": 2, "driver": SLAB_DRIVER, "terminal": [0.0, 0.0]},
+        }
+    )
+    tree, (compiled, _) = scenario.tree, scenario.bsde
+    exprs = [parse_expr(text, m=0, n=2) for text in SLAB_DRIVER]
+    reference = Generator.pointwise(
+        n=2, d=1, fn=lambda t, y, z, node: np.array([eval_expr(e, t=t, y=y, z=z[:, 0]) for e in exprs])
+    )
+    eta = random_terminal(np.random.default_rng(29), tree, n=2)
+    ours, theirs = solve_bsde(tree, compiled, eta), solve_bsde(tree, reference, eta)
+    for name in ("Y", "Z", "N"):
+        assert (getattr(ours, name) - getattr(theirs, name)).sup_norm() <= 1e-13, name
+    assert bsde_residuals(tree, compiled, eta, ours).max <= RESIDUAL_TOL
+    if step == "rademacher":
+        assert ours.N.sup_norm() <= EXACT_TOL
+    else:
+        assert ours.N.sup_norm() >= 1e-3  # incomplete tree: N carries the orthogonal part
+
+
+def test_driver_is_called_once_per_slab():
+    rng = np.random.default_rng(31)
+    tree = random_tree(rng, horizon=4, branch_choices=(2, 3), d=2)
+    gen, _, _ = random_dsl_generator(rng, n=2, d=2, horizon=4)
+    calls = []
+
+    def counted_fn(t, y, z, nodes):
+        calls.append((t, y.shape, z.shape, len(nodes)))
+        return gen.fn(t, y, z, nodes)
+
+    counted = dataclasses.replace(gen, fn=counted_fn)
+    eta = random_terminal(rng, tree, n=2)
+    sol = solve_bsde(tree, counted, eta)
+    assert [call[0] for call in calls] == [4, 3, 2, 1]
+    for t, y_shape, z_shape, node_count in calls:
+        count = tree.node_count(t)
+        assert (y_shape, z_shape, node_count) == ((count, 2), (count, 2, 2), count)
+    calls.clear()
+    assert bsde_residuals(tree, counted, eta, sol).max <= RESIDUAL_TOL
+    assert sorted(call[0] for call in calls) == [1, 2, 3, 4]
+
+
+def test_non_finite_driver_values_fail_every_check():
+    tree = ProbabilityTree([IncrementDistribution.trinomial(0.25)] * 3)
+    gen = Generator.pointwise(n=1, d=1, fn=lambda t, y, z, node: np.array([np.nan if t == 2 else 0.0]))
+    eta = random_terminal(np.random.default_rng(37), tree, n=1)
+    sol = solve_bsde(tree, gen, eta)
+    assert bsde_residuals(tree, gen, eta, sol).max == np.inf
+    assert is_martingale(tree, sol.N).ok is False
+    assert is_martingale(tree, sol.N).residual == np.inf
+    assert is_strongly_orthogonal(tree, sol.N).ok is False
+    assert sol.Y.sup_norm() == np.inf

@@ -312,6 +312,24 @@ def test_input_and_usage_problems_exit_4(tmp_path):
     assert main(["solve-bsde", "x.json", "--tol", "abc"]) == 4
 
 
+@pytest.mark.parametrize(
+    "driver,terminal,named",
+    [
+        (["y1*y1 - y1*y1"], [1e200], "'y1*y1'"),  # NaN would follow the overflow
+        (["(y1 - 5)^0.5"], [1.0], "'(y1 - 5.0)^0.5'"),  # no real value
+    ],
+)
+def test_undefined_driver_values_exit_2_naming_the_subexpression(tmp_path, capsys, driver, terminal, named):
+    scenario = bsde_scenario()
+    scenario["model"].update(n=1, driver=driver, terminal=terminal)
+    path = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out"
+    assert main(["solve-bsde", path, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    assert main(["compare-oracle", path]) == 2
+
+
 # -- determinism --------------------------------------------------------------------
 
 

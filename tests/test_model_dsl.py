@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fbsdelta.model_dsl import (
     BinOp,
@@ -11,6 +14,7 @@ from fbsdelta.model_dsl import (
     Neg,
     Num,
     Var,
+    compile_expr,
     eval_expr,
     format_expr,
     free_variables,
@@ -138,3 +142,197 @@ def test_print_parse_round_trip_on_random_trees():
         reparsed = parse_expr(printed, m=2, n=2)
         assert reparsed == ast, printed
         assert format_expr(reparsed) == printed
+
+
+# -- compiled evaluator ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text,bindings,expected", GOLDEN_EXPRESSIONS)
+def test_golden_values_exact_under_the_compiled_evaluator(text, bindings, expected):
+    m, n = dims_of(bindings)
+    cols = {key: np.array([bindings.get(key, ())], dtype=float) for key in "xyz"}  # 1-row, maybe 0 wide
+    value = compile_expr(parse_expr(text, m=m, n=n))(bindings.get("t", 0.0), **cols)
+    assert value.shape == (1,)
+    assert value[0] == expected  # exact, no tolerance
+
+
+@pytest.mark.parametrize("evaluate", ["reference", "compiled"])
+@pytest.mark.parametrize(
+    "text,value,match",
+    [
+        ("(y1 - 5)^0.5", 1.0, r"\(y1 - 5\.0\)\^0\.5"),  # negative base, non-integer power
+        ("y1*y1 - y1*y1", 1e200, r"'y1\*y1'"),  # overflow on finite operands
+        ("y1/(y1 - y1)", 2.0, r"y1/\(y1 - y1\)"),
+        ("exp(y1)", 1e3, r"exp\(y1\)"),
+        ("0^-y1", 1.0, r"0\.0\^-y1"),
+    ],
+)
+def test_undefined_or_overflowing_operations_name_the_subexpression(evaluate, text, value, match):
+    expr = parse_expr(text, m=0, n=1)
+    with pytest.raises(ExprEvalError, match=match):
+        if evaluate == "reference":
+            eval_expr(expr, y=[value])
+        else:
+            compile_expr(expr)(0.0, y=np.full((3, 1), value))
+
+
+def test_underflow_is_silent_in_both_evaluators():
+    expr = parse_expr("exp(-1000*y1) + 10^(-400*y1)", m=0, n=1)
+    assert eval_expr(expr, y=[1.0]) == 0.0
+    assert compile_expr(expr)(0.0, y=np.ones((2, 1))).tolist() == [0.0, 0.0]
+
+
+def test_nan_bindings_propagate_alike_in_both_evaluators():
+    # a NaN operand is passed on, not refused, and min/max do not drop it
+    for text in ("min(y1, 0)", "max(0, y1)", "y1 - y1", "2*y1 + 1"):
+        expr = parse_expr(text, m=0, n=1)
+        assert np.isnan(eval_expr(expr, y=[np.nan])), text
+        assert np.isnan(compile_expr(expr)(0.0, y=np.full((2, 1), np.nan))).all(), text
+
+
+def test_non_finite_literals_are_syntax_errors():
+    with pytest.raises(ExprSyntaxError, match="out of range"):
+        parse_expr("y1 + 1e400", m=0, n=1)
+
+
+def test_compiled_evaluator_needs_a_row_count_and_bound_variables():
+    with pytest.raises(ValueError, match="binding"):
+        compile_expr(parse_expr("1 + t"))(0.0)
+    assert compile_expr(parse_expr("1 + t"))(2.0, x=np.empty((4, 0))).tolist() == [3.0] * 4
+    with pytest.raises(ExprEvalError, match="y2"):
+        compile_expr(parse_expr("y2", m=0, n=2))(0.0, y=np.ones((3, 1)))
+
+
+# -- property tests: random grammar expressions and bindings ---------------------------
+
+_M = _N = 2
+_NAMES = ["t"] + [f"x{i}" for i in range(1, _M + 1)] + [f"{v}{i}" for v in "yz" for i in range(1, _N + 1)]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LITERALS = st.one_of(st.integers(0, 9).map(float), st.floats(0.0, 1e3), _FINITE.map(abs))
+
+
+def expressions(ops="+-*/^", functions=("sin", "cos", "exp", "tanh", "abs", "min", "max")):
+    """Grammar trees over t, x1..x2, y1..y2, z1..z2 with non-negative literals
+    (a negative number is Neg of a literal, as the parser reads it)."""
+    unary = [fn for fn in functions if fn not in ("min", "max")]
+    binary = [fn for fn in functions if fn in ("min", "max")]
+    leaves = st.one_of(_LITERALS.map(Num), st.sampled_from(_NAMES).map(Var))
+
+    def extend(children):
+        options = [children.map(Neg), st.builds(BinOp, st.sampled_from(ops), children, children)]
+        if unary:
+            options.append(st.builds(lambda fn, a: Call(fn, (a,)), st.sampled_from(unary), children))
+        if binary:
+            options.append(st.builds(lambda fn, a, b: Call(fn, (a, b)), st.sampled_from(binary), children, children))
+        return st.one_of(options)
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@st.composite
+def bindings(draw):
+    """A batch of 1..5 rows of finite bindings: t, x (N, 2), y (N, 2), z (N, 2)."""
+    rows = draw(st.integers(1, 5))
+    values = st.one_of(st.floats(-10.0, 10.0), _FINITE)
+    cols = draw(arrays(np.float64, (rows, _M + 2 * _N), elements=values))
+    return draw(st.one_of(st.floats(0.0, 20.0), _FINITE)), cols[:, :_M], cols[:, _M : _M + _N], cols[:, _M + _N :]
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance in units in the last place; +0 and -0 are the same point."""
+    ia, ib = (int(np.float64(v).view(np.int64)) for v in (a, b))
+    ia, ib = (i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF) for i in (ia, ib))
+    return abs(ia - ib)
+
+
+def _children(expr):
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, Call):
+        return expr.args
+    return ()
+
+
+def _with_children(expr, children):
+    if isinstance(expr, Neg):
+        return Neg(*children)
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, *children)
+    if isinstance(expr, Call):
+        return Call(expr.fn, tuple(children))
+    return expr
+
+
+def _subexpressions(expr):
+    yield expr
+    for child in _children(expr):
+        yield from _subexpressions(child)
+
+
+def _reference_row(expr, t, x, y, z):
+    try:
+        return eval_expr(expr, t=t, x=x, y=y, z=z)
+    except ExprEvalError:
+        return None
+
+
+def _compiled_batch(expr, t, x, y, z):
+    try:
+        return compile_expr(expr)(t, x=x, y=y, z=z)
+    except ExprEvalError:
+        return None
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(expr=expressions(), batch=bindings())
+def test_every_compiled_operation_agrees_with_the_reference(expr, batch):
+    """Each operation of the compiled evaluator, fed its compiled operands,
+    lands within 4 ulp of ``eval_expr`` on the same operands, or both raise.
+
+    The comparison is made per operation because NumPy's exp, tanh and power
+    differ from ``math`` by up to 3 ulp, and a later cancellation can blow
+    that up without bound in the final value (``tanh(y1) - y1`` near 0)."""
+    t, x, y, z = batch
+    for i in range(x.shape[0]):
+        row = (t, x[i : i + 1], y[i : i + 1], z[i : i + 1])
+        for sub in _subexpressions(expr):
+            operands = [_compiled_batch(child, *row) for child in _children(sub)]
+            if any(value is None for value in operands):
+                continue  # an operand raised; that operation is checked on its own
+            applied = _with_children(sub, [Num(float(value[0])) for value in operands])
+            want = _reference_row(applied, t, x[i], y[i], z[i])
+            got = _compiled_batch(sub, *row)
+            assert (want is None) == (got is None), (format_expr(sub), want, got)
+            if want is not None:
+                assert _ulps(want, got[0]) <= 4, (format_expr(sub), want, got[0])
+
+
+@_PROPERTY
+@given(expr=expressions(functions=("abs", "min", "max"), ops="+-*/"), batch=bindings())
+def test_compiled_rational_expressions_agree_exactly_on_every_row(expr, batch):
+    """Without transcendental functions and powers every operation is
+    correctly rounded in both evaluators, so whole expressions agree exactly
+    (up to the sign of zero) or both raise; a batch raises when any row does."""
+    t, x, y, z = batch
+    per_row = [_reference_row(expr, t, x[i], y[i], z[i]) for i in range(x.shape[0])]
+    for i, want in enumerate(per_row):
+        got = _compiled_batch(expr, t, x[i : i + 1], y[i : i + 1], z[i : i + 1])
+        assert (want is None) == (got is None), (format_expr(expr), want, got)
+        if want is not None:
+            assert got[0] == want, (format_expr(expr), want, got[0])
+    whole = _compiled_batch(expr, t, x, y, z)
+    assert (whole is None) == any(want is None for want in per_row)
+    if whole is not None:
+        assert whole.tolist() == per_row
+
+
+@_PROPERTY
+@given(expr=expressions())
+def test_random_expressions_survive_print_and_parse(expr):
+    text = format_expr(expr)
+    assert parse_expr(text, m=_M, n=_N) == expr, text

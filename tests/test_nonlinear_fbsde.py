@@ -93,7 +93,7 @@ def test_decoupled_model_matches_forward_then_backward_solve():
     x_path = AdaptedProcess(tree, 0, tree.horizon, tuple(x_slabs))
     assert (result.solution.X - x_path).sup_norm() <= GAP_TOL
 
-    gen = Generator(
+    gen = Generator.pointwise(
         n=model.n,
         d=1,
         fn=lambda t, y, z, node: model.driver(
