@@ -31,6 +31,33 @@ from .filtration import (
 GeneratorFn = Callable[[int, np.ndarray, np.ndarray, Sequence[tuple]], np.ndarray]
 
 
+class NonFiniteSolutionError(ArithmeticError):
+    """A solution is not finite: the solver's own arithmetic overflowed on
+    finite values, or a non-finite result was about to be written out."""
+
+
+def _refuse_overflow(tree: ProbabilityTree, drivers: list, y_slabs: list, z_slabs: list, n_slabs: list) -> None:
+    """Raise NonFiniteSolutionError naming the first non-finite slab of the
+    sweep that was built from finite driver values only."""
+    # N_T sums the aggregate, Y and Z dW terms along each path to a leaf, so
+    # it is finite exactly when every slab of the sweep is
+    if np.isfinite(n_slabs[-1]).all():
+        return
+    for t in range(len(drivers) - 1, -1, -1):  # sweep order; drivers[t] holds f at t + 1
+        if not np.isfinite(drivers[t]).all():
+            return  # non-finite driver values are passed on to the residual checks
+        _require_finite(tree, "Y", t, y_slabs[t])
+        _require_finite(tree, "Z", t, z_slabs[t])
+    for t, slab in enumerate(n_slabs):
+        _require_finite(tree, "N", t, slab)
+
+
+def _require_finite(tree: ProbabilityTree, name: str, t: int, slab: np.ndarray) -> None:
+    rows = ~np.isfinite(slab.reshape(slab.shape[0], -1)).all(axis=1)
+    if rows.any():
+        raise NonFiniteSolutionError(f"{name}_{t} is not finite at node {tree.nodes(t)[np.argmax(rows)]}")
+
+
 @dataclass(frozen=True)
 class Generator:
     """Driver of a backward equation, evaluated one time slab at a time.
@@ -83,7 +110,11 @@ class BsdeSolution:
 
 
 def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> BsdeSolution:
-    """Solve the backward equation exactly by one backward sweep."""
+    """Solve the backward equation exactly by one backward sweep.
+
+    Raises NonFiniteSolutionError if the sweep overflows.  Non-finite driver
+    values are passed on, and every residual check reads them as inf.
+    """
     if not gen.terminal_z_independent:
         raise ValueError("the driver must not depend on z at the terminal time")
     if gen.d != tree.d:
@@ -97,21 +128,25 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Bs
     y_slabs: list[np.ndarray] = [np.empty(0)] * (horizon + 1)
     z_slabs: list[np.ndarray | None] = [None] * (horizon + 1)
     aggregates: list[np.ndarray] = [np.empty(0)] * horizon
+    drivers: list[np.ndarray] = [np.empty(0)] * horizon
     y_slabs[horizon] = np.array(eta.at(horizon))
 
-    for t in range(horizon - 1, -1, -1):
-        aggregate = y_slabs[t + 1] + gen.on_slab(tree, t + 1, y_slabs[t + 1], z_slabs[t + 1])
-        aggregates[t] = aggregate
-        y_slabs[t] = tree.expect_next(aggregate, t)
-        z_slabs[t] = tree.expect_next_increment(aggregate, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon - 1, -1, -1):
+            drivers[t] = gen.on_slab(tree, t + 1, y_slabs[t + 1], z_slabs[t + 1])
+            aggregate = y_slabs[t + 1] + drivers[t]
+            aggregates[t] = aggregate
+            y_slabs[t] = tree.expect_next(aggregate, t)
+            z_slabs[t] = tree.expect_next_increment(aggregate, t)
 
-    n_slabs = [np.zeros((1, gen.n, 1))]
-    for t in range(horizon):
-        k = tree.branch_count(t)
-        zdw = np.einsum("nrd,kd->nkr", z_slabs[t], tree.steps[t].points)
-        grouped = tree.children_view(aggregates[t], t)
-        delta_n = grouped - y_slabs[t][:, None, :, :] - zdw[:, :, :, None]
-        n_slabs.append(np.repeat(n_slabs[t], k, axis=0) + delta_n.reshape(tree.node_count(t + 1), gen.n, 1))
+        n_slabs = [np.zeros((1, gen.n, 1))]
+        for t in range(horizon):
+            k = tree.branch_count(t)
+            zdw = np.einsum("nrd,kd->nkr", z_slabs[t], tree.steps[t].points)
+            grouped = tree.children_view(aggregates[t], t)
+            delta_n = grouped - y_slabs[t][:, None, :, :] - zdw[:, :, :, None]
+            n_slabs.append(np.repeat(n_slabs[t], k, axis=0) + delta_n.reshape(tree.node_count(t + 1), gen.n, 1))
+    _refuse_overflow(tree, drivers, y_slabs, z_slabs[:horizon], n_slabs)
 
     return BsdeSolution(
         Y=AdaptedProcess(tree, 0, horizon, tuple(y_slabs)),

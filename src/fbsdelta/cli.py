@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bsde import Generator, bsde_residuals, solve_bsde
+from .bsde import Generator, NonFiniteSolutionError, bsde_residuals, solve_bsde
 from .filtration import (
     MOMENT_TOL,
     AdaptedProcess,
@@ -323,14 +323,18 @@ def _parse_nonlinear(tree: ProbabilityTree, payload: dict) -> NonlinearModel:
         raise ScenarioError("model.m and model.n must be at least 1")
 
     def forward_fn(exprs):
-        def fn(t, x, y, z, node):
-            return np.array([eval_expr(e, t=t, x=x[:, 0], y=y[:, 0], z=z[:, 0]) for e in exprs])
+        compiled = [compile_expr(e) for e in exprs]
+
+        def fn(t, x, y, z, nodes):
+            return np.stack([c(t, x=x[:, :, 0], y=y[:, :, 0], z=z[:, :, 0]) for c in compiled], axis=1)
 
         return fn
 
     def terminal_fn(exprs, horizon):
-        def fn(x, node):
-            return np.array([eval_expr(e, t=horizon, x=x[:, 0]) for e in exprs])
+        compiled = [compile_expr(e) for e in exprs]
+
+        def fn(x, nodes):
+            return np.stack([c(horizon, x=x[:, :, 0]) for c in compiled], axis=1)
 
         return fn
 
@@ -544,11 +548,16 @@ def _base_summary(command: str, scenario: Scenario) -> dict:
 def _emit(args, summary: dict, tables: dict[str, str]) -> None:
     if args.out is None:
         return
+    # strict JSON, built first: a non-finite number is refused before any file is written
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteSolutionError(f"summary.json not written: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in tables.items():
-        (out / name).write_text(text, encoding="utf-8")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for name, table in tables.items():
+        (out / name).write_text(table, encoding="utf-8")
+    (out / "summary.json").write_text(text, encoding="utf-8")
 
 
 # -- commands -------------------------------------------------------------------------
@@ -842,7 +851,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NotSolvableError, ContinuationFailedError, OracleFailedError, ExprEvalError) as exc:
+    except (NotSolvableError, ContinuationFailedError, OracleFailedError, ExprEvalError, NonFiniteSolutionError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SOLVER
 

@@ -25,7 +25,7 @@ Z_t = P_{t+1} E[X_{t+1} dW_t|F_t] + E[p_{t+1} dW_t|F_t].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -267,6 +267,25 @@ class LinearCoefficients:
             Dhat=_as_process(tree, Dhat, (self.n, 1), 1, T, "Dhat"),
             g=_as_process(tree, g, (self.n, 1), T, T, "g"),
         )
+
+    def forward_terms(self, t: int, x, y, z) -> tuple[np.ndarray, np.ndarray]:
+        """Drift A x + B y + C z + D and noise loading Abar x + Bbar y +
+        Cbar z + Dbar on the time-t slab."""
+        return (
+            _affine(self.A[t], self.B[t], self.C[t], x, y, z) + self.D.at(t),
+            _affine(self.Abar[t], self.Bbar[t], self.Cbar[t], x, y, z) + self.Dbar.at(t),
+        )
+
+    def minus_driver(self, t: int, x, y, z=None) -> np.ndarray:
+        """The negated driver Ahat x + Bhat y + Chat z + Dhat on the time-t
+        slab; ``z=None`` stands for z = 0 (the value used at t = T)."""
+        if z is None:
+            z = np.zeros((x.shape[0], self.n, 1))
+        return _affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + self.Dhat.at(t)
+
+
+def _affine(A, B, C, x, y, z) -> np.ndarray:
+    return np.einsum("ij,njk->nik", A, x) + np.einsum("ij,njk->nik", B, y) + np.einsum("ij,njk->nik", C, z)
 
 
 def anchor_coefficients(
@@ -510,7 +529,18 @@ def solve_linear(
     singular_tol: float = SINGULAR_TOL,
 ) -> FbsdeSolution:
     """Solve the coupled linear system exactly; raises NotSolvableError if
-    some Gamma_t is singular."""
+    some Gamma_t is singular.  The solution carries its residual report."""
+    sol = _solve_linear(coeffs, tree, matrices, singular_tol)
+    return replace(sol, residual_report=linear_residual(coeffs, tree, sol))
+
+
+def _solve_linear(
+    coeffs: LinearCoefficients,
+    tree: ProbabilityTree,
+    matrices: RiccatiMatrices | None = None,
+    singular_tol: float = SINGULAR_TOL,
+) -> FbsdeSolution:
+    """:func:`solve_linear` without the residual report."""
     seq = riccati_backward(coeffs, tree, matrices=matrices, singular_tol=singular_tol)
     mats = seq.matrices
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
@@ -551,26 +581,18 @@ def solve_linear(
     n_slabs: list[np.ndarray] = [np.zeros((1, n, 1))] * (T + 1)
     for t in range(T):
         k = tree.branch_count(t)
-        z_next = z_slabs[t + 1] if t + 1 < T else np.zeros((tree.node_count(t + 1), n, 1))
-        driver = (
-            np.einsum("ij,njk->nik", coeffs.Ahat[t + 1], x_slabs[t + 1])
-            + np.einsum("ij,njk->nik", coeffs.Bhat[t + 1], y_slabs[t + 1])
-            + np.einsum("ij,njk->nik", coeffs.Chat[t + 1], z_next)
-            + coeffs.Dhat.at(t + 1)
-        )
+        driver = coeffs.minus_driver(t + 1, x_slabs[t + 1], y_slabs[t + 1], z_slabs[t + 1] if t + 1 < T else None)
         points = tree.steps[t].points[:, 0]
         zdw = np.repeat(z_slabs[t], k, axis=0) * np.tile(points, tree.node_count(t))[:, None, None]
         dn = y_slabs[t + 1] - np.repeat(y_slabs[t], k, axis=0) - driver - zdw
         n_slabs[t + 1] = np.repeat(n_slabs[t], k, axis=0) + dn
 
-    sol = FbsdeSolution(
+    return FbsdeSolution(
         X=AdaptedProcess(tree, 0, T, tuple(x_slabs)),
         Y=AdaptedProcess(tree, 0, T, tuple(y_slabs)),
         Z=AdaptedProcess(tree, 0, T - 1, tuple(z_slabs)),
         N=AdaptedProcess(tree, 0, T, tuple(n_slabs)),
     )
-    report = linear_residual(coeffs, tree, sol)
-    return FbsdeSolution(X=sol.X, Y=sol.Y, Z=sol.Z, N=sol.N, residual_report=report)
 
 
 @dataclass(frozen=True)
@@ -601,37 +623,19 @@ def linear_residual(
     coeffs: LinearCoefficients, tree: ProbabilityTree, sol: FbsdeSolution
 ) -> LinearResidualReport:
     """Evaluate every defining equation of the linear system pathwise."""
-    T, n = coeffs.horizon, coeffs.n
+    T = coeffs.horizon
     fwd = 0.0
     bwd = 0.0
     for t in range(T):
         k = tree.branch_count(t)
         points = tree.steps[t].points[:, 0]
         w = np.tile(points, tree.node_count(t))[:, None, None]
-        x_t, y_t = sol.X.at(t), sol.Y.at(t)
-        z_t = sol.Z.at(t)
-        drift = (
-            np.einsum("ij,njk->nik", coeffs.A[t], x_t)
-            + np.einsum("ij,njk->nik", coeffs.B[t], y_t)
-            + np.einsum("ij,njk->nik", coeffs.C[t], z_t)
-            + coeffs.D.at(t)
-        )
-        vol = (
-            np.einsum("ij,njk->nik", coeffs.Abar[t], x_t)
-            + np.einsum("ij,njk->nik", coeffs.Bbar[t], y_t)
-            + np.einsum("ij,njk->nik", coeffs.Cbar[t], z_t)
-            + coeffs.Dbar.at(t)
-        )
+        x_t, y_t, z_t = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
+        drift, vol = coeffs.forward_terms(t, x_t, y_t, z_t)
         dx = sol.X.at(t + 1) - np.repeat(x_t, k, axis=0)
         fwd = max(fwd, float(np.abs(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w).max()))
 
-        z_next = sol.Z.at(t + 1) if t + 1 < T else np.zeros((tree.node_count(t + 1), n, 1))
-        driver = (
-            np.einsum("ij,njk->nik", coeffs.Ahat[t + 1], sol.X.at(t + 1))
-            + np.einsum("ij,njk->nik", coeffs.Bhat[t + 1], sol.Y.at(t + 1))
-            + np.einsum("ij,njk->nik", coeffs.Chat[t + 1], z_next)
-            + coeffs.Dhat.at(t + 1)
-        )
+        driver = coeffs.minus_driver(t + 1, sol.X.at(t + 1), sol.Y.at(t + 1), sol.Z.at(t + 1) if t + 1 < T else None)
         dy = sol.Y.at(t + 1) - np.repeat(y_t, k, axis=0)
         dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
         bwd = max(bwd, float(np.abs(dy - driver - np.repeat(z_t, k, axis=0) * w - dn).max()))

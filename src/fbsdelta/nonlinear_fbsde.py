@@ -32,9 +32,9 @@ from .linear_fbsde import (
     FbsdeSolution,
     LinearCoefficients,
     NotSolvableError,
+    _solve_linear,
     anchor_coefficients,
     riccati_matrices,
-    solve_linear,
 )
 
 __all__ = [
@@ -58,18 +58,15 @@ __all__ = [
 ]
 
 
-def _zero_forward(t, x, y, z, node):
-    return np.zeros((x.shape[0], 1))
-
-
-def _col(value, rows: int, what: str) -> np.ndarray:
+def _slab(value, rows: int, what: str, nodes) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     try:
-        arr = arr.reshape(rows, 1)
+        arr = arr.reshape(len(nodes), rows, 1)
     except ValueError as exc:
-        raise ValueError(f"{what} must produce {rows} components, got shape {arr.shape}") from exc
+        raise ValueError(f"{what} must produce {len(nodes)} x {rows} values, got shape {arr.shape}") from exc
     if not np.isfinite(arr).all():
-        raise ValueError(f"{what} produced non-finite values")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))[0]
+        raise ValueError(f"{what} produced non-finite values at node {nodes[bad]}")
     return arr
 
 
@@ -77,11 +74,15 @@ def _col(value, rows: int, what: str) -> np.ndarray:
 class NonlinearModel:
     """Coupled nonlinear system, phrased around its linear anchor.
 
-    ``b``, ``sigma`` and ``f`` take (t, x, y, z, node) with column-vector
-    arguments and return column vectors (m, m and n components); ``f`` is
-    evaluated at times 1..T with z frozen to zero at t = T.  ``h`` takes
-    (x, node) and returns n components.  ``None`` means the zero function
-    for b/sigma/f and the plain linear map x -> G x for h.
+    ``b``, ``sigma`` and ``f`` are slab callables ``fn(t, x, y, z, nodes)``:
+    ``x`` of shape (N, m, 1), ``y`` and ``z`` of shape (N, n, 1) and the N
+    tree nodes the rows belong to (on a whole slab, ``tree.nodes(t)``).  They
+    return (N, m, 1), (N, m, 1) and (N, n, 1) arrays, or anything that
+    reshapes to them, and must not modify their arguments.  ``f`` is
+    evaluated at times 1..T with z frozen to zero at t = T.  ``h(x, nodes)``
+    returns (N, n, 1).  ``None`` means the zero function for b/sigma/f and
+    the plain linear map x -> G x for h.  Per-node callables are wrapped by
+    :meth:`pointwise`.
     """
 
     m: int
@@ -115,25 +116,49 @@ class NonlinearModel:
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.m, 1))
 
-    # -- pointwise evaluation with zero/linear defaults -----------------
+    @classmethod
+    def pointwise(cls, m: int, n: int, G, beta1: float, beta2: float, x0, b=None, sigma=None, f=None, h=None):
+        """Model from per-node callables ``b/sigma/f(t, x, y, z, node)`` with
+        (m, 1), (n, 1), (n, 1) column arguments and ``h(x, node)``, each
+        called once per row of a slab."""
 
-    def drift(self, t, x, y, z, node) -> np.ndarray:
-        fn = self.b if self.b is not None else _zero_forward
-        return _col(fn(t, x, y, z, node), self.m, f"b(t={t})")
+        def per_row(fn, rows: int):
+            def slab_fn(*args):  # (t, x, y, z, nodes) or (x, nodes); t is the only non-array
+                *head, nodes = args
+                out = np.empty((len(nodes), rows, 1))
+                for i, node in enumerate(nodes):
+                    row = [a[i] if isinstance(a, np.ndarray) else a for a in head]
+                    out[i] = np.asarray(fn(*row, node), dtype=float).reshape(rows, 1)
+                return out
 
-    def noise_loading(self, t, x, y, z, node) -> np.ndarray:
-        fn = self.sigma if self.sigma is not None else _zero_forward
-        return _col(fn(t, x, y, z, node), self.m, f"sigma(t={t})")
+            return None if fn is None else slab_fn
 
-    def driver(self, t, x, y, z, node) -> np.ndarray:
+        return cls(m, n, G, beta1, beta2, x0, per_row(b, m), per_row(sigma, m), per_row(f, n), per_row(h, n))
+
+    # -- slab evaluation with zero/linear defaults ----------------------
+
+    def drift(self, t, x, y, z, nodes) -> np.ndarray:
+        if self.b is None:
+            return np.zeros((len(nodes), self.m, 1))
+        return _slab(self.b(t, x, y, z, nodes), self.m, f"b(t={t})", nodes)
+
+    def noise_loading(self, t, x, y, z, nodes) -> np.ndarray:
+        if self.sigma is None:
+            return np.zeros((len(nodes), self.m, 1))
+        return _slab(self.sigma(t, x, y, z, nodes), self.m, f"sigma(t={t})", nodes)
+
+    def driver(self, t, x, y, z, nodes) -> np.ndarray:
+        """f on a slab; ``z=None`` stands for z = 0 (the value used at t = T)."""
         if self.f is None:
-            return np.zeros((self.n, 1))
-        return _col(self.f(t, x, y, z, node), self.n, f"f(t={t})")
+            return np.zeros((len(nodes), self.n, 1))
+        if z is None:
+            z = np.zeros((len(nodes), self.n, 1))
+        return _slab(self.f(t, x, y, z, nodes), self.n, f"f(t={t})", nodes)
 
-    def terminal(self, x, node) -> np.ndarray:
+    def terminal(self, x, nodes) -> np.ndarray:
         if self.h is None:
             return self.G @ x
-        return _col(self.h(x, node), self.n, "h")
+        return _slab(self.h(x, nodes), self.n, "h", nodes)
 
 
 @dataclass(frozen=True)
@@ -206,38 +231,20 @@ def _homotopy_bundle(model: NonlinearModel, tree: ProbabilityTree, frozen: Proce
     """Offsets whose alpha-scaled addition to the anchor system reproduces the
     level-alpha equations with the nonlinearity evaluated at ``frozen``."""
     T = tree.horizon
-    m, n = model.m, model.n
     G, Gt = model.G, model.G.T
-    d_vals, dbar_vals, dhat_vals = [], [], []
+    d_vals, dbar_vals = [], []
     for t in range(T):
         x, y, z = frozen.x.at(t), frozen.y.at(t), frozen.z.at(t)
-        cnt = tree.node_count(t)
-        dv = np.empty((cnt, m, 1))
-        dbv = np.empty((cnt, m, 1))
-        for i, node in enumerate(tree.nodes(t)):
-            dv[i] = model.drift(t, x[i], y[i], z[i], node) + model.beta2 * (Gt @ y[i])
-            dbv[i] = model.noise_loading(t, x[i], y[i], z[i], node) + model.beta2 * (Gt @ z[i])
-        d_vals.append(dv)
-        dbar_vals.append(dbv)
-    zero_z = np.zeros((n, 1))
-    for t in range(1, T + 1):
-        x, y = frozen.x.at(t), frozen.y.at(t)
-        z = frozen.z.at(t) if t < T else None
-        cnt = tree.node_count(t)
-        dhv = np.empty((cnt, n, 1))
-        for i, node in enumerate(tree.nodes(t)):
-            z_i = z[i] if z is not None else zero_z
-            dhv[i] = model.beta1 * (G @ x[i]) - model.driver(t, x[i], y[i], z_i, node)
-        dhat_vals.append(dhv)
+        nodes = tree.nodes(t)
+        d_vals.append(model.drift(t, x, y, z, nodes) + model.beta2 * (Gt @ y))
+        dbar_vals.append(model.noise_loading(t, x, y, z, nodes) + model.beta2 * (Gt @ z))
+    dhat_vals = [model.beta1 * (G @ frozen.x.at(t)) - _driver_slab(model, tree, t, frozen) for t in range(1, T + 1)]
     x_T = frozen.x.at(T)
-    gv = np.empty((tree.node_count(T), n, 1))
-    for i, node in enumerate(tree.nodes(T)):
-        gv[i] = model.terminal(x_T[i], node) - G @ x_T[i]
     return _OffsetBundle(
         D=AdaptedProcess(tree, 0, T - 1, tuple(d_vals)),
         Dbar=AdaptedProcess(tree, 0, T - 1, tuple(dbar_vals)),
         Dhat=AdaptedProcess(tree, 1, T, tuple(dhat_vals)),
-        g=AdaptedProcess(tree, T, T, (gv,)),
+        g=AdaptedProcess(tree, T, T, (model.terminal(x_T, tree.nodes(T)) - G @ x_T,)),
     )
 
 
@@ -360,7 +367,7 @@ def solve_continuation(
         coeffs = anchor.with_inhomogeneous(
             D=bundle.D, Dbar=bundle.Dbar, Dhat=bundle.Dhat, g=bundle.g, x0=model.x0
         )
-        return solve_linear(coeffs, tree, matrices=mats)
+        return _solve_linear(coeffs, tree, matrices=mats)
 
     def picard(step, start: ProcessTriple):
         u = start if config.picard_start == "warm" else zero_triple
@@ -396,8 +403,7 @@ def solve_continuation(
 
         return picard(step, start)
 
-    base = linear_solve(zero_bundle)
-    current_sol, current = base, ProcessTriple.from_solution(base)
+    current = ProcessTriple.from_solution(linear_solve(zero_bundle))
     records: list[StageRecord] = []
     alpha, delta = 0.0, config.delta_init
 
@@ -427,7 +433,7 @@ def solve_continuation(
                 ) from None
             continue
         records.append(StageRecord(alpha, target, delta, iters, dist, True))
-        current_sol, current = sol, ProcessTriple.from_solution(sol)
+        current = ProcessTriple.from_solution(sol)
         alpha = target
 
     compensator = reconstruct_compensator(model, tree, current)
@@ -452,14 +458,9 @@ def solve_continuation(
 def _driver_slab(
     model: NonlinearModel, tree: ProbabilityTree, t: int, triple: ProcessTriple
 ) -> np.ndarray:
-    """f(t, X_t, Y_t, Z_t) at every node (z frozen to zero at t = T)."""
-    x, y = triple.x.at(t), triple.y.at(t)
+    """f(t, X_t, Y_t, Z_t) on the time-t slab (z frozen to zero at t = T)."""
     z = triple.z.at(t) if t < tree.horizon else None
-    zero_z = np.zeros((model.n, 1))
-    out = np.empty((tree.node_count(t), model.n, 1))
-    for i, node in enumerate(tree.nodes(t)):
-        out[i] = model.driver(t, x[i], y[i], z[i] if z is not None else zero_z, node)
-    return out
+    return model.driver(t, triple.x.at(t), triple.y.at(t), z, tree.nodes(t))
 
 
 def reconstruct_compensator(
@@ -513,23 +514,18 @@ class NonlinearResidualReport:
 def nonlinear_residual(
     model: NonlinearModel, tree: ProbabilityTree, sol: FbsdeSolution
 ) -> NonlinearResidualReport:
-    T, m, n = tree.horizon, model.m, model.n
-    triple = ProcessTriple.from_solution(sol)
+    T = tree.horizon
+    drift, vol, minus_f = _realized_terms(model, tree, sol)
     fwd = bwd = y_proj = z_proj = 0.0
     for t in range(T):
         k = tree.branch_count(t)
         points = tree.steps[t].points[:, 0]
         w = np.tile(points, tree.node_count(t))[:, None, None]
         x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-        drift = np.empty((tree.node_count(t), m, 1))
-        vol = np.empty((tree.node_count(t), m, 1))
-        for i, node in enumerate(tree.nodes(t)):
-            drift[i] = model.drift(t, x[i], y[i], z[i], node)
-            vol[i] = model.noise_loading(t, x[i], y[i], z[i], node)
         dx = sol.X.at(t + 1) - np.repeat(x, k, axis=0)
-        fwd = max(fwd, float(np.abs(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w).max()))
+        fwd = max(fwd, float(np.abs(dx - np.repeat(drift[t], k, axis=0) - np.repeat(vol[t], k, axis=0) * w).max()))
 
-        f_next = _driver_slab(model, tree, t + 1, triple)
+        f_next = -minus_f[t + 1]
         dy = sol.Y.at(t + 1) - np.repeat(y, k, axis=0)
         dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
         bwd = max(bwd, float(np.abs(dy + f_next - np.repeat(z, k, axis=0) * w - dn).max()))
@@ -538,11 +534,7 @@ def nonlinear_residual(
         y_proj = max(y_proj, float(np.abs(y - tree.expect_next(lam, t)).max()))
         z_proj = max(z_proj, float(np.abs(z - tree.expect_next_increment(lam, t)).max()))
 
-    x_T = sol.X.at(T)
-    term = np.empty((tree.node_count(T), n, 1))
-    for i, node in enumerate(tree.nodes(T)):
-        term[i] = model.terminal(x_T[i], node)
-    terminal = float(np.abs(sol.Y.at(T) - term).max())
+    terminal = float(np.abs(sol.Y.at(T) - model.terminal(sol.X.at(T), tree.nodes(T))).max())
     initial = float(np.abs(sol.X.at(0)[0] - model.x0).max())
     mart = is_martingale(tree, sol.N)
     orth = is_strongly_orthogonal(tree, sol.N)
@@ -604,33 +596,45 @@ def check_monotone(
     if beta1 < 0.0 or beta2 < 0.0:
         raise ValueError("monotonicity margins beta1 and beta2 must be nonnegative")
     G, Gt = model.G, model.G.T
+    # Draw in the order of one pass per sample: the pair of states, a node
+    # at every time 0..T, then a leaf for the terminal map.
+    counts = [tree.node_count(t) for t in range(T + 1)] + [tree.node_count(T)]
+    states = np.empty((2, samples, m + 2 * n, 1))
+    picks = np.empty((len(counts), samples), dtype=int)
+    for s in range(samples):
+        states[0, s] = rng.uniform(-box, box, size=(m + 2 * n, 1))
+        states[1, s] = rng.uniform(-box, box, size=(m + 2 * n, 1))
+        for j, count in enumerate(counts):
+            picks[j, s] = rng.integers(count)
+
+    def gap(values: np.ndarray) -> np.ndarray:
+        return values[:samples] - values[samples:]
+
+    # rows 0..samples-1 hold the first state of each pair, the rest the second
+    both = states.reshape(2 * samples, m + 2 * n, 1)
+    x, y, z = both[:, :m], both[:, m : m + n], both[:, m + n :]
+    dx, dy, dz = gap(x), gap(y), gap(z)
+
+    def pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return (left * right).sum(axis=(1, 2))
+
     worst_coupling = -math.inf
-    worst_terminal = -math.inf
-    zero_z = np.zeros((n, 1))
-    for _ in range(samples):
-        a = rng.uniform(-box, box, size=(m + 2 * n, 1))
-        b = rng.uniform(-box, box, size=(m + 2 * n, 1))
-        xa, ya, za = a[:m], a[m : m + n], a[m + n :]
-        xb, yb, zb = b[:m], b[m : m + n], b[m + n :]
-        dx, dy, dz = xa - xb, ya - yb, za - zb
-        for t in range(T + 1):
-            nodes = tree.nodes(t)
-            node = nodes[int(rng.integers(len(nodes)))]
-            slack = 0.0
-            if 1 <= t <= T:
-                z_arg_a = zero_z if t == T else za
-                z_arg_b = zero_z if t == T else zb
-                df = model.driver(t, xa, ya, z_arg_a, node) - model.driver(t, xb, yb, z_arg_b, node)
-                slack += -float(((Gt @ df) * dx).sum()) + beta1 * float(((G @ dx) ** 2).sum())
-            if t <= T - 1:
-                db = model.drift(t, xa, ya, za, node) - model.drift(t, xb, yb, zb, node)
-                ds = model.noise_loading(t, xa, ya, za, node) - model.noise_loading(t, xb, yb, zb, node)
-                slack += float(((G @ db) * dy).sum()) + float(((G @ ds) * dz).sum())
-                slack += beta2 * (float(((Gt @ dy) ** 2).sum()) + float(((Gt @ dz) ** 2).sum()))
-            worst_coupling = max(worst_coupling, slack)
-        leaf = tree.nodes(T)[int(rng.integers(tree.node_count(T)))]
-        dh = model.terminal(xa, leaf) - model.terminal(xb, leaf)
-        worst_terminal = max(worst_terminal, -float((dh * (G @ dx)).sum()))
+    for t in range(T + 1):
+        slab = tree.nodes(t)
+        nodes = tuple(slab[i] for i in picks[t]) * 2
+        slack = np.zeros(samples)
+        if 1 <= t <= T:
+            df = gap(model.driver(t, x, y, z if t < T else None, nodes))
+            slack += -pairing(Gt @ df, dx) + beta1 * pairing(G @ dx, G @ dx)
+        if t <= T - 1:
+            db = gap(model.drift(t, x, y, z, nodes))
+            ds = gap(model.noise_loading(t, x, y, z, nodes))
+            slack += pairing(G @ db, dy) + pairing(G @ ds, dz)
+            slack += beta2 * (pairing(Gt @ dy, Gt @ dy) + pairing(Gt @ dz, Gt @ dz))
+        worst_coupling = max(worst_coupling, float(slack.max(initial=-math.inf)))
+    leaves = tree.nodes(T)
+    dh = gap(model.terminal(x, tuple(leaves[i] for i in picks[T + 1]) * 2))
+    worst_terminal = float((-pairing(dh, G @ dx)).max(initial=-math.inf))
     ok = worst_coupling <= tol and worst_terminal <= tol
     return MonotonicityReport(
         ok=ok,
@@ -659,43 +663,19 @@ def _realized_terms(problem, tree: ProbabilityTree, sol: FbsdeSolution):
     added to Y_{t+1} - Y_t - Z_t dW_t - dN_t being its negative) along a
     solution path.  Returns (drift[t], vol[t] for t < T, minus_f[t] for t >= 1)."""
     T = tree.horizon
+    linear = isinstance(problem, LinearCoefficients)
     drift, vol, minus_f = [], [], [None]
-    if isinstance(problem, LinearCoefficients):
-        for t in range(T):
-            x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-            drift.append(
-                np.einsum("ij,njk->nik", problem.A[t], x)
-                + np.einsum("ij,njk->nik", problem.B[t], y)
-                + np.einsum("ij,njk->nik", problem.C[t], z)
-                + problem.D.at(t)
-            )
-            vol.append(
-                np.einsum("ij,njk->nik", problem.Abar[t], x)
-                + np.einsum("ij,njk->nik", problem.Bbar[t], y)
-                + np.einsum("ij,njk->nik", problem.Cbar[t], z)
-                + problem.Dbar.at(t)
-            )
-        for t in range(1, T + 1):
-            z = sol.Z.at(t) if t < T else np.zeros((tree.node_count(T), problem.n, 1))
-            minus_f.append(
-                np.einsum("ij,njk->nik", problem.Ahat[t], sol.X.at(t))
-                + np.einsum("ij,njk->nik", problem.Bhat[t], sol.Y.at(t))
-                + np.einsum("ij,njk->nik", problem.Chat[t], z)
-                + problem.Dhat.at(t)
-            )
-        return drift, vol, minus_f
-    triple = ProcessTriple.from_solution(sol)
     for t in range(T):
         x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-        dv = np.empty_like(x)
-        sv = np.empty_like(x)
-        for i, node in enumerate(tree.nodes(t)):
-            dv[i] = problem.drift(t, x[i], y[i], z[i], node)
-            sv[i] = problem.noise_loading(t, x[i], y[i], z[i], node)
-        drift.append(dv)
-        vol.append(sv)
+        if linear:
+            terms = problem.forward_terms(t, x, y, z)
+        else:
+            terms = problem.drift(t, x, y, z, tree.nodes(t)), problem.noise_loading(t, x, y, z, tree.nodes(t))
+        drift.append(terms[0])
+        vol.append(terms[1])
     for t in range(1, T + 1):
-        minus_f.append(-_driver_slab(problem, tree, t, triple))
+        x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t) if t < T else None
+        minus_f.append(problem.minus_driver(t, x, y, z) if linear else -problem.driver(t, x, y, z, tree.nodes(t)))
     return drift, vol, minus_f
 
 

@@ -179,31 +179,6 @@ def build_residual_system(
         if tree.d != 1:
             raise ValueError("linear systems require one-dimensional driving noise")
         coeffs = problem
-        n = coeffs.n
-
-        def forward_terms(t, x, y, z):
-            drift = (
-                np.einsum("ij,njk->nik", coeffs.A[t], x)
-                + np.einsum("ij,njk->nik", coeffs.B[t], y)
-                + np.einsum("ij,njk->nik", coeffs.C[t], z)
-                + coeffs.D.at(t)
-            )
-            vol = (
-                np.einsum("ij,njk->nik", coeffs.Abar[t], x)
-                + np.einsum("ij,njk->nik", coeffs.Bbar[t], y)
-                + np.einsum("ij,njk->nik", coeffs.Cbar[t], z)
-                + coeffs.Dbar.at(t)
-            )
-            return drift, vol
-
-        def minus_driver(t, x, y, z):
-            z_slab = z if z is not None else np.zeros((tree.node_count(t), n, 1))
-            return (
-                np.einsum("ij,njk->nik", coeffs.Ahat[t], x)
-                + np.einsum("ij,njk->nik", coeffs.Bhat[t], y)
-                + np.einsum("ij,njk->nik", coeffs.Chat[t], z_slab)
-                + coeffs.Dhat.at(t)
-            )
 
         def terminal_map(x):
             return np.einsum("ij,njk->nik", coeffs.G, x) + coeffs.g.at(tree.horizon)
@@ -211,11 +186,11 @@ def build_residual_system(
         return ResidualSystem(
             tree=tree,
             m=coeffs.m,
-            n=n,
-            size=_system_size(tree, coeffs.m, n),
+            n=coeffs.n,
+            size=_system_size(tree, coeffs.m, coeffs.n),
             x0=coeffs.x0,
-            forward_terms=forward_terms,
-            minus_driver=minus_driver,
+            forward_terms=coeffs.forward_terms,
+            minus_driver=coeffs.minus_driver,
             terminal_map=terminal_map,
         )
 
@@ -224,30 +199,16 @@ def build_residual_system(
             raise ValueError("coupled nonlinear systems require one-dimensional driving noise")
         model = problem
         m, n = model.m, model.n
-        zero_z = np.zeros((n, 1))
 
         def forward_terms(t, x, y, z):
-            cnt = tree.node_count(t)
-            drift = np.empty((cnt, m, 1))
-            vol = np.empty((cnt, m, 1))
-            for i, node in enumerate(tree.nodes(t)):
-                drift[i] = model.drift(t, x[i], y[i], z[i], node)
-                vol[i] = model.noise_loading(t, x[i], y[i], z[i], node)
-            return drift, vol
+            nodes = tree.nodes(t)
+            return model.drift(t, x, y, z, nodes), model.noise_loading(t, x, y, z, nodes)
 
         def minus_driver(t, x, y, z):
-            cnt = tree.node_count(t)
-            out = np.empty((cnt, n, 1))
-            for i, node in enumerate(tree.nodes(t)):
-                z_i = z[i] if z is not None else zero_z
-                out[i] = -model.driver(t, x[i], y[i], z_i, node)
-            return out
+            return -model.driver(t, x, y, z, tree.nodes(t))
 
         def terminal_map(x):
-            out = np.empty((tree.node_count(tree.horizon), n, 1))
-            for i, node in enumerate(tree.nodes(tree.horizon)):
-                out[i] = model.terminal(x[i], node)
-            return out
+            return model.terminal(x, tree.nodes(tree.horizon))
 
         return ResidualSystem(
             tree=tree,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -281,7 +283,7 @@ def decoupled_model(seed: int = 9) -> NonlinearModel:
     plain backward equation along the forward paths."""
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.1, 0.3, size=6)
-    return NonlinearModel(
+    return NonlinearModel.pointwise(
         m=1,
         n=2,
         G=np.array([[1.0], [0.4]]),
@@ -297,4 +299,55 @@ def decoupled_model(seed: int = 9) -> NonlinearModel:
             ]
         ),
         h=lambda x, node: np.array([[math.tanh(x[0, 0])], [0.5 * x[0, 0]]]),
+    )
+
+
+def decoupled_slab_model(seed: int = 9) -> NonlinearModel:
+    """The functions of :func:`decoupled_model` written on whole slabs."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.1, 0.3, size=6)
+    return NonlinearModel(
+        m=1,
+        n=2,
+        G=np.array([[1.0], [0.4]]),
+        beta1=1.0,
+        beta2=0.0,
+        x0=np.array([[0.6]]),
+        b=lambda t, x, y, z, nodes: c[0] * np.tanh(x) + 0.1,
+        sigma=lambda t, x, y, z, nodes: c[1] * np.tanh(0.5 * x) - 0.05,
+        f=lambda t, x, y, z, nodes: np.concatenate(
+            [c[2] * np.tanh(y[:, :1]) + c[3] * x, c[4] * np.sin(z[:, 1:]) + c[5] * y[:, 1:] + 0.1 * t], axis=1
+        ),
+        h=lambda x, nodes: np.concatenate([np.tanh(x), 0.5 * x], axis=1),
+    )
+
+
+def pointwise_twin(model: NonlinearModel) -> NonlinearModel:
+    """The same functions called once per node through NonlinearModel.pointwise
+    (for models whose functions work on single nodes as well as on slabs)."""
+    return NonlinearModel.pointwise(
+        model.m, model.n, model.G, model.beta1, model.beta2, model.x0, model.b, model.sigma, model.f, model.h
+    )
+
+
+def counting_model(model: NonlinearModel) -> tuple[NonlinearModel, Counter]:
+    """Copy of the model whose b, sigma, f and h count their calls by name."""
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    return (
+        replace(
+            model,
+            b=counted("b", model.b),
+            sigma=counted("sigma", model.sigma),
+            f=counted("f", model.f),
+            h=counted("h", model.h),
+        ),
+        calls,
     )

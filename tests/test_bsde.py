@@ -9,6 +9,7 @@ from fbsdelta import (
     AdaptedProcess,
     Generator,
     IncrementDistribution,
+    NonFiniteSolutionError,
     ProbabilityTree,
     bsde_residuals,
     conditional_expectation,
@@ -255,3 +256,17 @@ def test_non_finite_driver_values_fail_every_check():
     assert is_martingale(tree, sol.N).residual == np.inf
     assert is_strongly_orthogonal(tree, sol.N).ok is False
     assert sol.Y.sup_norm() == np.inf
+
+
+def test_overflow_in_the_sweep_is_refused_naming_the_slab():
+    tree = rademacher_tree(3)
+    eta = AdaptedProcess.constant(tree, np.array([[1e308]]), 3, 3)
+
+    def gen(nan_at):
+        return Generator(1, 1, lambda t, y, z, nodes: np.full((len(nodes), 1), np.nan if t == nan_at else 1e308))
+
+    # Y_3 + f overflows at t = 2, before the NaN driver at t = 1 is reached
+    with pytest.raises(NonFiniteSolutionError, match=r"Y_2 is not finite at node \(0, 0\)"):
+        solve_bsde(tree, gen(nan_at=1), eta)
+    # a NaN driver at the horizon comes first: passed on, not refused
+    assert solve_bsde(tree, gen(nan_at=3), eta).Y.sup_norm() == np.inf

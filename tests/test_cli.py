@@ -5,8 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from fbsdelta import AdaptedProcess, LinearCoefficients, ProbabilityTree, solve_linear
-from fbsdelta.cli import main
+from fbsdelta import (
+    AdaptedProcess,
+    LinearCoefficients,
+    NonlinearModel,
+    ProbabilityTree,
+    build_residual_system,
+    check_monotone,
+    eval_expr,
+    parse_expr,
+    solution_gap,
+    solve_continuation,
+    solve_global_newton,
+    solve_linear,
+)
+from fbsdelta.cli import load_scenario, main
 from helpers import rademacher_tree
 
 
@@ -328,6 +341,55 @@ def test_undefined_driver_values_exit_2_naming_the_subexpression(tmp_path, capsy
     assert named in capsys.readouterr().err
     assert not (out / "summary.json").exists()
     assert main(["compare-oracle", path]) == 2
+
+
+def test_overflowing_backward_sweep_exits_2_without_a_summary(tmp_path, capsys):
+    scenario = bsde_scenario()
+    scenario["model"].update(n=1, driver=["1e308"], terminal=[1e308])
+    path = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out"
+    assert main(["solve-bsde", path, "--out", str(out)]) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    assert main(["compare-oracle", path]) == 2
+
+
+def test_non_finite_summary_exits_2_without_writing_output(tmp_path, capsys):
+    scenario = linear_scenario()
+    scenario["tree"]["horizon"] = 1
+    scenario["model"] = {"m": 1, "n": 1, "G": [[1.0]], "x0": [1.5e308], "Dbar": [1e308]}  # X_1 overflows
+    out = tmp_path / "out"
+    assert main(["solve-linear", write_scenario(tmp_path, scenario), "--out", str(out)]) == 2
+    assert "summary.json not written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compiled_nonlinear_scenario_matches_a_pointwise_eval_expr_model(tmp_path):
+    scenario = nonlinear_scenario()
+    loaded = load_scenario(write_scenario(tmp_path, scenario))
+    compiled, tree = loaded.nonlinear, loaded.tree
+    spec = scenario["model"]
+
+    def per_node(key):
+        exprs = [parse_expr(text, 1, 1) for text in spec[key]]
+        return lambda t, x, y, z, node: np.array([eval_expr(e, t=t, x=x[:, 0], y=y[:, 0], z=z[:, 0]) for e in exprs])
+
+    terminal = [parse_expr(text, 1, 0) for text in spec["terminal"]]
+    reference = NonlinearModel.pointwise(
+        1, 1, compiled.G, compiled.beta1, compiled.beta2, compiled.x0,
+        b=per_node("drift"),
+        sigma=per_node("noise_loading"),
+        f=per_node("driver"),
+        h=lambda x, node: np.array([eval_expr(e, t=tree.horizon, x=x[:, 0]) for e in terminal]),
+    )
+    ours, theirs = solve_continuation(compiled, tree), solve_continuation(reference, tree)
+    assert solution_gap(ours.solution, theirs.solution) <= 1e-13
+    oracles = [solve_global_newton(build_residual_system(tree, model)) for model in (compiled, reference)]
+    assert solution_gap(oracles[0], oracles[1]) <= 1e-13
+    for margins in ({"beta1": 0.25, "beta2": 0.25}, {}):
+        mono = [check_monotone(model, tree, samples=500, seed=3, **margins) for model in (compiled, reference)]
+        assert abs(mono[0].worst_coupling_slack - mono[1].worst_coupling_slack) <= 1e-13
+        assert abs(mono[0].worst_terminal_slack - mono[1].worst_terminal_slack) <= 1e-13
 
 
 # -- determinism --------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Continuation solver, monotonicity checker, and the duality identity."""
+"""Continuation solver, monotonicity checker, the duality identity, and the
+slab contract of nonlinear models."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from fbsdelta import (
     duality_gap,
     homotopy_coefficients,
     nonlinear_residual,
+    reconstruct_compensator,
     solution_gap,
     solve_bsde,
     solve_continuation,
@@ -27,9 +30,12 @@ from fbsdelta import (
     weighted_distance,
 )
 from helpers import (
+    counting_model,
     decoupled_model,
+    decoupled_slab_model,
     make_anchor_model,
     mild_coupled_model,
+    pointwise_twin,
     rademacher_tree,
     random_linear_coefficients,
     random_offsets,
@@ -77,32 +83,25 @@ def test_decoupled_model_matches_forward_then_backward_solve():
     tree = random_tree(rng, 3)
     result = solve_continuation(model, tree)
 
-    zero = np.zeros((model.n, 1))
     x_slabs = [model.x0[None, :, :]]
     for t in range(tree.horizon):
         k = tree.branch_count(t)
         points = tree.steps[t].points[:, 0]
         x_t = x_slabs[t]
-        drift = np.empty_like(x_t)
-        vol = np.empty_like(x_t)
-        for i, node in enumerate(tree.nodes(t)):
-            drift[i] = model.drift(t, x_t[i], zero, zero, node)
-            vol[i] = model.noise_loading(t, x_t[i], zero, zero, node)
+        zero = np.zeros((x_t.shape[0], model.n, 1))
+        drift = model.drift(t, x_t, zero, zero, tree.nodes(t))
+        vol = model.noise_loading(t, x_t, zero, zero, tree.nodes(t))
         children = (x_t + drift)[:, None, :, :] + vol[:, None, :, :] * points[None, :, None, None]
         x_slabs.append(children.reshape(tree.node_count(t + 1), model.m, 1))
     x_path = AdaptedProcess(tree, 0, tree.horizon, tuple(x_slabs))
     assert (result.solution.X - x_path).sup_norm() <= GAP_TOL
 
-    gen = Generator.pointwise(
+    gen = Generator(
         n=model.n,
         d=1,
-        fn=lambda t, y, z, node: model.driver(
-            t, x_path.value(t, node), y.reshape(-1, 1), z.reshape(-1, 1), node
-        )[:, 0],
+        fn=lambda t, y, z, nodes: model.driver(t, x_path.at(t), y[:, :, None], z, nodes)[:, :, 0],
     )
-    eta_vals = np.empty((tree.node_count(tree.horizon), model.n, 1))
-    for i, node in enumerate(tree.nodes(tree.horizon)):
-        eta_vals[i] = model.terminal(x_path.value(tree.horizon, node), node)
+    eta_vals = model.terminal(x_path.at(tree.horizon), tree.nodes(tree.horizon))
     eta = AdaptedProcess(tree, tree.horizon, tree.horizon, (eta_vals,))
     backward = solve_bsde(tree, gen, eta)
     assert solution_gap(result.solution, backward) <= GAP_TOL
@@ -262,3 +261,117 @@ def test_duality_requires_a_shared_terminal_coupling():
     sol = solve_continuation(model_a, tree).solution
     with pytest.raises(ValueError, match="shared terminal coupling"):
         duality_gap(tree, model_a, sol, model_b, sol)
+
+
+# -- slab contract ---------------------------------------------------------------
+
+SLAB_TOL = 1e-13
+
+
+def _slab_and_pointwise(name):
+    """A model with slab callables, the same functions per node, and a tree."""
+    if name == "mild":
+        model = mild_coupled_model(m=2, seed=5)
+        return model, pointwise_twin(model), rademacher_tree(3)
+    return decoupled_slab_model(seed=9), decoupled_model(seed=9), random_tree(np.random.default_rng(13), 3)
+
+
+@pytest.mark.parametrize("name", ["mild", "decoupled"])
+def test_slab_models_agree_with_their_pointwise_wrapping(name):
+    slab, pointwise, tree = _slab_and_pointwise(name)
+    ours, theirs = solve_continuation(slab, tree), solve_continuation(pointwise, tree)
+    assert ours.trace.grid == theirs.trace.grid
+    assert ours.trace.linear_solves == theirs.trace.linear_solves
+    assert solution_gap(ours.solution, theirs.solution) <= SLAB_TOL
+
+    sol = ours.solution
+    report_slab, report_pointwise = nonlinear_residual(slab, tree, sol), nonlinear_residual(pointwise, tree, sol)
+    for field in dataclasses.fields(report_slab):
+        assert abs(getattr(report_slab, field.name) - getattr(report_pointwise, field.name)) <= SLAB_TOL
+
+    triple = ProcessTriple.from_solution(sol)
+    compensators = [reconstruct_compensator(model, tree, triple) for model in (slab, pointwise)]
+    assert (compensators[0] - compensators[1]).sup_norm() <= SLAB_TOL
+
+    anchor = anchor_coefficients(tree, slab.G, slab.beta1, slab.beta2, slab.x0)
+    linear = solve_linear(anchor, tree)
+    pairings = [duality_gap(tree, model, sol, anchor, linear) for model in (slab, pointwise)]
+    assert abs(pairings[0].lhs - pairings[1].lhs) <= SLAB_TOL
+    assert abs(pairings[0].rhs - pairings[1].rhs) <= SLAB_TOL
+
+    oracles = [solve_global_newton(build_residual_system(tree, model)) for model in (slab, pointwise)]
+    assert solution_gap(oracles[0], oracles[1]) <= SLAB_TOL
+
+
+def _reference_check_monotone(model, tree, samples, seed, box=5.0, beta1=None, beta2=None):
+    """Worst (coupling, terminal) slacks by one pass per sample and one model
+    call per node, for models whose functions also work on single nodes."""
+    rng = np.random.default_rng(seed)
+    T, m, n = tree.horizon, model.m, model.n
+    beta1 = model.beta1 if beta1 is None else beta1
+    beta2 = model.beta2 if beta2 is None else beta2
+    G, Gt = model.G, model.G.T
+    zero_m, zero_z = np.zeros((m, 1)), np.zeros((n, 1))
+    b = model.b or (lambda t, x, y, z, node: zero_m)
+    sigma = model.sigma or (lambda t, x, y, z, node: zero_m)
+    f = model.f or (lambda t, x, y, z, node: zero_z)
+    h = model.h or (lambda x, node: G @ x)
+    worst_coupling = worst_terminal = -math.inf
+    for _ in range(samples):
+        a = rng.uniform(-box, box, size=(m + 2 * n, 1))
+        c = rng.uniform(-box, box, size=(m + 2 * n, 1))
+        xa, ya, za = a[:m], a[m : m + n], a[m + n :]
+        xb, yb, zb = c[:m], c[m : m + n], c[m + n :]
+        dx, dy, dz = xa - xb, ya - yb, za - zb
+        for t in range(T + 1):
+            nodes = tree.nodes(t)
+            node = nodes[int(rng.integers(len(nodes)))]
+            slack = 0.0
+            if 1 <= t <= T:
+                df = f(t, xa, ya, zero_z if t == T else za, node) - f(t, xb, yb, zero_z if t == T else zb, node)
+                slack += -float(((Gt @ df) * dx).sum()) + beta1 * float(((G @ dx) ** 2).sum())
+            if t <= T - 1:
+                db = b(t, xa, ya, za, node) - b(t, xb, yb, zb, node)
+                ds = sigma(t, xa, ya, za, node) - sigma(t, xb, yb, zb, node)
+                slack += float(((G @ db) * dy).sum()) + float(((G @ ds) * dz).sum())
+                slack += beta2 * (float(((Gt @ dy) ** 2).sum()) + float(((Gt @ dz) ** 2).sum()))
+            worst_coupling = max(worst_coupling, slack)
+        leaf = tree.nodes(T)[int(rng.integers(tree.node_count(T)))]
+        dh = h(xa, leaf) - h(xb, leaf)
+        worst_terminal = max(worst_terminal, -float((dh * (G @ dx)).sum()))
+    return worst_coupling, worst_terminal
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_monotonicity_check_matches_the_per_sample_loop(seed):
+    tree = rademacher_tree(3)
+    anchor, _ = make_anchor_model(tree, [[1.1, 0.2], [-0.3, 0.9]], 0.8, 1.2, np.zeros((2, 1)), g_const=[0.3, 0.1])
+    wrong_sign = NonlinearModel(
+        m=1, n=1, G=np.array([[1.0]]), beta1=1.0, beta2=1.0, x0=np.array([[0.0]]),
+        f=lambda t, x, y, z, node: -2.0 * x,
+    )
+    cases = [
+        (mild_coupled_model(m=2, seed=5), {"beta1": 0.25, "beta2": 0.25}),
+        (mild_coupled_model(m=1, seed=8), {}),
+        (anchor, {}),
+        (wrong_sign, {}),
+    ]
+    for model, margins in cases:
+        report = check_monotone(model, tree, samples=300, seed=seed, **margins)
+        coupling, terminal = _reference_check_monotone(model, tree, 300, seed, **margins)
+        assert report.worst_coupling_slack == pytest.approx(coupling, rel=1e-12, abs=0.0)
+        assert report.worst_terminal_slack == pytest.approx(terminal, rel=1e-12, abs=0.0)
+
+
+def test_continuation_calls_the_model_once_per_slab():
+    model, calls = counting_model(mild_coupled_model(m=2, seed=5))
+    tree = rademacher_tree(3)
+    homotopy_coefficients(model, tree, 1.0, ProcessTriple.zeros(tree, 2, 2))
+    assert calls == {"b": 3, "sigma": 3, "f": 3, "h": 1}
+    calls.clear()
+    solve_continuation(model, tree)
+    # every offset bundle and the residual report evaluate b, sigma and f on
+    # three slabs and h on one; the compensator evaluates f on three more
+    assert calls["h"] > 1
+    assert calls["b"] == calls["sigma"] == 3 * calls["h"]
+    assert calls["f"] == 3 * calls["h"] + 3

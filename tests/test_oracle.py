@@ -16,7 +16,11 @@ from fbsdelta import (
     solve_linear,
 )
 from helpers import (
+    counting_model,
+    decoupled_model,
+    decoupled_slab_model,
     mild_coupled_model,
+    pointwise_twin,
     rademacher_tree,
     random_dsl_generator,
     random_linear_coefficients,
@@ -162,3 +166,26 @@ def test_dispatch_and_input_validation():
         system.pack(y=sol.Y, z=sol.Z)
     with pytest.raises(ValueError, match="flat vector"):
         system.residual(np.zeros(system.size + 1))
+
+
+@pytest.mark.parametrize("name", ["mild", "decoupled"])
+def test_slab_and_pointwise_models_give_the_same_residual_map(name):
+    if name == "mild":
+        slab = mild_coupled_model(m=2, seed=5)
+        pointwise, tree = pointwise_twin(slab), rademacher_tree(3)
+    else:
+        slab, pointwise = decoupled_slab_model(seed=9), decoupled_model(seed=9)
+        tree = random_tree(np.random.default_rng(13), 3)
+    ours, theirs = build_residual_system(tree, slab), build_residual_system(tree, pointwise)
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        vec = rng.uniform(-1.0, 1.0, size=ours.size)
+        assert np.abs(ours.residual(vec) - theirs.residual(vec)).max() <= 1e-13
+
+
+def test_oracle_residual_calls_the_model_once_per_slab():
+    model, calls = counting_model(mild_coupled_model(m=2, seed=5))
+    tree = rademacher_tree(3)
+    system = build_residual_system(tree, model)
+    system.residual(np.zeros(system.size))
+    assert calls == {"b": 3, "sigma": 3, "f": 3, "h": 1}
