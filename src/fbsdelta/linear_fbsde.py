@@ -31,7 +31,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal
+from .bsde import _require_finite
+from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
 SINGULAR_TOL = 1e-10
@@ -529,18 +530,22 @@ def solve_linear(
     singular_tol: float = SINGULAR_TOL,
 ) -> FbsdeSolution:
     """Solve the coupled linear system exactly; raises NotSolvableError if
-    some Gamma_t is singular.  The solution carries its residual report."""
+    some Gamma_t is singular and NonFiniteSolutionError if the sweep
+    overflows.  The solution carries its residual report."""
     sol = _solve_linear(coeffs, tree, matrices, singular_tol)
     return replace(sol, residual_report=linear_residual(coeffs, tree, sol))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def _solve_linear(
     coeffs: LinearCoefficients,
     tree: ProbabilityTree,
     matrices: RiccatiMatrices | None = None,
     singular_tol: float = SINGULAR_TOL,
 ) -> FbsdeSolution:
-    """:func:`solve_linear` without the residual report."""
+    """:func:`solve_linear` without the residual report.  Raises
+    NonFiniteSolutionError, naming the process, time and node, when its own
+    arithmetic overflows."""
     seq = riccati_backward(coeffs, tree, matrices=matrices, singular_tol=singular_tol)
     mats = seq.matrices
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
@@ -568,7 +573,7 @@ def _solve_linear(
             + coeffs.Dbar.at(t)
         )
         rhs = np.concatenate([top, bot], axis=1)
-        uv = lu_solve(mats.lu[t], rhs[:, :, 0].T).T
+        uv = lu_solve(mats.lu[t], rhs[:, :, 0].T, check_finite=False).T
         u, v = uv[:, :m, None], uv[:, m:, None]
         points = tree.steps[t].points[:, 0]
         children = u[:, None, :, :] + v[:, None, :, :] * points[None, :, None, None]
@@ -586,6 +591,16 @@ def _solve_linear(
         zdw = np.repeat(z_slabs[t], k, axis=0) * np.tile(points, tree.node_count(t))[:, None, None]
         dn = y_slabs[t + 1] - np.repeat(y_slabs[t], k, axis=0) - driver - zdw
         n_slabs[t + 1] = np.repeat(n_slabs[t], k, axis=0) + dn
+    # N_T adds up the driver (which reads X), Y and Z dW along each path to a
+    # leaf, and Y_T reads X_T, so N_T is finite exactly when every slab is
+    if not np.isfinite(n_slabs[T]).all():
+        for t in range(T):  # sweep order
+            _require_finite(tree, "X", t + 1, x_slabs[t + 1])
+            _require_finite(tree, "Y", t, y_slabs[t])
+            _require_finite(tree, "Z", t, z_slabs[t])
+        _require_finite(tree, "Y", T, y_slabs[T])
+        for t in range(1, T + 1):
+            _require_finite(tree, "N", t, n_slabs[t])
 
     return FbsdeSolution(
         X=AdaptedProcess(tree, 0, T, tuple(x_slabs)),
@@ -633,17 +648,15 @@ def linear_residual(
         x_t, y_t, z_t = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
         drift, vol = coeffs.forward_terms(t, x_t, y_t, z_t)
         dx = sol.X.at(t + 1) - np.repeat(x_t, k, axis=0)
-        fwd = max(fwd, float(np.abs(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w).max()))
+        fwd = max(fwd, sup_abs(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w))
 
         driver = coeffs.minus_driver(t + 1, sol.X.at(t + 1), sol.Y.at(t + 1), sol.Z.at(t + 1) if t + 1 < T else None)
         dy = sol.Y.at(t + 1) - np.repeat(y_t, k, axis=0)
         dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        bwd = max(bwd, float(np.abs(dy - driver - np.repeat(z_t, k, axis=0) * w - dn).max()))
+        bwd = max(bwd, sup_abs(dy - driver - np.repeat(z_t, k, axis=0) * w - dn))
 
-    initial = float(np.abs(sol.X.at(0)[0] - coeffs.x0).max())
-    terminal = float(
-        np.abs(sol.Y.at(T) - np.einsum("ij,njk->nik", coeffs.G, sol.X.at(T)) - coeffs.g.at(T)).max()
-    )
+    initial = sup_abs(sol.X.at(0)[0] - coeffs.x0)
+    terminal = sup_abs(sol.Y.at(T) - np.einsum("ij,njk->nik", coeffs.G, sol.X.at(T)) - coeffs.g.at(T))
     mart = is_martingale(tree, sol.N)
     orth = is_strongly_orthogonal(tree, sol.N)
     return LinearResidualReport(

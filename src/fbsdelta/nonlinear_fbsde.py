@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal
+from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 from .linear_fbsde import (
     RANK_TOL,
     FbsdeSolution,
@@ -523,19 +523,19 @@ def nonlinear_residual(
         w = np.tile(points, tree.node_count(t))[:, None, None]
         x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
         dx = sol.X.at(t + 1) - np.repeat(x, k, axis=0)
-        fwd = max(fwd, float(np.abs(dx - np.repeat(drift[t], k, axis=0) - np.repeat(vol[t], k, axis=0) * w).max()))
+        fwd = max(fwd, sup_abs(dx - np.repeat(drift[t], k, axis=0) - np.repeat(vol[t], k, axis=0) * w))
 
         f_next = -minus_f[t + 1]
         dy = sol.Y.at(t + 1) - np.repeat(y, k, axis=0)
         dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        bwd = max(bwd, float(np.abs(dy + f_next - np.repeat(z, k, axis=0) * w - dn).max()))
+        bwd = max(bwd, sup_abs(dy + f_next - np.repeat(z, k, axis=0) * w - dn))
 
         lam = sol.Y.at(t + 1) + f_next
-        y_proj = max(y_proj, float(np.abs(y - tree.expect_next(lam, t)).max()))
-        z_proj = max(z_proj, float(np.abs(z - tree.expect_next_increment(lam, t)).max()))
+        y_proj = max(y_proj, sup_abs(y - tree.expect_next(lam, t)))
+        z_proj = max(z_proj, sup_abs(z - tree.expect_next_increment(lam, t)))
 
-    terminal = float(np.abs(sol.Y.at(T) - model.terminal(sol.X.at(T), tree.nodes(T))).max())
-    initial = float(np.abs(sol.X.at(0)[0] - model.x0).max())
+    terminal = sup_abs(sol.Y.at(T) - model.terminal(sol.X.at(T), tree.nodes(T)))
+    initial = sup_abs(sol.X.at(0)[0] - model.x0)
     mart = is_martingale(tree, sol.N)
     orth = is_strongly_orthogonal(tree, sol.N)
     return NonlinearResidualReport(

@@ -12,6 +12,10 @@ with residual blocks ordered: forward equations at every child node
 then the terminal condition at the leaves.  F is driven to zero by a damped
 Newton iteration with finite-difference Jacobians, which shares no algorithmic
 step with the structured solvers and therefore serves as an oracle for them.
+Each residual row reads only its node, the node's parent and its children, so
+the Jacobian is built with one evaluation of F per colour of columns (Curtis,
+Powell & Reid 1974), a count that depends on the branch counts and the
+dimensions but not on the size of the tree.
 Plain backward equations (no forward state) are covered by the same machinery
 with an empty X block.
 """
@@ -19,6 +23,7 @@ with an empty X block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -60,7 +65,9 @@ class ResidualSystem:
     coefficients on whole time slabs (``None`` when there is no forward
     state); ``minus_driver(t, x, y, z)`` returns the term added to the
     backward increment (the negated driver), with ``z=None`` at t = T;
-    ``terminal_map(x_T)`` gives the required Y_T slab.
+    ``terminal_map(x_T)`` gives the required Y_T slab.  All three must be
+    row-local (row i of a result reads only row i of the inputs), which is
+    what the colouring in :meth:`jacobian` relies on.
     """
 
     tree: ProbabilityTree
@@ -141,21 +148,96 @@ class ResidualSystem:
         return np.concatenate(out)
 
     def jacobian(self, vec: np.ndarray, step: float = FD_STEP, scheme: str = "forward") -> np.ndarray:
+        """Finite-difference Jacobian, one residual evaluation (two for
+        ``central``) per colour of columns rather than per unknown.
+
+        All columns of one colour are bumped together; since no residual row
+        depends on two of them, each row's difference belongs to the one
+        column of that colour in the row's structural neighbourhood, so the
+        result equals the column-by-column quotients exactly.
+        """
         if scheme not in ("forward", "central"):
             raise ValueError("scheme must be 'forward' or 'central'")
         vec = np.asarray(vec, dtype=float)
-        jac = np.empty((self.size, self.size))
+        groups, rows, cols, colours = self._colouring
         base = self.residual(vec) if scheme == "forward" else None
-        for j in range(self.size):
+        diffs = np.empty((len(groups), self.size))
+        for c, group in enumerate(groups):
             bumped = vec.copy()
-            bumped[j] += step
+            bumped[group] += step
             hi = self.residual(bumped)
             if scheme == "forward":
-                jac[:, j] = (hi - base) / step
+                diffs[c] = (hi - base) / step
             else:
-                bumped[j] -= 2.0 * step
-                jac[:, j] = (hi - self.residual(bumped)) / (2.0 * step)
+                bumped[group] -= 2.0 * step
+                diffs[c] = (hi - self.residual(bumped)) / (2.0 * step)
+        jac = np.zeros((self.size, self.size))
+        jac[rows, cols] = diffs[colours, rows]
         return jac
+
+    @cached_property
+    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """Column colouring and structural nonzeros of the Jacobian: the
+        columns bumped together per colour, and each structural nonzero
+        ``(rows[i], cols[i])`` with the colour ``colours[i]`` of its column.
+
+        An unknown at node a enters only the residual rows of a, of its
+        parent and of its children (the model functions are row-local), so
+        two unknowns share a row only if their nodes are at most two edges
+        apart.  The node colour (t mod 3, index among siblings) differs
+        across any such pair; a column's colour adds its block (X, Y, Z) and
+        component, so no row sees two columns of one colour.
+        """
+        tree, m, n = self.tree, self.m, self.n
+        T, d = tree.horizon, tree.d
+        width = m + n + n * d
+        col_index, col_slot = _node_layout(tree, ((1, T, m), (0, T, n), (0, T - 1, n * d)))
+        row_index, _ = _node_layout(tree, ((1, T, m), (0, T - 1, n), (0, T - 1, n * d), (T, T, n)))
+        k_max = max(tree.branch_count(t) for t in range(T))
+        colour = np.empty(self.size, dtype=np.intp)
+        rows, cols = [], []
+        for t in range(T + 1):
+            count = tree.node_count(t)
+            ranks = np.arange(count)
+            related = [row_index[t]]
+            sibling = np.zeros(count, dtype=np.intp)
+            if t > 0:
+                sibling = ranks % tree.branch_count(t - 1)
+                related.append(row_index[t - 1][ranks // tree.branch_count(t - 1)])
+            if t < T:
+                related.append(row_index[t + 1].reshape(count, -1))
+            related = np.hstack(related)
+            node_colour = (t % 3) * k_max + sibling
+            colour[col_index[t]] = node_colour[:, None] * width + col_slot[t][None, :]
+            shape = col_index[t].shape + related.shape[1:]
+            rows.append(np.broadcast_to(related[:, None, :], shape).ravel())
+            cols.append(np.broadcast_to(col_index[t][:, :, None], shape).ravel())
+        _, colour = np.unique(colour, return_inverse=True)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        groups = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
+        return groups, rows, cols, colour[cols]
+
+
+def _node_layout(tree: ProbabilityTree, blocks) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Positions in a stacked vector, gathered by node.
+
+    ``blocks`` lists ``(first time, last time, width)`` in stacking order;
+    each block holds ``width`` entries per node, times ascending.  Returns
+    per time t a (node_count(t), entries) array of positions and the label
+    of each entry (its offset across the concatenated block widths).
+    """
+    T = tree.horizon
+    index: list[list[np.ndarray]] = [[] for _ in range(T + 1)]
+    labels: list[list[np.ndarray]] = [[] for _ in range(T + 1)]
+    pos = label = 0
+    for lo, hi, width in blocks:
+        for t in range(lo, hi + 1):
+            count = tree.node_count(t)
+            index[t].append(pos + np.arange(count * width).reshape(count, width))
+            labels[t].append(label + np.arange(width))
+            pos += count * width
+        label += width
+    return [np.hstack(ix) for ix in index], [np.concatenate(lb) for lb in labels]
 
 
 def _system_size(tree: ProbabilityTree, m: int, n: int) -> int:

@@ -20,6 +20,7 @@ from fbsdelta import (
     parse_expr,
     riccati_matrices,
 )
+from fbsdelta.oracle import FD_STEP
 
 
 def random_increments(rng: np.random.Generator, k: int, d: int) -> IncrementDistribution:
@@ -351,3 +352,21 @@ def counting_model(model: NonlinearModel) -> tuple[NonlinearModel, Counter]:
         ),
         calls,
     )
+
+
+def per_column_jacobian(system, vec, step: float = FD_STEP, scheme: str = "forward") -> np.ndarray:
+    """Reference finite-difference Jacobian of a residual system: one
+    residual evaluation (two for ``central``) per unknown."""
+    vec = np.asarray(vec, dtype=float)
+    jac = np.empty((system.size, system.size))
+    base = system.residual(vec) if scheme == "forward" else None
+    for j in range(system.size):
+        bumped = vec.copy()
+        bumped[j] += step
+        hi = system.residual(bumped)
+        if scheme == "forward":
+            jac[:, j] = (hi - base) / step
+        else:
+            bumped[j] -= 2.0 * step
+            jac[:, j] = (hi - system.residual(bumped)) / (2.0 * step)
+    return jac

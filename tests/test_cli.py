@@ -354,10 +354,31 @@ def test_overflowing_backward_sweep_exits_2_without_a_summary(tmp_path, capsys):
     assert main(["compare-oracle", path]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve-linear", "compare-oracle"])
+@pytest.mark.parametrize(
+    "horizon,model,named",
+    [
+        (2, {"x0": [1e308], "A": [[1.0]], "D": [1e308]}, "X_1 is not finite at node (0,)"),  # (1 + A) x0 + D
+        (1, {"x0": [1.5e308], "Dbar": [1e308]}, "X_1 is not finite at node (1,)"),  # one leaf; N_1 is NaN there
+    ],
+)
+def test_overflowing_linear_sweep_exits_2_without_output(tmp_path, capsys, command, horizon, model, named):
+    scenario = linear_scenario()
+    scenario["tree"]["horizon"] = horizon
+    scenario["model"] = {"m": 1, "n": 1, "G": [[1.0]], **model}
+    out = tmp_path / "out"
+    assert main([command, write_scenario(tmp_path, scenario), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "residual backward: 0" not in captured.out
+    assert not out.exists()
+
+
 def test_non_finite_summary_exits_2_without_writing_output(tmp_path, capsys):
     scenario = linear_scenario()
     scenario["tree"]["horizon"] = 1
-    scenario["model"] = {"m": 1, "n": 1, "G": [[1.0]], "x0": [1.5e308], "Dbar": [1e308]}  # X_1 overflows
+    # the solution is finite (X_1 = +-1e308) but X_1 - X_0 overflows in the forward residual
+    scenario["model"] = {"m": 1, "n": 1, "G": [[1.0]], "x0": [1e308], "A": [[-1.0]], "Dbar": [1e308]}
     out = tmp_path / "out"
     assert main(["solve-linear", write_scenario(tmp_path, scenario), "--out", str(out)]) == 2
     assert "summary.json not written" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from fbsdelta import (
     check_monotone,
     duality_gap,
     homotopy_coefficients,
+    linear_residual,
     nonlinear_residual,
     reconstruct_compensator,
     solution_gap,
@@ -165,6 +166,23 @@ def test_tampered_solution_is_flagged_by_the_residual_report():
     report = nonlinear_residual(model, tree, tampered)
     assert report.terminal >= 1e-3 or report.y_projection >= 1e-3
     assert report.max >= 1e-3
+
+
+def test_a_nan_slab_fails_both_residual_reports():
+    # the anchor model's driver reads x only, so a NaN in Y_T reaches every
+    # check that reads Y_T without tripping the model's own finiteness check
+    tree = rademacher_tree(2)
+    model, coeffs = make_anchor_model(tree, [[1.0]], 1.0, 1.0, [[0.2]], f_const=[0.1], g_const=[0.3])
+    sol = solve_linear(coeffs, tree)
+    y_last = sol.Y.at(2).copy()
+    y_last[1] = np.nan
+    broken = FbsdeSolution(
+        X=sol.X, Y=AdaptedProcess(tree, 0, 2, (sol.Y.at(0), sol.Y.at(1), y_last)), Z=sol.Z, N=sol.N
+    )
+    linear = linear_residual(coeffs, tree, broken)
+    nonlinear = nonlinear_residual(model, tree, broken)
+    assert linear.backward == linear.terminal == linear.max == math.inf
+    assert nonlinear.backward == nonlinear.terminal == nonlinear.y_projection == nonlinear.max == math.inf
 
 
 def test_continuation_config_validation():

@@ -1,12 +1,19 @@
 """Global Newton verification layer: structure, agreement, and failure modes."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
     FbsdeSolution,
+    Generator,
     LinearCoefficients,
     OracleFailedError,
+    ProbabilityTree,
+    ResidualSystem,
     anchor_coefficients,
     build_residual_system,
     nonlinear_residual,
@@ -20,9 +27,11 @@ from helpers import (
     decoupled_model,
     decoupled_slab_model,
     mild_coupled_model,
+    per_column_jacobian,
     pointwise_twin,
     rademacher_tree,
     random_dsl_generator,
+    random_increments,
     random_linear_coefficients,
     random_terminal,
     random_tree,
@@ -189,3 +198,92 @@ def test_oracle_residual_calls_the_model_once_per_slab():
     system = build_residual_system(tree, model)
     system.residual(np.zeros(system.size))
     assert calls == {"b": 3, "sigma": 3, "f": 3, "h": 1}
+
+
+# -- the coloured Jacobian ---------------------------------------------------------
+
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def slab_generator(rng: np.random.Generator, n: int, d: int) -> Generator:
+    a = rng.uniform(-0.5, 0.5, size=(n, n))
+    b = rng.uniform(-0.5, 0.5, size=(n, n * d))
+    c = rng.uniform(-0.5, 0.5, size=n)
+    return Generator(n, d, lambda t, y, z, nodes: np.tanh(y @ a.T) + np.sin(z.reshape(len(nodes), -1) @ b.T) + c)
+
+
+@st.composite
+def residual_systems(draw) -> ResidualSystem:
+    """A linear, nonlinear or plain backward system on a random tree."""
+    kind = draw(st.sampled_from(("linear", "nonlinear", "bsde")))
+    d = draw(st.sampled_from((1, 2))) if kind == "bsde" else 1
+    branches = draw(st.lists(st.integers(d + 1 if d > 1 else 2, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = ProbabilityTree([random_increments(rng, k, d) for k in branches])
+    if kind == "linear":
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        return build_residual_system(tree, random_linear_coefficients(rng, tree, m, n))
+    if kind == "nonlinear":
+        return build_residual_system(tree, mild_coupled_model(m=draw(st.integers(1, 2)), seed=int(rng.integers(100))))
+    n = draw(st.integers(1, 2))
+    return build_residual_system(tree, slab_generator(rng, n, d), eta=random_terminal(rng, tree, n))
+
+
+@_PROPERTY
+@given(system=residual_systems(), scheme=st.sampled_from(("forward", "central")), seed=st.integers(0, 2**32 - 1))
+def test_coloured_jacobian_equals_the_per_column_reference(system, scheme, seed):
+    vec = np.random.default_rng(seed).uniform(-1.0, 1.0, size=system.size)
+    assert np.array_equal(system.jacobian(vec, scheme=scheme), per_column_jacobian(system, vec, scheme=scheme))
+
+
+def colour_count(tree: ProbabilityTree, m: int, n: int) -> int:
+    """Distinct (t mod 3, index among siblings, block, component) over all unknowns."""
+    T = tree.horizon
+    colours = set()
+    for t in range(T + 1):
+        blocks = ([("X", m)] if t > 0 else []) + [("Y", n)] + ([("Z", n * tree.d)] if t < T else [])
+        for node in tree.nodes(t):
+            for block, width in blocks:
+                colours.update((t % 3, node[-1] if node else 0, block, i) for i in range(width))
+    return len(colours)
+
+
+def test_jacobian_costs_one_evaluation_per_colour_whatever_the_horizon(monkeypatch):
+    calls = []
+    residual = ResidualSystem.residual
+
+    def counted(self, vec):
+        calls.append(1)
+        return residual(self, vec)
+
+    monkeypatch.setattr(ResidualSystem, "residual", counted)
+    rng = np.random.default_rng(31)
+    costs, sizes = {}, {}
+    for T in (3, 4, 8):
+        tree = rademacher_tree(T)
+        system = build_residual_system(tree, random_linear_coefficients(rng, tree, 1, 1))
+        vec = rng.uniform(-1.0, 1.0, size=system.size)
+        calls.clear()
+        system.jacobian(vec)
+        costs[T], sizes[T] = len(calls), system.size
+        assert costs[T] == 1 + colour_count(tree, 1, 1)
+        calls.clear()
+        system.jacobian(vec, scheme="central")
+        assert len(calls) == 2 * colour_count(tree, 1, 1)
+    # 3 time classes x 2 siblings x (X, Y, Z); at T = 3 no Z unknown sits at
+    # a second sibling of a time divisible by 3, so one colour is empty
+    assert sizes == {3: 36, 4: 76, 8: 1276}
+    assert costs == {3: 1 + 17, 4: 1 + 18, 8: 1 + 18}
+
+
+def test_oracle_agrees_with_the_linear_solver_beyond_a_thousand_unknowns():
+    started = time.perf_counter()
+    tree = rademacher_tree(8)
+    coeffs = random_linear_coefficients(np.random.default_rng(43), tree, 1, 1)
+    system = build_residual_system(tree, coeffs)
+    assert system.size == 1276
+    oracle = solve_global_newton(system)
+    assert oracle.trace.converged
+    assert oracle.equation_residual <= EQUATION_TOL
+    assert solution_gap(oracle, solve_linear(coeffs, tree)) <= MATCH_TOL
+    assert time.perf_counter() - started < 10.0
