@@ -58,6 +58,19 @@ def _require_finite(tree: ProbabilityTree, name: str, t: int, slab: np.ndarray) 
         raise NonFiniteSolutionError(f"{name}_{t} is not finite at node {tree.nodes(t)[np.argmax(rows)]}")
 
 
+def compensator_slabs(tree: ProbabilityTree, aggregates: list, y_slabs: list, z_slabs: list) -> list[np.ndarray]:
+    """Slabs of N for t = 0..T: N_0 = 0 and
+    N_{t+1} = N_t + aggregates[t] - Y_t - Z_t dW_t, where ``aggregates[t]``
+    is the time-(t+1) one-step aggregate Y_{t+1} + f(t+1, ...)."""
+    n = y_slabs[0].shape[1]
+    n_slabs = [np.zeros((1, n, 1))]
+    for t in range(tree.horizon):
+        zdw = np.einsum("nrd,kd->nkr", z_slabs[t], tree.steps[t].points)
+        delta_n = tree.children_view(aggregates[t], t) - y_slabs[t][:, None, :, :] - zdw[:, :, :, None]
+        n_slabs.append(np.repeat(n_slabs[t], tree.branch_count(t), axis=0) + delta_n.reshape(-1, n, 1))
+    return n_slabs
+
+
 @dataclass(frozen=True)
 class Generator:
     """Driver of a backward equation, evaluated one time slab at a time.
@@ -68,16 +81,13 @@ class Generator:
     It must not modify its arguments.  Per-node drivers
     ``fn(t, y, z, node)`` with ``y`` of length n and ``z`` of shape (n, d)
     are wrapped by :meth:`pointwise`.  ``terminal_z_independent`` declares
-    that the driver ignores z at the horizon; solving requires it.  Optional
-    Lipschitz constants are carried for diagnostics only.
+    that the driver ignores z at the horizon; solving requires it.
     """
 
     n: int
     d: int
     fn: GeneratorFn
     terminal_z_independent: bool = True
-    lipschitz_c1: float | None = None
-    lipschitz_c2: float | None = None
 
     @classmethod
     def pointwise(cls, n: int, d: int, fn: Callable[[int, np.ndarray, np.ndarray, tuple], np.ndarray], **options):
@@ -139,13 +149,7 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Bs
             y_slabs[t] = tree.expect_next(aggregate, t)
             z_slabs[t] = tree.expect_next_increment(aggregate, t)
 
-        n_slabs = [np.zeros((1, gen.n, 1))]
-        for t in range(horizon):
-            k = tree.branch_count(t)
-            zdw = np.einsum("nrd,kd->nkr", z_slabs[t], tree.steps[t].points)
-            grouped = tree.children_view(aggregates[t], t)
-            delta_n = grouped - y_slabs[t][:, None, :, :] - zdw[:, :, :, None]
-            n_slabs.append(np.repeat(n_slabs[t], k, axis=0) + delta_n.reshape(tree.node_count(t + 1), gen.n, 1))
+        n_slabs = compensator_slabs(tree, aggregates, y_slabs, z_slabs)
     _refuse_overflow(tree, drivers, y_slabs, z_slabs[:horizon], n_slabs)
 
     return BsdeSolution(
@@ -221,58 +225,3 @@ def solution_energy(tree: ProbabilityTree, sol: BsdeSolution) -> dict[str, float
         "z_sq_sum": z_sum,
         "n_increment_sq_sum": dn_sum,
     }
-
-
-def spot_check_terminal_independence(
-    tree: ProbabilityTree, gen: Generator, samples: int = 32, seed: int = 0, box: float = 5.0
-) -> float:
-    """Max observed |fn(T,y,z) - fn(T,y,z')| over random pairs; 0 means clean."""
-    rng = np.random.default_rng(seed)
-    horizon = tree.horizon
-    leaves = tree.nodes(horizon)
-    worst = 0.0
-    for _ in range(samples):
-        node = leaves[int(rng.integers(len(leaves)))]
-        y = rng.uniform(-box, box, size=gen.n)
-        z1 = rng.uniform(-box, box, size=(gen.n, gen.d))
-        z2 = rng.uniform(-box, box, size=(gen.n, gen.d))
-        rows = gen.fn(horizon, np.stack([y, y]), np.stack([z1, z2]), (node, node))
-        f1, f2 = np.asarray(rows, dtype=float)
-        worst = max(worst, sup_abs(f1 - f2))
-    return worst
-
-
-def spot_check_lipschitz(
-    tree: ProbabilityTree, gen: Generator, samples: int = 200, seed: int = 0, box: float = 5.0
-) -> dict[str, float | bool | None]:
-    """Sampled Lipschitz diagnostic for the driver.
-
-    Estimates the steepest observed variation in y (with z frozen) and in z
-    (with y frozen) over random pairs and times; when the generator declares
-    constants, reports whether the observations stay below them.
-    """
-    rng = np.random.default_rng(seed)
-    horizon = tree.horizon
-    c1_obs = 0.0
-    c2_obs = 0.0
-    for _ in range(samples):
-        t = int(rng.integers(1, horizon + 1))
-        nodes = tree.nodes(t)
-        node = nodes[int(rng.integers(len(nodes)))]
-        y1, y2 = rng.uniform(-box, box, size=(2, gen.n))
-        z1, z2 = rng.uniform(-box, box, size=(2, gen.n, gen.d))
-        if t == horizon:
-            z1 = z2 = np.zeros((gen.n, gen.d))
-        # one 3-row slab: (y1, z1), (y2, z1), (y1, z2)
-        rows = gen.fn(t, np.stack([y1, y2, y1]), np.stack([z1, z1, z2]), (node,) * 3)
-        f11, f21, f12 = np.asarray(rows, dtype=float)
-        dy = float(np.linalg.norm(y1 - y2))
-        if dy > 0:
-            c1_obs = max(c1_obs, float(np.linalg.norm(f11 - f21)) / dy)
-        dz = float(np.linalg.norm(z1 - z2))
-        if dz > 0:
-            c2_obs = max(c2_obs, float(np.linalg.norm(f11 - f12)) / dz)
-    within: bool | None = None
-    if gen.lipschitz_c1 is not None and gen.lipschitz_c2 is not None:
-        within = c1_obs <= gen.lipschitz_c1 + 1e-9 and c2_obs <= gen.lipschitz_c2 + 1e-9
-    return {"observed_c1": c1_obs, "observed_c2": c2_obs, "within_declared": within}

@@ -182,13 +182,7 @@ def _parse_tree(value) -> ProbabilityTree:
         if horizon < 1:
             raise ScenarioError("tree.horizon must be at least 1")
         steps = [_parse_step(_require(value, "step", "tree"), "tree.step")] * horizon
-    tree = _build_checked(ProbabilityTree, steps)
-    for t, step in enumerate(tree.steps):
-        report = validate_increments(step)
-        if not report.ok:
-            names = ", ".join(name for name, _ in report.failures)
-            raise ScenarioError(f"tree step {t} fails the moment checks: {names}")
-    return tree
+    return _build_checked(ProbabilityTree, steps)
 
 
 # -- offset (inhomogeneous term) parsing -----------------------------------------

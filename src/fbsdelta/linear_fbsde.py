@@ -26,12 +26,12 @@ Z_t = P_{t+1} E[X_{t+1} dW_t|F_t] + E[p_{t+1} dW_t|F_t].
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .bsde import _require_finite
+from .bsde import _require_finite, compensator_slabs
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
@@ -243,33 +243,10 @@ class LinearCoefficients:
             g=_as_process(tree, g, (n, 1), T, T, "g"),
         )
 
-    def with_inhomogeneous(self, D=None, Dbar=None, Dhat=None, g=None, x0=None) -> "LinearCoefficients":
-        """Copy sharing all homogeneous matrices but with new offset data
-        (terms left unspecified become zero, not the current values)."""
-        tree = self.D.tree
-        T = self.horizon
-        return LinearCoefficients(
-            horizon=T,
-            m=self.m,
-            n=self.n,
-            A=self.A,
-            Abar=self.Abar,
-            B=self.B,
-            Bbar=self.Bbar,
-            C=self.C,
-            Cbar=self.Cbar,
-            Ahat=self.Ahat,
-            Bhat=self.Bhat,
-            Chat=self.Chat,
-            G=self.G,
-            x0=self.x0 if x0 is None else np.asarray(x0, dtype=float).reshape(self.m, 1),
-            D=_as_process(tree, D, (self.m, 1), 0, T - 1, "D"),
-            Dbar=_as_process(tree, Dbar, (self.m, 1), 0, T - 1, "Dbar"),
-            Dhat=_as_process(tree, Dhat, (self.n, 1), 1, T, "Dhat"),
-            g=_as_process(tree, g, (self.n, 1), T, T, "g"),
-        )
+    # -- the slab protocol shared with NonlinearModel; the coefficients do
+    # not depend on the node, so ``nodes`` is not read
 
-    def forward_terms(self, t: int, x, y, z) -> tuple[np.ndarray, np.ndarray]:
+    def forward_terms(self, t: int, x, y, z, nodes) -> tuple[np.ndarray, np.ndarray]:
         """Drift A x + B y + C z + D and noise loading Abar x + Bbar y +
         Cbar z + Dbar on the time-t slab."""
         return (
@@ -277,12 +254,19 @@ class LinearCoefficients:
             _affine(self.Abar[t], self.Bbar[t], self.Cbar[t], x, y, z) + self.Dbar.at(t),
         )
 
-    def minus_driver(self, t: int, x, y, z=None) -> np.ndarray:
+    def minus_driver(self, t: int, x, y, z, nodes) -> np.ndarray:
         """The negated driver Ahat x + Bhat y + Chat z + Dhat on the time-t
         slab; ``z=None`` stands for z = 0 (the value used at t = T)."""
+        return self._minus_driver(t, x, y, z, self.Dhat.at(t))
+
+    def terminal_map(self, x, nodes) -> np.ndarray:
+        """The required Y_T = G x + g on the leaf slab."""
+        return np.einsum("ij,njk->nik", self.G, x) + self.g.at(self.horizon)
+
+    def _minus_driver(self, t: int, x, y, z, dhat: np.ndarray) -> np.ndarray:
         if z is None:
             z = np.zeros((x.shape[0], self.n, 1))
-        return _affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + self.Dhat.at(t)
+        return _affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + dhat
 
 
 def _affine(A, B, C, x, y, z) -> np.ndarray:
@@ -445,32 +429,28 @@ def check_solvability(
     )
 
 
-@dataclass(frozen=True)
-class RiccatiSequence:
-    """Backward recursion output: matrices P_t, offset process p_t, margins."""
-
-    P: np.ndarray
-    p: AdaptedProcess
-    gamma_reports: tuple[GammaReport, ...]
-    matrices: RiccatiMatrices = field(repr=False)
+def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, list, list, list]:
+    """The offset data as slab lists: D and Dbar for t = 0..T-1 (index t),
+    Dhat for t = 1..T (index t - 1) and g at T (index 0)."""
+    return list(coeffs.D.values), list(coeffs.Dbar.values), list(coeffs.Dhat.values), list(coeffs.g.values)
 
 
 def _offset_backward(
-    coeffs: LinearCoefficients, tree: ProbabilityTree, mats: RiccatiMatrices
+    coeffs: LinearCoefficients, tree: ProbabilityTree, mats: RiccatiMatrices, offsets: tuple
 ) -> list[np.ndarray]:
-    """Slabs of the offset process p_t for t = 1..T (index 0 unused)."""
+    """Slabs of the offset process p_t for t = 1..T (index 0 unused), for the
+    homogeneous part of ``coeffs`` and the offset slabs ``offsets``."""
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
+    D, Dbar, Dhat, (g,) = offsets
     eye_n = np.eye(n)
     p_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
-    p_slabs[T] = np.einsum(
-        "ij,njk->nik", eye_n - coeffs.Bhat[T], coeffs.g.at(T)
-    ) - coeffs.Dhat.at(T)
+    p_slabs[T] = np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[T], g) - Dhat[T - 1]
     for t in range(T - 1, 0, -1):
         p_next = mats.P[t + 1]
         ep = tree.expect_next(p_slabs[t + 1], t)
         epdw = tree.expect_next_increment(p_slabs[t + 1], t)
-        offsets = np.concatenate([coeffs.D.at(t), coeffs.Dbar.at(t)], axis=1)
-        inv_off = lu_solve(mats.lu[t], offsets[:, :, 0].T).T
+        stacked = np.concatenate([D[t], Dbar[t]], axis=1)
+        inv_off = lu_solve(mats.lu[t], stacked[:, :, 0].T).T
         top_b = p_next @ mats.inv_B[t][:m]
         top_c = p_next @ mats.inv_C[t][:m]
         bot_b = p_next @ mats.inv_B[t][m:]
@@ -488,18 +468,19 @@ def _offset_backward(
         p_slabs[t] = (
             np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[t], g_t)
             - np.einsum("ij,njk->nik", coeffs.Chat[t], h_t)
-            - coeffs.Dhat.at(t)
+            - Dhat[t - 1]
         )
     return p_slabs
 
 
-def riccati_backward(
+def _solvable_matrices(
     coeffs: LinearCoefficients,
     tree: ProbabilityTree,
     matrices: RiccatiMatrices | None = None,
     singular_tol: float = SINGULAR_TOL,
-) -> RiccatiSequence:
-    """Full backward pass (P and p); raises NotSolvableError on a singular step."""
+) -> RiccatiMatrices:
+    """The given or freshly computed matrices; raises NotSolvableError on a
+    singular step."""
     if tree.d != 1:
         raise ValueError("linear systems require one-dimensional driving noise")
     if tree.horizon != coeffs.horizon:
@@ -507,9 +488,20 @@ def riccati_backward(
     mats = matrices if matrices is not None else riccati_matrices(coeffs, singular_tol=singular_tol)
     if mats.failure_t is not None:
         raise NotSolvableError(mats.failure_t, float(mats.sigma_min[mats.failure_t]), mats)
-    p_slabs = _offset_backward(coeffs, tree, mats)
-    p = AdaptedProcess(tree, 1, coeffs.horizon, tuple(p_slabs[1:]))
-    return RiccatiSequence(P=mats.P, p=p, gamma_reports=mats.gamma_reports, matrices=mats)
+    return mats
+
+
+def riccati_backward(
+    coeffs: LinearCoefficients,
+    tree: ProbabilityTree,
+    matrices: RiccatiMatrices | None = None,
+    singular_tol: float = SINGULAR_TOL,
+) -> tuple[RiccatiMatrices, AdaptedProcess]:
+    """Full backward pass: the matrices (P_t and the Gamma_t margins) and the
+    offset process p_t on t = 1..T; raises NotSolvableError on a singular step."""
+    mats = _solvable_matrices(coeffs, tree, matrices, singular_tol)
+    p_slabs = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))
+    return mats, AdaptedProcess(tree, 1, coeffs.horizon, tuple(p_slabs[1:]))
 
 
 @dataclass(frozen=True)
@@ -520,7 +512,7 @@ class FbsdeSolution:
     Y: AdaptedProcess
     Z: AdaptedProcess
     N: AdaptedProcess
-    residual_report: object = None
+    residual_report: ResidualReport | None = None
 
 
 def solve_linear(
@@ -532,23 +524,29 @@ def solve_linear(
     """Solve the coupled linear system exactly; raises NotSolvableError if
     some Gamma_t is singular and NonFiniteSolutionError if the sweep
     overflows.  The solution carries its residual report."""
-    sol = _solve_linear(coeffs, tree, matrices, singular_tol)
+    mats = _solvable_matrices(coeffs, tree, matrices, singular_tol)
+    x, y, z, n = _solve_linear(coeffs, mats, tree, _offset_slabs(coeffs))
+    T = coeffs.horizon
+    sol = FbsdeSolution(
+        X=AdaptedProcess(tree, 0, T, tuple(x)),
+        Y=AdaptedProcess(tree, 0, T, tuple(y)),
+        Z=AdaptedProcess(tree, 0, T - 1, tuple(z)),
+        N=AdaptedProcess(tree, 0, T, tuple(n)),
+    )
     return replace(sol, residual_report=linear_residual(coeffs, tree, sol))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def _solve_linear(
-    coeffs: LinearCoefficients,
-    tree: ProbabilityTree,
-    matrices: RiccatiMatrices | None = None,
-    singular_tol: float = SINGULAR_TOL,
-) -> FbsdeSolution:
-    """:func:`solve_linear` without the residual report.  Raises
-    NonFiniteSolutionError, naming the process, time and node, when its own
-    arithmetic overflows."""
-    seq = riccati_backward(coeffs, tree, matrices=matrices, singular_tol=singular_tol)
-    mats = seq.matrices
-    T, m, n = coeffs.horizon, coeffs.m, coeffs.n
+    coeffs: LinearCoefficients, mats: RiccatiMatrices, tree: ProbabilityTree, offsets: tuple
+) -> tuple[list, list, list, list]:
+    """Slabs of X, Y, Z and N for the homogeneous part of ``coeffs``, whose
+    solvable recursion ``mats`` holds, and the offset slabs ``offsets``
+    (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
+    naming the process, time and node, when its own arithmetic overflows."""
+    D, Dbar, Dhat, (g,) = offsets
+    p_slabs = _offset_backward(coeffs, tree, mats, offsets)
+    T, m = coeffs.horizon, coeffs.m
 
     x_slabs: list[np.ndarray] = [coeffs.x0[None, :, :]]
     y_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
@@ -556,21 +554,20 @@ def _solve_linear(
     eye_m = np.eye(m)
 
     for t in range(T):
-        p_next_slab = seq.p.at(t + 1)
-        ep = tree.expect_next(p_next_slab, t)
-        epdw = tree.expect_next_increment(p_next_slab, t)
+        ep = tree.expect_next(p_slabs[t + 1], t)
+        epdw = tree.expect_next_increment(p_slabs[t + 1], t)
         x_t = x_slabs[t]
         top = (
             np.einsum("ij,njk->nik", eye_m + coeffs.A[t], x_t)
             + np.einsum("ij,njk->nik", coeffs.B[t], ep)
             + np.einsum("ij,njk->nik", coeffs.C[t], epdw)
-            + coeffs.D.at(t)
+            + D[t]
         )
         bot = (
             np.einsum("ij,njk->nik", coeffs.Abar[t], x_t)
             + np.einsum("ij,njk->nik", coeffs.Bbar[t], ep)
             + np.einsum("ij,njk->nik", coeffs.Cbar[t], epdw)
-            + coeffs.Dbar.at(t)
+            + Dbar[t]
         )
         rhs = np.concatenate([top, bot], axis=1)
         uv = lu_solve(mats.lu[t], rhs[:, :, 0].T, check_finite=False).T
@@ -581,16 +578,13 @@ def _solve_linear(
         p_mat = mats.P[t + 1]
         y_slabs[t] = np.einsum("ij,njk->nik", p_mat, u) + ep
         z_slabs[t] = np.einsum("ij,njk->nik", p_mat, v) + epdw
-    y_slabs[T] = np.einsum("ij,njk->nik", coeffs.G, x_slabs[T]) + coeffs.g.at(T)
+    y_slabs[T] = np.einsum("ij,njk->nik", coeffs.G, x_slabs[T]) + g
 
-    n_slabs: list[np.ndarray] = [np.zeros((1, n, 1))] * (T + 1)
-    for t in range(T):
-        k = tree.branch_count(t)
-        driver = coeffs.minus_driver(t + 1, x_slabs[t + 1], y_slabs[t + 1], z_slabs[t + 1] if t + 1 < T else None)
-        points = tree.steps[t].points[:, 0]
-        zdw = np.repeat(z_slabs[t], k, axis=0) * np.tile(points, tree.node_count(t))[:, None, None]
-        dn = y_slabs[t + 1] - np.repeat(y_slabs[t], k, axis=0) - driver - zdw
-        n_slabs[t + 1] = np.repeat(n_slabs[t], k, axis=0) + dn
+    aggregates = [
+        y_slabs[t] - coeffs._minus_driver(t, x_slabs[t], y_slabs[t], z_slabs[t] if t < T else None, Dhat[t - 1])
+        for t in range(1, T + 1)
+    ]
+    n_slabs = compensator_slabs(tree, aggregates, y_slabs, z_slabs)
     # N_T adds up the driver (which reads X), Y and Z dW along each path to a
     # leaf, and Y_T reads X_T, so N_T is finite exactly when every slab is
     if not np.isfinite(n_slabs[T]).all():
@@ -601,69 +595,81 @@ def _solve_linear(
         _require_finite(tree, "Y", T, y_slabs[T])
         for t in range(1, T + 1):
             _require_finite(tree, "N", t, n_slabs[t])
-
-    return FbsdeSolution(
-        X=AdaptedProcess(tree, 0, T, tuple(x_slabs)),
-        Y=AdaptedProcess(tree, 0, T, tuple(y_slabs)),
-        Z=AdaptedProcess(tree, 0, T - 1, tuple(z_slabs)),
-        N=AdaptedProcess(tree, 0, T, tuple(n_slabs)),
-    )
+    return x_slabs, y_slabs, z_slabs, n_slabs
 
 
 @dataclass(frozen=True)
-class LinearResidualReport:
-    """Worst pathwise residuals of the four defining relations plus the
-    martingale/orthogonality checks for N."""
+class ResidualReport:
+    """Worst pathwise defect of each defining relation of a coupled system:
+    the two equations, the initial and terminal conditions, Y and Z as the
+    projections of the one-step aggregate, and N's martingale and
+    orthogonality checks."""
 
     forward: float
     backward: float
     initial: float
     terminal: float
+    y_projection: float
+    z_projection: float
     martingale: float
     orthogonality: float
 
     @property
     def max(self) -> float:
-        return max(
-            self.forward,
-            self.backward,
-            self.initial,
-            self.terminal,
-            self.martingale,
-            self.orthogonality,
-        )
+        return max(vars(self).values())
 
 
-def linear_residual(
-    coeffs: LinearCoefficients, tree: ProbabilityTree, sol: FbsdeSolution
-) -> LinearResidualReport:
-    """Evaluate every defining equation of the linear system pathwise."""
-    T = coeffs.horizon
-    fwd = 0.0
-    bwd = 0.0
+def _realized_terms(problem, tree: ProbabilityTree, sol: FbsdeSolution):
+    """Evaluate drift, noise loading and the negated driver along a solution
+    path.  Returns (drift[t], vol[t] for t < T, minus_f[t] for t >= 1)."""
+    T = tree.horizon
+    drift, vol, minus_f = [], [], [None]
+    for t in range(T):
+        terms = problem.forward_terms(t, sol.X.at(t), sol.Y.at(t), sol.Z.at(t), tree.nodes(t))
+        drift.append(terms[0])
+        vol.append(terms[1])
+    for t in range(1, T + 1):
+        z = sol.Z.at(t) if t < T else None
+        minus_f.append(problem.minus_driver(t, sol.X.at(t), sol.Y.at(t), z, tree.nodes(t)))
+    return drift, vol, minus_f
+
+
+def linear_residual(problem, tree: ProbabilityTree, sol: FbsdeSolution) -> ResidualReport:
+    """Evaluate every defining relation of a coupled system pathwise.
+
+    ``problem`` is any slab system: an object with ``x0`` and the methods
+    ``forward_terms(t, x, y, z, nodes) -> (drift, vol)``,
+    ``minus_driver(t, x, y, z, nodes)`` (``z=None`` at t = T) and
+    ``terminal_map(x, nodes)``, such as LinearCoefficients and NonlinearModel.
+    """
+    T = tree.horizon
+    drift, vol, minus_f = _realized_terms(problem, tree, sol)
+    fwd = bwd = y_proj = z_proj = 0.0
     for t in range(T):
         k = tree.branch_count(t)
         points = tree.steps[t].points[:, 0]
         w = np.tile(points, tree.node_count(t))[:, None, None]
-        x_t, y_t, z_t = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-        drift, vol = coeffs.forward_terms(t, x_t, y_t, z_t)
-        dx = sol.X.at(t + 1) - np.repeat(x_t, k, axis=0)
-        fwd = max(fwd, sup_abs(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w))
+        x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
+        dx = sol.X.at(t + 1) - np.repeat(x, k, axis=0)
+        fwd = max(fwd, sup_abs(dx - np.repeat(drift[t], k, axis=0) - np.repeat(vol[t], k, axis=0) * w))
 
-        driver = coeffs.minus_driver(t + 1, sol.X.at(t + 1), sol.Y.at(t + 1), sol.Z.at(t + 1) if t + 1 < T else None)
-        dy = sol.Y.at(t + 1) - np.repeat(y_t, k, axis=0)
+        dy = sol.Y.at(t + 1) - np.repeat(y, k, axis=0)
         dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        bwd = max(bwd, sup_abs(dy - driver - np.repeat(z_t, k, axis=0) * w - dn))
+        bwd = max(bwd, sup_abs(dy - minus_f[t + 1] - np.repeat(z, k, axis=0) * w - dn))
 
-    initial = sup_abs(sol.X.at(0)[0] - coeffs.x0)
-    terminal = sup_abs(sol.Y.at(T) - np.einsum("ij,njk->nik", coeffs.G, sol.X.at(T)) - coeffs.g.at(T))
-    mart = is_martingale(tree, sol.N)
-    orth = is_strongly_orthogonal(tree, sol.N)
-    return LinearResidualReport(
+        lam = sol.Y.at(t + 1) - minus_f[t + 1]
+        y_proj = max(y_proj, sup_abs(y - tree.expect_next(lam, t)))
+        z_proj = max(z_proj, sup_abs(z - tree.expect_next_increment(lam, t)))
+
+    terminal = sup_abs(sol.Y.at(T) - problem.terminal_map(sol.X.at(T), tree.nodes(T)))
+    initial = sup_abs(sol.X.at(0)[0] - problem.x0)
+    return ResidualReport(
         forward=fwd,
         backward=bwd,
         initial=initial,
         terminal=terminal,
-        martingale=mart.residual,
-        orthogonality=orth.residual,
+        y_projection=y_proj,
+        z_projection=z_proj,
+        martingale=is_martingale(tree, sol.N).residual,
+        orthogonality=is_strongly_orthogonal(tree, sol.N).residual,
     )

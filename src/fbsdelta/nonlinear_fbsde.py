@@ -15,27 +15,32 @@ G) and the model itself.  Each interpolation level is solved by freezing the
 level increment at the previous iterate and solving the resulting linear
 system exactly, walking alpha from 0 to 1 in adaptive steps that halve when a
 fixed-point stage stalls.  Recursion into previously solved levels is capped;
-beyond the cap a level is attacked directly from the anchor.
+beyond the cap a level is attacked directly from the anchor.  Inside the
+ladder every process is a list of raw time slabs; adapted processes are
+built only for the returned solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
+from .bsde import compensator_slabs
+from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import (
     RANK_TOL,
     FbsdeSolution,
     LinearCoefficients,
-    NotSolvableError,
+    _offset_slabs,
+    _realized_terms,
+    _solvable_matrices,
     _solve_linear,
     anchor_coefficients,
-    riccati_matrices,
 )
+from .linear_fbsde import linear_residual as nonlinear_residual  # one residual report for every slab system
 
 __all__ = [
     "NonlinearModel",
@@ -46,7 +51,6 @@ __all__ = [
     "ContinuationTrace",
     "StageRecord",
     "MonotonicityReport",
-    "NonlinearResidualReport",
     "DualityReport",
     "check_monotone",
     "duality_gap",
@@ -160,10 +164,22 @@ class NonlinearModel:
             return self.G @ x
         return _slab(self.h(x, nodes), self.n, "h", nodes)
 
+    # -- the slab protocol shared with LinearCoefficients ----------------
+
+    def forward_terms(self, t, x, y, z, nodes) -> tuple[np.ndarray, np.ndarray]:
+        return self.drift(t, x, y, z, nodes), self.noise_loading(t, x, y, z, nodes)
+
+    def minus_driver(self, t, x, y, z, nodes) -> np.ndarray:
+        return -self.driver(t, x, y, z, nodes)
+
+    def terminal_map(self, x, nodes) -> np.ndarray:
+        return self.terminal(x, nodes)
+
 
 @dataclass(frozen=True)
 class ProcessTriple:
-    """The (X, Y, Z) part of a solution, the state a fixed-point map acts on."""
+    """The (X, Y, Z) part of a solution; the continuation iterates on its
+    raw slab lists."""
 
     x: AdaptedProcess
     y: AdaptedProcess
@@ -183,69 +199,62 @@ class ProcessTriple:
         return cls(x=sol.X, y=sol.Y, z=sol.Z)
 
 
+def _triple_slabs(tree: ProbabilityTree, triple: ProcessTriple) -> tuple[list, list, list]:
+    """The slab lists (X_0..X_T, Y_0..Y_T, Z_0..Z_{T-1}) of a triple."""
+    T = tree.horizon
+    return (
+        [triple.x.at(t) for t in range(T + 1)],
+        [triple.y.at(t) for t in range(T + 1)],
+        [triple.z.at(t) for t in range(T)],
+    )
+
+
 def weighted_distance(tree: ProbabilityTree, a: ProcessTriple, b: ProcessTriple) -> float:
     """Root mean-square gap: interior times weigh all three components, the
     terminal time only the forward state and backward value."""
+    return _distance(tree, _triple_slabs(tree, a), _triple_slabs(tree, b))
+
+
+def _distance(tree: ProbabilityTree, a: tuple, b: tuple) -> float:
+    """:func:`weighted_distance` on (x, y, z) slab lists."""
     total = 0.0
     T = tree.horizon
     for t in range(T):
         probs = tree.node_probabilities(t)
         gap = 0.0
-        for pa, pb in ((a.x, b.x), (a.y, b.y), (a.z, b.z)):
-            diff = pa.at(t) - pb.at(t)
+        for pa, pb in zip(a, b):
+            diff = pa[t] - pb[t]
             gap += np.einsum("n,nrc->", probs, diff * diff)
         total += gap
     probs = tree.node_probabilities(T)
-    for pa, pb in ((a.x, b.x), (a.y, b.y)):
-        diff = pa.at(T) - pb.at(T)
+    for pa, pb in zip(a[:2], b[:2]):
+        diff = pa[T] - pb[T]
         total += np.einsum("n,nrc->", probs, diff * diff)
     return math.sqrt(float(total))
 
 
-class _OffsetBundle(NamedTuple):
-    D: AdaptedProcess
-    Dbar: AdaptedProcess
-    Dhat: AdaptedProcess
-    g: AdaptedProcess
-
-    def scaled_add(self, other: "_OffsetBundle", scale: float) -> "_OffsetBundle":
-        return _OffsetBundle(
-            D=self.D + other.D * scale,
-            Dbar=self.Dbar + other.Dbar * scale,
-            Dhat=self.Dhat + other.Dhat * scale,
-            g=self.g + other.g * scale,
-        )
+def _scaled_add(base: tuple, other: tuple, scale: float) -> tuple:
+    """Offset slab lists base + scale * other."""
+    return tuple([a + scale * b for a, b in zip(pa, pb)] for pa, pb in zip(base, other))
 
 
-def _zero_bundle(tree: ProbabilityTree, m: int, n: int) -> _OffsetBundle:
-    T = tree.horizon
-    return _OffsetBundle(
-        D=AdaptedProcess.zeros(tree, (m, 1), 0, T - 1),
-        Dbar=AdaptedProcess.zeros(tree, (m, 1), 0, T - 1),
-        Dhat=AdaptedProcess.zeros(tree, (n, 1), 1, T),
-        g=AdaptedProcess.zeros(tree, (n, 1), T, T),
-    )
-
-
-def _homotopy_bundle(model: NonlinearModel, tree: ProbabilityTree, frozen: ProcessTriple) -> _OffsetBundle:
-    """Offsets whose alpha-scaled addition to the anchor system reproduces the
-    level-alpha equations with the nonlinearity evaluated at ``frozen``."""
+def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tuple) -> tuple:
+    """Offset slabs (laid out as by ``_offset_slabs``) whose alpha-scaled
+    addition to the anchor system reproduces the level-alpha equations with
+    the nonlinearity evaluated at the (x, y, z) slab lists ``frozen``."""
     T = tree.horizon
     G, Gt = model.G, model.G.T
+    x, y, z = frozen
     d_vals, dbar_vals = [], []
     for t in range(T):
-        x, y, z = frozen.x.at(t), frozen.y.at(t), frozen.z.at(t)
         nodes = tree.nodes(t)
-        d_vals.append(model.drift(t, x, y, z, nodes) + model.beta2 * (Gt @ y))
-        dbar_vals.append(model.noise_loading(t, x, y, z, nodes) + model.beta2 * (Gt @ z))
-    dhat_vals = [model.beta1 * (G @ frozen.x.at(t)) - _driver_slab(model, tree, t, frozen) for t in range(1, T + 1)]
-    x_T = frozen.x.at(T)
-    return _OffsetBundle(
-        D=AdaptedProcess(tree, 0, T - 1, tuple(d_vals)),
-        Dbar=AdaptedProcess(tree, 0, T - 1, tuple(dbar_vals)),
-        Dhat=AdaptedProcess(tree, 1, T, tuple(dhat_vals)),
-        g=AdaptedProcess(tree, T, T, (model.terminal(x_T, tree.nodes(T)) - G @ x_T,)),
-    )
+        d_vals.append(model.drift(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ y[t]))
+        dbar_vals.append(model.noise_loading(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ z[t]))
+    dhat_vals = [
+        model.beta1 * (G @ x[t]) - model.driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t))
+        for t in range(1, T + 1)
+    ]
+    return d_vals, dbar_vals, dhat_vals, [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
 
 
 def homotopy_coefficients(
@@ -256,16 +265,21 @@ def homotopy_coefficients(
     solution of the model is exactly a fixed point of
     ``solve_linear(homotopy_coefficients(model, tree, 1.0, triple))``.
     """
+    T = tree.horizon
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
-    bundle = _zero_bundle(tree, model.m, model.n).scaled_add(
-        _homotopy_bundle(model, tree, frozen), alpha
-    )
-    return anchor.with_inhomogeneous(
-        D=bundle.D, Dbar=bundle.Dbar, Dhat=bundle.Dhat, g=bundle.g, x0=model.x0
-    )
+    frozen_offsets = _homotopy_offsets(model, tree, _triple_slabs(tree, frozen))
+    offsets = _scaled_add(_offset_slabs(anchor), frozen_offsets, alpha)
+    domains = ((0, T - 1), (0, T - 1), (1, T), (T, T))
+    D, Dbar, Dhat, g = (AdaptedProcess(tree, lo, hi, tuple(slabs)) for slabs, (lo, hi) in zip(offsets, domains))
+    return replace(anchor, D=D, Dbar=Dbar, Dhat=Dhat, g=g)
 
 
 # -- continuation ------------------------------------------------------------
+
+
+# How deep stage solves recurse into previous ladder levels before falling
+# back to iterating directly against the anchor system.
+INNER_RECURSION_DEPTH_CAP = 2
 
 
 @dataclass(frozen=True)
@@ -273,19 +287,14 @@ class ContinuationConfig:
     """Step control for the interpolation ladder.
 
     ``delta_init`` is the first attempted alpha step; a stage whose fixed-point
-    iteration fails halves the step, down to ``delta_min``.  ``picard_start``
-    selects whether each iteration starts from the best available triple
-    ("warm") or from zero ("zero").  ``inner_recursion_depth_cap`` bounds how
-    deep stage solves recurse into previous ladder levels before falling back
-    to iterating directly against the anchor system.
+    iteration fails halves the step, down to ``delta_min``.  Each fixed-point
+    iteration starts from the best available triple.
     """
 
     delta_init: float = 0.5
     delta_min: float = 1e-3
     picard_tol: float = 1e-11
     picard_max_iters: int = 80
-    inner_recursion_depth_cap: int = 2
-    picard_start: str = "warm"
     validation_tol: float = 1e-8
 
     def __post_init__(self):
@@ -293,10 +302,8 @@ class ContinuationConfig:
             raise ValueError("need 0 < delta_min <= delta_init <= 1")
         if self.picard_tol <= 0 or self.validation_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.picard_max_iters < 1 or self.inner_recursion_depth_cap < 0:
+        if self.picard_max_iters < 1:
             raise ValueError("iteration limits must be positive")
-        if self.picard_start not in ("warm", "zero"):
-            raise ValueError("picard_start must be 'warm' or 'zero'")
 
 
 class StageRecord(NamedTuple):
@@ -354,56 +361,47 @@ def solve_continuation(
     if tree.d != 1:
         raise ValueError("continuation requires one-dimensional driving noise")
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
-    mats = riccati_matrices(anchor)
-    if mats.failure_t is not None:
-        raise NotSolvableError(mats.failure_t, float(mats.sigma_min[mats.failure_t]), mats)
+    mats = _solvable_matrices(anchor, tree)
 
-    zero_bundle = _zero_bundle(tree, model.m, model.n)
-    zero_triple = ProcessTriple.zeros(tree, model.m, model.n)
+    zero_offsets = _offset_slabs(anchor)
     counters = {"solves": 0}
 
-    def linear_solve(bundle: _OffsetBundle) -> FbsdeSolution:
+    def linear_solve(offsets: tuple) -> tuple:
         counters["solves"] += 1
-        coeffs = anchor.with_inhomogeneous(
-            D=bundle.D, Dbar=bundle.Dbar, Dhat=bundle.Dhat, g=bundle.g, x0=model.x0
-        )
-        return _solve_linear(coeffs, tree, matrices=mats)
+        return _solve_linear(anchor, mats, tree, offsets)[:3]
 
-    def picard(step, start: ProcessTriple):
-        u = start if config.picard_start == "warm" else zero_triple
-        sol = None
+    def picard(step, start: tuple):
+        u = start
         dist = math.inf
         for it in range(1, config.picard_max_iters + 1):
-            sol = step(u)
-            v = ProcessTriple.from_solution(sol)
-            dist = weighted_distance(tree, u, v)
+            v = step(u)
+            dist = _distance(tree, u, v)
             u = v
             if dist <= config.picard_tol:
-                return sol, it, dist
+                return v, it, dist
         raise _StageFailed(config.picard_max_iters, dist)
 
     grid = [0.0]
 
-    def solve_level(i: int, extra: _OffsetBundle, depth: int, start: ProcessTriple):
+    def solve_level(i: int, extra: tuple, depth: int, start: tuple):
         if i == 0:
             return linear_solve(extra), 0, 0.0
-        if depth >= config.inner_recursion_depth_cap:
+        if depth >= INNER_RECURSION_DEPTH_CAP:
             alpha = grid[i]
 
-            def step(u: ProcessTriple) -> FbsdeSolution:
-                return linear_solve(extra.scaled_add(_homotopy_bundle(model, tree, u), alpha))
+            def step(u: tuple) -> tuple:
+                return linear_solve(_scaled_add(extra, _homotopy_offsets(model, tree, u), alpha))
 
         else:
             delta_i = grid[i] - grid[i - 1]
 
-            def step(u: ProcessTriple) -> FbsdeSolution:
-                inner = extra.scaled_add(_homotopy_bundle(model, tree, u), delta_i)
-                sol, _, _ = solve_level(i - 1, inner, depth + 1, start=u)
-                return sol
+            def step(u: tuple) -> tuple:
+                inner = _scaled_add(extra, _homotopy_offsets(model, tree, u), delta_i)
+                return solve_level(i - 1, inner, depth + 1, start=u)[0]
 
         return picard(step, start)
 
-    current = ProcessTriple.from_solution(linear_solve(zero_bundle))
+    current = linear_solve(zero_offsets)
     records: list[StageRecord] = []
     alpha, delta = 0.0, config.delta_init
 
@@ -418,7 +416,7 @@ def solve_continuation(
         target = min(1.0, alpha + delta)
         grid.append(target)
         try:
-            sol, iters, dist = solve_level(len(grid) - 1, zero_bundle, depth=0, start=current)
+            reached, iters, dist = solve_level(len(grid) - 1, zero_offsets, depth=0, start=current)
         except _StageFailed as fail:
             grid.pop()
             records.append(StageRecord(alpha, target, delta, fail.iterations, fail.distance, False))
@@ -433,11 +431,16 @@ def solve_continuation(
                 ) from None
             continue
         records.append(StageRecord(alpha, target, delta, iters, dist, True))
-        current = ProcessTriple.from_solution(sol)
+        current = reached
         alpha = target
 
-    compensator = reconstruct_compensator(model, tree, current)
-    solution = FbsdeSolution(X=current.x, Y=current.y, Z=current.z, N=compensator)
+    T = tree.horizon
+    triple = ProcessTriple(
+        x=AdaptedProcess(tree, 0, T, tuple(current[0])),
+        y=AdaptedProcess(tree, 0, T, tuple(current[1])),
+        z=AdaptedProcess(tree, 0, T - 1, tuple(current[2])),
+    )
+    solution = FbsdeSolution(X=triple.x, Y=triple.y, Z=triple.z, N=reconstruct_compensator(model, tree, triple))
     report = nonlinear_residual(model, tree, solution)
     solution = replace(solution, residual_report=report)
     trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], report.max)
@@ -452,15 +455,7 @@ def solve_continuation(
     return ContinuationResult(solution=solution, trace=trace)
 
 
-# -- residuals and reconstruction -------------------------------------------
-
-
-def _driver_slab(
-    model: NonlinearModel, tree: ProbabilityTree, t: int, triple: ProcessTriple
-) -> np.ndarray:
-    """f(t, X_t, Y_t, Z_t) on the time-t slab (z frozen to zero at t = T)."""
-    z = triple.z.at(t) if t < tree.horizon else None
-    return model.driver(t, triple.x.at(t), triple.y.at(t), z, tree.nodes(t))
+# -- reconstruction ------------------------------------------------------------
 
 
 def reconstruct_compensator(
@@ -469,85 +464,11 @@ def reconstruct_compensator(
     """Orthogonal remainder implied by (X, Y, Z): accumulate the part of each
     backward increment not explained by the driver and the Z dW term."""
     T = tree.horizon
-    n_slabs = [np.zeros((1, model.n, 1))]
-    for t in range(T):
-        k = tree.branch_count(t)
-        points = tree.steps[t].points[:, 0]
-        w = np.tile(points, tree.node_count(t))[:, None, None]
-        dn = (
-            triple.y.at(t + 1)
-            - np.repeat(triple.y.at(t), k, axis=0)
-            + _driver_slab(model, tree, t + 1, triple)
-            - np.repeat(triple.z.at(t), k, axis=0) * w
-        )
-        n_slabs.append(np.repeat(n_slabs[t], k, axis=0) + dn)
-    return AdaptedProcess(tree, 0, T, tuple(n_slabs))
-
-
-@dataclass(frozen=True)
-class NonlinearResidualReport:
-    """Worst pathwise defect of each defining relation of a nonlinear system."""
-
-    forward: float
-    backward: float
-    initial: float
-    terminal: float
-    y_projection: float
-    z_projection: float
-    martingale: float
-    orthogonality: float
-
-    @property
-    def max(self) -> float:
-        return max(
-            self.forward,
-            self.backward,
-            self.initial,
-            self.terminal,
-            self.y_projection,
-            self.z_projection,
-            self.martingale,
-            self.orthogonality,
-        )
-
-
-def nonlinear_residual(
-    model: NonlinearModel, tree: ProbabilityTree, sol: FbsdeSolution
-) -> NonlinearResidualReport:
-    T = tree.horizon
-    drift, vol, minus_f = _realized_terms(model, tree, sol)
-    fwd = bwd = y_proj = z_proj = 0.0
-    for t in range(T):
-        k = tree.branch_count(t)
-        points = tree.steps[t].points[:, 0]
-        w = np.tile(points, tree.node_count(t))[:, None, None]
-        x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-        dx = sol.X.at(t + 1) - np.repeat(x, k, axis=0)
-        fwd = max(fwd, sup_abs(dx - np.repeat(drift[t], k, axis=0) - np.repeat(vol[t], k, axis=0) * w))
-
-        f_next = -minus_f[t + 1]
-        dy = sol.Y.at(t + 1) - np.repeat(y, k, axis=0)
-        dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        bwd = max(bwd, sup_abs(dy + f_next - np.repeat(z, k, axis=0) * w - dn))
-
-        lam = sol.Y.at(t + 1) + f_next
-        y_proj = max(y_proj, sup_abs(y - tree.expect_next(lam, t)))
-        z_proj = max(z_proj, sup_abs(z - tree.expect_next_increment(lam, t)))
-
-    terminal = sup_abs(sol.Y.at(T) - model.terminal(sol.X.at(T), tree.nodes(T)))
-    initial = sup_abs(sol.X.at(0)[0] - model.x0)
-    mart = is_martingale(tree, sol.N)
-    orth = is_strongly_orthogonal(tree, sol.N)
-    return NonlinearResidualReport(
-        forward=fwd,
-        backward=bwd,
-        initial=initial,
-        terminal=terminal,
-        y_projection=y_proj,
-        z_projection=z_proj,
-        martingale=mart.residual,
-        orthogonality=orth.residual,
-    )
+    x, y, z = _triple_slabs(tree, triple)
+    aggregates = [
+        y[t] + model.driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t)) for t in range(1, T + 1)
+    ]
+    return AdaptedProcess(tree, 0, T, tuple(compensator_slabs(tree, aggregates, y, z)))
 
 
 # -- structural diagnostics --------------------------------------------------
@@ -618,6 +539,11 @@ def check_monotone(
     def pairing(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return (left * right).sum(axis=(1, 2))
 
+    def worst(current: float, slack: np.ndarray) -> float:
+        # a NaN slack (an overflow in the model or the pairing) fails the check
+        top = float(slack.max(initial=-math.inf))
+        return max(current, math.inf if math.isnan(top) else top)
+
     worst_coupling = -math.inf
     for t in range(T + 1):
         slab = tree.nodes(t)
@@ -631,10 +557,10 @@ def check_monotone(
             ds = gap(model.noise_loading(t, x, y, z, nodes))
             slack += pairing(G @ db, dy) + pairing(G @ ds, dz)
             slack += beta2 * (pairing(Gt @ dy, Gt @ dy) + pairing(Gt @ dz, Gt @ dz))
-        worst_coupling = max(worst_coupling, float(slack.max(initial=-math.inf)))
+        worst_coupling = worst(worst_coupling, slack)
     leaves = tree.nodes(T)
     dh = gap(model.terminal(x, tuple(leaves[i] for i in picks[T + 1]) * 2))
-    worst_terminal = float((-pairing(dh, G @ dx)).max(initial=-math.inf))
+    worst_terminal = worst(-math.inf, -pairing(dh, G @ dx))
     ok = worst_coupling <= tol and worst_terminal <= tol
     return MonotonicityReport(
         ok=ok,
@@ -656,27 +582,6 @@ class DualityReport:
     @property
     def gap(self) -> float:
         return abs(self.lhs - self.rhs)
-
-
-def _realized_terms(problem, tree: ProbabilityTree, sol: FbsdeSolution):
-    """Evaluate drift, noise loading and the signed backward driver (the term
-    added to Y_{t+1} - Y_t - Z_t dW_t - dN_t being its negative) along a
-    solution path.  Returns (drift[t], vol[t] for t < T, minus_f[t] for t >= 1)."""
-    T = tree.horizon
-    linear = isinstance(problem, LinearCoefficients)
-    drift, vol, minus_f = [], [], [None]
-    for t in range(T):
-        x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-        if linear:
-            terms = problem.forward_terms(t, x, y, z)
-        else:
-            terms = problem.drift(t, x, y, z, tree.nodes(t)), problem.noise_loading(t, x, y, z, tree.nodes(t))
-        drift.append(terms[0])
-        vol.append(terms[1])
-    for t in range(1, T + 1):
-        x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t) if t < T else None
-        minus_f.append(problem.minus_driver(t, x, y, z) if linear else -problem.driver(t, x, y, z, tree.nodes(t)))
-    return drift, vol, minus_f
 
 
 def duality_gap(

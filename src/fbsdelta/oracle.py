@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import Generator
+from .bsde import Generator, compensator_slabs
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import LinearCoefficients
 from .nonlinear_fbsde import NonlinearModel
@@ -61,13 +61,14 @@ class OracleFailedError(Exception):
 class ResidualSystem:
     """Square residual map for one system on one tree.
 
-    ``forward_terms(t, x, y, z) -> (drift, vol)`` evaluates the forward
-    coefficients on whole time slabs (``None`` when there is no forward
-    state); ``minus_driver(t, x, y, z)`` returns the term added to the
-    backward increment (the negated driver), with ``z=None`` at t = T;
-    ``terminal_map(x_T)`` gives the required Y_T slab.  All three must be
-    row-local (row i of a result reads only row i of the inputs), which is
-    what the colouring in :meth:`jacobian` relies on.
+    The three callables follow the slab protocol of LinearCoefficients and
+    NonlinearModel: ``forward_terms(t, x, y, z, nodes) -> (drift, vol)``
+    evaluates the forward coefficients on whole time slabs (``None`` when
+    there is no forward state); ``minus_driver(t, x, y, z, nodes)`` returns
+    the term added to the backward increment (the negated driver), with
+    ``z=None`` at t = T; ``terminal_map(x_T, nodes)`` gives the required Y_T
+    slab.  All three must be row-local (row i of a result reads only row i
+    of the inputs), which is what the colouring in :meth:`jacobian` relies on.
     """
 
     tree: ProbabilityTree
@@ -133,18 +134,18 @@ class ResidualSystem:
                 k = tree.branch_count(t)
                 points = tree.steps[t].points[:, 0]
                 w = np.tile(points, tree.node_count(t))[:, None, None]
-                drift, vol = self.forward_terms(t, x[t], y[t], z[t])
+                drift, vol = self.forward_terms(t, x[t], y[t], z[t], tree.nodes(t))
                 pred = np.repeat(x[t] + drift, k, axis=0) + np.repeat(vol, k, axis=0) * w
                 out.append((x[t + 1] - pred).ravel())
         lam = []
         for t in range(T):
             z_next = z[t + 1] if t + 1 < T else None
-            lam_t = y[t + 1] - self.minus_driver(t + 1, x[t + 1], y[t + 1], z_next)
+            lam_t = y[t + 1] - self.minus_driver(t + 1, x[t + 1], y[t + 1], z_next, tree.nodes(t + 1))
             lam.append(lam_t)
             out.append((y[t] - tree.expect_next(lam_t, t)).ravel())
         for t in range(T):
             out.append((z[t] - tree.expect_next_increment(lam[t], t)).ravel())
-        out.append((y[T] - self.terminal_map(x[T])).ravel())
+        out.append((y[T] - self.terminal_map(x[T], tree.nodes(T))).ravel())
         return np.concatenate(out)
 
     def jacobian(self, vec: np.ndarray, step: float = FD_STEP, scheme: str = "forward") -> np.ndarray:
@@ -255,54 +256,6 @@ def build_residual_system(
 ) -> ResidualSystem:
     """Residual system for linear coefficients, a nonlinear model, or a plain
     backward equation (generator plus terminal data ``eta``)."""
-    if isinstance(problem, LinearCoefficients):
-        if tree.horizon != problem.horizon:
-            raise ValueError("tree and coefficients disagree on the horizon")
-        if tree.d != 1:
-            raise ValueError("linear systems require one-dimensional driving noise")
-        coeffs = problem
-
-        def terminal_map(x):
-            return np.einsum("ij,njk->nik", coeffs.G, x) + coeffs.g.at(tree.horizon)
-
-        return ResidualSystem(
-            tree=tree,
-            m=coeffs.m,
-            n=coeffs.n,
-            size=_system_size(tree, coeffs.m, coeffs.n),
-            x0=coeffs.x0,
-            forward_terms=coeffs.forward_terms,
-            minus_driver=coeffs.minus_driver,
-            terminal_map=terminal_map,
-        )
-
-    if isinstance(problem, NonlinearModel):
-        if tree.d != 1:
-            raise ValueError("coupled nonlinear systems require one-dimensional driving noise")
-        model = problem
-        m, n = model.m, model.n
-
-        def forward_terms(t, x, y, z):
-            nodes = tree.nodes(t)
-            return model.drift(t, x, y, z, nodes), model.noise_loading(t, x, y, z, nodes)
-
-        def minus_driver(t, x, y, z):
-            return -model.driver(t, x, y, z, tree.nodes(t))
-
-        def terminal_map(x):
-            return model.terminal(x, tree.nodes(tree.horizon))
-
-        return ResidualSystem(
-            tree=tree,
-            m=m,
-            n=n,
-            size=_system_size(tree, m, n),
-            x0=model.x0,
-            forward_terms=forward_terms,
-            minus_driver=minus_driver,
-            terminal_map=terminal_map,
-        )
-
     if isinstance(problem, Generator):
         if eta is None:
             raise ValueError("a plain backward equation needs terminal data eta")
@@ -314,7 +267,7 @@ def build_residual_system(
             raise ValueError("eta must be an (n, 1) process defined at the horizon")
         eta_slab = eta.at(tree.horizon)
 
-        def minus_driver(t, x, y, z):
+        def minus_driver(t, x, y, z, nodes):
             return -gen.on_slab(tree, t, y, z)
 
         return ResidualSystem(
@@ -325,10 +278,25 @@ def build_residual_system(
             x0=np.zeros((0, 1)),
             forward_terms=None,
             minus_driver=minus_driver,
-            terminal_map=lambda x: eta_slab,
+            terminal_map=lambda x, nodes: eta_slab,
         )
 
-    raise TypeError(f"no residual system is defined for {type(problem).__name__}")
+    if not isinstance(problem, (LinearCoefficients, NonlinearModel)):
+        raise TypeError(f"no residual system is defined for {type(problem).__name__}")
+    if tree.d != 1:
+        raise ValueError("coupled systems require one-dimensional driving noise")
+    if isinstance(problem, LinearCoefficients) and problem.horizon != tree.horizon:
+        raise ValueError("tree and coefficients disagree on the horizon")
+    return ResidualSystem(
+        tree=tree,
+        m=problem.m,
+        n=problem.n,
+        size=_system_size(tree, problem.m, problem.n),
+        x0=problem.x0,
+        forward_terms=problem.forward_terms,
+        minus_driver=problem.minus_driver,
+        terminal_map=problem.terminal_map,
+    )
 
 
 @dataclass(frozen=True)
@@ -347,19 +315,10 @@ def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTra
     tree = system.tree
     T = tree.horizon
     x, y, z = system.unpack(vec)
-    n_slabs = [np.zeros((1, system.n, 1))]
-    for t in range(T):
-        k = tree.branch_count(t)
-        points = tree.steps[t].points
-        zdw = np.einsum("nrd,kd->nkr", z[t], points).reshape(tree.node_count(t + 1), system.n, 1)
-        z_next = z[t + 1] if t + 1 < T else None
-        dn = (
-            y[t + 1]
-            - np.repeat(y[t], k, axis=0)
-            - system.minus_driver(t + 1, x[t + 1], y[t + 1], z_next)
-            - zdw
-        )
-        n_slabs.append(np.repeat(n_slabs[t], k, axis=0) + dn)
+    aggregates = [
+        y[t] - system.minus_driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t)) for t in range(1, T + 1)
+    ]
+    n_slabs = compensator_slabs(tree, aggregates, y, z)
     return OracleSolution(
         X=AdaptedProcess(tree, 0, T, tuple(x)) if system.m else None,
         Y=AdaptedProcess(tree, 0, T, tuple(y)),

@@ -20,6 +20,7 @@ from fbsdelta import (
     parse_expr,
     riccati_matrices,
 )
+from fbsdelta.filtration import sup_abs
 from fbsdelta.oracle import FD_STEP
 
 
@@ -370,3 +371,22 @@ def per_column_jacobian(system, vec, step: float = FD_STEP, scheme: str = "forwa
             bumped[j] -= 2.0 * step
             jac[:, j] = (hi - system.residual(bumped)) / (2.0 * step)
     return jac
+
+
+def spot_check_terminal_independence(
+    tree: ProbabilityTree, gen: Generator, samples: int = 32, seed: int = 0, box: float = 5.0
+) -> float:
+    """Max observed |fn(T,y,z) - fn(T,y,z')| over random pairs; 0 means clean."""
+    rng = np.random.default_rng(seed)
+    horizon = tree.horizon
+    leaves = tree.nodes(horizon)
+    worst = 0.0
+    for _ in range(samples):
+        node = leaves[int(rng.integers(len(leaves)))]
+        y = rng.uniform(-box, box, size=gen.n)
+        z1 = rng.uniform(-box, box, size=(gen.n, gen.d))
+        z2 = rng.uniform(-box, box, size=(gen.n, gen.d))
+        rows = gen.fn(horizon, np.stack([y, y]), np.stack([z1, z2]), (node, node))
+        f1, f2 = np.asarray(rows, dtype=float)
+        worst = max(worst, sup_abs(f1 - f2))
+    return worst

@@ -20,7 +20,6 @@ from fbsdelta import (
     solution_energy,
     solve_bsde,
 )
-from fbsdelta.bsde import spot_check_lipschitz, spot_check_terminal_independence
 from fbsdelta.cli import parse_scenario
 
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     random_dsl_generator,
     random_terminal,
     random_tree,
+    spot_check_terminal_independence,
 )
 
 EXACT_TOL = 1e-12
@@ -176,21 +176,6 @@ def test_energy_diagnostics():
     energy = solution_energy(tree, sol)
     assert energy["y_sq_sum_with_terminal"] >= energy["y_sq_sum_before_terminal"]
     assert energy["z_sq_sum"] >= 0.0
-
-
-def test_lipschitz_spot_check_reports_observed_slopes():
-    tree = rademacher_tree(3)
-    gen = Generator.pointwise(
-        n=1,
-        d=1,
-        fn=lambda t, y, z, node: np.array([0.5 * np.tanh(y[0]) + (0.0 if t == 3 else 0.25 * z[0, 0])]),
-        lipschitz_c1=0.5,
-        lipschitz_c2=0.25,
-    )
-    report = spot_check_lipschitz(tree, gen, samples=300, seed=2)
-    assert report["observed_c1"] <= 0.5 + 1e-9
-    assert report["observed_c2"] <= 0.25 + 1e-9
-    assert report["within_declared"] is True
 
 
 # -- slab-level drivers ------------------------------------------------------------

@@ -167,6 +167,24 @@ def test_check_monotone_verdicts(tmp_path, capsys):
     assert "VIOLATED" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_monotonicity_slack_fails_the_check(tmp_path, capsys):
+    scenario = nonlinear_scenario()
+    scenario["tree"]["horizon"] = 1
+    scenario["model"].update(drift=["1e307*y1"], noise_loading=["-1e307*z1"], driver=["2*x1"], terminal=["x1"])
+    scenario["solver"] = {"samples": 20, "monotone_beta1": 0.0, "monotone_beta2": 0.0}
+    path = write_scenario(tmp_path, scenario)
+    assert main(["check-monotone", path]) == 3
+    out = capsys.readouterr().out
+    assert "worst coupling slack: inf" in out and "VIOLATED" in out
+    out_dir = tmp_path / "out"
+    assert main(["check-monotone", path, "--out", str(out_dir)]) == 2
+    assert "summary.json not written" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["solve-nonlinear", path]) == 2  # the model overflows in the continuation
+    assert "monotonicity: assumption-unverified" in capsys.readouterr().out
+
+
 def test_compare_oracle_on_every_kind(tmp_path, capsys):
     for name, scenario in (
         ("b.json", bsde_scenario()),

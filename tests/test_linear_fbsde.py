@@ -1,24 +1,36 @@
 """Backward matrix recursion, solvability verdicts, and exact linear solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
+    AdaptedProcess,
+    FbsdeSolution,
     GammaReport,
     LinearCoefficients,
+    NonlinearModel,
     NotSolvableError,
     ProbabilityTree,
+    ProcessTriple,
+    ResidualReport,
     anchor_coefficients,
     check_solvability,
     conditional_expectation,
     conditional_increment_covariation,
     linear_residual,
+    nonlinear_residual,
+    reconstruct_compensator,
     riccati_backward,
     riccati_matrices,
     solve_linear,
 )
 from helpers import (
     rademacher_tree,
+    random_increments,
     random_linear_coefficients,
     random_offsets,
     random_tree,
@@ -124,7 +136,7 @@ def test_solvability_verdict_ignores_offset_data():
     tree = random_tree(rng, 3)
     coeffs = random_linear_coefficients(rng, tree, 2, 2)
     variants = [
-        coeffs.with_inhomogeneous(**random_offsets(rng, tree, 2, 2, scale=50.0)) for _ in range(3)
+        dataclasses.replace(coeffs, **random_offsets(rng, tree, 2, 2, scale=50.0)) for _ in range(3)
     ]
     base = check_solvability(coeffs, tree)
     for alt in variants:
@@ -184,6 +196,50 @@ def test_random_instances_satisfy_all_equations():
         assert again == sol.residual_report
 
 
+def as_slab_model(coeffs: LinearCoefficients) -> NonlinearModel:
+    """The same linear system written as a slab nonlinear model."""
+    c, T = coeffs, coeffs.horizon
+    return NonlinearModel(
+        c.m, c.n, c.G, 1.0, 1.0, c.x0,
+        b=lambda t, x, y, z, nodes: c.A[t] @ x + c.B[t] @ y + c.C[t] @ z + c.D.at(t),
+        sigma=lambda t, x, y, z, nodes: c.Abar[t] @ x + c.Bbar[t] @ y + c.Cbar[t] @ z + c.Dbar.at(t),
+        f=lambda t, x, y, z, nodes: -(c.Ahat[t] @ x + c.Bhat[t] @ y + c.Chat[t] @ z + c.Dhat.at(t)),
+        h=lambda x, nodes: c.G @ x + c.g.at(T),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    branches=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    m=st.integers(1, 2),
+    n=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_and_slab_model_forms_give_the_same_report_and_compensator(branches, m, n, seed):
+    rng = np.random.default_rng(seed)
+    tree = ProbabilityTree([random_increments(rng, k, 1) for k in branches])
+    coeffs = random_linear_coefficients(rng, tree, m, n)
+    model = as_slab_model(coeffs)
+    sol = solve_linear(coeffs, tree)
+    linear, nonlinear = linear_residual(coeffs, tree, sol), nonlinear_residual(model, tree, sol)
+    for field in dataclasses.fields(ResidualReport):
+        assert abs(getattr(linear, field.name) - getattr(nonlinear, field.name)) <= EXACT_TOL
+    assert linear.max <= RESIDUAL_TOL
+    compensator = reconstruct_compensator(model, tree, ProcessTriple.from_solution(sol))
+    assert (compensator - sol.N).sup_norm() <= EXACT_TOL
+
+
+def test_tampered_linear_y_is_caught_by_the_projection_check():
+    # Y_0 enters no driver, so only the relations at t = 0 see the bump
+    tree = rademacher_tree(2)
+    coeffs = random_linear_coefficients(np.random.default_rng(37), tree, 1, 1)
+    sol = solve_linear(coeffs, tree)
+    assert sol.residual_report.y_projection <= EXACT_TOL
+    y0 = sol.Y.at(0) + 0.01
+    tampered = dataclasses.replace(sol, Y=AdaptedProcess(tree, 0, 2, (y0, sol.Y.at(1), sol.Y.at(2))))
+    assert abs(linear_residual(coeffs, tree, tampered).y_projection - 0.01) <= EXACT_TOL
+
+
 def test_horizon_one_edge_case():
     rng = np.random.default_rng(29)
     tree = random_tree(rng, 1, branch_choices=(3,))
@@ -196,15 +252,15 @@ def test_backward_pair_follows_decoupling_field():
     rng = np.random.default_rng(31)
     tree = random_tree(rng, 3)
     coeffs = random_linear_coefficients(rng, tree, 2, 2)
-    seq = riccati_backward(coeffs, tree)
-    sol = solve_linear(coeffs, tree, matrices=seq.matrices)
+    mats, p = riccati_backward(coeffs, tree)
+    sol = solve_linear(coeffs, tree, matrices=mats)
     for t in range(tree.horizon):
         ex = conditional_expectation(tree, sol.X, t).at(t)
         exdw = conditional_increment_covariation(tree, sol.X, t).at(t)
-        ep = conditional_expectation(tree, seq.p, t).at(t) if t + 1 >= seq.p.t_lo else None
-        epdw = conditional_increment_covariation(tree, seq.p, t).at(t)
-        y_pred = np.einsum("ij,njk->nik", seq.P[t + 1], ex) + ep
-        z_pred = np.einsum("ij,njk->nik", seq.P[t + 1], exdw) + epdw
+        ep = conditional_expectation(tree, p, t).at(t) if t + 1 >= p.t_lo else None
+        epdw = conditional_increment_covariation(tree, p, t).at(t)
+        y_pred = np.einsum("ij,njk->nik", mats.P[t + 1], ex) + ep
+        z_pred = np.einsum("ij,njk->nik", mats.P[t + 1], exdw) + epdw
         assert np.abs(sol.Y.at(t) - y_pred).max() <= RESIDUAL_TOL
         assert np.abs(sol.Z.at(t) - z_pred).max() <= RESIDUAL_TOL
 
@@ -222,9 +278,9 @@ def test_solution_is_affine_in_offset_data():
         for key in ("D", "Dbar", "Dhat", "g")
     }
     mixed["x0"] = lam * first["x0"] + (1.0 - lam) * second["x0"]
-    sol_a = solve_linear(coeffs.with_inhomogeneous(**first), tree, matrices=mats)
-    sol_b = solve_linear(coeffs.with_inhomogeneous(**second), tree, matrices=mats)
-    sol_m = solve_linear(coeffs.with_inhomogeneous(**mixed), tree, matrices=mats)
+    sol_a = solve_linear(dataclasses.replace(coeffs, **first), tree, matrices=mats)
+    sol_b = solve_linear(dataclasses.replace(coeffs, **second), tree, matrices=mats)
+    sol_m = solve_linear(dataclasses.replace(coeffs, **mixed), tree, matrices=mats)
     for name in ("X", "Y", "Z", "N"):
         combo = getattr(sol_a, name) * lam + getattr(sol_b, name) * (1.0 - lam)
         assert (getattr(sol_m, name) - combo).sup_norm() <= RESIDUAL_TOL
@@ -287,6 +343,6 @@ def test_offset_copy_shares_homogeneous_arrays():
     tree = rademacher_tree(2)
     rng = np.random.default_rng(3)
     coeffs = random_linear_coefficients(rng, tree, 2, 2)
-    other = coeffs.with_inhomogeneous(**random_offsets(rng, tree, 2, 2))
+    other = dataclasses.replace(coeffs, **random_offsets(rng, tree, 2, 2))
     for name in ("A", "Abar", "B", "Bbar", "C", "Cbar", "Ahat", "Bhat", "Chat", "G"):
         assert getattr(other, name) is getattr(coeffs, name)
