@@ -686,6 +686,7 @@ def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
         status = "accepted" if stage.accepted else "rejected"
         print(
             f"  stage alpha {stage.alpha_from:g} -> {stage.alpha_to:g}: delta {stage.delta:g}, "
+            f"{'nested' if stage.nested else 'direct'}, "
             f"{stage.iterations} iterations, distance {stage.distance:.12g}, {status}"
         )
     print(f"inner linear solves: {trace.linear_solves}")
@@ -706,6 +707,8 @@ def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
                     "iterations": int(stage.iterations),
                     "distance": float(stage.distance),
                     "accepted": bool(stage.accepted),
+                    "nested": bool(stage.nested),
+                    "distances": [float(d) for d in stage.distances],
                 }
                 for stage in trace.stages
             ],

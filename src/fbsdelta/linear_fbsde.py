@@ -634,6 +634,7 @@ def _realized_terms(problem, tree: ProbabilityTree, sol: FbsdeSolution):
     return drift, vol, minus_f
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sup_abs reads an overflowed NaN defect as inf
 def linear_residual(problem, tree: ProbabilityTree, sol: FbsdeSolution) -> ResidualReport:
     """Evaluate every defining relation of a coupled system pathwise.
 

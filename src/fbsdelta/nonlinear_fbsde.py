@@ -13,11 +13,15 @@ weight alpha, between an always-solvable linear base system (the anchor:
 forward reacting through -beta2 * G^T, backward through -beta1 * G, terminal
 G) and the model itself.  Each interpolation level is solved by freezing the
 level increment at the previous iterate and solving the resulting linear
-system exactly, walking alpha from 0 to 1 in adaptive steps that halve when a
-fixed-point stage stalls.  Recursion into previously solved levels is capped;
-beyond the cap a level is attacked directly from the anchor.  Inside the
-ladder every process is a list of raw time slabs; adapted processes are
-built only for the returned solution.
+system exactly, walking alpha from 0 to 1 in adaptive steps.  Each stage
+first iterates directly against the anchor at its target alpha and gives up
+as soon as the observed contraction cannot reach the tolerance within the
+iteration budget; only then does it run the nested ladder, which re-solves
+the previous levels inside every step (recursion capped at
+``INNER_RECURSION_DEPTH_CAP`` levels, below which a level is again attacked
+directly from the anchor).  The step halves when the ladder stalls too.
+Inside the ladder every process is a list of raw time slabs; adapted
+processes are built only for the returned solution.
 """
 
 from __future__ import annotations
@@ -215,6 +219,7 @@ def weighted_distance(tree: ProbabilityTree, a: ProcessTriple, b: ProcessTriple)
     return _distance(tree, _triple_slabs(tree, a), _triple_slabs(tree, b))
 
 
+@np.errstate(over="ignore")  # an overflowed gap is inf, which no tolerance accepts
 def _distance(tree: ProbabilityTree, a: tuple, b: tuple) -> float:
     """:func:`weighted_distance` on (x, y, z) slab lists."""
     total = 0.0
@@ -277,7 +282,7 @@ def homotopy_coefficients(
 # -- continuation ------------------------------------------------------------
 
 
-# How deep stage solves recurse into previous ladder levels before falling
+# How deep the nested ladder recurses into previous levels before falling
 # back to iterating directly against the anchor system.
 INNER_RECURSION_DEPTH_CAP = 2
 
@@ -286,9 +291,12 @@ INNER_RECURSION_DEPTH_CAP = 2
 class ContinuationConfig:
     """Step control for the interpolation ladder.
 
-    ``delta_init`` is the first attempted alpha step; a stage whose fixed-point
-    iteration fails halves the step, down to ``delta_min``.  Each fixed-point
-    iteration starts from the best available triple.
+    ``delta_init`` is the first attempted alpha step.  A stage first runs
+    plain Picard against the anchor at its target alpha, abandoned once the
+    observed contraction cannot reach ``picard_tol`` within
+    ``picard_max_iters``; then the nested ladder, with the full budget, from
+    the same triple.  When both stall the step halves, down to ``delta_min``.
+    Each fixed-point iteration starts from the best available triple.
     """
 
     delta_init: float = 0.5
@@ -307,12 +315,25 @@ class ContinuationConfig:
 
 
 class StageRecord(NamedTuple):
+    """One attempt at one stage: ``nested`` tells the ladder attempt from the
+    direct one, and ``distances`` holds the Picard distance after each
+    top-level iteration (for a ladder attempt that stalled inside a lower
+    level, those of the stalled iteration)."""
+
     alpha_from: float
     alpha_to: float
     delta: float
-    iterations: int
-    distance: float
     accepted: bool
+    nested: bool
+    distances: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.distances)
+
+    @property
+    def distance(self) -> float:
+        return self.distances[-1]
 
 
 @dataclass(frozen=True)
@@ -340,10 +361,21 @@ class ContinuationFailedError(Exception):
 
 
 class _StageFailed(Exception):
-    def __init__(self, iterations: int, distance: float):
-        super().__init__(f"fixed-point stage stalled after {iterations} iterations")
-        self.iterations = iterations
-        self.distance = distance
+    def __init__(self, distances: tuple[float, ...]):
+        super().__init__(f"fixed-point stage stalled after {len(distances)} iterations")
+        self.distances = distances
+
+
+def _out_of_reach(distances: list[float], tol: float, budget: int) -> bool:
+    """Whether a Picard iteration with these distances so far cannot reach
+    ``tol`` within ``budget`` iterations at its last contraction factor q
+    (always, when q is not below 1 or is NaN)."""
+    if len(distances) < 2:
+        return False
+    q = distances[-1] / distances[-2]
+    if not q < 1.0:
+        return True
+    return q > 0.0 and len(distances) + math.log(tol / distances[-1]) / math.log(q) > budget
 
 
 def solve_continuation(
@@ -370,23 +402,26 @@ def solve_continuation(
         counters["solves"] += 1
         return _solve_linear(anchor, mats, tree, offsets)[:3]
 
-    def picard(step, start: tuple):
-        u = start
-        dist = math.inf
-        for it in range(1, config.picard_max_iters + 1):
+    def picard(step, start: tuple, give_up_early: bool):
+        u, distances = start, []
+        for _ in range(config.picard_max_iters):
             v = step(u)
-            dist = _distance(tree, u, v)
+            distances.append(_distance(tree, u, v))
             u = v
-            if dist <= config.picard_tol:
-                return v, it, dist
-        raise _StageFailed(config.picard_max_iters, dist)
+            if distances[-1] <= config.picard_tol:
+                return v, tuple(distances)
+            if give_up_early and _out_of_reach(distances, config.picard_tol, config.picard_max_iters):
+                break
+        raise _StageFailed(tuple(distances))
 
     grid = [0.0]
 
-    def solve_level(i: int, extra: tuple, depth: int, start: tuple):
+    def solve_level(i: int, extra: tuple, depth: int, start: tuple, cap: int):
+        """Solve level i with ``extra`` added to the anchor's offsets; with
+        cap 0 this is the direct attempt, which alone may give up early."""
         if i == 0:
-            return linear_solve(extra), 0, 0.0
-        if depth >= INNER_RECURSION_DEPTH_CAP:
+            return linear_solve(extra), ()
+        if depth >= cap:
             alpha = grid[i]
 
             def step(u: tuple) -> tuple:
@@ -397,42 +432,45 @@ def solve_continuation(
 
             def step(u: tuple) -> tuple:
                 inner = _scaled_add(extra, _homotopy_offsets(model, tree, u), delta_i)
-                return solve_level(i - 1, inner, depth + 1, start=u)[0]
+                return solve_level(i - 1, inner, depth + 1, u, cap)[0]
 
-        return picard(step, start)
+        return picard(step, start, give_up_early=cap == 0)
 
     current = linear_solve(zero_offsets)
     records: list[StageRecord] = []
-    alpha, delta = 0.0, config.delta_init
+    alpha, delta, targets = 0.0, config.delta_init, 0
 
     while alpha < 1.0 - 1e-12:
-        if len(records) > 4000:
+        if targets > 4000:
             raise ContinuationFailedError(
-                f"continuation abandoned after {len(records)} stage attempts",
+                f"continuation abandoned after {targets} stage targets",
                 alpha,
                 delta,
                 ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan),
             )
+        targets += 1
         target = min(1.0, alpha + delta)
         grid.append(target)
-        try:
-            reached, iters, dist = solve_level(len(grid) - 1, zero_offsets, depth=0, start=current)
-        except _StageFailed as fail:
+        for cap in (0, INNER_RECURSION_DEPTH_CAP):
+            try:
+                reached, distances = solve_level(len(grid) - 1, zero_offsets, 0, current, cap)
+            except _StageFailed as fail:
+                records.append(StageRecord(alpha, target, delta, False, cap > 0, fail.distances))
+                continue
+            records.append(StageRecord(alpha, target, delta, True, cap > 0, distances))
+            current, alpha = reached, target
+            break
+        else:
             grid.pop()
-            records.append(StageRecord(alpha, target, delta, fail.iterations, fail.distance, False))
             delta *= 0.5
             if delta < config.delta_min:
                 raise ContinuationFailedError(
                     f"stage from alpha={alpha:.6g} stalled even at the minimum step "
-                    f"(distance {fail.distance:.3e})",
+                    f"(distance {records[-1].distance:.3e})",
                     alpha,
                     delta,
                     ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan),
-                ) from None
-            continue
-        records.append(StageRecord(alpha, target, delta, iters, dist, True))
-        current = reached
-        alpha = target
+                )
 
     T = tree.horizon
     triple = ProcessTriple(
@@ -486,6 +524,7 @@ class MonotonicityReport:
     tol: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # worst() reads an overflowed NaN slack as inf
 def check_monotone(
     model: NonlinearModel,
     tree: ProbabilityTree,

@@ -147,6 +147,20 @@ def test_solve_nonlinear_prints_trace_and_verdict(tmp_path, capsys):
     assert "residual max:" in out
 
 
+def test_solve_nonlinear_reports_each_attempt_and_its_distances(tmp_path, capsys):
+    path = write_scenario(tmp_path, nonlinear_scenario())
+    out_dir = tmp_path / "out"
+    assert main(["solve-nonlinear", path, "--out", str(out_dir)]) == 0
+    stage_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  stage ")]
+    assert stage_lines and all(", direct, " in line for line in stage_lines)
+    stages = json.loads((out_dir / "summary.json").read_text())["trace"]["stages"]
+    assert len(stages) == len(stage_lines)
+    for stage in stages:
+        assert stage["nested"] is False
+        assert len(stage["distances"]) == stage["iterations"]
+        assert stage["distances"][-1] == stage["distance"]
+
+
 def test_solve_nonlinear_tags_unverified_assumptions_but_solves(tmp_path, capsys):
     # without the reduced margins the declared-weight inequality fails, which
     # tags the run without blocking it
@@ -167,7 +181,6 @@ def test_check_monotone_verdicts(tmp_path, capsys):
     assert "VIOLATED" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_monotonicity_slack_fails_the_check(tmp_path, capsys):
     scenario = nonlinear_scenario()
     scenario["tree"]["horizon"] = 1

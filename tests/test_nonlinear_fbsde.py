@@ -135,6 +135,37 @@ def test_single_stage_ladder_for_a_mild_model():
     assert result.solution.residual_report.max <= GAP_TOL
 
 
+def test_direct_stages_cost_one_solve_per_iteration():
+    # a mild model contracts against the anchor at every fine stage: no stage
+    # needs the nested ladder, so beyond the anchor solve each top-level
+    # iteration is exactly one linear solve
+    model = mild_coupled_model(m=2, seed=5)
+    tree = rademacher_tree(4)
+    trace = solve_continuation(model, tree, ContinuationConfig(delta_init=0.1)).trace
+    assert len(trace.grid) == 11
+    assert all(stage.accepted and not stage.nested for stage in trace.stages)
+    assert trace.linear_solves == 1 + sum(stage.iterations for stage in trace.stages)
+
+
+def test_a_stalling_direct_attempt_falls_back_to_the_nested_ladder():
+    model = mild_coupled_model(m=2, seed=203, eps=1.0)
+    tree = rademacher_tree(4)
+    result = solve_continuation(model, tree)
+    last = [stage for stage in result.trace.stages if stage.alpha_to == 1.0]
+    assert [(stage.accepted, stage.nested) for stage in last] == [(False, False), (True, True)]
+    direct, nested = last
+    # the direct attempt stops after two iterations: at their contraction
+    # factor (about 0.89) it would need far more than picard_max_iters
+    config = ContinuationConfig()
+    assert direct.iterations == 2
+    q = direct.distances[1] / direct.distances[0]
+    assert 2 + math.log(config.picard_tol / direct.distance) / math.log(q) > config.picard_max_iters
+    assert nested.distance <= config.picard_tol
+    assert result.trace.grid == (0.0, 0.5, 1.0)
+    oracle = solve_global_newton(build_residual_system(tree, model))
+    assert solution_gap(result.solution, oracle) <= ORACLE_TOL
+
+
 def test_stalled_stages_halve_until_the_floor_and_fail():
     model = mild_coupled_model(m=1, seed=8)
     tree = rademacher_tree(2)
@@ -220,8 +251,7 @@ def test_an_overflowing_slack_fails_the_monotonicity_check():
         f=lambda t, x, y, z, nodes: 2 * x,
         h=lambda x, nodes: x,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = check_monotone(model, tree, samples=20, beta1=0.0, beta2=0.0)
+    report = check_monotone(model, tree, samples=20, beta1=0.0, beta2=0.0)
     assert not report.ok
     assert report.worst_coupling_slack == math.inf
 
