@@ -15,7 +15,7 @@ terminal time; there it is evaluated with z = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .filtration import (
     sup_abs,
 )
 
+if TYPE_CHECKING:
+    from .linear_fbsde import ResidualReport
+
 GeneratorFn = Callable[[int, np.ndarray, np.ndarray, Sequence[tuple]], np.ndarray]
 
 
@@ -36,26 +39,15 @@ class NonFiniteSolutionError(ArithmeticError):
     finite values, or a non-finite result was about to be written out."""
 
 
-def _refuse_overflow(tree: ProbabilityTree, drivers: list, y_slabs: list, z_slabs: list, n_slabs: list) -> None:
-    """Raise NonFiniteSolutionError naming the first non-finite slab of the
-    sweep that was built from finite driver values only."""
-    # N_T sums the aggregate, Y and Z dW terms along each path to a leaf, so
-    # it is finite exactly when every slab of the sweep is
-    if np.isfinite(n_slabs[-1]).all():
-        return
-    for t in range(len(drivers) - 1, -1, -1):  # sweep order; drivers[t] holds f at t + 1
-        if not np.isfinite(drivers[t]).all():
-            return  # non-finite driver values are passed on to the residual checks
-        _require_finite(tree, "Y", t, y_slabs[t])
-        _require_finite(tree, "Z", t, z_slabs[t])
-    for t, slab in enumerate(n_slabs):
-        _require_finite(tree, "N", t, slab)
-
-
-def _require_finite(tree: ProbabilityTree, name: str, t: int, slab: np.ndarray) -> None:
-    rows = ~np.isfinite(slab.reshape(slab.shape[0], -1)).all(axis=1)
-    if rows.any():
-        raise NonFiniteSolutionError(f"{name}_{t} is not finite at node {tree.nodes(t)[np.argmax(rows)]}")
+def refuse_non_finite(tree: ProbabilityTree, sweep) -> None:
+    """Raise NonFiniteSolutionError naming the first non-finite slab of
+    ``sweep``, (name, t, slab) triples in sweep order.  A solver calls this
+    once its N_T has come out non-finite: N_T sums the slabs of the sweep along
+    each path to a leaf, so one of them overflowed."""
+    for name, t, slab in sweep:
+        rows = ~np.isfinite(slab.reshape(slab.shape[0], -1)).all(axis=1)
+        if rows.any():
+            raise NonFiniteSolutionError(f"{name}_{t} is not finite at node {tree.nodes(t)[np.argmax(rows)]}")
 
 
 def compensator_slabs(tree: ProbabilityTree, aggregates: list, y_slabs: list, z_slabs: list) -> list[np.ndarray]:
@@ -111,15 +103,55 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class BsdeSolution:
-    """Solution triple: Y on [0,T], Z on [0,T-1], N on [0,T]."""
+class BackwardSystem:
+    """A plain backward equation as a slab system: the coupled system with no
+    forward state (m = 0), driver ``gen`` and terminal data ``eta``.  It
+    answers ``minus_driver`` and ``terminal_map`` of the slab protocol that
+    LinearCoefficients and NonlinearModel share; with m = 0 nothing calls
+    ``forward_terms``, so it has none."""
 
+    tree: ProbabilityTree
+    gen: Generator
+    eta: AdaptedProcess
+    m = 0
+
+    def __post_init__(self):
+        gen, eta, horizon = self.gen, self.eta, self.tree.horizon
+        if gen.d != self.tree.d:
+            raise ValueError(f"driver noise dimension {gen.d} does not match tree (d={self.tree.d})")
+        if not eta.t_lo <= horizon <= eta.t_hi:
+            raise ValueError("terminal data must be defined at the tree horizon")
+        if eta.shape != (gen.n, 1):
+            raise ValueError(f"terminal data must be ({gen.n}, 1)-valued, got {eta.shape}")
+
+    @property
+    def n(self) -> int:
+        return self.gen.n
+
+    @property
+    def x0(self) -> np.ndarray:
+        return np.zeros((0, 1))
+
+    def minus_driver(self, t: int, x, y, z, nodes) -> np.ndarray:
+        return -self.gen.on_slab(self.tree, t, y, z)
+
+    def terminal_map(self, x, nodes) -> np.ndarray:
+        return self.eta.at(self.tree.horizon)
+
+
+@dataclass(frozen=True)
+class FbsdeSolution:
+    """Solution of a forward-backward system, with its residual report when
+    the solver checked one.  ``X`` is None for a plain backward equation."""
+
+    X: AdaptedProcess | None
     Y: AdaptedProcess
     Z: AdaptedProcess
     N: AdaptedProcess
+    residual_report: ResidualReport | None = None
 
 
-def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> BsdeSolution:
+def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> FbsdeSolution:
     """Solve the backward equation exactly by one backward sweep.
 
     Raises NonFiniteSolutionError if the sweep overflows.  Non-finite driver
@@ -127,13 +159,8 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Bs
     """
     if not gen.terminal_z_independent:
         raise ValueError("the driver must not depend on z at the terminal time")
-    if gen.d != tree.d:
-        raise ValueError(f"driver noise dimension {gen.d} does not match tree (d={tree.d})")
+    BackwardSystem(tree, gen, eta)  # validates the dimensions and the terminal data
     horizon = tree.horizon
-    if not eta.t_lo <= horizon <= eta.t_hi:
-        raise ValueError("terminal data must be defined at the tree horizon")
-    if eta.shape != (gen.n, 1):
-        raise ValueError(f"terminal data must be ({gen.n}, 1)-valued, got {eta.shape}")
 
     y_slabs: list[np.ndarray] = [np.empty(0)] * (horizon + 1)
     z_slabs: list[np.ndarray | None] = [None] * (horizon + 1)
@@ -150,9 +177,19 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Bs
             z_slabs[t] = tree.expect_next_increment(aggregate, t)
 
         n_slabs = compensator_slabs(tree, aggregates, y_slabs, z_slabs)
-    _refuse_overflow(tree, drivers, y_slabs, z_slabs[:horizon], n_slabs)
 
-    return BsdeSolution(
+    def sweep():
+        for t in range(horizon - 1, -1, -1):  # drivers[t] holds f at t + 1
+            if not np.isfinite(drivers[t]).all():
+                return  # non-finite driver values are passed on to the residual checks
+            yield from (("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
+        yield from (("N", t, slab) for t, slab in enumerate(n_slabs))
+
+    if not np.isfinite(n_slabs[horizon]).all():
+        refuse_non_finite(tree, sweep())
+
+    return FbsdeSolution(
+        X=None,
         Y=AdaptedProcess(tree, 0, horizon, tuple(y_slabs)),
         Z=AdaptedProcess(tree, 0, horizon - 1, tuple(z_slabs[:horizon])),
         N=AdaptedProcess(tree, 0, horizon, tuple(n_slabs)),
@@ -174,7 +211,7 @@ class BsdeResidualReport:
 
 
 def bsde_residuals(
-    tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess, sol: BsdeSolution
+    tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess, sol: FbsdeSolution
 ) -> BsdeResidualReport:
     """Evaluate the defining equation of the backward system pathwise."""
     horizon = tree.horizon
@@ -199,7 +236,7 @@ def bsde_residuals(
     )
 
 
-def solution_energy(tree: ProbabilityTree, sol: BsdeSolution) -> dict[str, float]:
+def solution_energy(tree: ProbabilityTree, sol: FbsdeSolution) -> dict[str, float]:
     """Squared-norm diagnostics under both summation conventions for Y.
 
     Reported keys: expected sum of |Y_t|^2 with and without the terminal

@@ -357,22 +357,12 @@ def is_martingale(tree: ProbabilityTree, x: AdaptedProcess, tol: float = MARTING
 
 
 def is_strongly_orthogonal(
-    tree: ProbabilityTree,
-    n_proc: AdaptedProcess,
-    t_range: tuple[int, int] | None = None,
-    tol: float = MARTINGALE_TOL,
+    tree: ProbabilityTree, n_proc: AdaptedProcess, tol: float = MARTINGALE_TOL
 ) -> CheckResult:
-    """Whether E[(n_{t+1}-n_t)(dW_t)^T | F_t] vanishes at every node.
-
-    ``t_range`` restricts the increments checked to t in [lo, hi); by default
-    the whole domain of ``n_proc`` is covered.  The caller is expected to have
-    verified the martingale property separately.
-    """
-    lo, hi = t_range if t_range is not None else (n_proc.t_lo, n_proc.t_hi)
-    if not n_proc.t_lo <= lo <= hi <= n_proc.t_hi:
-        raise ValueError(f"t_range [{lo}, {hi}] outside process domain")
+    """Whether E[(n_{t+1}-n_t)(dW_t)^T | F_t] vanishes at every node of the
+    domain of ``n_proc``; the martingale property is checked separately."""
     worst = 0.0
-    for t in range(lo, hi):
+    for t in range(n_proc.t_lo, n_proc.t_hi):
         k = tree.branch_count(t)
         delta = n_proc.at(t + 1) - np.repeat(n_proc.at(t), k, axis=0)
         worst = max(worst, sup_abs(tree.expect_next_increment(delta, t)))

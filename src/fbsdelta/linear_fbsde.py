@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .bsde import _require_finite, compensator_slabs
+from .bsde import FbsdeSolution, compensator_slabs, refuse_non_finite
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
@@ -331,7 +331,6 @@ class RiccatiMatrices:
     sigma_min: np.ndarray
     gamma_reports: tuple[GammaReport, ...]
     lu: tuple = field(repr=False)
-    inv_IA: tuple = field(repr=False)
     inv_B: tuple = field(repr=False)
     inv_C: tuple = field(repr=False)
     failure_t: int | None = None
@@ -351,7 +350,6 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
     gammas = np.zeros((T, 2 * m, 2 * m))
     sigma_min = np.full(T, np.nan)
     lu: list = [None] * T
-    inv_IA: list = [None] * T
     inv_B: list = [None] * T
     inv_C: list = [None] * T
     reports: list[GammaReport] = []
@@ -374,16 +372,16 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
             failure_t = t
             break
         lu[t] = lu_factor(gamma)
-        inv_IA[t] = lu_solve(lu[t], np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
+        inv_IA = lu_solve(lu[t], np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
         inv_B[t] = lu_solve(lu[t], np.vstack([coeffs.B[t], coeffs.Bbar[t]]))
         inv_C[t] = lu_solve(lu[t], np.vstack([coeffs.C[t], coeffs.Cbar[t]]))
         if t >= 1:
-            g_map = p_next @ inv_IA[t][:m]
-            h_map = p_next @ inv_IA[t][m:]
+            g_map = p_next @ inv_IA[:m]
+            h_map = p_next @ inv_IA[m:]
             P[t] = -coeffs.Ahat[t] + (eye_n - coeffs.Bhat[t]) @ g_map - coeffs.Chat[t] @ h_map
             condensed = -coeffs.Ahat[t] + np.hstack(
                 [(eye_n - coeffs.Bhat[t]) @ p_next, -coeffs.Chat[t] @ p_next]
-            ) @ inv_IA[t]
+            ) @ inv_IA
             gap = float(np.abs(P[t] - condensed).max())
             if gap > CONSISTENCY_TOL * max(1.0, float(np.abs(P[t]).max())):
                 raise ArithmeticError(
@@ -399,7 +397,6 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
         sigma_min=sigma_min,
         gamma_reports=tuple(sorted(reports)),
         lu=tuple(lu),
-        inv_IA=tuple(inv_IA),
         inv_B=tuple(inv_B),
         inv_C=tuple(inv_C),
         failure_t=failure_t,
@@ -437,18 +434,23 @@ def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, list, list, list]:
 
 def _offset_backward(
     coeffs: LinearCoefficients, tree: ProbabilityTree, mats: RiccatiMatrices, offsets: tuple
-) -> list[np.ndarray]:
+) -> tuple[list, list, list]:
     """Slabs of the offset process p_t for t = 1..T (index 0 unused), for the
-    homogeneous part of ``coeffs`` and the offset slabs ``offsets``."""
+    homogeneous part of ``coeffs`` and the offset slabs ``offsets``, with
+    E[p_{t+1}|F_t] and E[p_{t+1} dW_t|F_t] for t = 0..T-1."""
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
     D, Dbar, Dhat, (g,) = offsets
     eye_n = np.eye(n)
     p_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
+    ep_slabs: list[np.ndarray] = [np.empty(0)] * T
+    epdw_slabs: list[np.ndarray] = [np.empty(0)] * T
     p_slabs[T] = np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[T], g) - Dhat[T - 1]
-    for t in range(T - 1, 0, -1):
+    for t in range(T - 1, -1, -1):
+        ep = ep_slabs[t] = tree.expect_next(p_slabs[t + 1], t)
+        epdw = epdw_slabs[t] = tree.expect_next_increment(p_slabs[t + 1], t)
+        if t == 0:
+            break
         p_next = mats.P[t + 1]
-        ep = tree.expect_next(p_slabs[t + 1], t)
-        epdw = tree.expect_next_increment(p_slabs[t + 1], t)
         stacked = np.concatenate([D[t], Dbar[t]], axis=1)
         inv_off = lu_solve(mats.lu[t], stacked[:, :, 0].T).T
         top_b = p_next @ mats.inv_B[t][:m]
@@ -470,7 +472,7 @@ def _offset_backward(
             - np.einsum("ij,njk->nik", coeffs.Chat[t], h_t)
             - Dhat[t - 1]
         )
-    return p_slabs
+    return p_slabs, ep_slabs, epdw_slabs
 
 
 def _solvable_matrices(
@@ -500,19 +502,8 @@ def riccati_backward(
     """Full backward pass: the matrices (P_t and the Gamma_t margins) and the
     offset process p_t on t = 1..T; raises NotSolvableError on a singular step."""
     mats = _solvable_matrices(coeffs, tree, matrices, singular_tol)
-    p_slabs = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))
+    p_slabs = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))[0]
     return mats, AdaptedProcess(tree, 1, coeffs.horizon, tuple(p_slabs[1:]))
-
-
-@dataclass(frozen=True)
-class FbsdeSolution:
-    """Solution of a coupled forward-backward system plus its residual report."""
-
-    X: AdaptedProcess
-    Y: AdaptedProcess
-    Z: AdaptedProcess
-    N: AdaptedProcess
-    residual_report: ResidualReport | None = None
 
 
 def solve_linear(
@@ -545,7 +536,7 @@ def _solve_linear(
     (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
     naming the process, time and node, when its own arithmetic overflows."""
     D, Dbar, Dhat, (g,) = offsets
-    p_slabs = _offset_backward(coeffs, tree, mats, offsets)
+    _, ep_slabs, epdw_slabs = _offset_backward(coeffs, tree, mats, offsets)
     T, m = coeffs.horizon, coeffs.m
 
     x_slabs: list[np.ndarray] = [coeffs.x0[None, :, :]]
@@ -554,8 +545,7 @@ def _solve_linear(
     eye_m = np.eye(m)
 
     for t in range(T):
-        ep = tree.expect_next(p_slabs[t + 1], t)
-        epdw = tree.expect_next_increment(p_slabs[t + 1], t)
+        ep, epdw = ep_slabs[t], epdw_slabs[t]
         x_t = x_slabs[t]
         top = (
             np.einsum("ij,njk->nik", eye_m + coeffs.A[t], x_t)
@@ -585,16 +575,17 @@ def _solve_linear(
         for t in range(1, T + 1)
     ]
     n_slabs = compensator_slabs(tree, aggregates, y_slabs, z_slabs)
+
+    def sweep():
+        for t in range(T):
+            yield from (("X", t + 1, x_slabs[t + 1]), ("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
+        yield "Y", T, y_slabs[T]
+        yield from (("N", t, n_slabs[t]) for t in range(1, T + 1))
+
     # N_T adds up the driver (which reads X), Y and Z dW along each path to a
     # leaf, and Y_T reads X_T, so N_T is finite exactly when every slab is
     if not np.isfinite(n_slabs[T]).all():
-        for t in range(T):  # sweep order
-            _require_finite(tree, "X", t + 1, x_slabs[t + 1])
-            _require_finite(tree, "Y", t, y_slabs[t])
-            _require_finite(tree, "Z", t, z_slabs[t])
-        _require_finite(tree, "Y", T, y_slabs[T])
-        for t in range(1, T + 1):
-            _require_finite(tree, "N", t, n_slabs[t])
+        refuse_non_finite(tree, sweep())
     return x_slabs, y_slabs, z_slabs, n_slabs
 
 

@@ -32,11 +32,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bsde import compensator_slabs
+from .bsde import FbsdeSolution, compensator_slabs
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import (
     RANK_TOL,
-    FbsdeSolution,
     LinearCoefficients,
     _offset_slabs,
     _realized_terms,
@@ -48,7 +47,6 @@ from .linear_fbsde import linear_residual as nonlinear_residual  # one residual 
 
 __all__ = [
     "NonlinearModel",
-    "ProcessTriple",
     "ContinuationConfig",
     "ContinuationFailedError",
     "ContinuationResult",
@@ -180,43 +178,11 @@ class NonlinearModel:
         return self.terminal(x, nodes)
 
 
-@dataclass(frozen=True)
-class ProcessTriple:
-    """The (X, Y, Z) part of a solution; the continuation iterates on its
-    raw slab lists."""
-
-    x: AdaptedProcess
-    y: AdaptedProcess
-    z: AdaptedProcess
-
-    @classmethod
-    def zeros(cls, tree: ProbabilityTree, m: int, n: int) -> "ProcessTriple":
-        T = tree.horizon
-        return cls(
-            x=AdaptedProcess.zeros(tree, (m, 1), 0, T),
-            y=AdaptedProcess.zeros(tree, (n, 1), 0, T),
-            z=AdaptedProcess.zeros(tree, (n, 1), 0, T - 1),
-        )
-
-    @classmethod
-    def from_solution(cls, sol: FbsdeSolution) -> "ProcessTriple":
-        return cls(x=sol.X, y=sol.Y, z=sol.Z)
-
-
-def _triple_slabs(tree: ProbabilityTree, triple: ProcessTriple) -> tuple[list, list, list]:
-    """The slab lists (X_0..X_T, Y_0..Y_T, Z_0..Z_{T-1}) of a triple."""
-    T = tree.horizon
-    return (
-        [triple.x.at(t) for t in range(T + 1)],
-        [triple.y.at(t) for t in range(T + 1)],
-        [triple.z.at(t) for t in range(T)],
-    )
-
-
-def weighted_distance(tree: ProbabilityTree, a: ProcessTriple, b: ProcessTriple) -> float:
-    """Root mean-square gap: interior times weigh all three components, the
-    terminal time only the forward state and backward value."""
-    return _distance(tree, _triple_slabs(tree, a), _triple_slabs(tree, b))
+def weighted_distance(tree: ProbabilityTree, a, b) -> float:
+    """Root mean-square gap between the (X, Y, Z) of two solutions: interior
+    times weigh all three components, the terminal time only the forward
+    state and backward value."""
+    return _distance(tree, (a.X.values, a.Y.values, a.Z.values), (b.X.values, b.Y.values, b.Z.values))
 
 
 @np.errstate(over="ignore")  # an overflowed gap is inf, which no tolerance accepts
@@ -262,17 +228,15 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
     return d_vals, dbar_vals, dhat_vals, [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
 
 
-def homotopy_coefficients(
-    model: NonlinearModel, tree: ProbabilityTree, alpha: float, frozen: ProcessTriple
-) -> LinearCoefficients:
+def homotopy_coefficients(model: NonlinearModel, tree: ProbabilityTree, alpha: float, frozen) -> LinearCoefficients:
     """Linear system equal to the level-``alpha`` member of the interpolation
-    family with its nonlinearity frozen at the given triple.  At alpha = 1 a
-    solution of the model is exactly a fixed point of
-    ``solve_linear(homotopy_coefficients(model, tree, 1.0, triple))``.
+    family with its nonlinearity frozen at the (X, Y, Z) of the solution
+    ``frozen``.  At alpha = 1 a solution of the model is exactly a fixed point
+    of ``solve_linear(homotopy_coefficients(model, tree, 1.0, solution))``.
     """
     T = tree.horizon
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
-    frozen_offsets = _homotopy_offsets(model, tree, _triple_slabs(tree, frozen))
+    frozen_offsets = _homotopy_offsets(model, tree, (frozen.X.values, frozen.Y.values, frozen.Z.values))
     offsets = _scaled_add(_offset_slabs(anchor), frozen_offsets, alpha)
     domains = ((0, T - 1), (0, T - 1), (1, T), (T, T))
     D, Dbar, Dhat, g = (AdaptedProcess(tree, lo, hi, tuple(slabs)) for slabs, (lo, hi) in zip(offsets, domains))
@@ -473,12 +437,8 @@ def solve_continuation(
                 )
 
     T = tree.horizon
-    triple = ProcessTriple(
-        x=AdaptedProcess(tree, 0, T, tuple(current[0])),
-        y=AdaptedProcess(tree, 0, T, tuple(current[1])),
-        z=AdaptedProcess(tree, 0, T - 1, tuple(current[2])),
-    )
-    solution = FbsdeSolution(X=triple.x, Y=triple.y, Z=triple.z, N=reconstruct_compensator(model, tree, triple))
+    X, Y, Z = (AdaptedProcess(tree, 0, hi, tuple(slabs)) for slabs, hi in zip(current, (T, T, T - 1)))
+    solution = FbsdeSolution(X, Y, Z, reconstruct_compensator(model, tree, X, Y, Z))
     report = nonlinear_residual(model, tree, solution)
     solution = replace(solution, residual_report=report)
     trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], report.max)
@@ -497,12 +457,12 @@ def solve_continuation(
 
 
 def reconstruct_compensator(
-    model: NonlinearModel, tree: ProbabilityTree, triple: ProcessTriple
+    model: NonlinearModel, tree: ProbabilityTree, X: AdaptedProcess, Y: AdaptedProcess, Z: AdaptedProcess
 ) -> AdaptedProcess:
     """Orthogonal remainder implied by (X, Y, Z): accumulate the part of each
     backward increment not explained by the driver and the Z dW term."""
     T = tree.horizon
-    x, y, z = _triple_slabs(tree, triple)
+    x, y, z = X.values, Y.values, Z.values
     aggregates = [
         y[t] + model.driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t)) for t in range(1, T + 1)
     ]

@@ -22,13 +22,13 @@ with an empty X block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .bsde import Generator, compensator_slabs
+from .bsde import BackwardSystem, Generator, compensator_slabs
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import LinearCoefficients
 from .nonlinear_fbsde import NonlinearModel
@@ -59,52 +59,48 @@ class OracleFailedError(Exception):
 
 @dataclass(frozen=True)
 class ResidualSystem:
-    """Square residual map for one system on one tree.
+    """Square residual map of one slab system ``problem`` on one tree.
 
-    The three callables follow the slab protocol of LinearCoefficients and
-    NonlinearModel: ``forward_terms(t, x, y, z, nodes) -> (drift, vol)``
-    evaluates the forward coefficients on whole time slabs (``None`` when
-    there is no forward state); ``minus_driver(t, x, y, z, nodes)`` returns
-    the term added to the backward increment (the negated driver), with
-    ``z=None`` at t = T; ``terminal_map(x_T, nodes)`` gives the required Y_T
-    slab.  All three must be row-local (row i of a result reads only row i
-    of the inputs), which is what the colouring in :meth:`jacobian` relies on.
+    ``problem`` answers the slab protocol of LinearCoefficients,
+    NonlinearModel and BackwardSystem: ``m``, ``n``, ``x0``,
+    ``forward_terms(t, x, y, z, nodes) -> (drift, vol)`` on whole time slabs
+    (called only when m > 0), ``minus_driver(t, x, y, z, nodes)``, the term
+    added to the backward increment (the negated driver), with ``z=None`` at
+    t = T, and ``terminal_map(x_T, nodes)``, the required Y_T slab.  All must
+    be row-local (row i of a result reads only row i of the inputs), which is
+    what the colouring in :meth:`jacobian` relies on.
     """
 
     tree: ProbabilityTree
-    m: int
-    n: int
-    size: int
-    x0: np.ndarray
-    forward_terms: Callable | None
-    minus_driver: Callable
-    terminal_map: Callable
+    problem: LinearCoefficients | NonlinearModel | BackwardSystem
+
+    @property
+    def m(self) -> int:
+        return self.problem.m
+
+    @property
+    def n(self) -> int:
+        return self.problem.n
+
+    @property
+    def size(self) -> int:
+        return self._layout[0]
+
+    @cached_property
+    def _layout(self) -> tuple[int, list, list[np.ndarray], list[np.ndarray]]:
+        """The stacked unknowns: X for t = 1..T, Y for t = 0..T, Z for t = 0..T-1."""
+        T, d = self.tree.horizon, self.tree.d
+        return _stacking(self.tree, ((1, T, (self.m, 1)), (0, T, (self.n, 1)), (0, T - 1, (self.n, d))))
 
     # -- packing -------------------------------------------------------
 
     def unpack(self, vec: np.ndarray):
-        tree, m, n = self.tree, self.m, self.n
-        T, d = tree.horizon, tree.d
+        """Slab lists (X_0..X_T, Y_0..Y_T, Z_0..Z_{T-1}) viewing ``vec``; X_0 is x0."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.size,):
             raise ValueError(f"expected a flat vector of {self.size} unknowns")
-        pos = 0
-        x_slabs = [self.x0[None, :, :]]
-        for t in range(1, T + 1):
-            cnt = tree.node_count(t)
-            x_slabs.append(vec[pos : pos + cnt * m].reshape(cnt, m, 1))
-            pos += cnt * m
-        y_slabs = []
-        for t in range(T + 1):
-            cnt = tree.node_count(t)
-            y_slabs.append(vec[pos : pos + cnt * n].reshape(cnt, n, 1))
-            pos += cnt * n
-        z_slabs = []
-        for t in range(T):
-            cnt = tree.node_count(t)
-            z_slabs.append(vec[pos : pos + cnt * n * d].reshape(cnt, n, d))
-            pos += cnt * n * d
-        return x_slabs, y_slabs, z_slabs
+        x, y, z = ([vec[span].reshape(shape) for _, span, shape in block] for block in self._layout[1])
+        return [self.problem.x0[None, :, :]] + x, y, z
 
     def pack(
         self,
@@ -112,15 +108,14 @@ class ResidualSystem:
         z: AdaptedProcess,
         x: AdaptedProcess | None = None,
     ) -> np.ndarray:
-        T = self.tree.horizon
-        parts = []
-        if self.m:
-            if x is None:
-                raise ValueError("this system has forward unknowns; x is required")
-            parts.extend(x.at(t).ravel() for t in range(1, T + 1))
-        parts.extend(y.at(t).ravel() for t in range(T + 1))
-        parts.extend(z.at(t).ravel() for t in range(T))
-        return np.concatenate(parts)
+        if self.m and x is None:
+            raise ValueError("this system has forward unknowns; x is required")
+        vec = np.empty(self.size)
+        for proc, block in zip((x if self.m else None, y, z), self._layout[1]):
+            if proc is not None:
+                for t, span, _ in block:
+                    vec[span] = proc.at(t).ravel()
+        return vec
 
     # -- evaluation ------------------------------------------------------
 
@@ -134,21 +129,21 @@ class ResidualSystem:
                 k = tree.branch_count(t)
                 points = tree.steps[t].points[:, 0]
                 w = np.tile(points, tree.node_count(t))[:, None, None]
-                drift, vol = self.forward_terms(t, x[t], y[t], z[t], tree.nodes(t))
+                drift, vol = self.problem.forward_terms(t, x[t], y[t], z[t], tree.nodes(t))
                 pred = np.repeat(x[t] + drift, k, axis=0) + np.repeat(vol, k, axis=0) * w
                 out.append((x[t + 1] - pred).ravel())
         lam = []
         for t in range(T):
             z_next = z[t + 1] if t + 1 < T else None
-            lam_t = y[t + 1] - self.minus_driver(t + 1, x[t + 1], y[t + 1], z_next, tree.nodes(t + 1))
+            lam_t = y[t + 1] - self.problem.minus_driver(t + 1, x[t + 1], y[t + 1], z_next, tree.nodes(t + 1))
             lam.append(lam_t)
             out.append((y[t] - tree.expect_next(lam_t, t)).ravel())
         for t in range(T):
             out.append((z[t] - tree.expect_next_increment(lam[t], t)).ravel())
-        out.append((y[T] - self.terminal_map(x[T], tree.nodes(T))).ravel())
+        out.append((y[T] - self.problem.terminal_map(x[T], tree.nodes(T))).ravel())
         return np.concatenate(out)
 
-    def jacobian(self, vec: np.ndarray, step: float = FD_STEP, scheme: str = "forward") -> np.ndarray:
+    def jacobian(self, vec: np.ndarray, scheme: str = "forward") -> np.ndarray:
         """Finite-difference Jacobian, one residual evaluation (two for
         ``central``) per colour of columns rather than per unknown.
 
@@ -165,13 +160,13 @@ class ResidualSystem:
         diffs = np.empty((len(groups), self.size))
         for c, group in enumerate(groups):
             bumped = vec.copy()
-            bumped[group] += step
+            bumped[group] += FD_STEP
             hi = self.residual(bumped)
             if scheme == "forward":
-                diffs[c] = (hi - base) / step
+                diffs[c] = (hi - base) / FD_STEP
             else:
-                bumped[group] -= 2.0 * step
-                diffs[c] = (hi - self.residual(bumped)) / (2.0 * step)
+                bumped[group] -= 2.0 * FD_STEP
+                diffs[c] = (hi - self.residual(bumped)) / (2.0 * FD_STEP)
         jac = np.zeros((self.size, self.size))
         jac[rows, cols] = diffs[colours, rows]
         return jac
@@ -192,8 +187,8 @@ class ResidualSystem:
         tree, m, n = self.tree, self.m, self.n
         T, d = tree.horizon, tree.d
         width = m + n + n * d
-        col_index, col_slot = _node_layout(tree, ((1, T, m), (0, T, n), (0, T - 1, n * d)))
-        row_index, _ = _node_layout(tree, ((1, T, m), (0, T - 1, n), (0, T - 1, n * d), (T, T, n)))
+        _, _, col_index, col_slot = self._layout
+        row_index = _stacking(tree, ((1, T, (m, 1)), (0, T - 1, (n, 1)), (0, T - 1, (n, d)), (T, T, (n, 1))))[2]
         k_max = max(tree.branch_count(t) for t in range(T))
         colour = np.empty(self.size, dtype=np.intp)
         rows, cols = [], []
@@ -219,34 +214,28 @@ class ResidualSystem:
         return groups, rows, cols, colour[cols]
 
 
-def _node_layout(tree: ProbabilityTree, blocks) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Positions in a stacked vector, gathered by node.
-
-    ``blocks`` lists ``(first time, last time, width)`` in stacking order;
-    each block holds ``width`` entries per node, times ascending.  Returns
-    per time t a (node_count(t), entries) array of positions and the label
-    of each entry (its offset across the concatenated block widths).
-    """
+def _stacking(tree: ProbabilityTree, blocks) -> tuple[int, list, list[np.ndarray], list[np.ndarray]]:
+    """Layout of a vector stacking ``blocks``, each (first time, last time,
+    slab shape) with one slab per time, times ascending: the length, per block
+    the (t, slice, slab shape) of each slab, and per time t the positions of
+    each node's entries as a (node_count(t), entries) array, with the label of
+    each entry (its offset across the concatenated block widths)."""
     T = tree.horizon
     index: list[list[np.ndarray]] = [[] for _ in range(T + 1)]
     labels: list[list[np.ndarray]] = [[] for _ in range(T + 1)]
+    spans = []
     pos = label = 0
-    for lo, hi, width in blocks:
+    for lo, hi, shape in blocks:
+        width = math.prod(shape)
+        spans.append([])
         for t in range(lo, hi + 1):
             count = tree.node_count(t)
+            spans[-1].append((t, slice(pos, pos + count * width), (count,) + shape))
             index[t].append(pos + np.arange(count * width).reshape(count, width))
             labels[t].append(label + np.arange(width))
             pos += count * width
         label += width
-    return [np.hstack(ix) for ix in index], [np.concatenate(lb) for lb in labels]
-
-
-def _system_size(tree: ProbabilityTree, m: int, n: int) -> int:
-    T, d = tree.horizon, tree.d
-    size = sum(tree.node_count(t) * m for t in range(1, T + 1))
-    size += sum(tree.node_count(t) * n for t in range(T + 1))
-    size += sum(tree.node_count(t) * n * d for t in range(T))
-    return size
+    return pos, spans, [np.hstack(ix) for ix in index], [np.concatenate(lb) for lb in labels]
 
 
 def build_residual_system(
@@ -259,44 +248,14 @@ def build_residual_system(
     if isinstance(problem, Generator):
         if eta is None:
             raise ValueError("a plain backward equation needs terminal data eta")
-        gen = problem
-        if gen.d != tree.d:
-            raise ValueError("generator and tree disagree on the noise dimension")
-        n = gen.n
-        if eta.shape != (n, 1) or eta.t_hi < tree.horizon or eta.t_lo > tree.horizon:
-            raise ValueError("eta must be an (n, 1) process defined at the horizon")
-        eta_slab = eta.at(tree.horizon)
-
-        def minus_driver(t, x, y, z, nodes):
-            return -gen.on_slab(tree, t, y, z)
-
-        return ResidualSystem(
-            tree=tree,
-            m=0,
-            n=n,
-            size=_system_size(tree, 0, n),
-            x0=np.zeros((0, 1)),
-            forward_terms=None,
-            minus_driver=minus_driver,
-            terminal_map=lambda x, nodes: eta_slab,
-        )
-
+        return ResidualSystem(tree, BackwardSystem(tree, problem, eta))
     if not isinstance(problem, (LinearCoefficients, NonlinearModel)):
         raise TypeError(f"no residual system is defined for {type(problem).__name__}")
     if tree.d != 1:
         raise ValueError("coupled systems require one-dimensional driving noise")
     if isinstance(problem, LinearCoefficients) and problem.horizon != tree.horizon:
         raise ValueError("tree and coefficients disagree on the horizon")
-    return ResidualSystem(
-        tree=tree,
-        m=problem.m,
-        n=problem.n,
-        size=_system_size(tree, problem.m, problem.n),
-        x0=problem.x0,
-        forward_terms=problem.forward_terms,
-        minus_driver=problem.minus_driver,
-        terminal_map=problem.terminal_map,
-    )
+    return ResidualSystem(tree, problem)
 
 
 @dataclass(frozen=True)
@@ -316,7 +275,8 @@ def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTra
     T = tree.horizon
     x, y, z = system.unpack(vec)
     aggregates = [
-        y[t] - system.minus_driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t)) for t in range(1, T + 1)
+        y[t] - system.problem.minus_driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t))
+        for t in range(1, T + 1)
     ]
     n_slabs = compensator_slabs(tree, aggregates, y, z)
     return OracleSolution(
@@ -334,7 +294,6 @@ def solve_global_newton(
     start: np.ndarray | None = None,
     tol: float = NEWTON_TOL,
     max_iters: int = NEWTON_MAX_ITERS,
-    fd_step: float = FD_STEP,
     scheme: str = "forward",
 ) -> OracleSolution:
     """Drive the stacked residual to (sup-norm) ``tol`` by damped Newton steps.
@@ -353,7 +312,7 @@ def solve_global_newton(
         if sup <= tol:
             trace = NewtonTrace(True, iteration, tuple(norms), tuple(steps), "converged")
             return _assemble_solution(system, vec, trace)
-        jac = system.jacobian(vec, step=fd_step, scheme=scheme)
+        jac = system.jacobian(vec, scheme=scheme)
         try:
             direction = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:

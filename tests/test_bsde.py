@@ -7,11 +7,13 @@ import pytest
 
 from fbsdelta import (
     AdaptedProcess,
+    FbsdeSolution,
     Generator,
     IncrementDistribution,
     NonFiniteSolutionError,
     ProbabilityTree,
     bsde_residuals,
+    build_residual_system,
     conditional_expectation,
     eval_expr,
     is_martingale,
@@ -163,6 +165,28 @@ def test_dimension_and_domain_validation():
         solve_bsde(tree, zero_generator(1, 1), AdaptedProcess.zeros(tree, (1, 1), 0, 1))
     with pytest.raises(ValueError, match=r"\(1, 1\)"):
         solve_bsde(tree, zero_generator(1, 1), AdaptedProcess.zeros(tree, (2, 1), 2, 2))
+
+
+@pytest.mark.parametrize(
+    "d, eta_shape, eta_times, match",
+    [(2, (1, 1), (2, 2), "noise dimension"), (1, (1, 1), (0, 1), "horizon"), (1, (2, 1), (2, 2), r"\(1, 1\)")],
+)
+def test_solver_and_oracle_refuse_the_same_backward_data(d, eta_shape, eta_times, match):
+    tree = rademacher_tree(2)
+    gen, eta = zero_generator(1, d), AdaptedProcess.zeros(tree, eta_shape, *eta_times)
+    with pytest.raises(ValueError, match=match) as solver:
+        solve_bsde(tree, gen, eta)
+    with pytest.raises(ValueError, match=match) as oracle:
+        build_residual_system(tree, gen, eta=eta)
+    assert str(solver.value) == str(oracle.value)
+
+
+def test_a_backward_solution_has_no_forward_state():
+    tree = rademacher_tree(2)
+    sol = solve_bsde(tree, zero_generator(1, 1), random_terminal(np.random.default_rng(2), tree, n=1))
+    assert isinstance(sol, FbsdeSolution)
+    assert sol.X is None
+    assert sol.residual_report is None
 
 
 def test_energy_diagnostics():

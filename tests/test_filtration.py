@@ -168,14 +168,6 @@ def test_strong_orthogonality_check():
     assert not ok and residual == pytest.approx(1.0, abs=1e-12)
 
 
-def test_orthogonality_t_range_validation():
-    tree = rademacher_tree(3)
-    n = AdaptedProcess.zeros(tree, (1, 1), 0, 3)
-    assert is_strongly_orthogonal(tree, n, (1, 2)).ok
-    with pytest.raises(ValueError):
-        is_strongly_orthogonal(tree, n, (0, 5))
-
-
 def test_adapted_process_validation_and_access():
     tree = rademacher_tree(2)
     with pytest.raises(ValueError, match="rows"):

@@ -15,7 +15,6 @@ from fbsdelta import (
     NonlinearModel,
     NotSolvableError,
     ProbabilityTree,
-    ProcessTriple,
     ResidualReport,
     anchor_coefficients,
     check_solvability,
@@ -225,7 +224,7 @@ def test_linear_and_slab_model_forms_give_the_same_report_and_compensator(branch
     for field in dataclasses.fields(ResidualReport):
         assert abs(getattr(linear, field.name) - getattr(nonlinear, field.name)) <= EXACT_TOL
     assert linear.max <= RESIDUAL_TOL
-    compensator = reconstruct_compensator(model, tree, ProcessTriple.from_solution(sol))
+    compensator = reconstruct_compensator(model, tree, sol.X, sol.Y, sol.Z)
     assert (compensator - sol.N).sup_norm() <= EXACT_TOL
 
 

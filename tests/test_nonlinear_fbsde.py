@@ -14,7 +14,6 @@ from fbsdelta import (
     FbsdeSolution,
     Generator,
     NonlinearModel,
-    ProcessTriple,
     anchor_coefficients,
     build_residual_system,
     check_monotone,
@@ -68,7 +67,7 @@ def test_anchor_model_reproduces_the_linear_solution():
 
     # the frozen-coefficient family at midlevel equals the base system with
     # half the offsets, whatever triple the nonlinearity is frozen at
-    frozen = ProcessTriple.from_solution(result.solution)
+    frozen = result.solution
     mid = homotopy_coefficients(model, tree, 0.5, frozen)
     direct = anchor_coefficients(
         tree, G, 1.0, 1.0, [[0.4], [-0.2]],
@@ -215,15 +214,26 @@ def test_continuation_config_validation():
         ContinuationConfig(picard_tol=0.0)
 
 
+def zero_solution(tree, m: int, n: int) -> FbsdeSolution:
+    T = tree.horizon
+    return FbsdeSolution(
+        X=AdaptedProcess.zeros(tree, (m, 1), 0, T),
+        Y=AdaptedProcess.zeros(tree, (n, 1), 0, T),
+        Z=AdaptedProcess.zeros(tree, (n, 1), 0, T - 1),
+        N=AdaptedProcess.zeros(tree, (n, 1), 0, T),
+    )
+
+
 def test_weighted_distance_convention():
     # interior times count all three components, the horizon only (x, y)
     tree = rademacher_tree(1)
-    a = ProcessTriple(
-        x=AdaptedProcess.constant(tree, np.array([[2.0]]), 0, 1),
-        y=AdaptedProcess.constant(tree, np.array([[2.0]]), 0, 1),
-        z=AdaptedProcess.constant(tree, np.array([[2.0]]), 0, 0),
+    a = FbsdeSolution(
+        X=AdaptedProcess.constant(tree, np.array([[2.0]]), 0, 1),
+        Y=AdaptedProcess.constant(tree, np.array([[2.0]]), 0, 1),
+        Z=AdaptedProcess.constant(tree, np.array([[2.0]]), 0, 0),
+        N=AdaptedProcess.zeros(tree, (1, 1), 0, 1),
     )
-    b = ProcessTriple.zeros(tree, 1, 1)
+    b = zero_solution(tree, 1, 1)
     assert weighted_distance(tree, a, b) == pytest.approx(math.sqrt(20.0), abs=1e-12)
     assert weighted_distance(tree, a, a) == 0.0
 
@@ -343,8 +353,7 @@ def test_slab_models_agree_with_their_pointwise_wrapping(name):
     for field in dataclasses.fields(report_slab):
         assert abs(getattr(report_slab, field.name) - getattr(report_pointwise, field.name)) <= SLAB_TOL
 
-    triple = ProcessTriple.from_solution(sol)
-    compensators = [reconstruct_compensator(model, tree, triple) for model in (slab, pointwise)]
+    compensators = [reconstruct_compensator(model, tree, sol.X, sol.Y, sol.Z) for model in (slab, pointwise)]
     assert (compensators[0] - compensators[1]).sup_norm() <= SLAB_TOL
 
     anchor = anchor_coefficients(tree, slab.G, slab.beta1, slab.beta2, slab.x0)
@@ -420,7 +429,7 @@ def test_batched_monotonicity_check_matches_the_per_sample_loop(seed):
 def test_continuation_calls_the_model_once_per_slab():
     model, calls = counting_model(mild_coupled_model(m=2, seed=5))
     tree = rademacher_tree(3)
-    homotopy_coefficients(model, tree, 1.0, ProcessTriple.zeros(tree, 2, 2))
+    homotopy_coefficients(model, tree, 1.0, zero_solution(tree, 2, 2))
     assert calls == {"b": 3, "sigma": 3, "f": 3, "h": 1}
     calls.clear()
     solve_continuation(model, tree)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbsdelta import (
+    AdaptedProcess,
     FbsdeSolution,
     Generator,
     LinearCoefficients,
@@ -234,6 +235,33 @@ def residual_systems(draw) -> ResidualSystem:
 def test_coloured_jacobian_equals_the_per_column_reference(system, scheme, seed):
     vec = np.random.default_rng(seed).uniform(-1.0, 1.0, size=system.size)
     assert np.array_equal(system.jacobian(vec, scheme=scheme), per_column_jacobian(system, vec, scheme=scheme))
+
+
+@_PROPERTY
+@given(system=residual_systems(), seed=st.integers(0, 2**32 - 1))
+def test_unpack_returns_the_packed_slabs_as_views(system, seed):
+    tree, m, n = system.tree, system.m, system.n
+    T, d = tree.horizon, tree.d
+    counts = [tree.node_count(t) for t in range(T + 1)]
+    assert system.size == m * sum(counts[1:]) + n * sum(counts) + n * d * sum(counts[:-1])
+    rng = np.random.default_rng(seed)
+
+    def process(shape, t_hi):
+        return AdaptedProcess(tree, 0, t_hi, tuple(rng.uniform(-1.0, 1.0, (counts[t],) + shape) for t in range(t_hi + 1)))
+
+    x, y, z = process((m, 1), T) if m else None, process((n, 1), T), process((n, d), T - 1)
+    vec = system.pack(y=y, z=z, x=x)
+    assert vec.shape == (system.size,)
+    xs, ys, zs = system.unpack(vec)
+    assert len(xs) == len(ys) == T + 1 and len(zs) == T
+    assert np.array_equal(xs[0], system.problem.x0[None])
+    for t in range(T + 1):
+        assert xs[t].shape == (counts[t], m, 1)
+        assert np.array_equal(ys[t], y.at(t)) and np.shares_memory(ys[t], vec)
+        if m and t > 0:
+            assert np.array_equal(xs[t], x.at(t)) and np.shares_memory(xs[t], vec)
+        if t < T:
+            assert np.array_equal(zs[t], z.at(t)) and np.shares_memory(zs[t], vec)
 
 
 def colour_count(tree: ProbabilityTree, m: int, n: int) -> int:
