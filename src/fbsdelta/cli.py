@@ -26,7 +26,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -92,7 +92,10 @@ def _require(mapping: dict, key: str, where: str):
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ScenarioError(f"{where} must be finite")
     return out
@@ -107,7 +110,7 @@ def _as_int(value, where: str) -> int:
 def _parse_array(value, where: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where} is not a numeric array: {exc}") from exc
     if arr.size == 0:
         raise ScenarioError(f"{where} must not be empty")
@@ -188,18 +191,33 @@ def _parse_tree(value) -> ProbabilityTree:
 # -- offset (inhomogeneous term) parsing -----------------------------------------
 
 
+def _node_paths(tree: ProbabilityTree, t: int) -> list[str]:
+    """Dot-separated outcome paths of the nodes at time t, in rank order ("" is the root)."""
+    paths = [""]
+    for s in range(t):
+        outcomes = [str(k) for k in range(tree.branch_count(s))]
+        paths = outcomes if s == 0 else [p + "." + k for p in paths for k in outcomes]
+    return paths
+
+
 def _slab_from_table(tree: ProbabilityTree, t: int, table, rows: int, where: str) -> np.ndarray:
     if not isinstance(table, dict):
         raise ScenarioError(f"{where} must map node paths to component vectors")
-    expected = {".".join(str(k) for k in node): i for i, node in enumerate(tree.nodes(t))}
-    extra = sorted(set(table) - set(expected))
+    paths = _node_paths(tree, t)
+    extra = sorted(set(table).difference(paths))
     if extra:
         raise ScenarioError(f"{where} has entries for unknown nodes: {extra}")
-    missing = sorted(set(expected) - set(table))
+    missing = sorted(set(paths).difference(table))
     if missing:
         raise ScenarioError(f"{where} is missing nodes: {missing}")
-    slab = np.empty((len(expected), rows, 1))
-    for key, i in expected.items():
+    try:  # all entries at once; the per-entry loop below names a faulty entry
+        slab = np.asarray([table[p] for p in paths], dtype=float).reshape(len(paths), rows, 1)
+        if np.isfinite(slab).all():
+            return slab
+    except (TypeError, ValueError, OverflowError):
+        pass
+    slab = np.empty((len(paths), rows, 1))
+    for i, key in enumerate(paths):
         vec = _parse_array(table[key], f"{where}[{key!r}]")
         if vec.size != rows:
             raise ScenarioError(f"{where}[{key!r}] must have {rows} components")
@@ -383,19 +401,7 @@ def _parse_solver(value) -> SolverConfig:
         return SolverConfig()
     if not isinstance(value, dict):
         raise ScenarioError("solver must be an object")
-    allowed = {
-        "tol",
-        "seed",
-        "delta_init",
-        "delta_min",
-        "picard_tol",
-        "picard_max_iters",
-        "validation_tol",
-        "samples",
-        "monotone_beta1",
-        "monotone_beta2",
-    }
-    _check_keys(value, allowed, "solver")
+    _check_keys(value, {f.name for f in fields(SolverConfig)}, "solver")
     kwargs = {}
     for key in ("tol", "delta_init", "delta_min", "picard_tol", "validation_tol"):
         if key in value:
@@ -495,11 +501,10 @@ def _process_csv(tree: ProbabilityTree, proc: AdaptedProcess, prefix: str) -> st
     rows, cols = proc.shape
     lines = ["time,node," + ",".join(_component_names(prefix, rows, cols))]
     for t in range(proc.t_lo, proc.t_hi + 1):
-        slab = proc.at(t)
-        for i, node in enumerate(tree.nodes(t)):
-            path = ".".join(str(k) for k in node)
-            values = ",".join(f"{v:.17g}" for v in slab[i].reshape(-1))
-            lines.append(f"{t},{path},{values}")
+        paths = _node_paths(tree, t)
+        template = f"{t},%s," + ",".join(["%.17g"] * (rows * cols))
+        values = proc.at(t).reshape(len(paths), rows * cols).tolist()
+        lines += [template % (path, *row) for path, row in zip(paths, values)]
     return "\n".join(lines) + "\n"
 
 

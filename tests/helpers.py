@@ -20,6 +20,7 @@ from fbsdelta import (
     parse_expr,
     riccati_matrices,
 )
+from fbsdelta.cli import _component_names
 from fbsdelta.filtration import sup_abs
 from fbsdelta.oracle import FD_STEP
 
@@ -390,3 +391,16 @@ def spot_check_terminal_independence(
         f1, f2 = np.asarray(rows, dtype=float)
         worst = max(worst, sup_abs(f1 - f2))
     return worst
+
+
+def reference_process_csv(tree: ProbabilityTree, proc: AdaptedProcess, prefix: str) -> str:
+    """The CSV table of a process written one node and one value at a time."""
+    rows, cols = proc.shape
+    lines = ["time,node," + ",".join(_component_names(prefix, rows, cols))]
+    for t in range(proc.t_lo, proc.t_hi + 1):
+        slab = proc.at(t)
+        for i, node in enumerate(tree.nodes(t)):
+            path = ".".join(str(k) for k in node)
+            values = ",".join(f"{v:.17g}" for v in slab[i].reshape(-1))
+            lines.append(f"{t},{path},{values}")
+    return "\n".join(lines) + "\n"

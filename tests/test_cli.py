@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
     AdaptedProcess,
@@ -19,8 +21,8 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
-from fbsdelta.cli import load_scenario, main
-from helpers import rademacher_tree
+from fbsdelta.cli import _parse_tree, _process_csv, _slab_from_table, load_scenario, main
+from helpers import random_increments, rademacher_tree, reference_process_csv
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -468,3 +470,168 @@ def test_reruns_are_byte_identical(tmp_path, capsys, command, scenario_factory):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# -- node tables ----------------------------------------------------------------------
+
+
+def _terminal_table(**changes):
+    """A valid n = 2 terminal table on Rademacher T = 2, with entries replaced (or dropped on None)."""
+    table = {leaf: [float(i), -float(i)] for i, leaf in enumerate(("0.0", "0.1", "1.0", "1.1"))}
+    for leaf, entry in changes.items():
+        if entry is None:
+            del table[leaf]
+        else:
+            table[leaf] = entry
+    return table
+
+
+def _table_scenario(table):
+    scenario = bsde_scenario()
+    scenario["tree"]["horizon"] = 2
+    scenario["model"]["terminal"] = table
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        (
+            _terminal_table(**{"2.0": [1.0, 1.0], "": [0.0, 0.0]}),
+            "model.terminal has entries for unknown nodes: ['', '2.0']",
+        ),
+        (_terminal_table(**{"0.1": None, "1.1": None}), "model.terminal is missing nodes: ['0.1', '1.1']"),
+        (_terminal_table(**{"1.0": [1.0], "0.1": [1.0, 2.0, 3.0]}), "model.terminal['0.1'] must have 2 components"),
+        (
+            _terminal_table(**{"0.1": ["a", 1.0], "1.1": "b"}),
+            "model.terminal['0.1'] is not a numeric array: could not convert string to float: 'a'",
+        ),
+        (
+            _terminal_table(**{"0.1": [[1.0], [2.0, 3.0]]}),
+            "model.terminal['0.1'] is not a numeric array: setting an array element with a sequence. "
+            "The requested array has an inhomogeneous shape after 1 dimensions. "
+            "The detected shape was (2,) + inhomogeneous part.",
+        ),
+        (_terminal_table(**{"1.0": [], "1.1": []}), "model.terminal['1.0'] must not be empty"),
+        (_terminal_table(**{"1.0": [float("nan"), 1.0]}), "model.terminal['1.0'] must be finite"),
+    ],
+    ids=["unknown", "missing", "wrong-size", "non-numeric", "ragged", "empty", "nan"],
+)
+def test_node_table_faults_exit_3_with_the_pinned_message(tmp_path, capsys, table, message):
+    path = write_scenario(tmp_path, _table_scenario(table))
+    assert main(["solve-bsde", path]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_node_table_fault_in_an_offset_table_names_the_time(tmp_path, capsys):
+    scenario = linear_scenario()
+    scenario["model"]["D"] = {"table": {"0": {"": [0.5]}, "1": {"0": [1.0], "1": [float("inf")]}}}
+    assert main(["solve-linear", write_scenario(tmp_path, scenario)]) == 3
+    assert capsys.readouterr().err == "error: model.D.table['1']['1'] must be finite\n"
+
+
+def test_node_table_entries_may_differ_in_nesting(tmp_path):
+    flat = write_scenario(tmp_path, _table_scenario(_terminal_table()), "flat.json")
+    nested = write_scenario(tmp_path, _table_scenario(_terminal_table(**{"1.0": [[2.0], [-2.0]]})), "nested.json")
+    for path, out in ((flat, "a"), (nested, "b")):
+        assert main(["solve-bsde", path, "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a" / "Y.csv").read_bytes() == (tmp_path / "b" / "Y.csv").read_bytes()
+
+
+_HUGE = 10**400  # a JSON integer literal with no float value
+
+
+def _huge_in_terminal(s):
+    s["model"]["terminal"] = [_HUGE, 0.0]
+
+
+def _huge_in_terminal_table(s):
+    s["tree"]["horizon"] = 2
+    s["model"]["terminal"] = _terminal_table(**{"0.1": [1.0, _HUGE]})
+
+
+def _huge_in_probs(s):
+    s["tree"] = {"horizon": 1, "step": {"points": [[-1.0], [1.0]], "probs": [_HUGE, 0.5]}}
+
+
+def _huge_in_beta1(s):
+    s.update(nonlinear_scenario())
+    s["model"]["beta1"] = _HUGE
+
+
+def _huge_in_tol(s):
+    s["solver"] = {"tol": _HUGE}
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_huge_in_terminal, "model.terminal is not a numeric array"),
+        (_huge_in_terminal_table, "model.terminal['0.1'] is not a numeric array"),
+        (_huge_in_probs, "tree.step.probs is not a numeric array"),
+        (_huge_in_beta1, "model.beta1 must be finite"),
+        (_huge_in_tol, "solver.tol must be finite"),
+    ],
+    ids=["terminal", "terminal-table", "probs", "beta1", "tol"],
+)
+def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, mutate, message):
+    scenario = bsde_scenario()
+    mutate(scenario)
+    assert main(["validate", write_scenario(tmp_path, scenario)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+_SPECIALS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0**53, -7.0])
+
+
+@st.composite
+def processes_on_mixed_trees(draw):
+    """A process with awkward values on a tree whose steps differ in branching."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # one noise dimension: 2, 3 and 4 outcomes
+        choices = st.sampled_from(("rademacher", "trinomial", "four-point"))
+        d = 1
+    else:  # two noise dimensions: 3 and 4 outcomes
+        choices = st.sampled_from(("three-point", "four-point"))
+        d = 2
+    steps = []
+    for kind in draw(st.lists(choices, min_size=1, max_size=4)):
+        if kind == "rademacher":
+            steps.append(kind)
+        elif kind == "trinomial":
+            steps.append(f"trinomial({rng.uniform(0.05, 0.45)!r})")
+        else:
+            step = random_increments(rng, 4 if kind == "four-point" else 3, d)
+            steps.append({"points": step.points.tolist(), "probs": step.probs.tolist()})
+    tree = _parse_tree({"steps": steps})
+    t_lo = draw(st.integers(0, tree.horizon))
+    t_hi = draw(st.integers(t_lo, tree.horizon))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    slabs = []
+    for t in range(t_lo, t_hi + 1):
+        size = tree.node_count(t) * shape[0] * shape[1]
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+        kind = rng.integers(0, 3, size)
+        values[kind == 1] = rng.choice(_SPECIALS, int((kind == 1).sum()))
+        values[kind == 2] = rng.integers(-(10**6), 10**6, int((kind == 2).sum()))
+        if t == t_lo:
+            values[: len(extra)] = extra[:size]
+        slabs.append(values.reshape((tree.node_count(t),) + shape))
+    return tree, AdaptedProcess(tree, t_lo, t_hi, tuple(slabs))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=processes_on_mixed_trees())
+def test_csv_tables_match_the_per_node_writer_and_parse_back_bit_for_bit(case):
+    tree, proc = case
+    text = _process_csv(tree, proc, "y")
+    assert text == reference_process_csv(tree, proc, "y")
+    width = proc.shape[0] * proc.shape[1]
+    tables = {t: {} for t in range(proc.t_lo, proc.t_hi + 1)}
+    for line in text.splitlines()[1:]:
+        t, node, *values = line.split(",")
+        tables[int(t)][node] = [float(v) for v in values]
+    for t, table in tables.items():
+        slab = _slab_from_table(tree, t, json.loads(json.dumps(table)), width, "table")
+        assert slab.tobytes() == proc.at(t).reshape(-1, width, 1).tobytes()
