@@ -21,7 +21,6 @@ import numpy as np
 
 from .filtration import (
     AdaptedProcess,
-    CheckResult,
     ProbabilityTree,
     is_martingale,
     is_strongly_orthogonal,
@@ -41,12 +40,10 @@ class NonFiniteSolutionError(ArithmeticError):
 
 def refuse_non_finite(tree: ProbabilityTree, sweep) -> None:
     """Raise NonFiniteSolutionError naming the first non-finite slab of
-    ``sweep``, (name, t, slab) triples in sweep order.  A solver calls this
-    once its N_T has come out non-finite: N_T sums the slabs of the sweep along
-    each path to a leaf, so one of them overflowed."""
+    ``sweep``, (name, t, slab) triples in sweep order."""
     for name, t, slab in sweep:
-        rows = ~np.isfinite(slab.reshape(slab.shape[0], -1)).all(axis=1)
-        if rows.any():
+        if not np.isfinite(slab).all():
+            rows = ~np.isfinite(slab.reshape(slab.shape[0], -1)).all(axis=1)
             raise NonFiniteSolutionError(f"{name}_{t} is not finite at node {tree.nodes(t)[np.argmax(rows)]}")
 
 
@@ -61,6 +58,30 @@ def compensator_slabs(tree: ProbabilityTree, aggregates: list, y_slabs: list, z_
         delta_n = tree.children_view(aggregates[t], t) - y_slabs[t][:, None, :, :] - zdw[:, :, :, None]
         n_slabs.append(np.repeat(n_slabs[t], tree.branch_count(t), axis=0) + delta_n.reshape(-1, n, 1))
     return n_slabs
+
+
+def driver_terms(problem, tree: ProbabilityTree, x, y: list, z: list) -> tuple[list, list]:
+    """The negated drivers of the slab system ``problem`` along the slab lists
+    x (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
+    the one-step aggregates Y_t + f(t, ...) they make; index t - 1 holds time
+    t = 1..T.  The driver is evaluated with z = None (zero) at T."""
+    horizon = tree.horizon
+    minus_f = [
+        problem.minus_driver(t, None if x is None else x[t], y[t], z[t] if t < horizon else None, tree.nodes(t))
+        for t in range(1, horizon + 1)
+    ]
+    return minus_f, [y[t + 1] - slab for t, slab in enumerate(minus_f)]
+
+
+def backward_defect(tree: ProbabilityTree, t: int, y: list, z: list, n: list, minus_f: np.ndarray) -> np.ndarray:
+    """Defect of the backward equation from t to t + 1 on the time-(t+1)
+    slab: (Y_{t+1} - Y_t) - (-f) - Z_t dW_t - (N_{t+1} - N_t), where
+    ``minus_f`` is the negated driver at t + 1."""
+    k = tree.branch_count(t)
+    dy = y[t + 1] - np.repeat(y[t], k, axis=0)
+    dn = n[t + 1] - np.repeat(n[t], k, axis=0)
+    zdw = np.einsum("nrd,kd->nkr", z[t], tree.steps[t].points)
+    return dy - minus_f - zdw.reshape(dy.shape) - dn
 
 
 @dataclass(frozen=True)
@@ -185,6 +206,8 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Fb
             yield from (("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
         yield from (("N", t, slab) for t, slab in enumerate(n_slabs))
 
+    # N_T sums the slabs of the sweep along each path to a leaf, so it is
+    # finite unless one of them overflowed
     if not np.isfinite(n_slabs[horizon]).all():
         refuse_non_finite(tree, sweep())
 
@@ -213,26 +236,17 @@ class BsdeResidualReport:
 def bsde_residuals(
     tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess, sol: FbsdeSolution
 ) -> BsdeResidualReport:
-    """Evaluate the defining equation of the backward system pathwise."""
+    """Evaluate the backward equation, the terminal condition and N's checks
+    pathwise; unlike the coupled report, no projection of the aggregate."""
+    system = BackwardSystem(tree, gen, eta)
     horizon = tree.horizon
-    worst_eq = 0.0
-    for t in range(horizon):
-        z_next = sol.Z.at(t + 1) if t + 1 < horizon else None
-        f_next = gen.on_slab(tree, t + 1, sol.Y.at(t + 1), z_next)
-        k = tree.branch_count(t)
-        dy = sol.Y.at(t + 1) - np.repeat(sol.Y.at(t), k, axis=0)
-        dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        zdw = np.einsum("nrd,kd->nkr", sol.Z.at(t), tree.steps[t].points)
-        resid = dy + f_next - zdw.reshape(dy.shape) - dn
-        worst_eq = max(worst_eq, sup_abs(resid))
-    terminal = sup_abs(sol.Y.at(horizon) - eta.at(horizon))
-    mart: CheckResult = is_martingale(tree, sol.N)
-    orth: CheckResult = is_strongly_orthogonal(tree, sol.N)
+    y, z, n = sol.Y.values, sol.Z.values, sol.N.values
+    minus_f, _ = driver_terms(system, tree, None, y, z)
     return BsdeResidualReport(
-        equation=worst_eq,
-        terminal=terminal,
-        martingale=mart.residual,
-        orthogonality=orth.residual,
+        equation=max(sup_abs(backward_defect(tree, t, y, z, n, minus_f[t])) for t in range(horizon)),
+        terminal=sup_abs(y[horizon] - system.terminal_map(None, tree.nodes(horizon))),
+        martingale=is_martingale(tree, sol.N).residual,
+        orthogonality=is_strongly_orthogonal(tree, sol.N).residual,
     )
 
 

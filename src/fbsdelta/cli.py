@@ -22,6 +22,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -112,6 +113,10 @@ def _parse_array(value, where: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where} is not a numeric array: {exc}") from exc
+    # the conversion reads the JSON strings "1.5" and true as numbers; refuse them
+    text = [v for v in np.asarray(value, dtype=object).ravel() if isinstance(v, (str, bool))]
+    if text:
+        raise ScenarioError(f"{where} is not a numeric array: {json.dumps(text[0])} must be a number")
     if arr.size == 0:
         raise ScenarioError(f"{where} must not be empty")
     if not np.isfinite(arr).all():
@@ -210,10 +215,14 @@ def _slab_from_table(tree: ProbabilityTree, t: int, table, rows: int, where: str
     missing = sorted(set(paths).difference(table))
     if missing:
         raise ScenarioError(f"{where} is missing nodes: {missing}")
-    try:  # all entries at once; the per-entry loop below names a faulty entry
-        slab = np.asarray([table[p] for p in paths], dtype=float).reshape(len(paths), rows, 1)
-        if np.isfinite(slab).all():
-            return slab
+    # All entries at once when each is a flat list of numbers; otherwise,
+    # and on any fault, the per-entry loop below parses and names each entry.
+    entries = [table[p] for p in paths]
+    try:
+        if set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+            slab = np.asarray(entries, dtype=float).reshape(len(paths), rows, 1)
+            if np.isfinite(slab).all():
+                return slab
     except (TypeError, ValueError, OverflowError):
         pass
     slab = np.empty((len(paths), rows, 1))
@@ -383,11 +392,11 @@ class SolverConfig:
 
     tol: float | None = None
     seed: int = 0
-    delta_init: float = 0.5
-    delta_min: float = 1e-3
-    picard_tol: float = 1e-11
-    picard_max_iters: int = 80
-    validation_tol: float = 1e-8
+    delta_init: float = ContinuationConfig.delta_init
+    delta_min: float = ContinuationConfig.delta_min
+    picard_tol: float = ContinuationConfig.picard_tol
+    picard_max_iters: int = ContinuationConfig.picard_max_iters
+    validation_tol: float = ContinuationConfig.validation_tol
     samples: int = 200
     monotone_beta1: float | None = None
     monotone_beta2: float | None = None

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .bsde import FbsdeSolution, compensator_slabs, refuse_non_finite
+from .bsde import FbsdeSolution, backward_defect, compensator_slabs, driver_terms, refuse_non_finite
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
@@ -257,16 +257,13 @@ class LinearCoefficients:
     def minus_driver(self, t: int, x, y, z, nodes) -> np.ndarray:
         """The negated driver Ahat x + Bhat y + Chat z + Dhat on the time-t
         slab; ``z=None`` stands for z = 0 (the value used at t = T)."""
-        return self._minus_driver(t, x, y, z, self.Dhat.at(t))
+        if z is None:
+            z = np.zeros((x.shape[0], self.n, 1))
+        return _affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + self.Dhat.at(t)
 
     def terminal_map(self, x, nodes) -> np.ndarray:
         """The required Y_T = G x + g on the leaf slab."""
         return np.einsum("ij,njk->nik", self.G, x) + self.g.at(self.horizon)
-
-    def _minus_driver(self, t: int, x, y, z, dhat: np.ndarray) -> np.ndarray:
-        if z is None:
-            z = np.zeros((x.shape[0], self.n, 1))
-        return _affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + dhat
 
 
 def _affine(A, B, C, x, y, z) -> np.ndarray:
@@ -513,11 +510,14 @@ def solve_linear(
     singular_tol: float = SINGULAR_TOL,
 ) -> FbsdeSolution:
     """Solve the coupled linear system exactly; raises NotSolvableError if
-    some Gamma_t is singular and NonFiniteSolutionError if the sweep
+    some Gamma_t is singular and NonFiniteSolutionError if the sweep or N
     overflows.  The solution carries its residual report."""
     mats = _solvable_matrices(coeffs, tree, matrices, singular_tol)
-    x, y, z, n = _solve_linear(coeffs, mats, tree, _offset_slabs(coeffs))
+    x, y, z = _solve_linear(coeffs, mats, tree, _offset_slabs(coeffs))
     T = coeffs.horizon
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        n = compensator_slabs(tree, driver_terms(coeffs, tree, x, y, z)[1], y, z)
+    refuse_non_finite(tree, (("N", t, n[t]) for t in range(1, T + 1)))
     sol = FbsdeSolution(
         X=AdaptedProcess(tree, 0, T, tuple(x)),
         Y=AdaptedProcess(tree, 0, T, tuple(y)),
@@ -530,12 +530,12 @@ def solve_linear(
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def _solve_linear(
     coeffs: LinearCoefficients, mats: RiccatiMatrices, tree: ProbabilityTree, offsets: tuple
-) -> tuple[list, list, list, list]:
-    """Slabs of X, Y, Z and N for the homogeneous part of ``coeffs``, whose
+) -> tuple[list, list, list]:
+    """Slabs of X, Y and Z for the homogeneous part of ``coeffs``, whose
     solvable recursion ``mats`` holds, and the offset slabs ``offsets``
     (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
     naming the process, time and node, when its own arithmetic overflows."""
-    D, Dbar, Dhat, (g,) = offsets
+    D, Dbar, _, (g,) = offsets
     _, ep_slabs, epdw_slabs = _offset_backward(coeffs, tree, mats, offsets)
     T, m = coeffs.horizon, coeffs.m
 
@@ -570,23 +570,13 @@ def _solve_linear(
         z_slabs[t] = np.einsum("ij,njk->nik", p_mat, v) + epdw
     y_slabs[T] = np.einsum("ij,njk->nik", coeffs.G, x_slabs[T]) + g
 
-    aggregates = [
-        y_slabs[t] - coeffs._minus_driver(t, x_slabs[t], y_slabs[t], z_slabs[t] if t < T else None, Dhat[t - 1])
-        for t in range(1, T + 1)
-    ]
-    n_slabs = compensator_slabs(tree, aggregates, y_slabs, z_slabs)
-
     def sweep():
         for t in range(T):
             yield from (("X", t + 1, x_slabs[t + 1]), ("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
         yield "Y", T, y_slabs[T]
-        yield from (("N", t, n_slabs[t]) for t in range(1, T + 1))
 
-    # N_T adds up the driver (which reads X), Y and Z dW along each path to a
-    # leaf, and Y_T reads X_T, so N_T is finite exactly when every slab is
-    if not np.isfinite(n_slabs[T]).all():
-        refuse_non_finite(tree, sweep())
-    return x_slabs, y_slabs, z_slabs, n_slabs
+    refuse_non_finite(tree, sweep())
+    return x_slabs, y_slabs, z_slabs
 
 
 @dataclass(frozen=True)
@@ -610,58 +600,62 @@ class ResidualReport:
         return max(vars(self).values())
 
 
-def _realized_terms(problem, tree: ProbabilityTree, sol: FbsdeSolution):
-    """Evaluate drift, noise loading and the negated driver along a solution
-    path.  Returns (drift[t], vol[t] for t < T, minus_f[t] for t >= 1)."""
+class EquationDefects(NamedTuple):
+    """Defect slabs of the defining relations, index t for t = 0..T-1, and
+    the negated drivers they read, index t - 1 for t = 1..T."""
+
+    forward: list  # (X_{t+1} - X_t) - drift - vol dW_t on the time-(t+1) slab; empty when m = 0
+    y_projection: list  # Y_t - E[Y_{t+1} + f | F_t]
+    z_projection: list  # Z_t - E[(Y_{t+1} + f) dW_t | F_t]
+    terminal: np.ndarray  # Y_T - terminal_map(X_T)
+    minus_f: list  # -f(t, X_t, Y_t, Z_t) for t = 1..T, z = 0 at T
+
+
+def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) -> EquationDefects:
+    """Evaluate every defining relation of the slab system ``problem`` along
+    the slab lists x (X_0..X_T), y (Y_0..Y_T) and z (Z_0..Z_{T-1}).
+
+    ``problem`` answers the slab protocol: ``m``,
+    ``forward_terms(t, x, y, z, nodes) -> (drift, vol)`` (called only when
+    m > 0, and then with d = 1), ``minus_driver(t, x, y, z, nodes)``
+    (``z=None`` at t = T) and ``terminal_map(x, nodes)``.
+    """
     T = tree.horizon
-    drift, vol, minus_f = [], [], [None]
-    for t in range(T):
-        terms = problem.forward_terms(t, sol.X.at(t), sol.Y.at(t), sol.Z.at(t), tree.nodes(t))
-        drift.append(terms[0])
-        vol.append(terms[1])
-    for t in range(1, T + 1):
-        z = sol.Z.at(t) if t < T else None
-        minus_f.append(problem.minus_driver(t, sol.X.at(t), sol.Y.at(t), z, tree.nodes(t)))
-    return drift, vol, minus_f
+    forward = []
+    for t in range(T if problem.m else 0):
+        k = tree.branch_count(t)
+        w = np.tile(tree.steps[t].points[:, 0], tree.node_count(t))[:, None, None]
+        drift, vol = problem.forward_terms(t, x[t], y[t], z[t], tree.nodes(t))
+        dx = x[t + 1] - np.repeat(x[t], k, axis=0)
+        forward.append(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w)
+    minus_f, aggregates = driver_terms(problem, tree, x, y, z)
+    return EquationDefects(
+        forward=forward,
+        y_projection=[y[t] - tree.expect_next(aggregates[t], t) for t in range(T)],
+        z_projection=[z[t] - tree.expect_next_increment(aggregates[t], t) for t in range(T)],
+        terminal=y[T] - problem.terminal_map(x[T], tree.nodes(T)),
+        minus_f=minus_f,
+    )
+
+
+def _worst(slabs) -> float:
+    return max(map(sup_abs, slabs), default=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # sup_abs reads an overflowed NaN defect as inf
 def linear_residual(problem, tree: ProbabilityTree, sol: FbsdeSolution) -> ResidualReport:
-    """Evaluate every defining relation of a coupled system pathwise.
-
-    ``problem`` is any slab system: an object with ``x0`` and the methods
-    ``forward_terms(t, x, y, z, nodes) -> (drift, vol)``,
-    ``minus_driver(t, x, y, z, nodes)`` (``z=None`` at t = T) and
-    ``terminal_map(x, nodes)``, such as LinearCoefficients and NonlinearModel.
-    """
-    T = tree.horizon
-    drift, vol, minus_f = _realized_terms(problem, tree, sol)
-    fwd = bwd = y_proj = z_proj = 0.0
-    for t in range(T):
-        k = tree.branch_count(t)
-        points = tree.steps[t].points[:, 0]
-        w = np.tile(points, tree.node_count(t))[:, None, None]
-        x, y, z = sol.X.at(t), sol.Y.at(t), sol.Z.at(t)
-        dx = sol.X.at(t + 1) - np.repeat(x, k, axis=0)
-        fwd = max(fwd, sup_abs(dx - np.repeat(drift[t], k, axis=0) - np.repeat(vol[t], k, axis=0) * w))
-
-        dy = sol.Y.at(t + 1) - np.repeat(y, k, axis=0)
-        dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        bwd = max(bwd, sup_abs(dy - minus_f[t + 1] - np.repeat(z, k, axis=0) * w - dn))
-
-        lam = sol.Y.at(t + 1) - minus_f[t + 1]
-        y_proj = max(y_proj, sup_abs(y - tree.expect_next(lam, t)))
-        z_proj = max(z_proj, sup_abs(z - tree.expect_next_increment(lam, t)))
-
-    terminal = sup_abs(sol.Y.at(T) - problem.terminal_map(sol.X.at(T), tree.nodes(T)))
-    initial = sup_abs(sol.X.at(0)[0] - problem.x0)
+    """Evaluate every defining relation of a coupled system pathwise;
+    ``problem`` is a slab system with ``x0``, such as LinearCoefficients and
+    NonlinearModel (see :func:`equation_defects`)."""
+    x, y, z, n = sol.X.values, sol.Y.values, sol.Z.values, sol.N.values
+    defects = equation_defects(problem, tree, x, y, z)
     return ResidualReport(
-        forward=fwd,
-        backward=bwd,
-        initial=initial,
-        terminal=terminal,
-        y_projection=y_proj,
-        z_projection=z_proj,
+        forward=_worst(defects.forward),
+        backward=_worst(backward_defect(tree, t, y, z, n, defects.minus_f[t]) for t in range(tree.horizon)),
+        initial=sup_abs(x[0][0] - problem.x0),
+        terminal=sup_abs(defects.terminal),
+        y_projection=_worst(defects.y_projection),
+        z_projection=_worst(defects.z_projection),
         martingale=is_martingale(tree, sol.N).residual,
         orthogonality=is_strongly_orthogonal(tree, sol.N).residual,
     )

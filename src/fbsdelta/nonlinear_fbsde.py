@@ -32,13 +32,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bsde import FbsdeSolution, compensator_slabs
+from .bsde import FbsdeSolution, compensator_slabs, driver_terms
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import (
     RANK_TOL,
     LinearCoefficients,
     _offset_slabs,
-    _realized_terms,
     _solvable_matrices,
     _solve_linear,
     anchor_coefficients,
@@ -209,6 +208,7 @@ def _scaled_add(base: tuple, other: tuple, scale: float) -> tuple:
     return tuple([a + scale * b for a, b in zip(pa, pb)] for pa, pb in zip(base, other))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the linear solve refuses an overflowed offset, by name
 def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tuple) -> tuple:
     """Offset slabs (laid out as by ``_offset_slabs``) whose alpha-scaled
     addition to the anchor system reproduces the level-alpha equations with
@@ -221,10 +221,8 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
         nodes = tree.nodes(t)
         d_vals.append(model.drift(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ y[t]))
         dbar_vals.append(model.noise_loading(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ z[t]))
-    dhat_vals = [
-        model.beta1 * (G @ x[t]) - model.driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t))
-        for t in range(1, T + 1)
-    ]
+    minus_f = driver_terms(model, tree, x, y, z)[0]
+    dhat_vals = [model.beta1 * (G @ x[t + 1]) + slab for t, slab in enumerate(minus_f)]
     return d_vals, dbar_vals, dhat_vals, [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
 
 
@@ -364,7 +362,7 @@ def solve_continuation(
 
     def linear_solve(offsets: tuple) -> tuple:
         counters["solves"] += 1
-        return _solve_linear(anchor, mats, tree, offsets)[:3]
+        return _solve_linear(anchor, mats, tree, offsets)
 
     def picard(step, start: tuple, give_up_early: bool):
         u, distances = start, []
@@ -461,12 +459,9 @@ def reconstruct_compensator(
 ) -> AdaptedProcess:
     """Orthogonal remainder implied by (X, Y, Z): accumulate the part of each
     backward increment not explained by the driver and the Z dW term."""
-    T = tree.horizon
     x, y, z = X.values, Y.values, Z.values
-    aggregates = [
-        y[t] + model.driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t)) for t in range(1, T + 1)
-    ]
-    return AdaptedProcess(tree, 0, T, tuple(compensator_slabs(tree, aggregates, y, z)))
+    aggregates = driver_terms(model, tree, x, y, z)[1]
+    return AdaptedProcess(tree, 0, tree.horizon, tuple(compensator_slabs(tree, aggregates, y, z)))
 
 
 # -- structural diagnostics --------------------------------------------------
@@ -601,8 +596,14 @@ def duality_gap(
     if not np.array_equal(G, np.asarray(problem_b.G, dtype=float)):
         raise ValueError("the duality pairing requires a shared terminal coupling G")
     T = tree.horizon
-    drift_a, vol_a, mf_a = _realized_terms(problem_a, tree, sol_a)
-    drift_b, vol_b, mf_b = _realized_terms(problem_b, tree, sol_b)
+
+    def realized(problem, sol: FbsdeSolution) -> tuple[list, list]:  # (drift, vol) at t and -f at t + 1
+        x, y, z = sol.X.values, sol.Y.values, sol.Z.values
+        terms = [problem.forward_terms(t, x[t], y[t], z[t], tree.nodes(t)) for t in range(T)]
+        return terms, driver_terms(problem, tree, x, y, z)[0]
+
+    terms_a, mf_a = realized(problem_a, sol_a)
+    terms_b, mf_b = realized(problem_b, sol_b)
 
     def pair(t: int, left: np.ndarray, right: np.ndarray) -> float:
         probs = tree.node_probabilities(t)
@@ -615,7 +616,8 @@ def duality_gap(
     lhs = pair(T, x_hat_T, y_hat_T) - pair(0, x_hat_0, y_hat_0)
     rhs = 0.0
     for t in range(T):
-        rhs += pair(t + 1, sol_a.X.at(t + 1) - sol_b.X.at(t + 1), mf_a[t + 1] - mf_b[t + 1])
-        rhs += pair(t, drift_a[t] - drift_b[t], sol_a.Y.at(t) - sol_b.Y.at(t))
-        rhs += pair(t, vol_a[t] - vol_b[t], sol_a.Z.at(t) - sol_b.Z.at(t))
+        (drift_a, vol_a), (drift_b, vol_b) = terms_a[t], terms_b[t]
+        rhs += pair(t + 1, sol_a.X.at(t + 1) - sol_b.X.at(t + 1), mf_a[t] - mf_b[t])
+        rhs += pair(t, drift_a - drift_b, sol_a.Y.at(t) - sol_b.Y.at(t))
+        rhs += pair(t, vol_a - vol_b, sol_a.Z.at(t) - sol_b.Z.at(t))
     return DualityReport(lhs=lhs, rhs=rhs)

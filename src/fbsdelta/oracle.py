@@ -9,9 +9,13 @@ system is assembled into one square residual map F over the stacked unknowns
 
 with residual blocks ordered: forward equations at every child node
 (t ascending), conditional-mean projections of Y, increment projections of Z,
-then the terminal condition at the leaves.  F is driven to zero by a damped
-Newton iteration with finite-difference Jacobians, which shares no algorithmic
-step with the structured solvers and therefore serves as an oracle for them.
+then the terminal condition at the leaves.  The blocks are the defect slabs of
+``linear_fbsde.equation_defects``, the one statement of the equations that the
+residual reports read too.  That statement is all the oracle shares with the
+structured solvers: no solving step (no P_t, Gamma_t, offset process or
+continuation).  F is driven to zero by a damped Newton iteration with
+finite-difference Jacobians, a method of its own, so the oracle is an
+independent check of the solvers.
 Each residual row reads only its node, the node's parent and its children, so
 the Jacobian is built with one evaluation of F per colour of columns (Curtis,
 Powell & Reid 1974), a count that depends on the branch counts and the
@@ -28,9 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsde import BackwardSystem, Generator, compensator_slabs
+from .bsde import BackwardSystem, Generator, compensator_slabs, driver_terms
 from .filtration import AdaptedProcess, ProbabilityTree
-from .linear_fbsde import LinearCoefficients
+from .linear_fbsde import LinearCoefficients, equation_defects
 from .nonlinear_fbsde import NonlinearModel
 
 NEWTON_TOL = 1e-10
@@ -61,12 +65,9 @@ class OracleFailedError(Exception):
 class ResidualSystem:
     """Square residual map of one slab system ``problem`` on one tree.
 
-    ``problem`` answers the slab protocol of LinearCoefficients,
-    NonlinearModel and BackwardSystem: ``m``, ``n``, ``x0``,
-    ``forward_terms(t, x, y, z, nodes) -> (drift, vol)`` on whole time slabs
-    (called only when m > 0), ``minus_driver(t, x, y, z, nodes)``, the term
-    added to the backward increment (the negated driver), with ``z=None`` at
-    t = T, and ``terminal_map(x_T, nodes)``, the required Y_T slab.  All must
+    ``problem`` is a LinearCoefficients, NonlinearModel or BackwardSystem:
+    anything with ``n``, ``x0`` and the slab protocol that
+    :func:`~fbsdelta.linear_fbsde.equation_defects` reads.  Its functions must
     be row-local (row i of a result reads only row i of the inputs), which is
     what the colouring in :meth:`jacobian` relies on.
     """
@@ -120,28 +121,9 @@ class ResidualSystem:
     # -- evaluation ------------------------------------------------------
 
     def residual(self, vec: np.ndarray) -> np.ndarray:
-        tree = self.tree
-        T = tree.horizon
-        x, y, z = self.unpack(vec)
-        out = []
-        if self.m:
-            for t in range(T):
-                k = tree.branch_count(t)
-                points = tree.steps[t].points[:, 0]
-                w = np.tile(points, tree.node_count(t))[:, None, None]
-                drift, vol = self.problem.forward_terms(t, x[t], y[t], z[t], tree.nodes(t))
-                pred = np.repeat(x[t] + drift, k, axis=0) + np.repeat(vol, k, axis=0) * w
-                out.append((x[t + 1] - pred).ravel())
-        lam = []
-        for t in range(T):
-            z_next = z[t + 1] if t + 1 < T else None
-            lam_t = y[t + 1] - self.problem.minus_driver(t + 1, x[t + 1], y[t + 1], z_next, tree.nodes(t + 1))
-            lam.append(lam_t)
-            out.append((y[t] - tree.expect_next(lam_t, t)).ravel())
-        for t in range(T):
-            out.append((z[t] - tree.expect_next_increment(lam[t], t)).ravel())
-        out.append((y[T] - self.problem.terminal_map(x[T], tree.nodes(T))).ravel())
-        return np.concatenate(out)
+        defects = equation_defects(self.problem, self.tree, *self.unpack(vec))
+        slabs = (*defects.forward, *defects.y_projection, *defects.z_projection, defects.terminal)
+        return np.concatenate([slab.ravel() for slab in slabs])
 
     def jacobian(self, vec: np.ndarray, scheme: str = "forward") -> np.ndarray:
         """Finite-difference Jacobian, one residual evaluation (two for
@@ -274,11 +256,7 @@ def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTra
     tree = system.tree
     T = tree.horizon
     x, y, z = system.unpack(vec)
-    aggregates = [
-        y[t] - system.problem.minus_driver(t, x[t], y[t], z[t] if t < T else None, tree.nodes(t))
-        for t in range(1, T + 1)
-    ]
-    n_slabs = compensator_slabs(tree, aggregates, y, z)
+    n_slabs = compensator_slabs(tree, driver_terms(system.problem, tree, x, y, z)[1], y, z)
     return OracleSolution(
         X=AdaptedProcess(tree, 0, T, tuple(x)) if system.m else None,
         Y=AdaptedProcess(tree, 0, T, tuple(y)),

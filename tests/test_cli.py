@@ -523,6 +523,52 @@ def test_node_table_faults_exit_3_with_the_pinned_message(tmp_path, capsys, tabl
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _text_in_points(s):
+    s["tree"] = {"horizon": 2, "step": {"points": [["-1"], [True]], "probs": ["0.5", 0.5]}}
+
+
+def _text_in_probs(s):
+    s["tree"]["step"] = {"points": [[-1.0], [1.0]], "probs": ["0.5", 0.5]}
+
+
+def _bool_in_terminal(s):
+    s["model"]["terminal"] = [True, 0.5]
+
+
+def _bool_in_terminal_table(s):
+    s["tree"]["horizon"] = 2
+    s["model"]["terminal"] = _terminal_table(**{"0.1": [True, 1.5]})
+
+
+def _text_in_terminal_table(s):
+    s["tree"]["horizon"] = 2
+    s["model"]["terminal"] = _terminal_table(**{"1.0": ["1.5", "-2"]})
+
+
+def _bool_in_linear_x0(s):
+    s.update(linear_scenario())
+    s["model"]["x0"] = [False]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (_text_in_points, 'tree.step.points is not a numeric array: "-1" must be a number'),
+        (_text_in_probs, 'tree.step.probs is not a numeric array: "0.5" must be a number'),
+        (_bool_in_terminal, "model.terminal is not a numeric array: true must be a number"),
+        (_bool_in_terminal_table, "model.terminal['0.1'] is not a numeric array: true must be a number"),
+        (_text_in_terminal_table, "model.terminal['1.0'] is not a numeric array: \"1.5\" must be a number"),
+        (_bool_in_linear_x0, "model.x0 is not a numeric array: false must be a number"),
+    ],
+    ids=["points", "probs", "terminal", "terminal-table-bool", "terminal-table-text", "linear-x0"],
+)
+def test_json_strings_and_booleans_are_not_numbers(tmp_path, capsys, mutate, message):
+    scenario = bsde_scenario()
+    mutate(scenario)
+    assert main(["validate", write_scenario(tmp_path, scenario)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_node_table_fault_in_an_offset_table_names_the_time(tmp_path, capsys):
     scenario = linear_scenario()
     scenario["model"]["D"] = {"table": {"0": {"": [0.5]}, "1": {"0": [1.0], "1": [float("inf")]}}}

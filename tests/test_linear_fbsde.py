@@ -11,7 +11,9 @@ from fbsdelta import (
     AdaptedProcess,
     FbsdeSolution,
     GammaReport,
+    IncrementDistribution,
     LinearCoefficients,
+    NonFiniteSolutionError,
     NonlinearModel,
     NotSolvableError,
     ProbabilityTree,
@@ -245,6 +247,16 @@ def test_horizon_one_edge_case():
     coeffs = random_linear_coefficients(rng, tree, 2, 1)
     sol = solve_linear(coeffs, tree)
     assert sol.residual_report.max <= RESIDUAL_TOL
+
+
+def test_an_overflow_in_n_alone_is_refused_by_name():
+    # X = 0 and Y_1 = g, Y_0 and Z_0 are finite, but at the third leaf
+    # N_1 = Y_1 - Y_0 - Z_0 dW_0 exceeds the float range
+    tree = ProbabilityTree([IncrementDistribution.trinomial(0.25)])
+    g = AdaptedProcess(tree, 1, 1, (np.array([-1.5e308, -1.5e308, 1.5e308]).reshape(3, 1, 1),))
+    coeffs = LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.0], g=g)
+    with pytest.raises(NonFiniteSolutionError, match=r"^N_1 is not finite at node \(2,\)$"):
+        solve_linear(coeffs, tree)
 
 
 def test_backward_pair_follows_decoupling_field():

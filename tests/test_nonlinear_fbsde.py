@@ -13,6 +13,7 @@ from fbsdelta import (
     ContinuationFailedError,
     FbsdeSolution,
     Generator,
+    NonFiniteSolutionError,
     NonlinearModel,
     anchor_coefficients,
     build_residual_system,
@@ -177,6 +178,17 @@ def test_stalled_stages_halve_until_the_floor_and_fail():
     assert all(not stage.accepted for stage in trace.stages)
     deltas = [stage.delta for stage in trace.stages]
     assert deltas == sorted(deltas, reverse=True)
+
+
+def test_an_overflowing_frozen_offset_is_refused_by_the_inner_solve():
+    # the offset b + beta2 G^T y overflows once Y is of order 1e308; the
+    # inner linear solve names the first slab it makes non-finite, and no
+    # NumPy warning escapes on the way
+    model = NonlinearModel(
+        1, 1, [[1.0]], 1.0, 1.0, [1e308], b=lambda t, x, y, z, nodes: np.full((len(nodes), 1, 1), 1e308)
+    )
+    with pytest.raises(NonFiniteSolutionError, match=r"^X_1 is not finite at node \(0,\)$"):
+        solve_continuation(model, rademacher_tree(2))
 
 
 def test_tampered_solution_is_flagged_by_the_residual_report():
