@@ -113,8 +113,9 @@ def _parse_array(value, where: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where} is not a numeric array: {exc}") from exc
-    # the conversion reads the JSON strings "1.5" and true as numbers; refuse them
-    text = [v for v in np.asarray(value, dtype=object).ravel() if isinstance(v, (str, bool))]
+    # the conversion reads the JSON strings "1.5" and true as numbers and null
+    # as NaN; refuse them
+    text = [v for v in np.asarray(value, dtype=object).ravel() if isinstance(v, (str, bool, type(None)))]
     if text:
         raise ScenarioError(f"{where} is not a numeric array: {json.dumps(text[0])} must be a number")
     if arr.size == 0:

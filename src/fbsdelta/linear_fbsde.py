@@ -18,7 +18,7 @@ terminal data, each step forms the 2m-by-2m matrix
 whose invertibility (smallest singular value above a threshold) at every t is
 exactly the condition for a unique solution.  The affine offset process p_t
 carries the inhomogeneous data backward; the forward sweep then solves one
-factorised 2m system per node and reads Y, Z off the relations
+2m system per node and reads Y, Z off the relations
 Y_t = P_{t+1} E[X_{t+1}|F_t] + E[p_{t+1}|F_t] and
 Z_t = P_{t+1} E[X_{t+1} dW_t|F_t] + E[p_{t+1} dW_t|F_t].
 """
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .bsde import FbsdeSolution, backward_defect, compensator_slabs, driver_terms, refuse_non_finite
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
@@ -314,10 +313,10 @@ def anchor_coefficients(
 class RiccatiMatrices:
     """Deterministic part of the backward recursion, reusable across offsets.
 
-    ``P[t]`` is defined for t = 1..T (slot 0 unused).  Per-time factorisation
-    products are kept so repeated solves with fresh inhomogeneous data skip
-    all matrix work.  ``failure_t`` is the largest t whose Gamma_t was
-    (numerically) singular, or None.
+    ``P[t]`` is defined for t = 1..T (slot 0 unused).  Gamma_t and its
+    solves against the B and C columns are kept so repeated solves with fresh
+    inhomogeneous data redo no matrix recursion.  ``failure_t`` is the
+    largest t whose Gamma_t was (numerically) singular, or None.
     """
 
     horizon: int
@@ -327,7 +326,6 @@ class RiccatiMatrices:
     gammas: np.ndarray
     sigma_min: np.ndarray
     gamma_reports: tuple[GammaReport, ...]
-    lu: tuple = field(repr=False)
     inv_B: tuple = field(repr=False)
     inv_C: tuple = field(repr=False)
     failure_t: int | None = None
@@ -346,7 +344,6 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
     P[T] = -coeffs.Ahat[T] + (np.eye(n) - coeffs.Bhat[T]) @ coeffs.G
     gammas = np.zeros((T, 2 * m, 2 * m))
     sigma_min = np.full(T, np.nan)
-    lu: list = [None] * T
     inv_B: list = [None] * T
     inv_C: list = [None] * T
     reports: list[GammaReport] = []
@@ -368,10 +365,9 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
         if not invertible:
             failure_t = t
             break
-        lu[t] = lu_factor(gamma)
-        inv_IA = lu_solve(lu[t], np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
-        inv_B[t] = lu_solve(lu[t], np.vstack([coeffs.B[t], coeffs.Bbar[t]]))
-        inv_C[t] = lu_solve(lu[t], np.vstack([coeffs.C[t], coeffs.Cbar[t]]))
+        inv_IA = np.linalg.solve(gamma, np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
+        inv_B[t] = np.linalg.solve(gamma, np.vstack([coeffs.B[t], coeffs.Bbar[t]]))
+        inv_C[t] = np.linalg.solve(gamma, np.vstack([coeffs.C[t], coeffs.Cbar[t]]))
         if t >= 1:
             g_map = p_next @ inv_IA[:m]
             h_map = p_next @ inv_IA[m:]
@@ -393,7 +389,6 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
         gammas=gammas,
         sigma_min=sigma_min,
         gamma_reports=tuple(sorted(reports)),
-        lu=tuple(lu),
         inv_B=tuple(inv_B),
         inv_C=tuple(inv_C),
         failure_t=failure_t,
@@ -449,7 +444,7 @@ def _offset_backward(
             break
         p_next = mats.P[t + 1]
         stacked = np.concatenate([D[t], Dbar[t]], axis=1)
-        inv_off = lu_solve(mats.lu[t], stacked[:, :, 0].T).T
+        inv_off = np.linalg.solve(mats.gammas[t], stacked[:, :, 0].T).T
         top_b = p_next @ mats.inv_B[t][:m]
         top_c = p_next @ mats.inv_C[t][:m]
         bot_b = p_next @ mats.inv_B[t][m:]
@@ -560,7 +555,7 @@ def _solve_linear(
             + Dbar[t]
         )
         rhs = np.concatenate([top, bot], axis=1)
-        uv = lu_solve(mats.lu[t], rhs[:, :, 0].T, check_finite=False).T
+        uv = np.linalg.solve(mats.gammas[t], rhs[:, :, 0].T).T
         u, v = uv[:, :m, None], uv[:, m:, None]
         points = tree.steps[t].points[:, 0]
         children = u[:, None, :, :] + v[:, None, :, :] * points[None, :, None, None]

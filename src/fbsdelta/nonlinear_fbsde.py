@@ -511,16 +511,15 @@ def check_monotone(
     if beta1 < 0.0 or beta2 < 0.0:
         raise ValueError("monotonicity margins beta1 and beta2 must be nonnegative")
     G, Gt = model.G, model.G.T
-    # Draw in the order of one pass per sample: the pair of states, a node
-    # at every time 0..T, then a leaf for the terminal map.
-    counts = [tree.node_count(t) for t in range(T + 1)] + [tree.node_count(T)]
-    states = np.empty((2, samples, m + 2 * n, 1))
-    picks = np.empty((len(counts), samples), dtype=int)
-    for s in range(samples):
-        states[0, s] = rng.uniform(-box, box, size=(m + 2 * n, 1))
-        states[1, s] = rng.uniform(-box, box, size=(m + 2 * n, 1))
-        for j, count in enumerate(counts):
-            picks[j, s] = rng.integers(count)
+    # Two draws: the pairs of states, then a node at every time 0..T and a
+    # leaf for the terminal map (row t of picks, row T + 1 for the leaf).
+    counts = np.array([tree.node_count(t) for t in range(T + 1)] + [tree.node_count(T)])
+    states = rng.uniform(-box, box, size=(2, samples, m + 2 * n, 1))
+    picks = rng.integers(counts[:, None], size=(len(counts), samples))
+
+    def picked(slab: tuple, row: int) -> tuple:
+        # the sampled nodes, once for each state of a pair
+        return tuple(map(slab.__getitem__, picks[row].tolist())) * 2
 
     def gap(values: np.ndarray) -> np.ndarray:
         return values[:samples] - values[samples:]
@@ -540,8 +539,7 @@ def check_monotone(
 
     worst_coupling = -math.inf
     for t in range(T + 1):
-        slab = tree.nodes(t)
-        nodes = tuple(slab[i] for i in picks[t]) * 2
+        nodes = picked(tree.nodes(t), t)
         slack = np.zeros(samples)
         if 1 <= t <= T:
             df = gap(model.driver(t, x, y, z if t < T else None, nodes))
@@ -552,8 +550,7 @@ def check_monotone(
             slack += pairing(G @ db, dy) + pairing(G @ ds, dz)
             slack += beta2 * (pairing(Gt @ dy, Gt @ dy) + pairing(Gt @ dz, Gt @ dz))
         worst_coupling = worst(worst_coupling, slack)
-    leaves = tree.nodes(T)
-    dh = gap(model.terminal(x, tuple(leaves[i] for i in picks[T + 1]) * 2))
+    dh = gap(model.terminal(x, picked(tree.nodes(T), T + 1)))
     worst_terminal = worst(-math.inf, -pairing(dh, G @ dx))
     ok = worst_coupling <= tol and worst_terminal <= tol
     return MonotonicityReport(

@@ -545,6 +545,15 @@ def _text_in_terminal_table(s):
     s["model"]["terminal"] = _terminal_table(**{"1.0": ["1.5", "-2"]})
 
 
+def _null_in_terminal(s):
+    s["model"]["terminal"] = [None, 0.5]
+
+
+def _null_in_terminal_table(s):
+    s["tree"]["horizon"] = 2
+    s["model"]["terminal"] = _terminal_table(**{"1.1": [0.5, None]})
+
+
 def _bool_in_linear_x0(s):
     s.update(linear_scenario())
     s["model"]["x0"] = [False]
@@ -558,9 +567,14 @@ def _bool_in_linear_x0(s):
         (_bool_in_terminal, "model.terminal is not a numeric array: true must be a number"),
         (_bool_in_terminal_table, "model.terminal['0.1'] is not a numeric array: true must be a number"),
         (_text_in_terminal_table, "model.terminal['1.0'] is not a numeric array: \"1.5\" must be a number"),
+        (_null_in_terminal, "model.terminal is not a numeric array: null must be a number"),
+        (_null_in_terminal_table, "model.terminal['1.1'] is not a numeric array: null must be a number"),
         (_bool_in_linear_x0, "model.x0 is not a numeric array: false must be a number"),
     ],
-    ids=["points", "probs", "terminal", "terminal-table-bool", "terminal-table-text", "linear-x0"],
+    ids=[
+        "points", "probs", "terminal", "terminal-table-bool", "terminal-table-text",
+        "terminal-null", "terminal-table-null", "linear-x0",
+    ],
 )
 def test_json_strings_and_booleans_are_not_numbers(tmp_path, capsys, mutate, message):
     scenario = bsde_scenario()

@@ -2,6 +2,7 @@
 slab contract of nonlinear models."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -380,9 +381,13 @@ def test_slab_models_agree_with_their_pointwise_wrapping(name):
 
 def _reference_check_monotone(model, tree, samples, seed, box=5.0, beta1=None, beta2=None):
     """Worst (coupling, terminal) slacks by one pass per sample and one model
-    call per node, for models whose functions also work on single nodes."""
+    call per node, for models whose functions also work on single nodes.  The
+    states and nodes come from the same two batched draws as in the check."""
     rng = np.random.default_rng(seed)
     T, m, n = tree.horizon, model.m, model.n
+    counts = np.array([tree.node_count(t) for t in range(T + 1)] + [tree.node_count(T)])
+    states = rng.uniform(-box, box, size=(2, samples, m + 2 * n, 1))
+    picks = rng.integers(counts[:, None], size=(len(counts), samples))
     beta1 = model.beta1 if beta1 is None else beta1
     beta2 = model.beta2 if beta2 is None else beta2
     G, Gt = model.G, model.G.T
@@ -392,15 +397,13 @@ def _reference_check_monotone(model, tree, samples, seed, box=5.0, beta1=None, b
     f = model.f or (lambda t, x, y, z, node: zero_z)
     h = model.h or (lambda x, node: G @ x)
     worst_coupling = worst_terminal = -math.inf
-    for _ in range(samples):
-        a = rng.uniform(-box, box, size=(m + 2 * n, 1))
-        c = rng.uniform(-box, box, size=(m + 2 * n, 1))
+    for s in range(samples):
+        a, c = states[0, s], states[1, s]
         xa, ya, za = a[:m], a[m : m + n], a[m + n :]
         xb, yb, zb = c[:m], c[m : m + n], c[m + n :]
         dx, dy, dz = xa - xb, ya - yb, za - zb
         for t in range(T + 1):
-            nodes = tree.nodes(t)
-            node = nodes[int(rng.integers(len(nodes)))]
+            node = tree.nodes(t)[int(picks[t, s])]
             slack = 0.0
             if 1 <= t <= T:
                 df = f(t, xa, ya, zero_z if t == T else za, node) - f(t, xb, yb, zero_z if t == T else zb, node)
@@ -411,7 +414,7 @@ def _reference_check_monotone(model, tree, samples, seed, box=5.0, beta1=None, b
                 slack += float(((G @ db) * dy).sum()) + float(((G @ ds) * dz).sum())
                 slack += beta2 * (float(((Gt @ dy) ** 2).sum()) + float(((Gt @ dz) ** 2).sum()))
             worst_coupling = max(worst_coupling, slack)
-        leaf = tree.nodes(T)[int(rng.integers(tree.node_count(T)))]
+        leaf = tree.nodes(T)[int(picks[T + 1, s])]
         dh = h(xa, leaf) - h(xb, leaf)
         worst_terminal = max(worst_terminal, -float((dh * (G @ dx)).sum()))
     return worst_coupling, worst_terminal
@@ -425,15 +428,25 @@ def test_batched_monotonicity_check_matches_the_per_sample_loop(seed):
         m=1, n=1, G=np.array([[1.0]]), beta1=1.0, beta2=1.0, x0=np.array([[0.0]]),
         f=lambda t, x, y, z, node: -2.0 * x,
     )
+
+    def weight(nodes):  # 1 + the sum of the outcome indices, on one node or a slab of them
+        return (1.0 + np.asarray(nodes, dtype=float).sum(axis=-1))[..., None, None]
+
+    node_dependent = NonlinearModel(
+        m=1, n=1, G=np.array([[1.0]]), beta1=1.0, beta2=1.0, x0=np.array([[0.0]]),
+        f=lambda t, x, y, z, nodes: -weight(nodes) * x,
+        h=lambda x, nodes: weight(nodes) * x,
+    )
     cases = [
         (mild_coupled_model(m=2, seed=5), {"beta1": 0.25, "beta2": 0.25}),
         (mild_coupled_model(m=1, seed=8), {}),
         (anchor, {}),
         (wrong_sign, {}),
+        (node_dependent, {}),
     ]
-    for model, margins in cases:
-        report = check_monotone(model, tree, samples=300, seed=seed, **margins)
-        coupling, terminal = _reference_check_monotone(model, tree, 300, seed, **margins)
+    for (model, margins), samples in itertools.product(cases, (300, 1)):
+        report = check_monotone(model, tree, samples=samples, seed=seed, **margins)
+        coupling, terminal = _reference_check_monotone(model, tree, samples, seed, **margins)
         assert report.worst_coupling_slack == pytest.approx(coupling, rel=1e-12, abs=0.0)
         assert report.worst_terminal_slack == pytest.approx(terminal, rel=1e-12, abs=0.0)
 
