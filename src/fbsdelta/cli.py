@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -59,7 +59,6 @@ from .nonlinear_fbsde import (
 from .oracle import OracleFailedError, build_residual_system, solve_global_newton
 
 SCHEMA_VERSION = 1
-KINDS = ("bsde", "linear", "nonlinear")
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -138,6 +137,23 @@ def _parse_expr_list(value, count: int, m: int, n: int, where: str) -> list:
     if not isinstance(value, list) or len(value) != count:
         raise ScenarioError(f"{where} must be a list of {count} expressions")
     return [_parse_dsl(text, m, n, f"{where}[{i}]") for i, text in enumerate(value)]
+
+
+def _slab_function(exprs: list, names: str, t: int | None = None):
+    """Compile parsed expressions into one slab function of (t, *arrays,
+    nodes), or of (*arrays, nodes) when ``t`` fixes the time, with one array
+    per variable letter in ``names``.  Each expression reads the first column
+    of every array (a 2-D array is its own first column) and gives one column
+    of the result."""
+    compiled = [compile_expr(e) for e in exprs]
+
+    def fn(*args):
+        *arrays, _ = args
+        time = t if t is not None else arrays.pop(0)
+        columns = {name: np.atleast_3d(a)[:, :, 0] for name, a in zip(names, arrays)}
+        return np.stack([c(time, **columns) for c in compiled], axis=1)
+
+    return fn
 
 
 def _build_checked(factory, *args, **kwargs):
@@ -281,14 +297,7 @@ def _parse_bsde(tree: ProbabilityTree, payload: dict) -> tuple[Generator, Adapte
     if "d" in payload and _as_int(payload["d"], "model.d") != tree.d:
         raise ScenarioError(f"model.d disagrees with the tree noise dimension {tree.d}")
     exprs = _parse_expr_list(_require(payload, "driver", "model"), n, 0, n, "model.driver")
-
-    compiled = [compile_expr(e) for e in exprs]
-
-    def driver(t, y, z, nodes):
-        z_first = z[:, :, 0]
-        return np.stack([fn(t, y=y, z=z_first) for fn in compiled], axis=1)
-
-    gen = _build_checked(Generator, n=n, d=tree.d, fn=driver)
+    gen = _build_checked(Generator, n=n, d=tree.d, fn=_slab_function(exprs, "yz"))
     horizon = tree.horizon
     raw = _require(payload, "terminal", "model")
     if isinstance(raw, dict):
@@ -343,32 +352,16 @@ def _parse_nonlinear(tree: ProbabilityTree, payload: dict) -> NonlinearModel:
     n = _as_int(_require(payload, "n", "model"), "model.n")
     if m < 1 or n < 1:
         raise ScenarioError("model.m and model.n must be at least 1")
-
-    def forward_fn(exprs):
-        compiled = [compile_expr(e) for e in exprs]
-
-        def fn(t, x, y, z, nodes):
-            return np.stack([c(t, x=x[:, :, 0], y=y[:, :, 0], z=z[:, :, 0]) for c in compiled], axis=1)
-
-        return fn
-
-    def terminal_fn(exprs, horizon):
-        compiled = [compile_expr(e) for e in exprs]
-
-        def fn(x, nodes):
-            return np.stack([c(horizon, x=x[:, :, 0]) for c in compiled], axis=1)
-
-        return fn
-
-    fns = {}
-    for key, count in (("drift", m), ("noise_loading", m), ("driver", n)):
-        if payload.get(key) is not None:
-            fns[key] = forward_fn(_parse_expr_list(payload[key], count, m, n, f"model.{key}"))
+    fns = {
+        key: _slab_function(_parse_expr_list(payload[key], count, m, n, f"model.{key}"), "xyz")
+        for key, count in (("drift", m), ("noise_loading", m), ("driver", n))
+        if payload.get(key) is not None
+    }
     terminal = None
     if payload.get("terminal") is not None:
         # terminal maps depend on the forward state (and implicitly t = horizon)
         exprs = _parse_expr_list(payload["terminal"], n, m, 0, "model.terminal")
-        terminal = terminal_fn(exprs, tree.horizon)
+        terminal = _slab_function(exprs, "x", t=tree.horizon)
     return _build_checked(
         NonlinearModel,
         m=m,
@@ -406,37 +399,38 @@ class SolverConfig:
         return default if self.tol is None else self.tol
 
 
+# Each SolverConfig field's parser and bound, in the order they are checked.
+_SETTINGS = {
+    "tol": (_as_number, "positive"),
+    "delta_init": (_as_number, "positive"),
+    "delta_min": (_as_number, "positive"),
+    "picard_tol": (_as_number, "positive"),
+    "validation_tol": (_as_number, "positive"),
+    "monotone_beta1": (_as_number, "nonnegative"),
+    "monotone_beta2": (_as_number, "nonnegative"),
+    "seed": (_as_int, "nonnegative"),
+    "picard_max_iters": (_as_int, "at least 1"),
+    "samples": (_as_int, "at least 1"),
+}
+_IN_BOUNDS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0, "at least 1": lambda v: v >= 1}
+
+
+def _setting(key: str, value, name: str):
+    """The value of setting ``key``, parsed and checked; messages call it ``name``."""
+    parse, bound = _SETTINGS[key]
+    number = parse(value, name)
+    if not _IN_BOUNDS[bound](number):
+        raise ScenarioError(f"{name} must be {bound}")
+    return number
+
+
 def _parse_solver(value) -> SolverConfig:
     if value is None:
         return SolverConfig()
     if not isinstance(value, dict):
         raise ScenarioError("solver must be an object")
-    _check_keys(value, {f.name for f in fields(SolverConfig)}, "solver")
-    kwargs = {}
-    for key in ("tol", "delta_init", "delta_min", "picard_tol", "validation_tol"):
-        if key in value:
-            number = _as_number(value[key], f"solver.{key}")
-            if number <= 0.0:
-                raise ScenarioError(f"solver.{key} must be positive")
-            kwargs[key] = number
-    for key in ("monotone_beta1", "monotone_beta2"):
-        if key in value:
-            number = _as_number(value[key], f"solver.{key}")
-            if number < 0.0:
-                raise ScenarioError(f"solver.{key} must be nonnegative")
-            kwargs[key] = number
-    if "seed" in value:
-        seed = _as_int(value["seed"], "solver.seed")
-        if seed < 0:
-            raise ScenarioError("solver.seed must be nonnegative")
-        kwargs["seed"] = seed
-    for key in ("picard_max_iters", "samples"):
-        if key in value:
-            count = _as_int(value[key], f"solver.{key}")
-            if count < 1:
-                raise ScenarioError(f"solver.{key} must be at least 1")
-            kwargs[key] = count
-    return SolverConfig(**kwargs)
+    _check_keys(value, set(_SETTINGS), "solver")
+    return SolverConfig(**{key: _setting(key, value[key], f"solver.{key}") for key in _SETTINGS if key in value})
 
 
 def _continuation_config(solver: SolverConfig) -> ContinuationConfig:
@@ -451,6 +445,9 @@ def _continuation_config(solver: SolverConfig) -> ContinuationConfig:
 
 
 # -- scenario ---------------------------------------------------------------------
+
+
+_PAYLOADS = {"bsde": _parse_bsde, "linear": _parse_linear, "nonlinear": _parse_nonlinear}
 
 
 @dataclass(frozen=True)
@@ -471,19 +468,14 @@ def parse_scenario(data) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version!r}; this build reads {SCHEMA_VERSION}")
     kind = _require(data, "kind", "scenario")
-    if kind not in KINDS:
-        raise ScenarioError(f"kind must be one of {', '.join(KINDS)}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _PAYLOADS:
+        raise ScenarioError(f"kind must be one of {', '.join(_PAYLOADS)}, got {kind!r}")
     tree = _parse_tree(_require(data, "tree", "scenario"))
     solver = _parse_solver(data.get("solver"))
     payload = _require(data, "model", "scenario")
     if not isinstance(payload, dict):
         raise ScenarioError("model must be an object")
-    scenario = Scenario(kind=kind, tree=tree, solver=solver)
-    if kind == "bsde":
-        return replace(scenario, bsde=_parse_bsde(tree, payload))
-    if kind == "linear":
-        return replace(scenario, linear=_parse_linear(tree, payload))
-    return replace(scenario, nonlinear=_parse_nonlinear(tree, payload))
+    return Scenario(kind=kind, tree=tree, solver=solver, **{kind: _PAYLOADS[kind](tree, payload)})
 
 
 def load_scenario(path) -> Scenario:
@@ -530,12 +522,6 @@ def _solution_tables(tree: ProbabilityTree, sol) -> dict[str, str]:
 def _matrix_text(a: np.ndarray) -> str:
     body = ["[" + ", ".join(f"{v:.12g}" for v in row) + "]" for row in np.atleast_2d(a)]
     return "[" + ", ".join(body) + "]"
-
-
-def _report_dict(report) -> dict:
-    out = {key: float(value) for key, value in asdict(report).items()}
-    out["max"] = float(report.max)
-    return out
 
 
 def _print_report(report) -> None:
@@ -618,7 +604,7 @@ def _cmd_solve_bsde(scenario: Scenario, solver: SolverConfig, args) -> int:
     complete = "  (complete: the orthogonal part vanishes)" if sup_n <= 1e-12 else ""
     print(f"sup |N| = {sup_n:.12g}{complete}")
     summary = _base_summary("solve-bsde", scenario) | {
-        "residuals": _report_dict(report),
+        "residuals": asdict(report) | {"max": report.max},
         "sup_N": float(sup_n),
         "ok": bool(report.max <= solver.tol_or(1e-10)),
     }
@@ -641,13 +627,9 @@ def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig, args) -> int:
         print(f"  P[{t}] = {_matrix_text(matrices.P[t])}")
     report = sol.residual_report
     _print_report(report)
-    gamma = [
-        {"t": entry.t, "sigma_min": float(entry.sigma_min), "invertible": bool(entry.invertible)}
-        for entry in matrices.gamma_reports
-    ]
     summary = _base_summary("solve-linear", scenario) | {
-        "residuals": _report_dict(report),
-        "gamma": gamma,
+        "residuals": asdict(report) | {"max": report.max},
+        "gamma": [entry._asdict() for entry in matrices.gamma_reports],
         "P": [{"t": t, "matrix": matrices.P[t].tolist()} for t in range(1, coeffs.horizon + 1)],
         "ok": bool(report.max <= solver.tol_or(1e-10)),
     }
@@ -665,16 +647,6 @@ def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig, args) -> int:
     tables["riccati.csv"] = "\n".join(lines) + "\n"
     _emit(args, summary, tables)
     return EXIT_OK
-
-
-def _monotone_summary(report) -> dict:
-    return {
-        "ok": bool(report.ok),
-        "worst_coupling_slack": float(report.worst_coupling_slack),
-        "worst_terminal_slack": float(report.worst_terminal_slack),
-        "samples": int(report.samples),
-        "tol": float(report.tol),
-    }
 
 
 def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
@@ -707,27 +679,11 @@ def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
     print(f"inner linear solves: {trace.linear_solves}")
     report = result.solution.residual_report
     _print_report(report)
+    stages = [stage._asdict() | {"iterations": stage.iterations, "distance": stage.distance} for stage in trace.stages]
     summary = _base_summary("solve-nonlinear", scenario) | {
-        "residuals": _report_dict(report),
-        "monotone": _monotone_summary(mono) | {"tag": tag},
-        "trace": {
-            "grid": [float(alpha) for alpha in trace.grid],
-            "linear_solves": int(trace.linear_solves),
-            "final_residual": float(trace.final_residual),
-            "stages": [
-                {
-                    "alpha_from": float(stage.alpha_from),
-                    "alpha_to": float(stage.alpha_to),
-                    "delta": float(stage.delta),
-                    "iterations": int(stage.iterations),
-                    "distance": float(stage.distance),
-                    "accepted": bool(stage.accepted),
-                    "nested": bool(stage.nested),
-                    "distances": [float(d) for d in stage.distances],
-                }
-                for stage in trace.stages
-            ],
-        },
+        "residuals": asdict(report) | {"max": report.max},
+        "monotone": asdict(mono) | {"tag": tag},
+        "trace": asdict(trace) | {"stages": stages},
     }
     _emit(args, summary, _solution_tables(tree, result.solution))
     return EXIT_OK
@@ -748,7 +704,7 @@ def _cmd_check_monotone(scenario: Scenario, solver: SolverConfig, args) -> int:
     print(f"worst coupling slack: {report.worst_coupling_slack:.12g}")
     print(f"worst terminal slack: {report.worst_terminal_slack:.12g}")
     print("monotone condition holds" if report.ok else "monotone condition VIOLATED")
-    _emit(args, _base_summary("check-monotone", scenario) | _monotone_summary(report), {})
+    _emit(args, _base_summary("check-monotone", scenario) | asdict(report), {})
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -841,23 +797,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         scenario = load_scenario(args.scenario)
+        flags = {key: getattr(args, key) for key in ("tol", "seed", "delta_init")}
         overrides = {
-            key: value
-            for key, value in (("tol", args.tol), ("seed", args.seed), ("delta_init", args.delta_init))
-            if value is not None
+            key: _setting(key, value, "--" + key.replace("_", "-")) for key, value in flags.items() if value is not None
         }
-        if "tol" in overrides and overrides["tol"] <= 0.0:
-            raise ScenarioError("--tol must be positive")
-        if "seed" in overrides and overrides["seed"] < 0:
-            raise ScenarioError("--seed must be nonnegative")
-        if "delta_init" in overrides and overrides["delta_init"] <= 0.0:
-            raise ScenarioError("--delta-init must be positive")
         solver = replace(scenario.solver, **overrides)
         return _HANDLERS[args.command](scenario, solver, args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ExprSyntaxError as exc:
+    except (InputError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ScenarioError as exc:

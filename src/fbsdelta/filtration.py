@@ -325,27 +325,7 @@ class AdaptedProcess:
         return max(sup_abs(v) for v in self.values)
 
 
-# -- conditional operators on processes ----------------------------------
-
-
-def conditional_expectation(tree: ProbabilityTree, x: AdaptedProcess, t: int) -> AdaptedProcess:
-    """E[x_{t+1} | F_t] as a one-time process at t."""
-    if x.tree is not tree:
-        raise ValueError("process does not live on this tree")
-    return AdaptedProcess(tree, t, t, (tree.expect_next(x.at(t + 1), t),))
-
-
-def conditional_increment_covariation(tree: ProbabilityTree, x: AdaptedProcess, t: int) -> AdaptedProcess:
-    """E[x_{t+1} (dW_t)^T | F_t] for column-vector x; result has shape (rows, d)."""
-    if x.tree is not tree:
-        raise ValueError("process does not live on this tree")
-    return AdaptedProcess(tree, t, t, (tree.expect_next_increment(x.at(t + 1), t),))
-
-
-def expectation(tree: ProbabilityTree, x: AdaptedProcess, t: int) -> np.ndarray:
-    """Unconditional E[x_t] as a plain (rows, cols) array."""
-    probs = tree.node_probabilities(t)
-    return np.einsum("n,nrc->rc", probs, x.at(t))
+# -- checks on processes --------------------------------------------------
 
 
 def is_martingale(tree: ProbabilityTree, x: AdaptedProcess, tol: float = MARTINGALE_TOL) -> CheckResult:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import FbsdeSolution, backward_defect, compensator_slabs, driver_terms, refuse_non_finite
+from .bsde import FbsdeSolution, NonFiniteSolutionError, backward_defect, compensator_slabs, driver_terms, refuse_non_finite
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
@@ -331,13 +331,15 @@ class RiccatiMatrices:
     failure_t: int | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_TOL) -> RiccatiMatrices:
     """Run the deterministic backward recursion, recording singularity margins.
 
     Only the homogeneous coefficient matrices are read, so the outcome is
     invariant under any change of the offset data (D, Dbar, Dhat, g, x0).
     The recursion stops at the first singular step (scanning t = T-1 down to
-    0); entries below the failure stay unset.
+    0); entries below the failure stay unset.  A P_{t+1} or Gamma_t that
+    overflowed raises NonFiniteSolutionError naming it.
     """
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
     P = np.zeros((T + 1, n, m))
@@ -352,11 +354,15 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
 
     for t in range(T - 1, -1, -1):
         p_next = P[t + 1]
+        if not np.isfinite(p_next).all():
+            raise NonFiniteSolutionError(f"P_{t + 1} is not finite")
         gamma = np.eye(2 * m)
         gamma[:m, :m] -= coeffs.B[t] @ p_next
         gamma[:m, m:] -= coeffs.C[t] @ p_next
         gamma[m:, :m] -= coeffs.Bbar[t] @ p_next
         gamma[m:, m:] -= coeffs.Cbar[t] @ p_next
+        if not np.isfinite(gamma).all():  # the SVD below cannot converge on it
+            raise NonFiniteSolutionError(f"Gamma_{t} is not finite")
         gammas[t] = gamma
         sigma = float(np.linalg.svd(gamma, compute_uv=False)[-1])
         sigma_min[t] = sigma

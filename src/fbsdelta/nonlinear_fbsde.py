@@ -270,8 +270,8 @@ class ContinuationConfig:
     def __post_init__(self):
         if not 0.0 < self.delta_min <= self.delta_init <= 1.0:
             raise ValueError("need 0 < delta_min <= delta_init <= 1")
-        if self.picard_tol <= 0 or self.validation_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.picard_tol < math.inf and 0 < self.validation_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.picard_max_iters < 1:
             raise ValueError("iteration limits must be positive")
 

@@ -125,30 +125,23 @@ class ResidualSystem:
         slabs = (*defects.forward, *defects.y_projection, *defects.z_projection, defects.terminal)
         return np.concatenate([slab.ravel() for slab in slabs])
 
-    def jacobian(self, vec: np.ndarray, scheme: str = "forward") -> np.ndarray:
-        """Finite-difference Jacobian, one residual evaluation (two for
-        ``central``) per colour of columns rather than per unknown.
+    def jacobian(self, vec: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian, one residual evaluation per colour of
+        columns (plus the base point) rather than per unknown.
 
         All columns of one colour are bumped together; since no residual row
         depends on two of them, each row's difference belongs to the one
         column of that colour in the row's structural neighbourhood, so the
         result equals the column-by-column quotients exactly.
         """
-        if scheme not in ("forward", "central"):
-            raise ValueError("scheme must be 'forward' or 'central'")
         vec = np.asarray(vec, dtype=float)
         groups, rows, cols, colours = self._colouring
-        base = self.residual(vec) if scheme == "forward" else None
+        base = self.residual(vec)
         diffs = np.empty((len(groups), self.size))
         for c, group in enumerate(groups):
             bumped = vec.copy()
             bumped[group] += FD_STEP
-            hi = self.residual(bumped)
-            if scheme == "forward":
-                diffs[c] = (hi - base) / FD_STEP
-            else:
-                bumped[group] -= 2.0 * FD_STEP
-                diffs[c] = (hi - self.residual(bumped)) / (2.0 * FD_STEP)
+            diffs[c] = (self.residual(bumped) - base) / FD_STEP
         jac = np.zeros((self.size, self.size))
         jac[rows, cols] = diffs[colours, rows]
         return jac
@@ -267,12 +260,14 @@ def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTra
     )
 
 
+# A squared residual norm past the float range reads inf, which only weakens
+# the line search: convergence is judged on the sup-norm.
+@np.errstate(over="ignore")
 def solve_global_newton(
     system: ResidualSystem,
     start: np.ndarray | None = None,
     tol: float = NEWTON_TOL,
     max_iters: int = NEWTON_MAX_ITERS,
-    scheme: str = "forward",
 ) -> OracleSolution:
     """Drive the stacked residual to (sup-norm) ``tol`` by damped Newton steps.
 
@@ -290,7 +285,7 @@ def solve_global_newton(
         if sup <= tol:
             trace = NewtonTrace(True, iteration, tuple(norms), tuple(steps), "converged")
             return _assemble_solution(system, vec, trace)
-        jac = system.jacobian(vec, scheme=scheme)
+        jac = system.jacobian(vec)
         try:
             direction = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:

@@ -356,21 +356,16 @@ def counting_model(model: NonlinearModel) -> tuple[NonlinearModel, Counter]:
     )
 
 
-def per_column_jacobian(system, vec, step: float = FD_STEP, scheme: str = "forward") -> np.ndarray:
-    """Reference finite-difference Jacobian of a residual system: one
-    residual evaluation (two for ``central``) per unknown."""
+def per_column_jacobian(system, vec, step: float = FD_STEP) -> np.ndarray:
+    """Reference forward-difference Jacobian of a residual system: one
+    residual evaluation per unknown."""
     vec = np.asarray(vec, dtype=float)
     jac = np.empty((system.size, system.size))
-    base = system.residual(vec) if scheme == "forward" else None
+    base = system.residual(vec)
     for j in range(system.size):
         bumped = vec.copy()
         bumped[j] += step
-        hi = system.residual(bumped)
-        if scheme == "forward":
-            jac[:, j] = (hi - base) / step
-        else:
-            bumped[j] -= 2.0 * step
-            jac[:, j] = (hi - system.residual(bumped)) / (2.0 * step)
+        jac[:, j] = (system.residual(bumped) - base) / step
     return jac
 
 

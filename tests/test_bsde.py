@@ -14,7 +14,6 @@ from fbsdelta import (
     ProbabilityTree,
     bsde_residuals,
     build_residual_system,
-    conditional_expectation,
     eval_expr,
     is_martingale,
     is_strongly_orthogonal,
@@ -45,10 +44,10 @@ def test_zero_driver_gives_conditional_expectations():
     tree = random_tree(rng, horizon=3, branch_choices=(2, 3), d=1)
     eta = random_terminal(rng, tree, n=2)
     sol = solve_bsde(tree, zero_generator(2, 1), eta)
-    expected = eta
+    expected = eta.at(3)
     for t in (2, 1, 0):
-        expected = conditional_expectation(tree, expected, t)
-        assert np.abs(sol.Y.at(t) - expected.at(t)).max() <= EXACT_TOL
+        expected = tree.expect_next(expected, t)
+        assert np.abs(sol.Y.at(t) - expected).max() <= EXACT_TOL
     ok, _ = is_martingale(tree, sol.Y)
     assert ok
 

@@ -1,6 +1,11 @@
 """Exit-code contract, output tables, and byte-identical reruns."""
 
+import copy
+import functools
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
-from fbsdelta.cli import _parse_tree, _process_csv, _slab_from_table, load_scenario, main
+from fbsdelta.cli import _LINEAR_MATRIX_KEYS, _parse_tree, _process_csv, _slab_from_table, load_scenario, main
 from helpers import random_increments, rademacher_tree, reference_process_csv
 
 
@@ -328,12 +333,30 @@ def test_validation_failures_exit_3(tmp_path):
         assert main([command, path]) == 3, f"case {i} ({command})"
 
 
-def test_bad_flag_values_exit_3(tmp_path):
+def test_bad_flag_values_exit_3(tmp_path, capsys):
     path = write_scenario(tmp_path, bsde_scenario())
-    assert main(["solve-bsde", path, "--tol", "-1"]) == 3
-    assert main(["solve-bsde", path, "--seed", "-4"]) == 3
-    nl = write_scenario(tmp_path, nonlinear_scenario(), "nl.json")
-    assert main(["solve-nonlinear", nl, "--delta-init", "7"]) == 3
+    linear = write_scenario(tmp_path, linear_scenario(), "linear.json")
+    coarse = nonlinear_scenario()
+    coarse["solver"]["picard_tol"] = 1e-3  # leaves a residual far above any small --tol
+    nl = write_scenario(tmp_path, coarse, "nl.json")
+    assert main(["solve-nonlinear", nl, "--tol", "1e-8"]) == 2
+    capsys.readouterr()
+    cases = [
+        (["solve-bsde", path, "--tol", "-1"], "--tol must be positive"),
+        (["solve-bsde", path, "--seed", "-4"], "--seed must be nonnegative"),
+        (["solve-nonlinear", nl, "--delta-init", "7"], "need 0 < delta_min <= delta_init <= 1"),
+        (["solve-nonlinear", nl, "--delta-init", "0"], "--delta-init must be positive"),
+        (["solve-nonlinear", nl, "--delta-init", "nan"], "--delta-init must be finite"),
+        # the flags obey the same rules as the solver keys: a NaN or infinite
+        # tolerance would certify any residual, or call a solvable system singular
+        (["solve-nonlinear", nl, "--tol", "nan"], "--tol must be finite"),
+        (["solve-nonlinear", nl, "--tol", "inf"], "--tol must be finite"),
+        (["solve-linear", linear, "--tol", "nan"], "--tol must be finite"),
+        (["check-monotone", nl, "--tol", "1e999"], "--tol must be finite"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_input_and_usage_problems_exit_4(tmp_path):
@@ -393,6 +416,7 @@ def test_overflowing_backward_sweep_exits_2_without_a_summary(tmp_path, capsys):
     [
         (2, {"x0": [1e308], "A": [[1.0]], "D": [1e308]}, "X_1 is not finite at node (0,)"),  # (1 + A) x0 + D
         (1, {"x0": [1.5e308], "Dbar": [1e308]}, "X_1 is not finite at node (1,)"),  # one leaf; N_1 is NaN there
+        (2, {"x0": [1.0], "C": [[2.0]], "Abar": [[1e308]]}, "P_1 is not finite"),  # the Riccati recursion
     ],
 )
 def test_overflowing_linear_sweep_exits_2_without_output(tmp_path, capsys, command, horizon, model, named):
@@ -405,6 +429,23 @@ def test_overflowing_linear_sweep_exits_2_without_output(tmp_path, capsys, comma
     assert named in captured.err
     assert "residual backward: 0" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-nonlinear", "compare-oracle"])
+def test_overflowing_anchor_recursion_exits_2_naming_the_matrix(tmp_path, capsys, command):
+    scenario = nonlinear_scenario(with_margins=False)
+    scenario["model"] = {"m": 1, "n": 1, "G": [[1e308]], "beta1": 1.0, "beta2": 1.0, "x0": [0.4]}
+    assert main([command, write_scenario(tmp_path, scenario)]) == 2
+    assert capsys.readouterr().err == "P_2 is not finite\n"
+
+
+def test_an_overflowing_newton_merit_leaks_no_warning(tmp_path):
+    # the sweep is finite, but the oracle's squared residual norm overflows
+    scenario = bsde_scenario()
+    scenario["model"]["terminal"] = [0.3, 1e308]
+    path = write_scenario(tmp_path, scenario)
+    assert main(["solve-bsde", path]) == 0
+    assert main(["compare-oracle", path]) in (0, 2)
 
 
 def test_non_finite_summary_exits_2_without_writing_output(tmp_path, capsys):
@@ -695,3 +736,73 @@ def test_csv_tables_match_the_per_node_writer_and_parse_back_bit_for_bit(case):
     for t, table in tables.items():
         slab = _slab_from_table(tree, t, json.loads(json.dumps(table)), width, "table")
         assert slab.tobytes() == proc.at(t).reshape(-1, width, 1).tobytes()
+
+
+# -- scenario fuzz --------------------------------------------------------------------
+
+
+def _mixed_steps_scenario():
+    scenario = bsde_scenario()
+    scenario["tree"] = {"steps": ["trinomial(0.25)", {"points": [[-1.0], [1.0]], "probs": [0.5, 0.5]}]}
+    return scenario
+
+
+def _full_linear_scenario():
+    scenario = linear_scenario()
+    scenario["model"].update({key: [[0.1 * (i + 1)]] for i, key in enumerate(_LINEAR_MATRIX_KEYS)})
+    scenario["model"]["Chat"] = [[[0.2]], [[0.0]]]  # Chat_T = 0
+    return scenario
+
+
+_FUZZ_BASES = (
+    bsde_scenario,
+    linear_scenario,
+    _full_linear_scenario,
+    nonlinear_scenario,
+    lambda: _table_scenario(_terminal_table()),
+    _mixed_steps_scenario,
+)
+# Every integer here is at most 4, so no mutant can ask for a large tree, dimension or sample count.
+_FUZZ_VALUES = (
+    None, True, False, 0, -1, 2, 4, 0.5, 1e308, -1e308, "text", "rademacher", "trinomial(0.3)",
+    "1 +", "x1", "log(0 - 1)", "1/0", "exp(1000)", [], {}, [1e308], [[1e308]], ["y1"], {"expr": ["1/t"]}, {"0": [1.0]},
+)
+_DROP = object()
+_FUZZ_COMMANDS = ("validate", "solve-bsde", "solve-linear", "solve-nonlinear", "check-monotone", "compare-oracle")
+_FUZZ_FLAGS = ((), ("--tol", "nan"), ("--tol", "1e-3"), ("--seed", "3"), ("--delta-init", "0.25"))
+
+
+def _json_paths(node, prefix=()):
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """One of the small scenarios above with one or two entries replaced or dropped."""
+    scenario = draw(st.sampled_from(_FUZZ_BASES))()
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_json_paths(scenario))
+        if not paths:
+            break
+        *where, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, where, scenario)
+        value = draw(st.sampled_from(_FUZZ_VALUES + (_DROP,)))
+        if value is _DROP:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    return scenario
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(scenario=mutated_scenarios(), flags=st.sampled_from(_FUZZ_FLAGS))
+def test_mutated_scenarios_exit_with_a_documented_code(scenario, flags):
+    # an exception escaping main, a leaked warning included, fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        for command in _FUZZ_COMMANDS:
+            assert main([command, str(path), "--out", str(Path(tmp) / command), *flags]) in (0, 2, 3, 4), command

@@ -7,9 +7,6 @@ from fbsdelta import (
     AdaptedProcess,
     IncrementDistribution,
     ProbabilityTree,
-    conditional_expectation,
-    conditional_increment_covariation,
-    expectation,
     is_martingale,
     is_strongly_orthogonal,
     validate_increments,
@@ -89,14 +86,14 @@ def test_conditional_expectation_tower_property():
     rng = np.random.default_rng(11)
     tree = random_tree(rng, horizon=3, branch_choices=(2, 3), d=1)
     x = random_process(rng, tree, (2, 1), 3, 3)
-    one_step = conditional_expectation(tree, x, 2)
-    two_step = conditional_expectation(tree, one_step, 1)
+    one_step = tree.expect_next(x.at(3), 2)
+    two_step = tree.expect_next(one_step, 1)
     # direct two-step weights
     direct = np.zeros((tree.node_count(1), 2, 1))
     p2, p3 = tree.steps[1].probs, tree.steps[2].probs
     grouped = x.at(3).reshape(tree.node_count(1), p2.size, p3.size, 2, 1)
     direct = np.einsum("j,k,njkrc->nrc", p2, p3, grouped)
-    assert np.abs(two_step.at(1) - direct).max() <= EXACT_TOL
+    assert np.abs(two_step - direct).max() <= EXACT_TOL
 
 
 def test_increment_covariation_recovers_identity():
@@ -193,15 +190,14 @@ def test_adapted_process_algebra_and_expectation():
     assert np.abs(s.at(1) - (a.at(1) + b.at(1))).max() <= EXACT_TOL
     assert (a - a).sup_norm() == 0.0
     manual = float(tree.node_probabilities(2) @ a.at(2)[:, 0, 0])
-    assert expectation(tree, a, 2)[0, 0] == pytest.approx(manual, abs=EXACT_TOL)
+    assert tree.expect_next(tree.expect_next(a.at(2), 1), 0)[0, 0, 0] == pytest.approx(manual, abs=EXACT_TOL)
 
 
-def test_conditional_expectation_requires_matching_tree():
+def test_kernels_require_a_slab_of_the_next_time():
     rng = np.random.default_rng(2)
-    tree1 = rademacher_tree(2)
-    tree2 = rademacher_tree(2)
-    x = random_process(rng, tree1, (1, 1), 1, 1)
+    tree = rademacher_tree(2)
+    x = random_process(rng, tree, (1, 2), 1, 1)
     with pytest.raises(ValueError):
-        conditional_expectation(tree2, x, 0)
+        tree.expect_next(x.at(1), 1)  # two nodes, where time 2 has four
     with pytest.raises(ValueError):
-        conditional_increment_covariation(tree2, x, 0)
+        tree.expect_next_increment(x.at(1), 0)  # not a column vector

@@ -20,8 +20,6 @@ from fbsdelta import (
     ResidualReport,
     anchor_coefficients,
     check_solvability,
-    conditional_expectation,
-    conditional_increment_covariation,
     linear_residual,
     nonlinear_residual,
     reconstruct_compensator,
@@ -259,6 +257,22 @@ def test_an_overflow_in_n_alone_is_refused_by_name():
         solve_linear(coeffs, tree)
 
 
+@pytest.mark.parametrize(
+    "matrices,named",
+    [
+        ({"G": [[1.0]], "C": [[2.0]], "Abar": [[1e308]]}, "P_1"),  # P_1 = 1 + A + C Abar overflows
+        ({"G": [[2.0]], "B": [[1e308]]}, "Gamma_1"),  # P_2 = G is finite, B_1 P_2 is not
+    ],
+)
+def test_an_overflowing_riccati_recursion_is_refused_by_name(matrices, named):
+    # an SVD of the overflowed Gamma_t would raise LinAlgError instead
+    tree = rademacher_tree(2)
+    coeffs = LinearCoefficients.build(tree, 1, 1, x0=[1.0], **matrices)
+    for run in (riccati_matrices, check_solvability, lambda c: solve_linear(c, tree)):
+        with pytest.raises(NonFiniteSolutionError, match=rf"^{named} is not finite$"):
+            run(coeffs)
+
+
 def test_backward_pair_follows_decoupling_field():
     rng = np.random.default_rng(31)
     tree = random_tree(rng, 3)
@@ -266,10 +280,10 @@ def test_backward_pair_follows_decoupling_field():
     mats, p = riccati_backward(coeffs, tree)
     sol = solve_linear(coeffs, tree, matrices=mats)
     for t in range(tree.horizon):
-        ex = conditional_expectation(tree, sol.X, t).at(t)
-        exdw = conditional_increment_covariation(tree, sol.X, t).at(t)
-        ep = conditional_expectation(tree, p, t).at(t) if t + 1 >= p.t_lo else None
-        epdw = conditional_increment_covariation(tree, p, t).at(t)
+        ex = tree.expect_next(sol.X.at(t + 1), t)
+        exdw = tree.expect_next_increment(sol.X.at(t + 1), t)
+        ep = tree.expect_next(p.at(t + 1), t)
+        epdw = tree.expect_next_increment(p.at(t + 1), t)
         y_pred = np.einsum("ij,njk->nik", mats.P[t + 1], ex) + ep
         z_pred = np.einsum("ij,njk->nik", mats.P[t + 1], exdw) + epdw
         assert np.abs(sol.Y.at(t) - y_pred).max() <= RESIDUAL_TOL

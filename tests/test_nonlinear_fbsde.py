@@ -225,6 +225,11 @@ def test_continuation_config_validation():
         ContinuationConfig(delta_init=0.5, delta_min=0.7)
     with pytest.raises(ValueError, match="positive"):
         ContinuationConfig(picard_tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ContinuationConfig(picard_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ContinuationConfig(validation_tol=bad)
 
 
 def zero_solution(tree, m: int, n: int) -> FbsdeSolution:

@@ -119,17 +119,6 @@ def test_oracle_solves_a_mild_coupled_model_directly():
     assert nonlinear_residual(model, tree, sol).max <= MATCH_TOL
 
 
-def test_central_difference_scheme_also_converges():
-    rng = np.random.default_rng(23)
-    tree = random_tree(rng, 2)
-    coeffs = random_linear_coefficients(rng, tree, 1, 1)
-    system = build_residual_system(tree, coeffs)
-    oracle = solve_global_newton(system, scheme="central")
-    assert solution_gap(oracle, solve_linear(coeffs, tree)) <= MATCH_TOL
-    with pytest.raises(ValueError, match="scheme"):
-        system.jacobian(np.zeros(system.size), scheme="midpoint")
-
-
 def test_degenerate_instance_yields_a_singular_jacobian():
     # All offset data zero and x0 = 0, so the residual map is purely linear,
     # vanishes at the origin, and its finite-difference Jacobian is exact to
@@ -231,10 +220,10 @@ def residual_systems(draw) -> ResidualSystem:
 
 
 @_PROPERTY
-@given(system=residual_systems(), scheme=st.sampled_from(("forward", "central")), seed=st.integers(0, 2**32 - 1))
-def test_coloured_jacobian_equals_the_per_column_reference(system, scheme, seed):
+@given(system=residual_systems(), seed=st.integers(0, 2**32 - 1))
+def test_coloured_jacobian_equals_the_per_column_reference(system, seed):
     vec = np.random.default_rng(seed).uniform(-1.0, 1.0, size=system.size)
-    assert np.array_equal(system.jacobian(vec, scheme=scheme), per_column_jacobian(system, vec, scheme=scheme))
+    assert np.array_equal(system.jacobian(vec), per_column_jacobian(system, vec))
 
 
 @_PROPERTY
@@ -295,9 +284,6 @@ def test_jacobian_costs_one_evaluation_per_colour_whatever_the_horizon(monkeypat
         system.jacobian(vec)
         costs[T], sizes[T] = len(calls), system.size
         assert costs[T] == 1 + colour_count(tree, 1, 1)
-        calls.clear()
-        system.jacobian(vec, scheme="central")
-        assert len(calls) == 2 * colour_count(tree, 1, 1)
     # 3 time classes x 2 siblings x (X, Y, Z); at T = 3 no Z unknown sits at
     # a second sibling of a time divisible by 3, so one colour is empty
     assert sizes == {3: 36, 4: 76, 8: 1276}
