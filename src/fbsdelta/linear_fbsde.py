@@ -17,10 +17,17 @@ terminal data, each step forms the 2m-by-2m matrix
 
 whose invertibility (smallest singular value above a threshold) at every t is
 exactly the condition for a unique solution.  The affine offset process p_t
-carries the inhomogeneous data backward; the forward sweep then solves one
-2m system per node and reads Y, Z off the relations
-Y_t = P_{t+1} E[X_{t+1}|F_t] + E[p_{t+1}|F_t] and
-Z_t = P_{t+1} E[X_{t+1} dW_t|F_t] + E[p_{t+1} dW_t|F_t].
+carries the inhomogeneous data backward.  With q_t = E[p_{t+1}|F_t] and
+r_t = E[p_{t+1} dW_t|F_t], the forward step's conditional mean and increment
+(u, v) = (E[X_{t+1}|F_t], E[X_{t+1} dW_t|F_t]) are
+
+    (u, v) = Gamma_t^{-1} [I + A_t; Abar_t] X_t + w_t,
+    w_t = Gamma_t^{-1} [B_t q_t + C_t r_t + D_t; Bbar_t q_t + Cbar_t r_t + Dbar_t].
+
+Gamma_t^{-1} meets the data once per time step: the matrix recursion keeps
+the first factor (P_t is built from it), the offset pass solves for w_t (p_t
+reads it), and the forward sweep only applies the two and reads
+Y_t = P_{t+1} u + q_t and Z_t = P_{t+1} v + r_t.
 """
 
 from __future__ import annotations
@@ -313,21 +320,19 @@ def anchor_coefficients(
 class RiccatiMatrices:
     """Deterministic part of the backward recursion, reusable across offsets.
 
-    ``P[t]`` is defined for t = 1..T (slot 0 unused).  Gamma_t and its
-    solves against the B and C columns are kept so repeated solves with fresh
-    inhomogeneous data redo no matrix recursion.  ``failure_t`` is the
-    largest t whose Gamma_t was (numerically) singular, or None.
+    ``P[t]`` is defined for t = 1..T (slot 0 unused).  ``inv_IA[t]`` is
+    Gamma_t^{-1} [I + A_t; Abar_t], the (2m, m) map from X_t to the forward
+    step's (u, v); with Gamma_t it is kept so repeated solves with fresh
+    inhomogeneous data redo no matrix recursion and solve Gamma_t only for
+    the offset part.  ``failure_t`` is the largest t whose Gamma_t was
+    (numerically) singular, or None; ``inv_IA`` stays zero at and below it.
     """
 
-    horizon: int
-    m: int
-    n: int
     P: np.ndarray
     gammas: np.ndarray
     sigma_min: np.ndarray
     gamma_reports: tuple[GammaReport, ...]
-    inv_B: tuple = field(repr=False)
-    inv_C: tuple = field(repr=False)
+    inv_IA: np.ndarray = field(repr=False)
     failure_t: int | None = None
 
 
@@ -346,8 +351,7 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
     P[T] = -coeffs.Ahat[T] + (np.eye(n) - coeffs.Bhat[T]) @ coeffs.G
     gammas = np.zeros((T, 2 * m, 2 * m))
     sigma_min = np.full(T, np.nan)
-    inv_B: list = [None] * T
-    inv_C: list = [None] * T
+    inv_IA = np.zeros((T, 2 * m, m))
     reports: list[GammaReport] = []
     failure_t: int | None = None
     eye_m, eye_n = np.eye(m), np.eye(n)
@@ -371,16 +375,14 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
         if not invertible:
             failure_t = t
             break
-        inv_IA = np.linalg.solve(gamma, np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
-        inv_B[t] = np.linalg.solve(gamma, np.vstack([coeffs.B[t], coeffs.Bbar[t]]))
-        inv_C[t] = np.linalg.solve(gamma, np.vstack([coeffs.C[t], coeffs.Cbar[t]]))
+        inv_IA[t] = np.linalg.solve(gamma, np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
         if t >= 1:
-            g_map = p_next @ inv_IA[:m]
-            h_map = p_next @ inv_IA[m:]
+            g_map = p_next @ inv_IA[t, :m]
+            h_map = p_next @ inv_IA[t, m:]
             P[t] = -coeffs.Ahat[t] + (eye_n - coeffs.Bhat[t]) @ g_map - coeffs.Chat[t] @ h_map
             condensed = -coeffs.Ahat[t] + np.hstack(
                 [(eye_n - coeffs.Bhat[t]) @ p_next, -coeffs.Chat[t] @ p_next]
-            ) @ inv_IA
+            ) @ inv_IA[t]
             gap = float(np.abs(P[t] - condensed).max())
             if gap > CONSISTENCY_TOL * max(1.0, float(np.abs(P[t]).max())):
                 raise ArithmeticError(
@@ -388,15 +390,11 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
                 )
 
     return RiccatiMatrices(
-        horizon=T,
-        m=m,
-        n=n,
         P=P,
         gammas=gammas,
         sigma_min=sigma_min,
         gamma_reports=tuple(sorted(reports)),
-        inv_B=tuple(inv_B),
-        inv_C=tuple(inv_C),
+        inv_IA=inv_IA,
         failure_t=failure_t,
     )
 
@@ -432,45 +430,39 @@ def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, list, list, list]:
 
 def _offset_backward(
     coeffs: LinearCoefficients, tree: ProbabilityTree, mats: RiccatiMatrices, offsets: tuple
-) -> tuple[list, list, list]:
+) -> tuple[list, list, list, list]:
     """Slabs of the offset process p_t for t = 1..T (index 0 unused), for the
     homogeneous part of ``coeffs`` and the offset slabs ``offsets``, with
-    E[p_{t+1}|F_t] and E[p_{t+1} dW_t|F_t] for t = 0..T-1."""
+    q_t = E[p_{t+1}|F_t], r_t = E[p_{t+1} dW_t|F_t] and the forward step's
+    offset part w_t = Gamma_t^{-1}[B_t q_t + C_t r_t + D_t; Bbar_t q_t +
+    Cbar_t r_t + Dbar_t], an (N_t, 2m, 1) slab, for t = 0..T-1: one Gamma_t
+    solve per time step."""
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
     D, Dbar, Dhat, (g,) = offsets
     eye_n = np.eye(n)
     p_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
     ep_slabs: list[np.ndarray] = [np.empty(0)] * T
     epdw_slabs: list[np.ndarray] = [np.empty(0)] * T
+    w_slabs: list[np.ndarray] = [np.empty(0)] * T
     p_slabs[T] = np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[T], g) - Dhat[T - 1]
     for t in range(T - 1, -1, -1):
         ep = ep_slabs[t] = tree.expect_next(p_slabs[t + 1], t)
         epdw = epdw_slabs[t] = tree.expect_next_increment(p_slabs[t + 1], t)
+        bc = np.block([[coeffs.B[t], coeffs.C[t]], [coeffs.Bbar[t], coeffs.Cbar[t]]])
+        qr = np.concatenate([ep, epdw], axis=1)[:, :, 0].T  # (2n, N_t)
+        dd = np.concatenate([D[t], Dbar[t]], axis=1)[:, :, 0].T  # (2m, N_t)
+        w = w_slabs[t] = np.linalg.solve(mats.gammas[t], bc @ qr + dd).T[:, :, None]
         if t == 0:
             break
         p_next = mats.P[t + 1]
-        stacked = np.concatenate([D[t], Dbar[t]], axis=1)
-        inv_off = np.linalg.solve(mats.gammas[t], stacked[:, :, 0].T).T
-        top_b = p_next @ mats.inv_B[t][:m]
-        top_c = p_next @ mats.inv_C[t][:m]
-        bot_b = p_next @ mats.inv_B[t][m:]
-        bot_c = p_next @ mats.inv_C[t][m:]
-        g_t = (
-            np.einsum("ij,njk->nik", eye_n + top_b, ep)
-            + np.einsum("ij,njk->nik", top_c, epdw)
-            + np.einsum("ij,nj->ni", p_next, inv_off[:, :m])[:, :, None]
-        )
-        h_t = (
-            np.einsum("ij,njk->nik", bot_b, ep)
-            + np.einsum("ij,nj->ni", p_next, inv_off[:, m:])[:, :, None]
-            + np.einsum("ij,njk->nik", eye_n + bot_c, epdw)
-        )
+        g_t = ep + np.einsum("ij,njk->nik", p_next, w[:, :m])
+        h_t = epdw + np.einsum("ij,njk->nik", p_next, w[:, m:])
         p_slabs[t] = (
             np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[t], g_t)
             - np.einsum("ij,njk->nik", coeffs.Chat[t], h_t)
             - Dhat[t - 1]
         )
-    return p_slabs, ep_slabs, epdw_slabs
+    return p_slabs, ep_slabs, epdw_slabs, w_slabs
 
 
 def _solvable_matrices(
@@ -491,15 +483,10 @@ def _solvable_matrices(
     return mats
 
 
-def riccati_backward(
-    coeffs: LinearCoefficients,
-    tree: ProbabilityTree,
-    matrices: RiccatiMatrices | None = None,
-    singular_tol: float = SINGULAR_TOL,
-) -> tuple[RiccatiMatrices, AdaptedProcess]:
+def riccati_backward(coeffs: LinearCoefficients, tree: ProbabilityTree) -> tuple[RiccatiMatrices, AdaptedProcess]:
     """Full backward pass: the matrices (P_t and the Gamma_t margins) and the
     offset process p_t on t = 1..T; raises NotSolvableError on a singular step."""
-    mats = _solvable_matrices(coeffs, tree, matrices, singular_tol)
+    mats = _solvable_matrices(coeffs, tree)
     p_slabs = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))[0]
     return mats, AdaptedProcess(tree, 1, coeffs.horizon, tuple(p_slabs[1:]))
 
@@ -536,39 +523,23 @@ def _solve_linear(
     solvable recursion ``mats`` holds, and the offset slabs ``offsets``
     (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
     naming the process, time and node, when its own arithmetic overflows."""
-    D, Dbar, _, (g,) = offsets
-    _, ep_slabs, epdw_slabs = _offset_backward(coeffs, tree, mats, offsets)
+    (g,) = offsets[3]
+    _, ep_slabs, epdw_slabs, w_slabs = _offset_backward(coeffs, tree, mats, offsets)
     T, m = coeffs.horizon, coeffs.m
 
     x_slabs: list[np.ndarray] = [coeffs.x0[None, :, :]]
     y_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
     z_slabs: list[np.ndarray] = [np.empty(0)] * T
-    eye_m = np.eye(m)
 
     for t in range(T):
-        ep, epdw = ep_slabs[t], epdw_slabs[t]
-        x_t = x_slabs[t]
-        top = (
-            np.einsum("ij,njk->nik", eye_m + coeffs.A[t], x_t)
-            + np.einsum("ij,njk->nik", coeffs.B[t], ep)
-            + np.einsum("ij,njk->nik", coeffs.C[t], epdw)
-            + D[t]
-        )
-        bot = (
-            np.einsum("ij,njk->nik", coeffs.Abar[t], x_t)
-            + np.einsum("ij,njk->nik", coeffs.Bbar[t], ep)
-            + np.einsum("ij,njk->nik", coeffs.Cbar[t], epdw)
-            + Dbar[t]
-        )
-        rhs = np.concatenate([top, bot], axis=1)
-        uv = np.linalg.solve(mats.gammas[t], rhs[:, :, 0].T).T
-        u, v = uv[:, :m, None], uv[:, m:, None]
+        uv = np.einsum("ij,njk->nik", mats.inv_IA[t], x_slabs[t]) + w_slabs[t]
+        u, v = uv[:, :m], uv[:, m:]
         points = tree.steps[t].points[:, 0]
         children = u[:, None, :, :] + v[:, None, :, :] * points[None, :, None, None]
         x_slabs.append(children.reshape(tree.node_count(t + 1), m, 1))
         p_mat = mats.P[t + 1]
-        y_slabs[t] = np.einsum("ij,njk->nik", p_mat, u) + ep
-        z_slabs[t] = np.einsum("ij,njk->nik", p_mat, v) + epdw
+        y_slabs[t] = np.einsum("ij,njk->nik", p_mat, u) + ep_slabs[t]
+        z_slabs[t] = np.einsum("ij,njk->nik", p_mat, v) + epdw_slabs[t]
     y_slabs[T] = np.einsum("ij,njk->nik", coeffs.G, x_slabs[T]) + g
 
     def sweep():

@@ -260,29 +260,27 @@ def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTra
     )
 
 
-# A squared residual norm past the float range reads inf, which only weakens
-# the line search: convergence is judged on the sup-norm.
+# A trial residual past the float range reads inf and fails the line search.
 @np.errstate(over="ignore")
-def solve_global_newton(
-    system: ResidualSystem,
-    start: np.ndarray | None = None,
-    tol: float = NEWTON_TOL,
-    max_iters: int = NEWTON_MAX_ITERS,
-) -> OracleSolution:
-    """Drive the stacked residual to (sup-norm) ``tol`` by damped Newton steps.
+def solve_global_newton(system: ResidualSystem, max_iters: int = NEWTON_MAX_ITERS) -> OracleSolution:
+    """Drive the stacked residual from zero to sup-norm ``NEWTON_TOL`` by
+    damped Newton steps.
 
     Each step solves the finite-difference Jacobian system (falling back to a
     least-squares direction when it is singular) and backtracks until the
-    squared residual norm satisfies a standard sufficient-decrease rule.
+    squared norm of the residual, divided by the current sup-norm, satisfies
+    a standard sufficient-decrease rule.  The scaling keeps the merit finite
+    at the current point, so a residual near the float range cannot pass
+    every trial as inf <= inf.
     """
-    vec = np.zeros(system.size) if start is None else np.asarray(start, dtype=float).copy()
+    vec = np.zeros(system.size)
     norms: list[float] = []
     steps: list[float] = []
     for iteration in range(max_iters):
         res = system.residual(vec)
         sup = float(np.abs(res).max())
         norms.append(sup)
-        if sup <= tol:
+        if sup <= NEWTON_TOL:
             trace = NewtonTrace(True, iteration, tuple(norms), tuple(steps), "converged")
             return _assemble_solution(system, vec, trace)
         jac = system.jacobian(vec)
@@ -290,11 +288,12 @@ def solve_global_newton(
             direction = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        phi0 = float(res @ res)
+        scaled = res / sup
+        phi0 = float(scaled @ scaled)
         s = 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = vec + s * direction
-            trial_res = system.residual(trial)
+            trial_res = system.residual(trial) / sup
             if float(trial_res @ trial_res) <= (1.0 - 2.0 * ARMIJO_SLOPE * s) * phi0:
                 break
             s *= 0.5

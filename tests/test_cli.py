@@ -410,6 +410,20 @@ def test_overflowing_backward_sweep_exits_2_without_a_summary(tmp_path, capsys):
     assert main(["compare-oracle", path]) == 2
 
 
+def test_oracle_line_search_refuses_an_overflowing_merit(tmp_path, capsys):
+    # the squared residual overflows here; the line search must not accept
+    # every trial as inf <= inf and take blind steps to the iteration limit
+    scenario = bsde_scenario()
+    scenario["model"]["terminal"] = [0.3, 1e308]
+    path = write_scenario(tmp_path, scenario)
+    assert main(["solve-bsde", path]) == 0
+    capsys.readouterr()
+    assert main(["compare-oracle", path]) == 2
+    err = capsys.readouterr().err
+    assert "line search could not reduce the residual below 1.000e+308" in err
+    assert "no convergence" not in err
+
+
 @pytest.mark.parametrize("command", ["solve-linear", "compare-oracle"])
 @pytest.mark.parametrize(
     "horizon,model,named",

@@ -290,6 +290,25 @@ def test_backward_pair_follows_decoupling_field():
         assert np.abs(sol.Z.at(t) - z_pred).max() <= RESIDUAL_TOL
 
 
+def test_one_linear_solve_makes_one_gamma_solve_per_time_step(monkeypatch):
+    # the offset pass solves Gamma_t once per t; the forward sweep only applies
+    rng = np.random.default_rng(43)
+    tree = random_tree(rng, 4)
+    coeffs = random_linear_coefficients(rng, tree, 2, 2)
+    mats = riccati_matrices(coeffs)
+    solve = np.linalg.solve
+    calls = []
+
+    def counting_solve(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    sol = solve_linear(coeffs, tree, matrices=mats)
+    assert calls == [(4, 4)] * tree.horizon
+    assert sol.residual_report.max <= RESIDUAL_TOL
+
+
 def test_solution_is_affine_in_offset_data():
     rng = np.random.default_rng(37)
     tree = random_tree(rng, 3)
