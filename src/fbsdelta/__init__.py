@@ -2,131 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .filtration import (
-    AdaptedProcess,
-    CheckResult,
-    IncrementDistribution,
-    MomentReport,
-    ProbabilityTree,
-    is_martingale,
-    is_strongly_orthogonal,
-    validate_increments,
-)
-from .bsde import (
-    BackwardSystem,
-    BsdeResidualReport,
-    FbsdeSolution,
-    Generator,
-    NonFiniteSolutionError,
-    bsde_residuals,
-    solution_energy,
-    solve_bsde,
-)
-from .model_dsl import (
-    ExprEvalError,
-    ExprSyntaxError,
-    compile_expr,
-    eval_expr,
-    format_expr,
-    free_variables,
-    parse_expr,
-)
-from .linear_fbsde import (
-    GammaReport,
-    LinearCoefficients,
-    NotSolvableError,
-    ResidualReport,
-    RiccatiMatrices,
-    SolvabilityReport,
-    anchor_coefficients,
-    check_solvability,
-    linear_residual,
-    riccati_backward,
-    riccati_matrices,
-    solve_linear,
-)
-from .nonlinear_fbsde import (
-    ContinuationConfig,
-    ContinuationFailedError,
-    ContinuationResult,
-    ContinuationTrace,
-    DualityReport,
-    MonotonicityReport,
-    NonlinearModel,
-    StageRecord,
-    check_monotone,
-    duality_gap,
-    homotopy_coefficients,
-    nonlinear_residual,
-    reconstruct_compensator,
-    solve_continuation,
-    weighted_distance,
-)
-from .oracle import (
-    NewtonTrace,
-    OracleFailedError,
-    OracleSolution,
-    ResidualSystem,
-    build_residual_system,
-    solution_gap,
-    solve_global_newton,
-)
+from . import bsde, filtration, linear_fbsde, model_dsl, nonlinear_fbsde, oracle
+from .bsde import *
+from .filtration import *
+from .linear_fbsde import *
+from .model_dsl import *
+from .nonlinear_fbsde import *
+from .oracle import *
 
-__all__ = [
-    "AdaptedProcess",
-    "BackwardSystem",
-    "BsdeResidualReport",
-    "CheckResult",
-    "ContinuationConfig",
-    "ContinuationFailedError",
-    "ContinuationResult",
-    "ContinuationTrace",
-    "DualityReport",
-    "ExprEvalError",
-    "ExprSyntaxError",
-    "FbsdeSolution",
-    "GammaReport",
-    "Generator",
-    "IncrementDistribution",
-    "LinearCoefficients",
-    "MomentReport",
-    "MonotonicityReport",
-    "NewtonTrace",
-    "NonFiniteSolutionError",
-    "NonlinearModel",
-    "NotSolvableError",
-    "OracleFailedError",
-    "OracleSolution",
-    "ProbabilityTree",
-    "ResidualReport",
-    "ResidualSystem",
-    "RiccatiMatrices",
-    "SolvabilityReport",
-    "StageRecord",
-    "anchor_coefficients",
-    "bsde_residuals",
-    "build_residual_system",
-    "check_monotone",
-    "check_solvability",
-    "compile_expr",
-    "duality_gap",
-    "eval_expr",
-    "format_expr",
-    "free_variables",
-    "homotopy_coefficients",
-    "is_martingale",
-    "is_strongly_orthogonal",
-    "linear_residual",
-    "nonlinear_residual",
-    "parse_expr",
-    "reconstruct_compensator",
-    "riccati_backward",
-    "riccati_matrices",
-    "solution_energy",
-    "solution_gap",
-    "solve_bsde",
-    "solve_continuation",
-    "solve_global_newton",
-    "solve_linear",
-    "validate_increments",
-]
+# each module lists its own public names
+__all__ = [name for module in (filtration, bsde, model_dsl, linear_fbsde, nonlinear_fbsde, oracle) for name in module.__all__]

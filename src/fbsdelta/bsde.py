@@ -30,6 +30,11 @@ from .filtration import (
 if TYPE_CHECKING:
     from .linear_fbsde import ResidualReport
 
+__all__ = [
+    "BackwardSystem", "BsdeResidualReport", "FbsdeSolution", "Generator", "NonFiniteSolutionError",
+    "bsde_residuals", "solution_energy", "solve_bsde",
+]
+
 GeneratorFn = Callable[[int, np.ndarray, np.ndarray, Sequence[tuple]], np.ndarray]
 
 

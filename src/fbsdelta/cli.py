@@ -45,6 +45,7 @@ from .linear_fbsde import (
     SINGULAR_TOL,
     LinearCoefficients,
     NotSolvableError,
+    require_coupled_tree,
     riccati_matrices,
     solve_linear,
 )
@@ -346,6 +347,7 @@ def _parse_linear(tree: ProbabilityTree, payload: dict) -> LinearCoefficients:
 
 
 def _parse_nonlinear(tree: ProbabilityTree, payload: dict) -> NonlinearModel:
+    _build_checked(require_coupled_tree, tree)
     allowed = {"m", "n", "G", "beta1", "beta2", "x0", "drift", "noise_loading", "driver", "terminal"}
     _check_keys(payload, allowed, "model")
     m = _as_int(_require(payload, "m", "model"), "model.m")
@@ -621,7 +623,7 @@ def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig, args) -> int:
     print("  t  sigma_min        invertible")
     for entry in matrices.gamma_reports:
         print(f"  {entry.t}  {entry.sigma_min:<15.12g}  {'yes' if entry.invertible else 'NO'}")
-    sol = solve_linear(coeffs, tree, matrices=matrices, singular_tol=tol)
+    sol = solve_linear(coeffs, tree, matrices=matrices)
     print("decoupling sequence P_t (defined for t = 1..T):")
     for t in range(1, coeffs.horizon + 1):
         print(f"  P[{t}] = {_matrix_text(matrices.P[t])}")

@@ -16,6 +16,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+__all__ = [
+    "AdaptedProcess", "CheckResult", "IncrementDistribution", "MomentReport", "ProbabilityTree",
+    "is_martingale", "is_strongly_orthogonal", "validate_increments",
+]
+
 # Tolerance for the moment conditions a driving-noise step must satisfy.
 MOMENT_TOL = 1e-12
 # Tolerance below which a process is accepted as a martingale / orthogonal.
@@ -239,6 +244,8 @@ class AdaptedProcess:
         if len(vals) != self.t_hi - self.t_lo + 1:
             raise ValueError("one value array per time in the domain is required")
         shape = vals[0].shape[1:]
+        if len(shape) != 2:
+            raise ValueError(f"slices must have shape (nodes, rows, cols), got {vals[0].shape}")
         for i, v in enumerate(vals):
             t = self.t_lo + i
             if v.ndim != 3 or v.shape[1:] != shape:
@@ -258,9 +265,8 @@ class AdaptedProcess:
 
     @classmethod
     def constant(cls, tree: ProbabilityTree, value: np.ndarray, t_lo: int, t_hi: int) -> "AdaptedProcess":
-        value = np.atleast_2d(np.asarray(value, dtype=float))
-        if value.ndim == 2 and value.shape[1] != 1 and value.shape[0] == 1:
-            value = value.T
+        """The (rows, cols) array ``value`` at every node of every time."""
+        value = np.asarray(value, dtype=float)
         vals = [np.broadcast_to(value, (tree.node_count(t),) + value.shape).copy() for t in range(t_lo, t_hi + 1)]
         return cls(tree, t_lo, t_hi, tuple(vals))
 
@@ -328,22 +334,22 @@ class AdaptedProcess:
 # -- checks on processes --------------------------------------------------
 
 
-def is_martingale(tree: ProbabilityTree, x: AdaptedProcess, tol: float = MARTINGALE_TOL) -> CheckResult:
-    """Whether E[x_{t+1}|F_t] = x_t across the whole domain of x."""
+def is_martingale(tree: ProbabilityTree, x: AdaptedProcess) -> CheckResult:
+    """Whether E[x_{t+1}|F_t] = x_t across the whole domain of x, to
+    :data:`MARTINGALE_TOL`."""
     worst = 0.0
     for t in range(x.t_lo, x.t_hi):
         worst = max(worst, sup_abs(tree.expect_next(x.at(t + 1), t) - x.at(t)))
-    return CheckResult(worst <= tol, worst)
+    return CheckResult(worst <= MARTINGALE_TOL, worst)
 
 
-def is_strongly_orthogonal(
-    tree: ProbabilityTree, n_proc: AdaptedProcess, tol: float = MARTINGALE_TOL
-) -> CheckResult:
-    """Whether E[(n_{t+1}-n_t)(dW_t)^T | F_t] vanishes at every node of the
-    domain of ``n_proc``; the martingale property is checked separately."""
+def is_strongly_orthogonal(tree: ProbabilityTree, n_proc: AdaptedProcess) -> CheckResult:
+    """Whether E[(n_{t+1}-n_t)(dW_t)^T | F_t] vanishes, to
+    :data:`MARTINGALE_TOL`, at every node of the domain of ``n_proc``; the
+    martingale property is checked separately."""
     worst = 0.0
     for t in range(n_proc.t_lo, n_proc.t_hi):
         k = tree.branch_count(t)
         delta = n_proc.at(t + 1) - np.repeat(n_proc.at(t), k, axis=0)
         worst = max(worst, sup_abs(tree.expect_next_increment(delta, t)))
-    return CheckResult(worst <= tol, worst)
+    return CheckResult(worst <= MARTINGALE_TOL, worst)

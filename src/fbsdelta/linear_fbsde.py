@@ -40,6 +40,11 @@ import numpy as np
 from .bsde import FbsdeSolution, NonFiniteSolutionError, backward_defect, compensator_slabs, driver_terms, refuse_non_finite
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
+__all__ = [
+    "GammaReport", "LinearCoefficients", "NotSolvableError", "ResidualReport", "RiccatiMatrices", "SolvabilityReport",
+    "anchor_coefficients", "check_solvability", "linear_residual", "riccati_backward", "riccati_matrices", "solve_linear",
+]
+
 # Gamma_t with smallest singular value at or below this margin counts as singular.
 SINGULAR_TOL = 1e-10
 # The two routes to P_t (expanded vs condensed) must agree to this tolerance.
@@ -62,6 +67,23 @@ class NotSolvableError(Exception):
         self.t = t
         self.sigma_min = sigma_min
         self.partial = partial
+
+
+def require_coupled_tree(tree: ProbabilityTree, horizon: int | None = None) -> None:
+    """Refuse a tree the coupled solvers cannot use: they are written for
+    one-dimensional noise, and coefficients given per time must span the
+    tree's ``horizon`` (when given)."""
+    if tree.d != 1:
+        raise ValueError("coupled systems require one-dimensional driving noise")
+    if horizon is not None and tree.horizon != horizon:
+        raise ValueError("tree and coefficients disagree on the horizon")
+
+
+def require_full_rank(G: np.ndarray) -> None:
+    """Refuse a terminal coupling G of rank below min(m, n)."""
+    s = np.linalg.svd(G, compute_uv=False)
+    if s[-1] <= RANK_TOL:
+        raise ValueError(f"terminal coupling G must have full rank min(m, n); smallest singular value {s[-1]:.1e}")
 
 
 class GammaReport(NamedTuple):
@@ -88,21 +110,14 @@ def _matrix_per_time(value, times: int, shape: tuple[int, int], name: str) -> np
     raise ValueError(f"{name} must be one {shape} matrix or {times} of them, got shape {arr.shape}")
 
 
-def _as_process(
-    tree: ProbabilityTree, value, shape: tuple[int, int], t_lo: int, t_hi: int, name: str
-) -> AdaptedProcess:
+def _as_process(tree: ProbabilityTree, value, shape: tuple[int, int], t_lo: int, t_hi: int) -> AdaptedProcess:
+    """None -> zeros; an adapted process as it is (LinearCoefficients checks
+    its shape and domain); anything else -> that constant."""
     if value is None:
         return AdaptedProcess.zeros(tree, shape, t_lo, t_hi)
     if isinstance(value, AdaptedProcess):
-        if value.shape != shape:
-            raise ValueError(f"{name} must be {shape}-valued, got {value.shape}")
-        if value.t_lo > t_lo or value.t_hi < t_hi:
-            raise ValueError(f"{name} must cover times [{t_lo}, {t_hi}]")
-        if (value.t_lo, value.t_hi) != (t_lo, t_hi):
-            value = AdaptedProcess(tree, t_lo, t_hi, tuple(value.at(t) for t in range(t_lo, t_hi + 1)))
         return value
-    arr = np.asarray(value, dtype=float).reshape(shape)
-    return AdaptedProcess.constant(tree, arr, t_lo, t_hi)
+    return AdaptedProcess.constant(tree, np.asarray(value, dtype=float).reshape(shape), t_lo, t_hi)
 
 
 @dataclass(frozen=True)
@@ -163,11 +178,7 @@ class LinearCoefficients:
             object.__setattr__(self, name, arr)
         if np.abs(self.Chat[T]).max() != 0.0:
             raise ValueError("the terminal z-coupling Chat at t=T must be exactly zero")
-        s = np.linalg.svd(self.G, compute_uv=False)
-        if s[min(m, n) - 1] <= RANK_TOL:
-            raise ValueError(
-                f"terminal coupling G must have full rank min(m, n); smallest singular value {s[-1]:.1e}"
-            )
+        require_full_rank(self.G)
         for name, (lo, hi, shape) in {
             "D": (0, T - 1, (m, 1)),
             "Dbar": (0, T - 1, (m, 1)),
@@ -210,8 +221,7 @@ class LinearCoefficients:
         applied on 1..T-1 only (the terminal z-coupling is always zero).
         Inhomogeneous terms accept constants or adapted processes.
         """
-        if tree.d != 1:
-            raise ValueError("linear systems require one-dimensional driving noise")
+        require_coupled_tree(tree)
         T = tree.horizon
 
         def hat(value, shape, name, keep_terminal=True):
@@ -243,10 +253,10 @@ class LinearCoefficients:
             Chat=hat(Chat, (n, n), "Chat", keep_terminal=False),
             G=G,
             x0=np.asarray(x0, dtype=float).reshape(m, 1),
-            D=_as_process(tree, D, (m, 1), 0, T - 1, "D"),
-            Dbar=_as_process(tree, Dbar, (m, 1), 0, T - 1, "Dbar"),
-            Dhat=_as_process(tree, Dhat, (n, 1), 1, T, "Dhat"),
-            g=_as_process(tree, g, (n, 1), T, T, "g"),
+            D=_as_process(tree, D, (m, 1), 0, T - 1),
+            Dbar=_as_process(tree, Dbar, (m, 1), 0, T - 1),
+            Dhat=_as_process(tree, Dhat, (n, 1), 1, T),
+            g=_as_process(tree, g, (n, 1), T, T),
         )
 
     # -- the slab protocol shared with NonlinearModel; the coefficients do
@@ -406,15 +416,11 @@ class SolvabilityReport:
     entries: tuple[GammaReport, ...]
 
 
-def check_solvability(
-    coeffs: LinearCoefficients,
-    tree: ProbabilityTree | None = None,
-    singular_tol: float = SINGULAR_TOL,
-) -> SolvabilityReport:
+def check_solvability(coeffs: LinearCoefficients, tree: ProbabilityTree | None = None) -> SolvabilityReport:
     """Invertibility margins of every Gamma_t; reads no offset data at all."""
-    if tree is not None and tree.horizon != coeffs.horizon:
-        raise ValueError("tree and coefficients disagree on the horizon")
-    mats = riccati_matrices(coeffs, singular_tol=singular_tol)
+    if tree is not None:
+        require_coupled_tree(tree, coeffs.horizon)
+    mats = riccati_matrices(coeffs)
     return SolvabilityReport(
         solvable=mats.failure_t is None,
         failure_t=mats.failure_t,
@@ -466,18 +472,12 @@ def _offset_backward(
 
 
 def _solvable_matrices(
-    coeffs: LinearCoefficients,
-    tree: ProbabilityTree,
-    matrices: RiccatiMatrices | None = None,
-    singular_tol: float = SINGULAR_TOL,
+    coeffs: LinearCoefficients, tree: ProbabilityTree, matrices: RiccatiMatrices | None = None
 ) -> RiccatiMatrices:
     """The given or freshly computed matrices; raises NotSolvableError on a
     singular step."""
-    if tree.d != 1:
-        raise ValueError("linear systems require one-dimensional driving noise")
-    if tree.horizon != coeffs.horizon:
-        raise ValueError("tree and coefficients disagree on the horizon")
-    mats = matrices if matrices is not None else riccati_matrices(coeffs, singular_tol=singular_tol)
+    require_coupled_tree(tree, coeffs.horizon)
+    mats = matrices if matrices is not None else riccati_matrices(coeffs)
     if mats.failure_t is not None:
         raise NotSolvableError(mats.failure_t, float(mats.sigma_min[mats.failure_t]), mats)
     return mats
@@ -492,15 +492,14 @@ def riccati_backward(coeffs: LinearCoefficients, tree: ProbabilityTree) -> tuple
 
 
 def solve_linear(
-    coeffs: LinearCoefficients,
-    tree: ProbabilityTree,
-    matrices: RiccatiMatrices | None = None,
-    singular_tol: float = SINGULAR_TOL,
+    coeffs: LinearCoefficients, tree: ProbabilityTree, matrices: RiccatiMatrices | None = None
 ) -> FbsdeSolution:
-    """Solve the coupled linear system exactly; raises NotSolvableError if
-    some Gamma_t is singular and NonFiniteSolutionError if the sweep or N
-    overflows.  The solution carries its residual report."""
-    mats = _solvable_matrices(coeffs, tree, matrices, singular_tol)
+    """Solve the coupled linear system exactly, with ``matrices`` if given
+    (from :func:`riccati_matrices`, which sets the singularity cutoff);
+    raises NotSolvableError if some Gamma_t is singular and
+    NonFiniteSolutionError if the sweep or N overflows.  The solution
+    carries its residual report."""
+    mats = _solvable_matrices(coeffs, tree, matrices)
     x, y, z = _solve_linear(coeffs, mats, tree, _offset_slabs(coeffs))
     T = coeffs.horizon
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name

@@ -25,6 +25,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+__all__ = ["ExprEvalError", "ExprSyntaxError", "compile_expr", "eval_expr", "format_expr", "free_variables", "parse_expr"]
+
 
 class ExprSyntaxError(ValueError):
     """Raised when an expression cannot be parsed or names unknown symbols."""

@@ -35,32 +35,24 @@ import numpy as np
 from .bsde import FbsdeSolution, compensator_slabs, driver_terms
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import (
-    RANK_TOL,
     LinearCoefficients,
     _offset_slabs,
     _solvable_matrices,
     _solve_linear,
     anchor_coefficients,
+    require_coupled_tree,
+    require_full_rank,
 )
 from .linear_fbsde import linear_residual as nonlinear_residual  # one residual report for every slab system
 
 __all__ = [
-    "NonlinearModel",
-    "ContinuationConfig",
-    "ContinuationFailedError",
-    "ContinuationResult",
-    "ContinuationTrace",
-    "StageRecord",
-    "MonotonicityReport",
-    "DualityReport",
-    "check_monotone",
-    "duality_gap",
-    "homotopy_coefficients",
-    "nonlinear_residual",
-    "reconstruct_compensator",
-    "solve_continuation",
-    "weighted_distance",
+    "NonlinearModel", "ContinuationConfig", "ContinuationFailedError", "ContinuationResult", "ContinuationTrace",
+    "StageRecord", "MonotonicityReport", "DualityReport", "check_monotone", "duality_gap", "homotopy_coefficients",
+    "nonlinear_residual", "reconstruct_compensator", "solve_continuation", "weighted_distance",
 ]
+
+# check_monotone draws every state component uniformly from [-SAMPLE_BOX, SAMPLE_BOX].
+SAMPLE_BOX = 5.0
 
 
 def _slab(value, rows: int, what: str, nodes) -> np.ndarray:
@@ -107,9 +99,7 @@ class NonlinearModel:
         G = np.asarray(self.G, dtype=float)
         if G.shape != (self.n, self.m):
             raise ValueError(f"G must have shape ({self.n}, {self.m}), got {G.shape}")
-        s = np.linalg.svd(G, compute_uv=False)
-        if s[min(self.m, self.n) - 1] <= RANK_TOL:
-            raise ValueError("terminal coupling G must have full rank min(m, n)")
+        require_full_rank(G)
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError("the coupling weights must be nonnegative")
         if self.beta1 + self.beta2 <= 0:
@@ -352,8 +342,7 @@ def solve_continuation(
     final solution fails its residual validation.
     """
     config = config if config is not None else ContinuationConfig()
-    if tree.d != 1:
-        raise ValueError("continuation requires one-dimensional driving noise")
+    require_coupled_tree(tree)
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
     mats = _solvable_matrices(anchor, tree)
 
@@ -485,12 +474,12 @@ def check_monotone(
     tree: ProbabilityTree,
     samples: int = 200,
     seed: int = 0,
-    box: float = 5.0,
     tol: float = 1e-9,
     beta1: float | None = None,
     beta2: float | None = None,
 ) -> MonotonicityReport:
-    """Sample pairs of states and test the coupling slack at every time layer.
+    """Sample pairs of states, each component uniform on [-SAMPLE_BOX,
+    SAMPLE_BOX], and test the coupling slack at every time layer.
 
     For each sampled pair and time the combined pairing of the coefficient
     differences against the state differences, plus beta1 |G dx|^2 for the
@@ -501,8 +490,9 @@ def check_monotone(
     model be at least as dissipative as the solver's base family.  Pass smaller
     ``beta1``/``beta2`` (down to zero, plain monotonicity) to test a weaker
     inequality, e.g. for models that perturb the base family and keep only part
-    of its margin.
+    of its margin.  The tree must have one noise dimension, as for the solver.
     """
+    require_coupled_tree(tree)
     rng = np.random.default_rng(seed)
     T = tree.horizon
     m, n = model.m, model.n
@@ -514,7 +504,7 @@ def check_monotone(
     # Two draws: the pairs of states, then a node at every time 0..T and a
     # leaf for the terminal map (row t of picks, row T + 1 for the leaf).
     counts = np.array([tree.node_count(t) for t in range(T + 1)] + [tree.node_count(T)])
-    states = rng.uniform(-box, box, size=(2, samples, m + 2 * n, 1))
+    states = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(2, samples, m + 2 * n, 1))
     picks = rng.integers(counts[:, None], size=(len(counts), samples))
 
     def picked(slab: tuple, row: int) -> tuple:

@@ -34,8 +34,13 @@ import numpy as np
 
 from .bsde import BackwardSystem, Generator, compensator_slabs, driver_terms
 from .filtration import AdaptedProcess, ProbabilityTree
-from .linear_fbsde import LinearCoefficients, equation_defects
+from .linear_fbsde import LinearCoefficients, equation_defects, require_coupled_tree
 from .nonlinear_fbsde import NonlinearModel
+
+__all__ = [
+    "NewtonTrace", "OracleFailedError", "OracleSolution", "ResidualSystem",
+    "build_residual_system", "solution_gap", "solve_global_newton",
+]
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERS = 50
@@ -226,10 +231,7 @@ def build_residual_system(
         return ResidualSystem(tree, BackwardSystem(tree, problem, eta))
     if not isinstance(problem, (LinearCoefficients, NonlinearModel)):
         raise TypeError(f"no residual system is defined for {type(problem).__name__}")
-    if tree.d != 1:
-        raise ValueError("coupled systems require one-dimensional driving noise")
-    if isinstance(problem, LinearCoefficients) and problem.horizon != tree.horizon:
-        raise ValueError("tree and coefficients disagree on the horizon")
+    require_coupled_tree(tree, getattr(problem, "horizon", None))
     return ResidualSystem(tree, problem)
 
 

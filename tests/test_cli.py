@@ -359,6 +359,33 @@ def test_bad_flag_values_exit_3(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
+# one step with d = 2: zero mean, identity covariance
+SQRT2 = float(np.sqrt(2.0))
+PLANE_STEP = {"points": [[SQRT2, 0.0], [-SQRT2, 0.0], [0.0, SQRT2], [0.0, -SQRT2]], "probs": [0.25] * 4}
+
+
+@pytest.mark.parametrize(
+    "command, scenario_factory",
+    [
+        ("validate", nonlinear_scenario),
+        ("check-monotone", nonlinear_scenario),
+        ("solve-nonlinear", nonlinear_scenario),
+        ("compare-oracle", nonlinear_scenario),
+        ("solve-linear", linear_scenario),
+    ],
+)
+def test_coupled_scenarios_on_a_two_dimensional_tree_exit_3(tmp_path, capsys, command, scenario_factory):
+    # the coupled solvers are written for one noise dimension
+    scenario = scenario_factory()
+    scenario["tree"] = {"horizon": 2, "step": PLANE_STEP}
+    out = tmp_path / "out"
+    assert main([command, write_scenario(tmp_path, scenario), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: coupled systems require one-dimensional driving noise\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_input_and_usage_problems_exit_4(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 4
 

@@ -1,11 +1,14 @@
-"""Export lists: every name a module's ``__all__`` promises is there, once;
+"""Export lists: every name a module's ``__all__`` promises is there, once,
+and the package exports exactly the modules' lists; the README's code runs;
 and what the solvers load: no SciPy."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,35 @@ def test_every_exported_name_resolves_and_appears_once(name):
     assert len(exported) == len(set(exported)), sorted(n for n in exported if exported.count(n) > 1)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+SOLVER_MODULES = ["filtration", "bsde", "model_dsl", "linear_fbsde", "nonlinear_fbsde", "oracle"]
+
+
+def test_the_package_exports_the_union_of_the_solver_modules_lists():
+    origin = {}
+    for name in SOLVER_MODULES:
+        module = importlib.import_module(f"fbsdelta.{name}")
+        for public in module.__all__:
+            assert public not in origin, f"{public} is listed by {origin.get(public)} and {name}"
+            origin[public] = module
+    assert sorted(fbsdelta.__all__) == sorted(origin)
+    assert len(fbsdelta.__all__) == len(set(fbsdelta.__all__))
+    assert not [name for name in fbsdelta.__all__ if name.startswith("_")]
+    for public, module in origin.items():
+        assert getattr(fbsdelta, public) is getattr(module, public), public
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_python_blocks_run_in_order(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out == "[[0.1875]] 0.0\n"
 
 
 SOLVE_WITHOUT_SCIPY = """

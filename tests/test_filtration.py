@@ -169,6 +169,9 @@ def test_adapted_process_validation_and_access():
     tree = rademacher_tree(2)
     with pytest.raises(ValueError, match="rows"):
         AdaptedProcess(tree, 0, 1, (np.zeros((1, 1, 1)), np.zeros((3, 1, 1))))
+    # a constant is one (rows, cols) array; a flat vector is refused, not read as a column
+    with pytest.raises(ValueError, match=r"^slices must have shape \(nodes, rows, cols\), got \(1, 2\)$"):
+        AdaptedProcess.constant(tree, np.array([2.0, 1.0]), 0, 1)
     proc = AdaptedProcess.constant(tree, np.array([[2.0], [1.0]]), 0, 2)
     assert proc.shape == (2, 1)
     assert proc.value(2, (1, 0))[0, 0] == 2.0

@@ -4,6 +4,7 @@ slab contract of nonlinear models."""
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from fbsdelta import (
     ContinuationFailedError,
     FbsdeSolution,
     Generator,
+    IncrementDistribution,
+    LinearCoefficients,
     NonFiniteSolutionError,
     NonlinearModel,
+    ProbabilityTree,
     anchor_coefficients,
     build_residual_system,
     check_monotone,
@@ -230,6 +234,62 @@ def test_continuation_config_validation():
             ContinuationConfig(picard_tol=bad)
         with pytest.raises(ValueError, match="finite"):
             ContinuationConfig(validation_tol=bad)
+
+
+def _model(m=1, n=1, G=((1.0,),), beta1=1.0, beta2=1.0, **functions):
+    return lambda: NonlinearModel(m, n, np.array(G), beta1, beta2, np.full((m, 1), 0.4), **functions)
+
+
+def _continuation(**functions):
+    return lambda: solve_continuation(_model(**functions)(), rademacher_tree(2))
+
+
+def _offset_on_the_wrong_domain():
+    tree = rademacher_tree(2)
+    return LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.0], D=AdaptedProcess.zeros(tree, (1, 1), 0, 2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_continuation(b=lambda t, x, y, z, nodes: np.zeros(3)), "b(t=0) must produce 1 x 1 values, got shape (3,)"),
+        (
+            _continuation(f=lambda t, x, y, z, nodes: [np.inf if (t, v) == (2, (0, 1)) else 0.0 for v in nodes]),
+            "f(t=2) produced non-finite values at node (0, 1)",
+        ),
+        (
+            _continuation(h=lambda x, nodes: [np.nan if v == (1, 0) else 0.0 for v in nodes]),
+            "h produced non-finite values at node (1, 0)",
+        ),
+        (_model(m=0), "dimensions must be positive"),
+        (_model(G=[[1.0], [0.5]]), "G must have shape (1, 1), got (2, 1)"),
+        (_model(G=[[0.0]]), "terminal coupling G must have full rank min(m, n); smallest singular value 0.0e+00"),
+        (_model(beta1=0.0, beta2=0.0), "at least one coupling weight must be positive"),
+        (_model(beta1=-1.0), "the coupling weights must be nonnegative"),
+        (_model(n=2, G=[[1.0], [0.5]], beta1=0.0), "beta1 must be positive when n > m"),
+        (_model(m=2, G=[[1.0, 0.5]], beta2=0.0), "beta2 must be positive when m > n"),
+        (lambda: ContinuationConfig(picard_max_iters=0), "iteration limits must be positive"),
+        # an offset given on a wider domain is refused, not cut to [0, T - 1]
+        (_offset_on_the_wrong_domain, "D must be (1, 1)-valued on [0, 1]"),
+    ],
+)
+def test_bad_models_and_settings_are_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def plane_tree(horizon: int) -> ProbabilityTree:
+    """A tree with d = 2: the four points (+-sqrt 2, 0), (0, +-sqrt 2)."""
+    r = math.sqrt(2.0)
+    step = IncrementDistribution(points=[[r, 0.0], [-r, 0.0], [0.0, r], [0.0, -r]], probs=[0.25] * 4)
+    return ProbabilityTree([step] * horizon)
+
+
+@pytest.mark.parametrize("entry_point", [check_monotone, solve_continuation])
+def test_coupled_entry_points_refuse_a_two_dimensional_tree(entry_point):
+    # check_monotone samples one-column z, so on d = 2 its verdict would mean nothing
+    with pytest.raises(ValueError, match="^coupled systems require one-dimensional driving noise$"):
+        entry_point(mild_coupled_model(m=1, seed=5), plane_tree(2))
 
 
 def zero_solution(tree, m: int, n: int) -> FbsdeSolution:
