@@ -51,6 +51,8 @@ from .linear_fbsde import (
 )
 from .model_dsl import ExprEvalError, ExprSyntaxError, compile_expr, eval_expr, parse_expr
 from .nonlinear_fbsde import (
+    MONOTONE_SAMPLES,
+    MONOTONE_TOL,
     ContinuationConfig,
     ContinuationFailedError,
     NonlinearModel,
@@ -393,7 +395,7 @@ class SolverConfig:
     picard_tol: float = ContinuationConfig.picard_tol
     picard_max_iters: int = ContinuationConfig.picard_max_iters
     validation_tol: float = ContinuationConfig.validation_tol
-    samples: int = 200
+    samples: int = MONOTONE_SAMPLES
     monotone_beta1: float | None = None
     monotone_beta2: float | None = None
 
@@ -675,7 +677,6 @@ def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
         status = "accepted" if stage.accepted else "rejected"
         print(
             f"  stage alpha {stage.alpha_from:g} -> {stage.alpha_to:g}: delta {stage.delta:g}, "
-            f"{'nested' if stage.nested else 'direct'}, "
             f"{stage.iterations} iterations, distance {stage.distance:.12g}, {status}"
         )
     print(f"inner linear solves: {trace.linear_solves}")
@@ -698,7 +699,7 @@ def _cmd_check_monotone(scenario: Scenario, solver: SolverConfig, args) -> int:
         scenario.tree,
         samples=solver.samples,
         seed=solver.seed,
-        tol=solver.tol_or(1e-9),
+        tol=solver.tol_or(MONOTONE_TOL),
         beta1=solver.monotone_beta1,
         beta2=solver.monotone_beta2,
     )

@@ -86,6 +86,12 @@ def require_full_rank(G: np.ndarray) -> None:
         raise ValueError(f"terminal coupling G must have full rank min(m, n); smallest singular value {s[-1]:.1e}")
 
 
+def require_coupling_weights(beta1: float, beta2: float) -> None:
+    """Refuse a negative coupling weight."""
+    if beta1 < 0 or beta2 < 0:
+        raise ValueError("the coupling weights must be nonnegative")
+
+
 class GammaReport(NamedTuple):
     t: int
     sigma_min: float
@@ -308,8 +314,7 @@ def anchor_coefficients(
     if G.ndim != 2:
         raise ValueError("G must be a matrix")
     n, m = G.shape
-    if beta1 < 0 or beta2 < 0:
-        raise ValueError("the coupling weights must be nonnegative")
+    require_coupling_weights(beta1, beta2)
     return LinearCoefficients.build(
         tree,
         m,

@@ -25,7 +25,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ExprEvalError", "ExprSyntaxError", "compile_expr", "eval_expr", "format_expr", "free_variables", "parse_expr"]
+__all__ = ["ExprEvalError", "ExprSyntaxError", "compile_expr", "eval_expr", "format_expr", "parse_expr"]
 
 
 class ExprSyntaxError(ValueError):
@@ -389,19 +389,3 @@ def format_expr(expr: Expr) -> str:
             right = _wrap(right, _level(expr.right) <= level)
         return f"{left} {expr.op} {right}" if expr.op in "+-" else f"{left}{expr.op}{right}"
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def free_variables(expr: Expr) -> frozenset[str]:
-    """Names of all variables appearing in the expression."""
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return free_variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return free_variables(expr.left) | free_variables(expr.right)
-    if isinstance(expr, Call):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= free_variables(a)
-        return out
-    return frozenset()

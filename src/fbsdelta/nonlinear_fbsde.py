@@ -12,16 +12,14 @@ solver embeds the model into the one-parameter family that interpolates, with
 weight alpha, between an always-solvable linear base system (the anchor:
 forward reacting through -beta2 * G^T, backward through -beta1 * G, terminal
 G) and the model itself.  Each interpolation level is solved by freezing the
-level increment at the previous iterate and solving the resulting linear
-system exactly, walking alpha from 0 to 1 in adaptive steps.  Each stage
-first iterates directly against the anchor at its target alpha and gives up
-as soon as the observed contraction cannot reach the tolerance within the
-iteration budget; only then does it run the nested ladder, which re-solves
-the previous levels inside every step (recursion capped at
-``INNER_RECURSION_DEPTH_CAP`` levels, below which a level is again attacked
-directly from the anchor).  The step halves when the ladder stalls too.
-Inside the ladder every process is a list of raw time slabs; adapted
-processes are built only for the returned solution.
+nonlinearity at the previous iterate and solving the resulting linear system
+exactly, walking alpha from 0 to 1 in adaptive steps.  Each stage makes one
+fixed-point attempt against the anchor at its target alpha: plain Picard
+while the observed contraction can still reach the tolerance within the
+iteration budget, Anderson mixing of depth ``MIXING_DEPTH`` after that.  The
+step halves when the attempt stalls.  Inside the solver every process is a
+list of raw time slabs; adapted processes are built only for the returned
+solution.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .linear_fbsde import (
     _solve_linear,
     anchor_coefficients,
     require_coupled_tree,
+    require_coupling_weights,
     require_full_rank,
 )
 from .linear_fbsde import linear_residual as nonlinear_residual  # one residual report for every slab system
@@ -51,8 +50,11 @@ __all__ = [
     "nonlinear_residual", "reconstruct_compensator", "solve_continuation", "weighted_distance",
 ]
 
-# check_monotone draws every state component uniformly from [-SAMPLE_BOX, SAMPLE_BOX].
+# check_monotone draws every state component uniformly from [-SAMPLE_BOX, SAMPLE_BOX];
+# by default it draws MONOTONE_SAMPLES pairs and allows slacks up to MONOTONE_TOL.
 SAMPLE_BOX = 5.0
+MONOTONE_SAMPLES = 200
+MONOTONE_TOL = 1e-9
 
 
 def _slab(value, rows: int, what: str, nodes) -> np.ndarray:
@@ -100,8 +102,7 @@ class NonlinearModel:
         if G.shape != (self.n, self.m):
             raise ValueError(f"G must have shape ({self.n}, {self.m}), got {G.shape}")
         require_full_rank(G)
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("the coupling weights must be nonnegative")
+        require_coupling_weights(self.beta1, self.beta2)
         if self.beta1 + self.beta2 <= 0:
             raise ValueError("at least one coupling weight must be positive")
         if self.n > self.m and self.beta1 <= 0:
@@ -234,21 +235,21 @@ def homotopy_coefficients(model: NonlinearModel, tree: ProbabilityTree, alpha: f
 # -- continuation ------------------------------------------------------------
 
 
-# How deep the nested ladder recurses into previous levels before falling
-# back to iterating directly against the anchor system.
-INNER_RECURSION_DEPTH_CAP = 2
+# Anderson mixing depth: once plain Picard is out of reach, a stage combines up
+# to its last MIXING_DEPTH + 1 solutions into the next iterate.
+MIXING_DEPTH = 10
 
 
 @dataclass(frozen=True)
 class ContinuationConfig:
     """Step control for the interpolation ladder.
 
-    ``delta_init`` is the first attempted alpha step.  A stage first runs
-    plain Picard against the anchor at its target alpha, abandoned once the
-    observed contraction cannot reach ``picard_tol`` within
-    ``picard_max_iters``; then the nested ladder, with the full budget, from
-    the same triple.  When both stall the step halves, down to ``delta_min``.
-    Each fixed-point iteration starts from the best available triple.
+    ``delta_init`` is the first attempted alpha step.  Each stage target gets
+    one fixed-point attempt of at most ``picard_max_iters`` linear solves,
+    from the last accepted triple: plain Picard against the anchor while the
+    observed contraction can still reach ``picard_tol`` within that budget,
+    Anderson mixing after that.  When the attempt stalls the step halves,
+    down to ``delta_min``.
     """
 
     delta_init: float = 0.5
@@ -267,16 +268,13 @@ class ContinuationConfig:
 
 
 class StageRecord(NamedTuple):
-    """One attempt at one stage: ``nested`` tells the ladder attempt from the
-    direct one, and ``distances`` holds the Picard distance after each
-    top-level iteration (for a ladder attempt that stalled inside a lower
-    level, those of the stalled iteration)."""
+    """The one attempt at one stage target: ``distances`` holds the distance
+    between each iterate and its linear solve, plain or mixed."""
 
     alpha_from: float
     alpha_to: float
     delta: float
     accepted: bool
-    nested: bool
     distances: tuple[float, ...]
 
     @property
@@ -312,12 +310,6 @@ class ContinuationFailedError(Exception):
         self.trace = trace
 
 
-class _StageFailed(Exception):
-    def __init__(self, distances: tuple[float, ...]):
-        super().__init__(f"fixed-point stage stalled after {len(distances)} iterations")
-        self.distances = distances
-
-
 def _out_of_reach(distances: list[float], tol: float, budget: int) -> bool:
     """Whether a Picard iteration with these distances so far cannot reach
     ``tol`` within ``budget`` iterations at its last contraction factor q
@@ -328,6 +320,16 @@ def _out_of_reach(distances: list[float], tol: float, budget: int) -> bool:
     if not q < 1.0:
         return True
     return q > 0.0 and len(distances) + math.log(tol / distances[-1]) / math.log(q) > budget
+
+
+def _flatten(slabs: tuple) -> np.ndarray:
+    return np.concatenate([slab.ravel() for part in slabs for slab in part])
+
+
+def _unflatten(flat: np.ndarray, like: tuple) -> tuple:
+    """Slab lists shaped like ``like`` holding the entries of ``flat``."""
+    pieces = iter(np.split(flat, np.cumsum([slab.size for part in like for slab in part])[:-1]))
+    return tuple([next(pieces).reshape(slab.shape) for slab in part] for part in like)
 
 
 def solve_continuation(
@@ -353,75 +355,49 @@ def solve_continuation(
         counters["solves"] += 1
         return _solve_linear(anchor, mats, tree, offsets)
 
-    def picard(step, start: tuple, give_up_early: bool):
-        u, distances = start, []
+    def stage(u: tuple, alpha: float) -> tuple[tuple | None, tuple[float, ...]]:
+        """The level-alpha fixed point reached from ``u`` (None when the
+        attempt stalls) and the distance of every iteration."""
+        distances, images, defects = [], [], []  # flattened history, kept once the stage mixes
         for _ in range(config.picard_max_iters):
-            v = step(u)
+            v = linear_solve(_scaled_add(zero_offsets, _homotopy_offsets(model, tree, u), alpha))
             distances.append(_distance(tree, u, v))
-            u = v
             if distances[-1] <= config.picard_tol:
                 return v, tuple(distances)
-            if give_up_early and _out_of_reach(distances, config.picard_tol, config.picard_max_iters):
-                break
-        raise _StageFailed(tuple(distances))
-
-    grid = [0.0]
-
-    def solve_level(i: int, extra: tuple, depth: int, start: tuple, cap: int):
-        """Solve level i with ``extra`` added to the anchor's offsets; with
-        cap 0 this is the direct attempt, which alone may give up early."""
-        if i == 0:
-            return linear_solve(extra), ()
-        if depth >= cap:
-            alpha = grid[i]
-
-            def step(u: tuple) -> tuple:
-                return linear_solve(_scaled_add(extra, _homotopy_offsets(model, tree, u), alpha))
-
-        else:
-            delta_i = grid[i] - grid[i - 1]
-
-            def step(u: tuple) -> tuple:
-                inner = _scaled_add(extra, _homotopy_offsets(model, tree, u), delta_i)
-                return solve_level(i - 1, inner, depth + 1, u, cap)[0]
-
-        return picard(step, start, give_up_early=cap == 0)
+            mixing = images or _out_of_reach(distances, config.picard_tol, config.picard_max_iters)
+            if mixing and math.isfinite(distances[-1]):  # an overflowed v goes on, to be refused by name
+                images = images[-MIXING_DEPTH:] + [_flatten(v)]
+                defects = defects[-MIXING_DEPTH:] + [images[-1] - _flatten(u)]
+                weights = np.linalg.lstsq(np.diff(defects, axis=0).T, defects[-1], rcond=None)[0]
+                v = _unflatten(images[-1] - np.diff(images, axis=0).T @ weights, v)
+            u = v
+        return None, tuple(distances)
 
     current = linear_solve(zero_offsets)
     records: list[StageRecord] = []
+    grid = [0.0]
     alpha, delta, targets = 0.0, config.delta_init, 0
+
+    def failed(message: str) -> ContinuationFailedError:
+        trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan)
+        return ContinuationFailedError(message, alpha, delta, trace)
 
     while alpha < 1.0 - 1e-12:
         if targets > 4000:
-            raise ContinuationFailedError(
-                f"continuation abandoned after {targets} stage targets",
-                alpha,
-                delta,
-                ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan),
-            )
+            raise failed(f"continuation abandoned after {targets} stage targets")
         targets += 1
         target = min(1.0, alpha + delta)
-        grid.append(target)
-        for cap in (0, INNER_RECURSION_DEPTH_CAP):
-            try:
-                reached, distances = solve_level(len(grid) - 1, zero_offsets, 0, current, cap)
-            except _StageFailed as fail:
-                records.append(StageRecord(alpha, target, delta, False, cap > 0, fail.distances))
-                continue
-            records.append(StageRecord(alpha, target, delta, True, cap > 0, distances))
+        reached, distances = stage(current, target)
+        records.append(StageRecord(alpha, target, delta, reached is not None, distances))
+        if reached is not None:
             current, alpha = reached, target
-            break
-        else:
-            grid.pop()
-            delta *= 0.5
-            if delta < config.delta_min:
-                raise ContinuationFailedError(
-                    f"stage from alpha={alpha:.6g} stalled even at the minimum step "
-                    f"(distance {records[-1].distance:.3e})",
-                    alpha,
-                    delta,
-                    ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan),
-                )
+            grid.append(target)
+            continue
+        delta *= 0.5
+        if delta < config.delta_min:
+            raise failed(
+                f"stage from alpha={alpha:.6g} stalled even at the minimum step (distance {distances[-1]:.3e})"
+            )
 
     T = tree.horizon
     X, Y, Z = (AdaptedProcess(tree, 0, hi, tuple(slabs)) for slabs, hi in zip(current, (T, T, T - 1)))
@@ -472,9 +448,9 @@ class MonotonicityReport:
 def check_monotone(
     model: NonlinearModel,
     tree: ProbabilityTree,
-    samples: int = 200,
+    samples: int = MONOTONE_SAMPLES,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = MONOTONE_TOL,
     beta1: float | None = None,
     beta2: float | None = None,
 ) -> MonotonicityReport:

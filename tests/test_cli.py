@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import operator
+import re
 import tempfile
 from pathlib import Path
 
@@ -154,16 +155,19 @@ def test_solve_nonlinear_prints_trace_and_verdict(tmp_path, capsys):
     assert "residual max:" in out
 
 
+STAGE_LINE = r"  stage alpha \S+ -> \S+: delta \S+, \d+ iterations, distance \S+, (accepted|rejected)"
+
+
 def test_solve_nonlinear_reports_each_attempt_and_its_distances(tmp_path, capsys):
     path = write_scenario(tmp_path, nonlinear_scenario())
     out_dir = tmp_path / "out"
     assert main(["solve-nonlinear", path, "--out", str(out_dir)]) == 0
     stage_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  stage ")]
-    assert stage_lines and all(", direct, " in line for line in stage_lines)
+    assert stage_lines and all(re.fullmatch(STAGE_LINE, line) for line in stage_lines)
     stages = json.loads((out_dir / "summary.json").read_text())["trace"]["stages"]
     assert len(stages) == len(stage_lines)
     for stage in stages:
-        assert stage["nested"] is False
+        assert set(stage) == {"alpha_from", "alpha_to", "delta", "accepted", "distances", "iterations", "distance"}
         assert len(stage["distances"]) == stage["iterations"]
         assert stage["distances"][-1] == stage["distance"]
 
@@ -384,6 +388,61 @@ def test_coupled_scenarios_on_a_two_dimensional_tree_exit_3(tmp_path, capsys, co
     assert captured.err == "error: coupled systems require one-dimensional driving noise\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def _mutated(factory, section, key, value):
+    scenario = factory()
+    scenario[section][key] = value
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (_mutated(bsde_scenario, "tree", "step", "trinomial(x)"), "tree.step: bad trinomial parameter 'x'"),
+        (
+            _mutated(bsde_scenario, "tree", "step", "coin"),
+            "tree.step: unknown step shorthand 'coin' (use 'rademacher' or 'trinomial(p)')",
+        ),
+        (
+            _mutated(bsde_scenario, "tree", "steps", ["rademacher"]),
+            "tree takes either one repeated step or a steps list, not both",
+        ),
+        (bsde_scenario() | {"tree": {"steps": []}}, "tree.steps must be a non-empty list"),
+        (_mutated(bsde_scenario, "tree", "horizon", 0), "tree.horizon must be at least 1"),
+        (
+            _mutated(linear_scenario, "model", "D", {"table": {"0": [0.5], "1": {"0": [0.5], "1": [0.5]}}}),
+            "model.D.table['0'] must map node paths to component vectors",
+        ),
+        (
+            _mutated(linear_scenario, "model", "D", {"expr": ["1"], "table": {}}),
+            "model.D needs exactly one of 'expr' or 'table'",
+        ),
+        (
+            _mutated(linear_scenario, "model", "D", {"expr": ["1.0/(t - 1.0)"]}),
+            "model.D.expr failed at t=1: cannot evaluate '1.0/(t - 1.0)': float division by zero",
+        ),
+        (_mutated(linear_scenario, "model", "D", {"table": []}), "model.D.table must map times to node tables"),
+        (
+            _mutated(linear_scenario, "model", "D", {"table": {"0": {"": [0.5]}}}),
+            "model.D.table must have exactly the time keys ['0', '1']",
+        ),
+        (_mutated(linear_scenario, "model", "g", [0.25, 0.5]), "model.g must have 1 components"),
+        (_mutated(bsde_scenario, "model", "n", 0), "model.n must be at least 1"),
+        (_mutated(bsde_scenario, "model", "d", 2), "model.d disagrees with the tree noise dimension 1"),
+        (_mutated(linear_scenario, "model", "m", 0), "model.m and model.n must be at least 1"),
+        (_mutated(nonlinear_scenario, "model", "n", 0), "model.m and model.n must be at least 1"),
+        ([bsde_scenario()], "the top level of a scenario must be an object"),
+    ],
+    ids=[
+        "trinomial-parameter", "step-shorthand", "step-and-steps", "empty-steps", "horizon", "node-table",
+        "expr-and-table", "expr-fault", "time-table", "time-keys", "offset-size", "bsde-n", "bsde-d",
+        "linear-m", "nonlinear-n", "top-level",
+    ],
+)
+def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):
+    assert main(["validate", write_scenario(tmp_path, scenario)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_input_and_usage_problems_exit_4(tmp_path):

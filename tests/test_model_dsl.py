@@ -17,7 +17,6 @@ from fbsdelta.model_dsl import (
     compile_expr,
     eval_expr,
     format_expr,
-    free_variables,
     parse_expr,
 )
 
@@ -98,12 +97,6 @@ def test_missing_binding_is_an_evaluation_error():
 
 def test_scientific_notation_literals():
     assert eval_expr(parse_expr("2.5e-1 + 1E2", m=0, n=0)) == 100.25
-
-
-def test_free_variables():
-    expr = parse_expr("0.2*tanh(y1) + z2*t - min(x1, 1)", m=1, n=2)
-    assert free_variables(expr) == {"y1", "z2", "t", "x1"}
-    assert free_variables(parse_expr("1+2", m=0, n=0)) == frozenset()
 
 
 def test_print_parse_fixpoint_on_golden_suite():
