@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BackwardSystem", "BsdeResidualReport", "FbsdeSolution", "Generator", "NonFiniteSolutionError",
-    "bsde_residuals", "solution_energy", "solve_bsde",
+    "bsde_residuals", "solve_bsde",
 ]
 
 GeneratorFn = Callable[[int, np.ndarray, np.ndarray, Sequence[tuple]], np.ndarray]
@@ -98,17 +98,16 @@ class Generator:
     ``tree.nodes(t)``), and returns the driver values as an (N, n) array.
     It must not modify its arguments.  Per-node drivers
     ``fn(t, y, z, node)`` with ``y`` of length n and ``z`` of shape (n, d)
-    are wrapped by :meth:`pointwise`.  ``terminal_z_independent`` declares
-    that the driver ignores z at the horizon; solving requires it.
+    are wrapped by :meth:`pointwise`.  At the horizon the driver is
+    evaluated with z = 0.
     """
 
     n: int
     d: int
     fn: GeneratorFn
-    terminal_z_independent: bool = True
 
     @classmethod
-    def pointwise(cls, n: int, d: int, fn: Callable[[int, np.ndarray, np.ndarray, tuple], np.ndarray], **options):
+    def pointwise(cls, n: int, d: int, fn: Callable[[int, np.ndarray, np.ndarray, tuple], np.ndarray]):
         """Generator from a per-node driver, called once per row of a slab."""
 
         def slab_fn(t, y, z, nodes):
@@ -117,7 +116,7 @@ class Generator:
                 out[i] = np.asarray(fn(t, y[i], z[i], node), dtype=float).reshape(n)
             return out
 
-        return cls(n, d, slab_fn, **options)
+        return cls(n, d, slab_fn)
 
     def on_slab(self, tree: ProbabilityTree, t: int, y_slab: np.ndarray, z_slab: np.ndarray | None) -> np.ndarray:
         """Driver values on the whole time-t slab as (N, n, 1); z = 0 when ``z_slab`` is None."""
@@ -183,8 +182,6 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Fb
     Raises NonFiniteSolutionError if the sweep overflows.  Non-finite driver
     values are passed on, and every residual check reads them as inf.
     """
-    if not gen.terminal_z_independent:
-        raise ValueError("the driver must not depend on z at the terminal time")
     BackwardSystem(tree, gen, eta)  # validates the dimensions and the terminal data
     horizon = tree.horizon
 
@@ -253,31 +250,3 @@ def bsde_residuals(
         martingale=is_martingale(tree, sol.N).residual,
         orthogonality=is_strongly_orthogonal(tree, sol.N).residual,
     )
-
-
-def solution_energy(tree: ProbabilityTree, sol: FbsdeSolution) -> dict[str, float]:
-    """Squared-norm diagnostics under both summation conventions for Y.
-
-    Reported keys: expected sum of |Y_t|^2 with and without the terminal
-    slice, expected sum of |Z_t|^2, and expected sum of |N_{t+1} - N_t|^2.
-    """
-    horizon = tree.horizon
-
-    def mean_sq(slab: np.ndarray, t: int) -> float:
-        probs = tree.node_probabilities(t)
-        return float(probs @ (slab.reshape(slab.shape[0], -1) ** 2).sum(axis=1))
-
-    y_below = sum(mean_sq(sol.Y.at(t), t) for t in range(horizon))
-    y_full = y_below + mean_sq(sol.Y.at(horizon), horizon)
-    z_sum = sum(mean_sq(sol.Z.at(t), t) for t in range(horizon))
-    dn_sum = 0.0
-    for t in range(horizon):
-        k = tree.branch_count(t)
-        dn = sol.N.at(t + 1) - np.repeat(sol.N.at(t), k, axis=0)
-        dn_sum += mean_sq(dn, t + 1)
-    return {
-        "y_sq_sum_before_terminal": y_below,
-        "y_sq_sum_with_terminal": y_full,
-        "z_sq_sum": z_sum,
-        "n_increment_sq_sum": dn_sum,
-    }

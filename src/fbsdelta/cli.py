@@ -39,6 +39,7 @@ from .filtration import (
     AdaptedProcess,
     IncrementDistribution,
     ProbabilityTree,
+    require_node_budget,
     validate_increments,
 )
 from .linear_fbsde import (
@@ -55,6 +56,7 @@ from .nonlinear_fbsde import (
     MONOTONE_TOL,
     ContinuationConfig,
     ContinuationFailedError,
+    MonotonicityReport,
     NonlinearModel,
     check_monotone,
     solve_continuation,
@@ -209,7 +211,9 @@ def _parse_tree(value) -> ProbabilityTree:
         horizon = _as_int(_require(value, "horizon", "tree"), "tree.horizon")
         if horizon < 1:
             raise ScenarioError("tree.horizon must be at least 1")
-        steps = [_parse_step(_require(value, "step", "tree"), "tree.step")] * horizon
+        step = _parse_step(_require(value, "step", "tree"), "tree.step")
+        _build_checked(require_node_budget, {step.branch_count: horizon})
+        steps = [step] * horizon
     return _build_checked(ProbabilityTree, steps)
 
 
@@ -374,10 +378,7 @@ def _parse_nonlinear(tree: ProbabilityTree, payload: dict) -> NonlinearModel:
         beta1=_as_number(_require(payload, "beta1", "model"), "model.beta1"),
         beta2=_as_number(_require(payload, "beta2", "model"), "model.beta2"),
         x0=_parse_array(_require(payload, "x0", "model"), "model.x0"),
-        b=fns.get("drift"),
-        sigma=fns.get("noise_loading"),
-        f=fns.get("driver"),
-        h=terminal,
+        b=fns.get("drift"), sigma=fns.get("noise_loading"), f=fns.get("driver"), h=terminal,
     )
 
 
@@ -405,18 +406,15 @@ class SolverConfig:
 
 # Each SolverConfig field's parser and bound, in the order they are checked.
 _SETTINGS = {
-    "tol": (_as_number, "positive"),
-    "delta_init": (_as_number, "positive"),
-    "delta_min": (_as_number, "positive"),
-    "picard_tol": (_as_number, "positive"),
-    "validation_tol": (_as_number, "positive"),
-    "monotone_beta1": (_as_number, "nonnegative"),
-    "monotone_beta2": (_as_number, "nonnegative"),
+    **dict.fromkeys(("tol", "delta_init", "delta_min", "picard_tol", "validation_tol"), (_as_number, "positive")),
+    **dict.fromkeys(("monotone_beta1", "monotone_beta2"), (_as_number, "nonnegative")),
     "seed": (_as_int, "nonnegative"),
-    "picard_max_iters": (_as_int, "at least 1"),
-    "samples": (_as_int, "at least 1"),
+    **dict.fromkeys(("picard_max_iters", "samples"), (_as_int, "at least 1")),
 }
 _IN_BOUNDS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0, "at least 1": lambda v: v >= 1}
+# The most a setting that sizes an allocation may ask for: check-monotone
+# holds about 0.6 kB per sample at m = n = 3.
+_BUDGETS = {"samples": 10**5}
 
 
 def _setting(key: str, value, name: str):
@@ -425,6 +423,8 @@ def _setting(key: str, value, name: str):
     number = parse(value, name)
     if not _IN_BOUNDS[bound](number):
         raise ScenarioError(f"{name} must be {bound}")
+    if number > _BUDGETS.get(key, math.inf):
+        raise ScenarioError(f"{name} is {number}, over its budget of {_BUDGETS[key]}")
     return number
 
 
@@ -442,8 +442,7 @@ def _continuation_config(solver: SolverConfig) -> ContinuationConfig:
         ContinuationConfig,
         delta_init=solver.delta_init,
         delta_min=min(solver.delta_min, solver.delta_init),
-        picard_tol=solver.picard_tol,
-        picard_max_iters=solver.picard_max_iters,
+        picard_tol=solver.picard_tol, picard_max_iters=solver.picard_max_iters,
         validation_tol=solver.tol_or(solver.validation_tol),
     )
 
@@ -489,7 +488,7 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal of over 4300 digits
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_scenario(data)
 
@@ -528,20 +527,14 @@ def _matrix_text(a: np.ndarray) -> str:
     return "[" + ", ".join(body) + "]"
 
 
-def _print_report(report) -> None:
+def _report_residuals(report, tol: float | None = None) -> dict:
+    """Print a residual report; its summary entries, with the ``ok`` verdict
+    against ``tol`` when one is given."""
     for key, value in asdict(report).items():
         print(f"residual {key}: {value:.12g}")
     print(f"residual max: {report.max:.12g}")
-
-
-def _base_summary(command: str, scenario: Scenario) -> dict:
-    return {
-        "command": command,
-        "kind": scenario.kind,
-        "schema_version": SCHEMA_VERSION,
-        "horizon": scenario.tree.horizon,
-        "noise_dimension": scenario.tree.d,
-    }
+    entries = {"residuals": asdict(report) | {"max": report.max}}
+    return entries if tol is None else entries | {"ok": bool(report.max <= tol)}
 
 
 def _emit(args, summary: dict, tables: dict[str, str]) -> None:
@@ -561,13 +554,12 @@ def _emit(args, summary: dict, tables: dict[str, str]) -> None:
 
 # -- commands -------------------------------------------------------------------------
 
+# What a command handler returns: (exit code, summary entries, --out tables).
+# ``main`` checks the scenario kind before it and writes the output after it.
+_Outcome = tuple[int, dict, dict[str, str]]
 
-def _expect_kind(scenario: Scenario, kind: str, command: str) -> None:
-    if scenario.kind != kind:
-        raise ScenarioError(f"{command} needs a scenario of kind {kind!r}, got {scenario.kind!r}")
 
-
-def _cmd_validate(scenario: Scenario, solver: SolverConfig, args) -> int:
+def _cmd_validate(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     tree = scenario.tree
     tol = solver.tol_or(MOMENT_TOL)
     print(f"kind {scenario.kind}, horizon {tree.horizon}, noise dimension {tree.d}")
@@ -576,14 +568,8 @@ def _cmd_validate(scenario: Scenario, solver: SolverConfig, args) -> int:
         report = validate_increments(step, tol=tol)
         verdict = "ok" if report.ok else "FAIL: " + ", ".join(name for name, _ in report.failures)
         print(f"step {t}: branching {step.branch_count}, {verdict}")
-        steps.append(
-            {
-                "t": t,
-                "branch_count": step.branch_count,
-                "ok": bool(report.ok),
-                "failures": [[name, float(residual)] for name, residual in report.failures],
-            }
-        )
+        failures = [[name, float(residual)] for name, residual in report.failures]
+        steps.append({"t": t, "branch_count": step.branch_count, "ok": bool(report.ok), "failures": failures})
     descriptions = {
         "bsde": lambda: f"backward equation with n={scenario.bsde[0].n}",
         "linear": lambda: f"linear system with m={scenario.linear.m}, n={scenario.linear.n}",
@@ -592,32 +578,23 @@ def _cmd_validate(scenario: Scenario, solver: SolverConfig, args) -> int:
     print(f"payload: {descriptions[scenario.kind]()}")
     ok = all(entry["ok"] for entry in steps)
     print("scenario OK" if ok else "scenario FAILED the moment checks")
-    _emit(args, _base_summary("validate", scenario) | {"steps": steps, "ok": ok}, {})
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return EXIT_OK if ok else EXIT_VALIDATION, {"steps": steps, "ok": ok}, {}
 
 
-def _cmd_solve_bsde(scenario: Scenario, solver: SolverConfig, args) -> int:
-    _expect_kind(scenario, "bsde", "solve-bsde")
+def _cmd_solve_bsde(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     gen, eta = scenario.bsde
     tree = scenario.tree
     sol = solve_bsde(tree, gen, eta)
     report = bsde_residuals(tree, gen, eta, sol)
     sup_n = sol.N.sup_norm()
     print(f"solved backward equation: horizon {tree.horizon}, {tree.node_count(tree.horizon)} terminal nodes")
-    _print_report(report)
+    summary = _report_residuals(report, solver.tol_or(1e-10))
     complete = "  (complete: the orthogonal part vanishes)" if sup_n <= 1e-12 else ""
     print(f"sup |N| = {sup_n:.12g}{complete}")
-    summary = _base_summary("solve-bsde", scenario) | {
-        "residuals": asdict(report) | {"max": report.max},
-        "sup_N": float(sup_n),
-        "ok": bool(report.max <= solver.tol_or(1e-10)),
-    }
-    _emit(args, summary, _solution_tables(tree, sol))
-    return EXIT_OK
+    return EXIT_OK, summary | {"sup_N": float(sup_n)}, _solution_tables(tree, sol)
 
 
-def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig, args) -> int:
-    _expect_kind(scenario, "linear", "solve-linear")
+def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     coeffs, tree = scenario.linear, scenario.tree
     tol = solver.tol_or(SINGULAR_TOL)
     matrices = riccati_matrices(coeffs, singular_tol=tol)
@@ -629,13 +606,9 @@ def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig, args) -> int:
     print("decoupling sequence P_t (defined for t = 1..T):")
     for t in range(1, coeffs.horizon + 1):
         print(f"  P[{t}] = {_matrix_text(matrices.P[t])}")
-    report = sol.residual_report
-    _print_report(report)
-    summary = _base_summary("solve-linear", scenario) | {
-        "residuals": asdict(report) | {"max": report.max},
+    summary = _report_residuals(sol.residual_report, solver.tol_or(1e-10)) | {
         "gamma": [entry._asdict() for entry in matrices.gamma_reports],
         "P": [{"t": t, "matrix": matrices.P[t].tolist()} for t in range(1, coeffs.horizon + 1)],
-        "ok": bool(report.max <= solver.tol_or(1e-10)),
     }
     tables = _solution_tables(tree, sol)
     names = ",".join(_component_names("p", coeffs.n, coeffs.m))
@@ -649,22 +622,20 @@ def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig, args) -> int:
         values = ",".join(f"{v:.17g}" for v in matrices.P[t].reshape(-1)) if t >= 1 else blank_p
         lines.append(f"{t},{sig},{inv},{values}")
     tables["riccati.csv"] = "\n".join(lines) + "\n"
-    _emit(args, summary, tables)
-    return EXIT_OK
+    return EXIT_OK, summary, tables
 
 
-def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
-    _expect_kind(scenario, "nonlinear", "solve-nonlinear")
+def _check_monotone(scenario: Scenario, solver: SolverConfig, tol: float = MONOTONE_TOL) -> MonotonicityReport:
+    return check_monotone(
+        scenario.nonlinear, scenario.tree, samples=solver.samples, seed=solver.seed, tol=tol,
+        beta1=solver.monotone_beta1, beta2=solver.monotone_beta2,
+    )
+
+
+def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     model, tree = scenario.nonlinear, scenario.tree
     config = _continuation_config(solver)
-    mono = check_monotone(
-        model,
-        tree,
-        samples=solver.samples,
-        seed=solver.seed,
-        beta1=solver.monotone_beta1,
-        beta2=solver.monotone_beta2,
-    )
+    mono = _check_monotone(scenario, solver)
     tag = "verified" if mono.ok else "assumption-unverified"
     print(
         f"monotonicity: {tag} (worst coupling slack {mono.worst_coupling_slack:.12g}, "
@@ -680,38 +651,24 @@ def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig, args) -> int:
             f"{stage.iterations} iterations, distance {stage.distance:.12g}, {status}"
         )
     print(f"inner linear solves: {trace.linear_solves}")
-    report = result.solution.residual_report
-    _print_report(report)
     stages = [stage._asdict() | {"iterations": stage.iterations, "distance": stage.distance} for stage in trace.stages]
-    summary = _base_summary("solve-nonlinear", scenario) | {
-        "residuals": asdict(report) | {"max": report.max},
+    summary = _report_residuals(result.solution.residual_report) | {
         "monotone": asdict(mono) | {"tag": tag},
         "trace": asdict(trace) | {"stages": stages},
     }
-    _emit(args, summary, _solution_tables(tree, result.solution))
-    return EXIT_OK
+    return EXIT_OK, summary, _solution_tables(tree, result.solution)
 
 
-def _cmd_check_monotone(scenario: Scenario, solver: SolverConfig, args) -> int:
-    _expect_kind(scenario, "nonlinear", "check-monotone")
-    report = check_monotone(
-        scenario.nonlinear,
-        scenario.tree,
-        samples=solver.samples,
-        seed=solver.seed,
-        tol=solver.tol_or(MONOTONE_TOL),
-        beta1=solver.monotone_beta1,
-        beta2=solver.monotone_beta2,
-    )
+def _cmd_check_monotone(scenario: Scenario, solver: SolverConfig) -> _Outcome:
+    report = _check_monotone(scenario, solver, solver.tol_or(MONOTONE_TOL))
     print(f"samples: {report.samples}, tolerance: {report.tol:g}")
     print(f"worst coupling slack: {report.worst_coupling_slack:.12g}")
     print(f"worst terminal slack: {report.worst_terminal_slack:.12g}")
     print("monotone condition holds" if report.ok else "monotone condition VIOLATED")
-    _emit(args, _base_summary("check-monotone", scenario) | asdict(report), {})
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return EXIT_OK if report.ok else EXIT_VALIDATION, asdict(report), {}
 
 
-def _cmd_compare_oracle(scenario: Scenario, solver: SolverConfig, args) -> int:
+def _cmd_compare_oracle(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     tree = scenario.tree
     threshold = solver.tol_or(1e-6)
     if scenario.kind == "bsde":
@@ -739,28 +696,27 @@ def _cmd_compare_oracle(scenario: Scenario, solver: SolverConfig, args) -> int:
     total = max(value for value in gaps.values() if value is not None)
     ok = total <= threshold
     print(f"sup-difference {total:.12g} against threshold {threshold:g}: {'ok' if ok else 'FAILED'}")
-    summary = _base_summary("compare-oracle", scenario) | {
-        "gaps": gaps,
-        "sup_difference": float(total),
-        "threshold": float(threshold),
-        "ok": bool(ok),
-        "newton": {
-            "converged": bool(oracle.trace.converged),
-            "iterations": int(oracle.trace.iterations),
-            "equation_residual": float(oracle.equation_residual),
-        },
+    newton = {
+        "converged": bool(oracle.trace.converged),
+        "iterations": int(oracle.trace.iterations),
+        "equation_residual": float(oracle.equation_residual),
     }
-    _emit(args, summary, _solution_tables(tree, reference))
-    return EXIT_OK if ok else EXIT_SOLVER
+    summary = {"gaps": gaps, "sup_difference": float(total), "threshold": float(threshold), "ok": bool(ok)}
+    return EXIT_OK if ok else EXIT_SOLVER, summary | {"newton": newton}, _solution_tables(tree, reference)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "solve-bsde": _cmd_solve_bsde,
-    "solve-linear": _cmd_solve_linear,
-    "solve-nonlinear": _cmd_solve_nonlinear,
-    "check-monotone": _cmd_check_monotone,
-    "compare-oracle": _cmd_compare_oracle,
+# name -> (the scenario kind it needs, or None for any; handler; help text)
+_COMMANDS = {
+    "validate": (None, _cmd_validate, "check the tree moments and the model payload"),
+    "solve-bsde": ("bsde", _cmd_solve_bsde, "solve a backward equation and report residuals"),
+    "solve-linear": (
+        "linear", _cmd_solve_linear, "solve a linear coupled system; prints the Gamma table and P sequence"
+    ),
+    "solve-nonlinear": (
+        "nonlinear", _cmd_solve_nonlinear, "solve a nonlinear coupled system by continuation; prints the stage trace"
+    ),
+    "check-monotone": ("nonlinear", _cmd_check_monotone, "sample the dissipativity inequalities of a nonlinear model"),
+    "compare-oracle": (None, _cmd_compare_oracle, "solve and cross-check against the global Newton oracle"),
 }
 
 
@@ -774,16 +730,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="fbsdelta", description="Scenario-driven solvers for coupled stochastic difference systems.")
-    commands = (
-        ("validate", "check the tree moments and the model payload"),
-        ("solve-bsde", "solve a backward equation and report residuals"),
-        ("solve-linear", "solve a linear coupled system; prints the Gamma table and P sequence"),
-        ("solve-nonlinear", "solve a nonlinear coupled system by continuation; prints the stage trace"),
-        ("check-monotone", "sample the dissipativity inequalities of a nonlinear model"),
-        ("compare-oracle", "solve and cross-check against the global Newton oracle"),
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
-    for name, text in commands:
+    for name, (_, _, text) in _COMMANDS.items():
         command = sub.add_parser(name, help=text, description=text)
         command.add_argument("scenario", help="path to a scenario JSON file")
         command.add_argument("--out", metavar="DIR", default=None, help="write CSV tables and summary.json here")
@@ -805,7 +753,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             key: _setting(key, value, "--" + key.replace("_", "-")) for key, value in flags.items() if value is not None
         }
         solver = replace(scenario.solver, **overrides)
-        return _HANDLERS[args.command](scenario, solver, args)
+        kind, handler, _ = _COMMANDS[args.command]
+        if kind not in (None, scenario.kind):
+            raise ScenarioError(f"{args.command} needs a scenario of kind {kind!r}, got {scenario.kind!r}")
+        code, summary, tables = handler(scenario, solver)
+        tree = scenario.tree
+        common = {"command": args.command, "kind": scenario.kind, "schema_version": SCHEMA_VERSION}
+        _emit(args, common | {"horizon": tree.horizon, "noise_dimension": tree.d} | summary, tables)
+        return code
     except (InputError, ExprSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,6 +26,9 @@ __all__ = [
 MOMENT_TOL = 1e-12
 # Tolerance below which a process is accepted as a martingale / orthogonal.
 MARTINGALE_TOL = 1e-10
+# The most nodes a tree may have at its horizon (Rademacher horizon 21); a
+# larger tree is refused before anything of its size is built.
+NODE_BUDGET = 2**21
 
 
 class CheckResult(NamedTuple):
@@ -134,6 +138,24 @@ def validate_increments(dist: IncrementDistribution, tol: float = MOMENT_TOL) ->
     return MomentReport(ok=not failures, failures=tuple(failures))
 
 
+def require_node_budget(steps_per_count: dict[int, int]) -> None:
+    """Raise ValueError, naming the projected node count, for a tree of
+    ``steps_per_count[K]`` steps with K outcomes each that would have more
+    than NODE_BUDGET nodes at its horizon, or more time layers than that.
+    Compares logarithms, step count by step count, so no count of the
+    projected size is ever formed."""
+    limit = math.log2(NODE_BUDGET)
+    branching = {k: c for k, c in steps_per_count.items() if k > 1}
+    if any(c > limit / math.log2(k) for k, c in branching.items()) or sum(
+        c * math.log2(k) for k, c in branching.items()
+    ) > limit:
+        size = " * ".join(f"{k}^{c}" for k, c in sorted(branching.items()))
+        raise ValueError(f"the tree would have {size} nodes at its horizon, over the node budget of {NODE_BUDGET}")
+    horizon = sum(steps_per_count.values())
+    if horizon >= NODE_BUDGET:
+        raise ValueError(f"the tree would have {horizon + 1} time layers, over the node budget of {NODE_BUDGET}")
+
+
 class ProbabilityTree:
     """Dense product tree generated by a sequence of increment steps.
 
@@ -146,6 +168,7 @@ class ProbabilityTree:
         steps = tuple(steps)
         if not steps:
             raise ValueError("a tree needs at least one time step")
+        require_node_budget(Counter(step.branch_count for step in steps))
         d = steps[0].d
         for t, step in enumerate(steps):
             if step.d != d:

@@ -42,7 +42,7 @@ from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_stron
 
 __all__ = [
     "GammaReport", "LinearCoefficients", "NotSolvableError", "ResidualReport", "RiccatiMatrices", "SolvabilityReport",
-    "anchor_coefficients", "check_solvability", "linear_residual", "riccati_backward", "riccati_matrices", "solve_linear",
+    "anchor_coefficients", "check_solvability", "linear_residual", "riccati_matrices", "solve_linear",
 ]
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
@@ -486,14 +486,6 @@ def _solvable_matrices(
     if mats.failure_t is not None:
         raise NotSolvableError(mats.failure_t, float(mats.sigma_min[mats.failure_t]), mats)
     return mats
-
-
-def riccati_backward(coeffs: LinearCoefficients, tree: ProbabilityTree) -> tuple[RiccatiMatrices, AdaptedProcess]:
-    """Full backward pass: the matrices (P_t and the Gamma_t margins) and the
-    offset process p_t on t = 1..T; raises NotSolvableError on a singular step."""
-    mats = _solvable_matrices(coeffs, tree)
-    p_slabs = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))[0]
-    return mats, AdaptedProcess(tree, 1, coeffs.horizon, tuple(p_slabs[1:]))
 
 
 def solve_linear(

@@ -33,7 +33,6 @@ import numpy as np
 from .bsde import FbsdeSolution, compensator_slabs, driver_terms
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import (
-    LinearCoefficients,
     _offset_slabs,
     _solvable_matrices,
     _solve_linear,
@@ -46,8 +45,8 @@ from .linear_fbsde import linear_residual as nonlinear_residual  # one residual 
 
 __all__ = [
     "NonlinearModel", "ContinuationConfig", "ContinuationFailedError", "ContinuationResult", "ContinuationTrace",
-    "StageRecord", "MonotonicityReport", "DualityReport", "check_monotone", "duality_gap", "homotopy_coefficients",
-    "nonlinear_residual", "reconstruct_compensator", "solve_continuation", "weighted_distance",
+    "StageRecord", "MonotonicityReport", "DualityReport", "check_monotone", "duality_gap", "nonlinear_residual",
+    "reconstruct_compensator", "solve_continuation",
 ]
 
 # check_monotone draws every state component uniformly from [-SAMPLE_BOX, SAMPLE_BOX];
@@ -168,16 +167,11 @@ class NonlinearModel:
         return self.terminal(x, nodes)
 
 
-def weighted_distance(tree: ProbabilityTree, a, b) -> float:
-    """Root mean-square gap between the (X, Y, Z) of two solutions: interior
-    times weigh all three components, the terminal time only the forward
-    state and backward value."""
-    return _distance(tree, (a.X.values, a.Y.values, a.Z.values), (b.X.values, b.Y.values, b.Z.values))
-
-
 @np.errstate(over="ignore")  # an overflowed gap is inf, which no tolerance accepts
 def _distance(tree: ProbabilityTree, a: tuple, b: tuple) -> float:
-    """:func:`weighted_distance` on (x, y, z) slab lists."""
+    """Root mean-square gap between two (x, y, z) slab lists: interior times
+    weigh all three components, the terminal time only the forward state and
+    backward value."""
     total = 0.0
     T = tree.horizon
     for t in range(T):
@@ -215,21 +209,6 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
     minus_f = driver_terms(model, tree, x, y, z)[0]
     dhat_vals = [model.beta1 * (G @ x[t + 1]) + slab for t, slab in enumerate(minus_f)]
     return d_vals, dbar_vals, dhat_vals, [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
-
-
-def homotopy_coefficients(model: NonlinearModel, tree: ProbabilityTree, alpha: float, frozen) -> LinearCoefficients:
-    """Linear system equal to the level-``alpha`` member of the interpolation
-    family with its nonlinearity frozen at the (X, Y, Z) of the solution
-    ``frozen``.  At alpha = 1 a solution of the model is exactly a fixed point
-    of ``solve_linear(homotopy_coefficients(model, tree, 1.0, solution))``.
-    """
-    T = tree.horizon
-    anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
-    frozen_offsets = _homotopy_offsets(model, tree, (frozen.X.values, frozen.Y.values, frozen.Z.values))
-    offsets = _scaled_add(_offset_slabs(anchor), frozen_offsets, alpha)
-    domains = ((0, T - 1), (0, T - 1), (1, T), (T, T))
-    D, Dbar, Dhat, g = (AdaptedProcess(tree, lo, hi, tuple(slabs)) for slabs, (lo, hi) in zip(offsets, domains))
-    return replace(anchor, D=D, Dbar=Dbar, Dhat=Dhat, g=g)
 
 
 # -- continuation ------------------------------------------------------------

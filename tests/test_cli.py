@@ -6,6 +6,7 @@ import json
 import operator
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,17 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
-from fbsdelta.cli import _LINEAR_MATRIX_KEYS, _parse_tree, _process_csv, _slab_from_table, load_scenario, main
+from fbsdelta import cli
+from fbsdelta.cli import (
+    _LINEAR_MATRIX_KEYS,
+    ScenarioError,
+    _parse_tree,
+    _process_csv,
+    _slab_from_table,
+    load_scenario,
+    main,
+)
+from fbsdelta.filtration import NODE_BUDGET
 from helpers import random_increments, rademacher_tree, reference_process_csv
 
 
@@ -452,6 +463,11 @@ def test_input_and_usage_problems_exit_4(tmp_path):
     not_json.write_text("{not json")
     assert main(["validate", str(not_json)]) == 4
 
+    # Python refuses to read an integer literal of over 4300 digits
+    too_long = tmp_path / "long.json"
+    too_long.write_text(json.dumps(bsde_scenario()).replace('"horizon": 3', '"horizon": ' + "1" * 5000))
+    assert main(["validate", str(too_long)]) == 4
+
     syntax = bsde_scenario()
     syntax["model"]["driver"] = ["-0.5*y1 +", "y2"]
     path = write_scenario(tmp_path, syntax)
@@ -611,6 +627,115 @@ def test_reruns_are_byte_identical(tmp_path, capsys, command, scenario_factory):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# -- output layout --------------------------------------------------------------------
+
+# a number and the padding after it, masked as "#" plus at most one space
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|inf|nan)(?!\w)( ?) *")
+
+_RESIDUAL_LINES = "".join(f"residual {key}: #\n" for key in ("equation", "terminal", "martingale", "orthogonality", "max"))
+_COUPLED_RESIDUALS = ("forward", "backward", "initial", "terminal", "y_projection", "z_projection", "martingale", "orthogonality")
+_COUPLED_RESIDUAL_LINES = "".join(f"residual {key}: #\n" for key in _COUPLED_RESIDUALS + ("max",))
+_BASE_KEYS = {"command", "horizon", "kind", "noise_dimension", "schema_version"}
+_RESIDUAL_KEYS = {"residuals", "residuals.max"} | {f"residuals.{key}" for key in _COUPLED_RESIDUALS}
+_ORACLE_KEYS = _BASE_KEYS | {"ok", "sup_difference", "threshold", "gaps", "gaps.X", "gaps.Y", "gaps.Z", "gaps.N"} | {
+    "newton", "newton.converged", "newton.equation_residual", "newton.iterations"
+}
+_ORACLE_COUPLED_LINES = (
+    "oracle: # unknowns, # damped Newton iterations, equation residual #\n"
+    + "".join(f"sup |{name}_solver - {name}_oracle| = #\n" for name in "XYZN")
+    + "sup-difference # against threshold #: ok\n"
+)
+
+# (command, scenario, exit code, stdout with every number masked, --out files, summary.json key paths)
+_LAYOUTS = [
+    (
+        "validate",
+        bsde_scenario,
+        0,
+        "kind bsde, horizon #, noise dimension #\n" + "step #: branching #, ok\n" * 3
+        + "payload: backward equation with n=#\nscenario OK\n",
+        ["summary.json"],
+        _BASE_KEYS | {"ok", "steps", "steps.[].branch_count", "steps.[].failures", "steps.[].ok", "steps.[].t"},
+    ),
+    (
+        "solve-bsde",
+        bsde_scenario,
+        0,
+        "solved backward equation: horizon #, # terminal nodes\n" + _RESIDUAL_LINES
+        + "sup |N| = # (complete: the orthogonal part vanishes)\n",
+        ["N.csv", "Y.csv", "Z.csv", "summary.json"],
+        _BASE_KEYS | {"ok", "sup_N", "residuals"}
+        | {f"residuals.{key}" for key in ("equation", "terminal", "martingale", "orthogonality", "max")},
+    ),
+    (
+        "solve-linear",
+        linear_scenario,
+        0,
+        "Gamma_t invertibility:\n  t  sigma_min        invertible\n" + "  # # yes\n" * 2
+        + "decoupling sequence P_t (defined for t = #.T):\n" + "  P[#] = [[#]]\n" * 2 + _COUPLED_RESIDUAL_LINES,
+        ["N.csv", "X.csv", "Y.csv", "Z.csv", "riccati.csv", "summary.json"],
+        _BASE_KEYS | _RESIDUAL_KEYS | {"ok", "P", "P.[].matrix", "P.[].t"}
+        | {"gamma", "gamma.[].invertible", "gamma.[].sigma_min", "gamma.[].t"},
+    ),
+    (
+        "solve-nonlinear",
+        nonlinear_scenario,
+        0,
+        "monotonicity: verified (worst coupling slack #, worst terminal slack #, # samples)\n"
+        + "continuation grid: # -> # -> #\n"
+        + "  stage alpha # -> #: delta #, # iterations, distance #, accepted\n" * 2
+        + "inner linear solves: #\n" + _COUPLED_RESIDUAL_LINES,
+        ["N.csv", "X.csv", "Y.csv", "Z.csv", "summary.json"],
+        _BASE_KEYS | _RESIDUAL_KEYS
+        | {f"monotone.{key}" for key in ("ok", "samples", "tag", "tol", "worst_coupling_slack", "worst_terminal_slack")}
+        | {f"trace.{key}" for key in ("final_residual", "grid", "linear_solves", "stages")}
+        | {f"trace.stages.[].{key}" for key in ("accepted", "alpha_from", "alpha_to", "delta", "distance", "distances")}
+        | {"monotone", "trace", "trace.stages.[].iterations"},
+    ),
+    (
+        "check-monotone",
+        nonlinear_scenario,
+        0,
+        "samples: #, tolerance: #\nworst coupling slack: #\nworst terminal slack: #\nmonotone condition holds\n",
+        ["summary.json"],
+        _BASE_KEYS | {"ok", "samples", "tol", "worst_coupling_slack", "worst_terminal_slack"},
+    ),
+    (
+        "compare-oracle",
+        bsde_scenario,
+        0,
+        _ORACLE_COUPLED_LINES.replace("sup |X_solver - X_oracle| = #\n", ""),
+        ["N.csv", "Y.csv", "Z.csv", "summary.json"],
+        _ORACLE_KEYS,
+    ),
+    ("compare-oracle", linear_scenario, 0, _ORACLE_COUPLED_LINES, ["N.csv", "X.csv", "Y.csv", "Z.csv", "summary.json"], _ORACLE_KEYS),
+    ("compare-oracle", nonlinear_scenario, 0, _ORACLE_COUPLED_LINES, ["N.csv", "X.csv", "Y.csv", "Z.csv", "summary.json"], _ORACLE_KEYS),
+]
+
+
+def _key_paths(node, prefix=""):
+    """Every key path of a JSON document; the entries of a list share the step ``[]``."""
+    if isinstance(node, list):
+        return set().union(*(_key_paths(child, prefix + "[].") for child in node))
+    if isinstance(node, dict):
+        return set().union(*({prefix + key} | _key_paths(child, prefix + key + ".") for key, child in node.items()))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "command, scenario_factory, code, stdout, files, keys", _LAYOUTS, ids=[f"{c[0]}-{c[1].__name__}" for c in _LAYOUTS]
+)
+def test_each_command_keeps_its_output_layout(tmp_path, capsys, command, scenario_factory, code, stdout, files, keys):
+    path = write_scenario(tmp_path, scenario_factory())
+    out_dir = tmp_path / "out"
+    assert main([command, path, "--out", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    assert _NUMBER.sub(r"#\1", captured.out) == stdout
+    assert captured.err == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == files
+    assert _key_paths(json.loads((out_dir / "summary.json").read_text())) == keys
 
 
 # -- node tables ----------------------------------------------------------------------
@@ -780,6 +905,62 @@ def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, mutate, message
     mutate(scenario)
     assert main(["validate", write_scenario(tmp_path, scenario)]) == 3
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+# -- size budgets ----------------------------------------------------------------------
+
+
+def _peak_traced_bytes(run):
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "step, horizon, message",
+    [
+        ("rademacher", 60, "2^60 nodes at its horizon"),
+        ("rademacher", 2000, "2^2000 nodes at its horizon"),
+        ("rademacher", _HUGE, f"2^{_HUGE} nodes at its horizon"),
+        ("trinomial(0.25)", 14, "3^14 nodes at its horizon"),
+        ({"points": [[0.0]], "probs": [1.0]}, _HUGE, f"{_HUGE + 1} time layers"),
+    ],
+    ids=["2^60", "2^2000", "2^10**400", "3^14", "one-outcome-10**400"],
+)
+def test_oversized_trees_exit_3_before_anything_of_their_size_is_built(tmp_path, capsys, step, horizon, message):
+    scenario = bsde_scenario()
+    scenario["tree"] = {"horizon": horizon, "step": step}
+    path = write_scenario(tmp_path, scenario)
+    for command in ("validate", "solve-bsde"):
+        code, peak = _peak_traced_bytes(lambda: main([command, path]))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: the tree would have {message}, over the node budget of {NODE_BUDGET}\n"
+        assert peak < 2**20
+
+
+def test_the_node_budget_admits_rademacher_horizon_21_and_checks_step_lists():
+    assert _parse_tree({"horizon": 20, "step": "rademacher"}).node_count(20) == 2**20
+    assert _parse_tree({"horizon": 21, "step": "rademacher"}).node_count(21) == NODE_BUDGET
+    with pytest.raises(ScenarioError, match=r"^the tree would have 2\^3 \* 3\^13 nodes at its horizon"):
+        _parse_tree({"steps": ["rademacher"] * 3 + ["trinomial(0.25)"] * 13})
+
+
+@pytest.mark.parametrize("samples", [_HUGE, 10**5 + 1])
+def test_oversized_sample_counts_exit_3_before_sampling(tmp_path, capsys, monkeypatch, samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_monotone ran")
+
+    monkeypatch.setattr(cli, "check_monotone", refuse)
+    scenario = nonlinear_scenario()
+    scenario["solver"]["samples"] = samples
+    path = write_scenario(tmp_path, scenario)
+    for command in ("check-monotone", "solve-nonlinear"):
+        assert main([command, path]) == 3
+        assert capsys.readouterr().err == f"error: solver.samples is {samples}, over its budget of 100000\n"
+    scenario["solver"]["samples"] = 10**5
+    assert load_scenario(write_scenario(tmp_path, scenario)).solver.samples == 10**5
 
 
 _SPECIALS = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0**53, -7.0])

@@ -1,8 +1,10 @@
 """Export lists: every name a module's ``__all__`` promises is there, once,
-and the package exports exactly the modules' lists; the README's code runs;
-and what the solvers load: no SciPy."""
+and the package exports exactly the modules' lists; every public function
+has a use outside the tests; the README's code runs; and what the solvers
+load: no SciPy."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -43,7 +45,27 @@ def test_the_package_exports_the_union_of_the_solver_modules_lists():
         assert getattr(fbsdelta, public) is getattr(module, public), public
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def test_every_public_function_is_used_or_documented_outside_the_tests():
+    # a function only the tests call is either documented in the README or
+    # not public: it must be named in the README, in perfbench/ or in a
+    # package module other than its own
+    readers = {"README.md": README.read_text(encoding="utf-8")}
+    readers |= {str(path): path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in (ROOT / "src" / "fbsdelta").glob("*.py")}
+    unused = []
+    for name in fbsdelta.__all__:
+        obj = getattr(fbsdelta, name)
+        if not inspect.isfunction(obj):
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1]
+        texts = [*readers.values(), *(text for stem, text in modules.items() if stem != home)]
+        if not any(re.search(rf"\b{name}\b", text) for text in texts):
+            unused.append(name)
+    assert not unused, f"public functions with no use outside the tests: {unused}"
 
 
 def test_the_readme_python_blocks_run_in_order(capsys):

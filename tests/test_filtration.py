@@ -11,6 +11,7 @@ from fbsdelta import (
     is_strongly_orthogonal,
     validate_increments,
 )
+from fbsdelta.filtration import NODE_BUDGET
 
 from helpers import rademacher_tree, random_increments, random_process, random_tree
 
@@ -60,6 +61,16 @@ def test_tree_rejects_invalid_step():
     bad = IncrementDistribution(points=[[-1.0], [1.0]], probs=[0.6, 0.4])
     with pytest.raises(ValueError, match="mean_zero"):
         ProbabilityTree([IncrementDistribution.rademacher(), bad])
+
+
+def test_tree_refuses_more_nodes_than_the_budget_before_counting_them():
+    rademacher, trinomial = IncrementDistribution.rademacher(), IncrementDistribution.trinomial(0.25)
+    assert ProbabilityTree([rademacher] * 21).node_count(21) == NODE_BUDGET
+    assert ProbabilityTree([rademacher] * 10 + [trinomial] * 6).node_count(16) == 2**10 * 3**6
+    with pytest.raises(ValueError, match=r"^the tree would have 2\^22 nodes at its horizon, over the node budget of 2097152$"):
+        ProbabilityTree([rademacher] * 22)
+    with pytest.raises(ValueError, match=r"^the tree would have 2\^10 \* 3\^8 nodes at its horizon"):
+        ProbabilityTree([trinomial] * 8 + [rademacher] * 10)
 
 
 def test_tree_rejects_mixed_dimensions():

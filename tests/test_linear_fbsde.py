@@ -23,10 +23,10 @@ from fbsdelta import (
     linear_residual,
     nonlinear_residual,
     reconstruct_compensator,
-    riccati_backward,
     riccati_matrices,
     solve_linear,
 )
+from fbsdelta.linear_fbsde import _offset_backward, _offset_slabs, _solvable_matrices
 from helpers import (
     rademacher_tree,
     random_increments,
@@ -127,7 +127,7 @@ def test_singular_step_detected():
     assert exc.value.sigma_min == 0.0
     assert exc.value.partial.failure_t == 1
     with pytest.raises(NotSolvableError):
-        riccati_backward(coeffs, tree)
+        _solvable_matrices(coeffs, tree)
 
 
 def test_solvability_verdict_ignores_offset_data():
@@ -277,13 +277,14 @@ def test_backward_pair_follows_decoupling_field():
     rng = np.random.default_rng(31)
     tree = random_tree(rng, 3)
     coeffs = random_linear_coefficients(rng, tree, 2, 2)
-    mats, p = riccati_backward(coeffs, tree)
+    mats = riccati_matrices(coeffs)
+    p = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))[0]  # p_t at index t = 1..T
     sol = solve_linear(coeffs, tree, matrices=mats)
     for t in range(tree.horizon):
         ex = tree.expect_next(sol.X.at(t + 1), t)
         exdw = tree.expect_next_increment(sol.X.at(t + 1), t)
-        ep = tree.expect_next(p.at(t + 1), t)
-        epdw = tree.expect_next_increment(p.at(t + 1), t)
+        ep = tree.expect_next(p[t + 1], t)
+        epdw = tree.expect_next_increment(p[t + 1], t)
         y_pred = np.einsum("ij,njk->nik", mats.P[t + 1], ex) + ep
         z_pred = np.einsum("ij,njk->nik", mats.P[t + 1], exdw) + epdw
         assert np.abs(sol.Y.at(t) - y_pred).max() <= RESIDUAL_TOL

@@ -24,17 +24,18 @@ from fbsdelta import (
     build_residual_system,
     check_monotone,
     duality_gap,
-    homotopy_coefficients,
     linear_residual,
     nonlinear_residual,
     reconstruct_compensator,
+    riccati_matrices,
     solution_gap,
     solve_bsde,
     solve_continuation,
     solve_global_newton,
     solve_linear,
-    weighted_distance,
 )
+from fbsdelta.linear_fbsde import _offset_slabs, _solve_linear
+from fbsdelta.nonlinear_fbsde import _distance, _homotopy_offsets, _scaled_add
 from helpers import (
     counting_model,
     decoupled_model,
@@ -50,6 +51,20 @@ from helpers import (
 
 GAP_TOL = 1e-9
 ORACLE_TOL = 1e-8
+
+
+def slab_lists(sol) -> tuple:
+    return sol.X.values, sol.Y.values, sol.Z.values
+
+
+def frozen_level(model, tree, alpha: float, frozen) -> tuple:
+    """X, Y and Z slabs of the level-``alpha`` member of the interpolation
+    family with its nonlinearity frozen at the solution ``frozen``, solved as
+    the continuation solves it: the anchor system plus alpha times the
+    frozen offsets."""
+    anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
+    offsets = _scaled_add(_offset_slabs(anchor), _homotopy_offsets(model, tree, slab_lists(frozen)), alpha)
+    return _solve_linear(anchor, riccati_matrices(anchor), tree, offsets)
 
 
 # -- continuation ------------------------------------------------------------
@@ -73,14 +88,17 @@ def test_anchor_model_reproduces_the_linear_solution():
 
     # the frozen-coefficient family at midlevel equals the base system with
     # half the offsets, whatever triple the nonlinearity is frozen at
-    frozen = result.solution
-    mid = homotopy_coefficients(model, tree, 0.5, frozen)
-    direct = anchor_coefficients(
-        tree, G, 1.0, 1.0, [[0.4], [-0.2]],
-        D=0.5 * np.array([[0.3], [-0.1]]), Dbar=0.5 * np.array([[-0.2], [0.05]]),
-        Dhat=-0.5 * np.array([[0.1], [0.2]]), g=0.5 * np.array([[0.25], [-0.3]]),
+    mid = frozen_level(model, tree, 0.5, result.solution)
+    direct = solve_linear(
+        anchor_coefficients(
+            tree, G, 1.0, 1.0, [[0.4], [-0.2]],
+            D=0.5 * np.array([[0.3], [-0.1]]), Dbar=0.5 * np.array([[-0.2], [0.05]]),
+            Dhat=-0.5 * np.array([[0.1], [0.2]]), g=0.5 * np.array([[0.25], [-0.3]]),
+        ),
+        tree,
     )
-    assert solution_gap(solve_linear(mid, tree), solve_linear(direct, tree)) <= GAP_TOL
+    gaps = [np.abs(a - b).max() for ours, theirs in zip(mid, slab_lists(direct)) for a, b in zip(ours, theirs)]
+    assert max(gaps) <= GAP_TOL
 
 
 def test_decoupled_model_matches_forward_then_backward_solve():
@@ -327,8 +345,8 @@ def test_weighted_distance_convention():
         N=AdaptedProcess.zeros(tree, (1, 1), 0, 1),
     )
     b = zero_solution(tree, 1, 1)
-    assert weighted_distance(tree, a, b) == pytest.approx(math.sqrt(20.0), abs=1e-12)
-    assert weighted_distance(tree, a, a) == 0.0
+    assert _distance(tree, slab_lists(a), slab_lists(b)) == pytest.approx(math.sqrt(20.0), abs=1e-12)
+    assert _distance(tree, slab_lists(a), slab_lists(a)) == 0.0
 
 
 # -- monotonicity -------------------------------------------------------------
@@ -534,7 +552,7 @@ def test_batched_monotonicity_check_matches_the_per_sample_loop(seed):
 def test_continuation_calls_the_model_once_per_slab():
     model, calls = counting_model(mild_coupled_model(m=2, seed=5))
     tree = rademacher_tree(3)
-    homotopy_coefficients(model, tree, 1.0, zero_solution(tree, 2, 2))
+    _homotopy_offsets(model, tree, slab_lists(zero_solution(tree, 2, 2)))
     assert calls == {"b": 3, "sigma": 3, "f": 3, "h": 1}
     calls.clear()
     solve_continuation(model, tree)
