@@ -43,9 +43,12 @@ from .filtration import (
     validate_increments,
 )
 from .linear_fbsde import (
+    MATRICES,
+    OFFSETS,
     SINGULAR_TOL,
     LinearCoefficients,
     NotSolvableError,
+    domain,
     require_coupled_tree,
     riccati_matrices,
     solve_linear,
@@ -318,27 +321,17 @@ def _parse_bsde(tree: ProbabilityTree, payload: dict) -> tuple[Generator, Adapte
     return gen, eta
 
 
-_LINEAR_MATRIX_KEYS = ("A", "Abar", "B", "Bbar", "C", "Cbar", "Ahat", "Bhat", "Chat")
-
-
 def _parse_linear(tree: ProbabilityTree, payload: dict) -> LinearCoefficients:
-    allowed = {"m", "n", "G", "x0", "D", "Dbar", "Dhat", "g", *_LINEAR_MATRIX_KEYS}
-    _check_keys(payload, allowed, "model")
+    _check_keys(payload, {"m", "n", "G", "x0", *MATRICES, *OFFSETS}, "model")
     m = _as_int(_require(payload, "m", "model"), "model.m")
     n = _as_int(_require(payload, "n", "model"), "model.n")
     if m < 1 or n < 1:
         raise ScenarioError("model.m and model.n must be at least 1")
-    matrices = {
-        key: _parse_array(payload[key], f"model.{key}")
-        for key in _LINEAR_MATRIX_KEYS
-        if payload.get(key) is not None
-    }
-    horizon = tree.horizon
+    matrices = {key: _parse_array(payload[key], f"model.{key}") for key in MATRICES if payload.get(key) is not None}
+    dims = {"m": m, "n": n}
     offsets = {
-        "D": _parse_offset(tree, payload.get("D"), m, 0, horizon - 1, "model.D"),
-        "Dbar": _parse_offset(tree, payload.get("Dbar"), m, 0, horizon - 1, "model.Dbar"),
-        "Dhat": _parse_offset(tree, payload.get("Dhat"), n, 1, horizon, "model.Dhat"),
-        "g": _parse_offset(tree, payload.get("g"), n, horizon, horizon, "model.g"),
+        key: _parse_offset(tree, payload.get(key), dims[rows], *domain(side, tree.horizon), f"model.{key}")
+        for key, (rows, side) in OFFSETS.items()
     }
     return _build_checked(
         LinearCoefficients.build,

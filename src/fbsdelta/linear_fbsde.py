@@ -52,6 +52,29 @@ CONSISTENCY_TOL = 1e-12
 # Rank check threshold for the terminal coupling matrix G.
 RANK_TOL = 1e-10
 
+# The coefficient table.  Each matrix has (rows, columns) in terms of the
+# dimensions m and n and acts on the forward step (t = 0..T-1) or the
+# backward step (t = 1..T, stored with an unused slot 0 so that index and
+# time coincide).  Each offset is an adapted process with ``rows`` rows on
+# the forward, backward or terminal (t = T) domain.
+MATRICES = {
+    "A": ("m", "m", "forward"),
+    "Abar": ("m", "m", "forward"),
+    "B": ("m", "n", "forward"),
+    "Bbar": ("m", "n", "forward"),
+    "C": ("m", "n", "forward"),
+    "Cbar": ("m", "n", "forward"),
+    "Ahat": ("n", "m", "backward"),
+    "Bhat": ("n", "n", "backward"),
+    "Chat": ("n", "n", "backward"),
+}
+OFFSETS = {"D": ("m", "forward"), "Dbar": ("m", "forward"), "Dhat": ("n", "backward"), "g": ("n", "terminal")}
+
+
+def domain(side: str, horizon: int) -> tuple[int, int]:
+    """First and last time of a forward, backward or terminal coefficient."""
+    return {"forward": (0, horizon - 1), "backward": (1, horizon), "terminal": (horizon, horizon)}[side]
+
 
 def _compact_sci(value: float) -> str:
     """One-digit scientific notation with a bare exponent: 0.0 -> '0.0e0'."""
@@ -69,14 +92,32 @@ class NotSolvableError(Exception):
         self.partial = partial
 
 
-def require_coupled_tree(tree: ProbabilityTree, horizon: int | None = None) -> None:
+def require_coupled_tree(tree: ProbabilityTree, coeffs: "LinearCoefficients | None" = None) -> None:
     """Refuse a tree the coupled solvers cannot use: they are written for
-    one-dimensional noise, and coefficients given per time must span the
-    tree's ``horizon`` (when given)."""
+    one-dimensional noise, and the coefficients ``coeffs`` (when given) must
+    span the tree's horizon with offsets on its node counts."""
     if tree.d != 1:
         raise ValueError("coupled systems require one-dimensional driving noise")
-    if horizon is not None and tree.horizon != horizon:
+    if coeffs is None:
+        return
+    if tree.horizon != coeffs.horizon:
         raise ValueError("tree and coefficients disagree on the horizon")
+    for name in OFFSETS:
+        proc = getattr(coeffs, name)
+        for t in range(proc.t_lo, proc.t_hi + 1):
+            if proc.tree.node_count(t) != tree.node_count(t):
+                raise ValueError(
+                    f"tree and coefficients disagree on the node count at t={t}: "
+                    f"{tree.node_count(t)} in the tree, {proc.tree.node_count(t)} in {name}"
+                )
+
+
+def require_finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array; refuses a non-finite entry by ``name``."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 def require_full_rank(G: np.ndarray) -> None:
@@ -98,22 +139,30 @@ class GammaReport(NamedTuple):
     invertible: bool
 
 
-def _matrix_per_time(value, times: int, shape: tuple[int, int], name: str) -> np.ndarray:
-    """None -> zeros; a single matrix -> repeated; a sequence -> one per time."""
-    if value is None:
-        return np.zeros((times,) + shape)
-    arr = np.asarray(value, dtype=float)
+def _stored_shape(name: str, T: int, dims: dict[str, int]) -> tuple[int, int, int]:
+    """The array shape of the table's matrix ``name``: one slot per time of
+    its side, after the unused slot 0 of a backward matrix."""
+    rows, cols, side = MATRICES[name]
+    return (T + (side == "backward"), dims[rows], dims[cols])
+
+
+def _matrix_per_time(value, name: str, T: int, dims: dict[str, int]) -> np.ndarray:
+    """The table's matrix ``name`` as stored: None -> zeros; a single matrix
+    -> one at every time of its side (a single Chat on t = 1..T-1 only, the
+    terminal z-coupling being zero); a sequence -> one per time.  At a 1x1
+    shape a scalar or a 1-D list stands for 1x1 matrices."""
+    out = np.zeros(_stored_shape(name, T, dims))
+    per_time, shape = out[-T:], out.shape[1:]
+    arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+    if shape == (1, 1) and arr.ndim <= 1 and arr.size in (1, T):
+        arr = arr.reshape((1, 1) if arr.size == 1 else (T, 1, 1))
     if arr.shape == shape:
-        return np.broadcast_to(arr, (times,) + shape).copy()
-    if arr.ndim in (0, 1) and shape == (1, 1):
-        arr = arr.reshape(-1)
-        if arr.size == 1:
-            return np.broadcast_to(arr.reshape(1, 1), (times,) + shape).copy()
-        if arr.size == times:
-            return arr.reshape(times, 1, 1).copy()
-    if arr.shape == (times,) + shape:
-        return arr.copy()
-    raise ValueError(f"{name} must be one {shape} matrix or {times} of them, got shape {arr.shape}")
+        per_time[: T - 1 if name == "Chat" else T] = arr
+    elif arr.shape == (T,) + shape:
+        per_time[:] = arr
+    else:
+        raise ValueError(f"{name} must be one {shape} matrix or {T} of them, got shape {arr.shape}")
+    return out
 
 
 def _as_process(tree: ProbabilityTree, value, shape: tuple[int, int], t_lo: int, t_hi: int) -> AdaptedProcess:
@@ -130,11 +179,10 @@ def _as_process(tree: ProbabilityTree, value, shape: tuple[int, int], t_lo: int,
 class LinearCoefficients:
     """Time-indexed coefficient bundle for one linear forward-backward system.
 
-    Forward matrices (A, Abar, B, Bbar, C, Cbar) are indexed by t = 0..T-1;
-    backward matrices (Ahat, Bhat, Chat) are stored in length-(T+1) arrays
-    whose slot 0 is unused so that index and time coincide.  Inhomogeneous
-    data (D, Dbar, Dhat, g) are adapted processes; everything else is
-    deterministic.
+    The fields are the coefficient table's: each matrix in ``MATRICES`` is
+    stored per time of its side (forward arrays have length T, backward
+    ones length T + 1 with slot 0 unused), each offset in ``OFFSETS`` is an
+    adapted process on its domain, and G and x0 are deterministic.
     """
 
     horizon: int
@@ -160,110 +208,51 @@ class LinearCoefficients:
         T, m, n = self.horizon, self.m, self.n
         if T < 1 or m < 1 or n < 1:
             raise ValueError("horizon and dimensions must be positive")
-        expect = {
-            "A": (T, m, m),
-            "Abar": (T, m, m),
-            "B": (T, m, n),
-            "Bbar": (T, m, n),
-            "C": (T, m, n),
-            "Cbar": (T, m, n),
-            "Ahat": (T + 1, n, m),
-            "Bhat": (T + 1, n, n),
-            "Chat": (T + 1, n, n),
-            "G": (n, m),
-            "x0": (m, 1),
-        }
-        for name, shape in expect.items():
+        dims = {"m": m, "n": n}
+        shapes = {name: _stored_shape(name, T, dims) for name in MATRICES}
+        for name, shape in {**shapes, "G": (n, m), "x0": (m, 1)}.items():
             arr = np.asarray(getattr(self, name), dtype=float)
             if name == "x0":
                 arr = arr.reshape(m, 1)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, require_finite(arr, name))
         if np.abs(self.Chat[T]).max() != 0.0:
             raise ValueError("the terminal z-coupling Chat at t=T must be exactly zero")
         require_full_rank(self.G)
-        for name, (lo, hi, shape) in {
-            "D": (0, T - 1, (m, 1)),
-            "Dbar": (0, T - 1, (m, 1)),
-            "Dhat": (1, T, (n, 1)),
-            "g": (T, T, (n, 1)),
-        }.items():
-            proc = getattr(self, name)
+        for name, (rows, side) in OFFSETS.items():
+            (lo, hi), shape, proc = domain(side, T), (dims[rows], 1), getattr(self, name)
             if not isinstance(proc, AdaptedProcess):
                 raise ValueError(f"{name} must be an adapted process on [{lo}, {hi}]")
             if proc.shape != shape or (proc.t_lo, proc.t_hi) != (lo, hi):
                 raise ValueError(f"{name} must be {shape}-valued on [{lo}, {hi}]")
 
     @classmethod
-    def build(
-        cls,
-        tree: ProbabilityTree,
-        m: int,
-        n: int,
-        *,
-        G,
-        x0,
-        A=None,
-        Abar=None,
-        B=None,
-        Bbar=None,
-        C=None,
-        Cbar=None,
-        Ahat=None,
-        Bhat=None,
-        Chat=None,
-        D=None,
-        Dbar=None,
-        Dhat=None,
-        g=None,
-    ) -> "LinearCoefficients":
-        """Assemble coefficients with broadcasting and zero-fill defaults.
-
-        Forward matrices given as a single array apply at every t in 0..T-1;
-        backward matrices at every t in 1..T, except that a single Chat is
-        applied on 1..T-1 only (the terminal z-coupling is always zero).
-        Inhomogeneous terms accept constants or adapted processes.
+    def build(cls, tree: ProbabilityTree, m: int, n: int, *, G, x0, **coefficients) -> "LinearCoefficients":
+        """Assemble coefficients from the names in ``MATRICES`` and
+        ``OFFSETS``, broadcasting each matrix as :func:`_matrix_per_time`
+        does and zero-filling what is not given.  Offsets accept constants
+        or adapted processes on ``tree``; an unknown name is a TypeError.
         """
+        unknown = sorted(coefficients.keys() - MATRICES.keys() - OFFSETS.keys())
+        if unknown:
+            raise TypeError(f"LinearCoefficients.build() got an unexpected keyword argument {unknown[0]!r}")
         require_coupled_tree(tree)
-        T = tree.horizon
-
-        def hat(value, shape, name, keep_terminal=True):
-            out = np.zeros((T + 1,) + shape)
-            if value is None:
-                return out
-            arr = np.asarray(value, dtype=float)
-            if arr.shape == shape:
-                last = T if keep_terminal else T - 1
-                out[1 : last + 1] = arr
-            elif arr.shape == (T,) + shape:
-                out[1:] = arr
-            else:
-                raise ValueError(f"{name} must be one {shape} matrix or {T} of them (for t=1..T)")
-            return out
-
-        return cls(
+        T, dims = tree.horizon, {"m": m, "n": n}
+        coeffs = cls(
             horizon=T,
             m=m,
             n=n,
-            A=_matrix_per_time(A, T, (m, m), "A"),
-            Abar=_matrix_per_time(Abar, T, (m, m), "Abar"),
-            B=_matrix_per_time(B, T, (m, n), "B"),
-            Bbar=_matrix_per_time(Bbar, T, (m, n), "Bbar"),
-            C=_matrix_per_time(C, T, (m, n), "C"),
-            Cbar=_matrix_per_time(Cbar, T, (m, n), "Cbar"),
-            Ahat=hat(Ahat, (n, m), "Ahat"),
-            Bhat=hat(Bhat, (n, n), "Bhat"),
-            Chat=hat(Chat, (n, n), "Chat", keep_terminal=False),
             G=G,
             x0=np.asarray(x0, dtype=float).reshape(m, 1),
-            D=_as_process(tree, D, (m, 1), 0, T - 1),
-            Dbar=_as_process(tree, Dbar, (m, 1), 0, T - 1),
-            Dhat=_as_process(tree, Dhat, (n, 1), 1, T),
-            g=_as_process(tree, g, (n, 1), T, T),
+            **{name: _matrix_per_time(coefficients.get(name), name, T, dims) for name in MATRICES},
+            **{
+                name: _as_process(tree, coefficients.get(name), (dims[rows], 1), *domain(side, T))
+                for name, (rows, side) in OFFSETS.items()
+            },
         )
+        require_coupled_tree(tree, coeffs)
+        return coeffs
 
     # -- the slab protocol shared with NonlinearModel; the coefficients do
     # not depend on the node, so ``nodes`` is not read
@@ -292,23 +281,14 @@ def _affine(A, B, C, x, y, z) -> np.ndarray:
     return np.einsum("ij,njk->nik", A, x) + np.einsum("ij,njk->nik", B, y) + np.einsum("ij,njk->nik", C, z)
 
 
-def anchor_coefficients(
-    tree: ProbabilityTree,
-    G,
-    beta1: float,
-    beta2: float,
-    x0,
-    D=None,
-    Dbar=None,
-    Dhat=None,
-    g=None,
-) -> LinearCoefficients:
+def anchor_coefficients(tree: ProbabilityTree, G, beta1: float, beta2: float, x0, **offsets) -> LinearCoefficients:
     """Canonical monotone linear family used as the continuation base point.
 
     The forward equation reacts to (Y, Z) through -beta2 * G^T in the drift
     and noise loading, the backward equation to X through -beta1 * G; all
     other couplings vanish, so the backward matrix recursion reduces to
-    P_t = beta1*G + P_{t+1} (I + beta2 * G^T P_{t+1})^{-1}.
+    P_t = beta1*G + P_{t+1} (I + beta2 * G^T P_{t+1})^{-1}.  ``offsets`` are
+    any of the ``OFFSETS`` names, as for :meth:`LinearCoefficients.build`.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
@@ -324,10 +304,7 @@ def anchor_coefficients(
         B=-beta2 * G.T,
         Cbar=-beta2 * G.T,
         Ahat=-beta1 * G,
-        D=D,
-        Dbar=Dbar,
-        Dhat=Dhat,
-        g=g,
+        **offsets,
     )
 
 
@@ -424,7 +401,7 @@ class SolvabilityReport:
 def check_solvability(coeffs: LinearCoefficients, tree: ProbabilityTree | None = None) -> SolvabilityReport:
     """Invertibility margins of every Gamma_t; reads no offset data at all."""
     if tree is not None:
-        require_coupled_tree(tree, coeffs.horizon)
+        require_coupled_tree(tree, coeffs)
     mats = riccati_matrices(coeffs)
     return SolvabilityReport(
         solvable=mats.failure_t is None,
@@ -433,10 +410,11 @@ def check_solvability(coeffs: LinearCoefficients, tree: ProbabilityTree | None =
     )
 
 
-def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, list, list, list]:
-    """The offset data as slab lists: D and Dbar for t = 0..T-1 (index t),
-    Dhat for t = 1..T (index t - 1) and g at T (index 0)."""
-    return list(coeffs.D.values), list(coeffs.Dbar.values), list(coeffs.Dhat.values), list(coeffs.g.values)
+def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, ...]:
+    """The offset data as slab lists, in ``OFFSETS`` order: D and Dbar for
+    t = 0..T-1 (index t), Dhat for t = 1..T (index t - 1) and g at T
+    (index 0)."""
+    return tuple(list(getattr(coeffs, name).values) for name in OFFSETS)
 
 
 def _offset_backward(
@@ -481,7 +459,7 @@ def _solvable_matrices(
 ) -> RiccatiMatrices:
     """The given or freshly computed matrices; raises NotSolvableError on a
     singular step."""
-    require_coupled_tree(tree, coeffs.horizon)
+    require_coupled_tree(tree, coeffs)
     mats = matrices if matrices is not None else riccati_matrices(coeffs)
     if mats.failure_t is not None:
         raise NotSolvableError(mats.failure_t, float(mats.sigma_min[mats.failure_t]), mats)

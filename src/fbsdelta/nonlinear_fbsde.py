@@ -39,6 +39,7 @@ from .linear_fbsde import (
     anchor_coefficients,
     require_coupled_tree,
     require_coupling_weights,
+    require_finite,
     require_full_rank,
 )
 from .linear_fbsde import linear_residual as nonlinear_residual  # one residual report for every slab system
@@ -97,7 +98,7 @@ class NonlinearModel:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
-        G = np.asarray(self.G, dtype=float)
+        G, _, _, x0 = (require_finite(getattr(self, name), name) for name in ("G", "beta1", "beta2", "x0"))
         if G.shape != (self.n, self.m):
             raise ValueError(f"G must have shape ({self.n}, {self.m}), got {G.shape}")
         require_full_rank(G)
@@ -109,7 +110,7 @@ class NonlinearModel:
         if self.m > self.n and self.beta2 <= 0:
             raise ValueError("beta2 must be positive when m > n")
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(self.m, 1))
+        object.__setattr__(self, "x0", x0.reshape(self.m, 1))
 
     @classmethod
     def pointwise(cls, m: int, n: int, G, beta1: float, beta2: float, x0, b=None, sigma=None, f=None, h=None):
@@ -188,16 +189,12 @@ def _distance(tree: ProbabilityTree, a: tuple, b: tuple) -> float:
     return math.sqrt(float(total))
 
 
-def _scaled_add(base: tuple, other: tuple, scale: float) -> tuple:
-    """Offset slab lists base + scale * other."""
-    return tuple([a + scale * b for a, b in zip(pa, pb)] for pa, pb in zip(base, other))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the linear solve refuses an overflowed offset, by name
-def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tuple) -> tuple:
-    """Offset slabs (laid out as by ``_offset_slabs``) whose alpha-scaled
-    addition to the anchor system reproduces the level-alpha equations with
-    the nonlinearity evaluated at the (x, y, z) slab lists ``frozen``."""
+def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tuple, alpha: float) -> tuple:
+    """Offset slabs (laid out as by ``_offset_slabs``) that turn the anchor
+    system into the level-``alpha`` equations with the nonlinearity
+    evaluated at the (x, y, z) slab lists ``frozen``; the anchor has no
+    offsets of its own, so these are alpha times the frozen model's."""
     T = tree.horizon
     G, Gt = model.G, model.G.T
     x, y, z = frozen
@@ -208,7 +205,8 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
         dbar_vals.append(model.noise_loading(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ z[t]))
     minus_f = driver_terms(model, tree, x, y, z)[0]
     dhat_vals = [model.beta1 * (G @ x[t + 1]) + slab for t, slab in enumerate(minus_f)]
-    return d_vals, dbar_vals, dhat_vals, [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
+    g_vals = [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
+    return tuple([alpha * slab for slab in part] for part in (d_vals, dbar_vals, dhat_vals, g_vals))
 
 
 # -- continuation ------------------------------------------------------------
@@ -327,7 +325,6 @@ def solve_continuation(
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
     mats = _solvable_matrices(anchor, tree)
 
-    zero_offsets = _offset_slabs(anchor)
     counters = {"solves": 0}
 
     def linear_solve(offsets: tuple) -> tuple:
@@ -339,7 +336,7 @@ def solve_continuation(
         attempt stalls) and the distance of every iteration."""
         distances, images, defects = [], [], []  # flattened history, kept once the stage mixes
         for _ in range(config.picard_max_iters):
-            v = linear_solve(_scaled_add(zero_offsets, _homotopy_offsets(model, tree, u), alpha))
+            v = linear_solve(_homotopy_offsets(model, tree, u, alpha))
             distances.append(_distance(tree, u, v))
             if distances[-1] <= config.picard_tol:
                 return v, tuple(distances)
@@ -352,7 +349,7 @@ def solve_continuation(
             u = v
         return None, tuple(distances)
 
-    current = linear_solve(zero_offsets)
+    current = linear_solve(_offset_slabs(anchor))
     records: list[StageRecord] = []
     grid = [0.0]
     alpha, delta, targets = 0.0, config.delta_init, 0

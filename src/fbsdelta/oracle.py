@@ -231,7 +231,7 @@ def build_residual_system(
         return ResidualSystem(tree, BackwardSystem(tree, problem, eta))
     if not isinstance(problem, (LinearCoefficients, NonlinearModel)):
         raise TypeError(f"no residual system is defined for {type(problem).__name__}")
-    require_coupled_tree(tree, getattr(problem, "horizon", None))
+    require_coupled_tree(tree, problem if isinstance(problem, LinearCoefficients) else None)
     return ResidualSystem(tree, problem)
 
 

@@ -30,7 +30,6 @@ from fbsdelta import (
 )
 from fbsdelta import cli
 from fbsdelta.cli import (
-    _LINEAR_MATRIX_KEYS,
     ScenarioError,
     _parse_tree,
     _process_csv,
@@ -39,6 +38,7 @@ from fbsdelta.cli import (
     main,
 )
 from fbsdelta.filtration import NODE_BUDGET
+from fbsdelta.linear_fbsde import MATRICES
 from helpers import random_increments, rademacher_tree, reference_process_csv
 
 
@@ -629,6 +629,22 @@ def test_reruns_are_byte_identical(tmp_path, capsys, command, scenario_factory):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command", ["solve-linear", "compare-oracle"])
+def test_hat_matrices_take_the_one_by_one_shorthand(tmp_path, capsys, command):
+    # as "A": 0.1 does for A, a scalar or a 1-D list stands for 1x1 matrices
+    runs = []
+    for name, hats in (
+        ("short", {"Ahat": 0.2, "Bhat": [0.1, -0.1], "Chat": 0.3}),
+        ("full", {"Ahat": [[0.2]], "Bhat": [[[0.1]], [[-0.1]]], "Chat": [[[0.3]], [[0.0]]]}),
+    ):
+        scenario = linear_scenario()
+        scenario["model"].update(hats)
+        out = tmp_path / name
+        assert main([command, write_scenario(tmp_path, scenario), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+
+
 # -- output layout --------------------------------------------------------------------
 
 # a number and the padding after it, masked as "#" plus at most one space
@@ -1030,7 +1046,7 @@ def _mixed_steps_scenario():
 
 def _full_linear_scenario():
     scenario = linear_scenario()
-    scenario["model"].update({key: [[0.1 * (i + 1)]] for i, key in enumerate(_LINEAR_MATRIX_KEYS)})
+    scenario["model"].update({key: [[0.1 * (i + 1)]] for i, key in enumerate(MATRICES)})
     scenario["model"]["Chat"] = [[[0.2]], [[0.0]]]  # Chat_T = 0
     return scenario
 

@@ -19,6 +19,7 @@ from fbsdelta import (
     ProbabilityTree,
     ResidualReport,
     anchor_coefficients,
+    build_residual_system,
     check_solvability,
     linear_residual,
     nonlinear_residual,
@@ -26,12 +27,13 @@ from fbsdelta import (
     riccati_matrices,
     solve_linear,
 )
-from fbsdelta.linear_fbsde import _offset_backward, _offset_slabs, _solvable_matrices
+from fbsdelta.linear_fbsde import MATRICES, OFFSETS, _offset_backward, _offset_slabs, _solvable_matrices, domain
 from helpers import (
     rademacher_tree,
     random_increments,
     random_linear_coefficients,
     random_offsets,
+    random_process,
     random_tree,
 )
 
@@ -382,6 +384,84 @@ def test_shape_and_tree_validation():
         solve_linear(coeffs, rademacher_tree(3))
     with pytest.raises(ValueError, match="horizon"):
         check_solvability(coeffs, rademacher_tree(3))
+
+
+def test_offsets_on_a_tree_with_other_node_counts_are_refused():
+    trinomial = ProbabilityTree([IncrementDistribution.trinomial(0.25)] * 2)
+    rademacher = rademacher_tree(2)
+    message = "^tree and coefficients disagree on the node count at t=1: 2 in the tree, 3 in D$"
+    coeffs = LinearCoefficients.build(trinomial, 1, 1, G=[[1.0]], x0=[0.0], D=0.1)
+    for run in (solve_linear, check_solvability, lambda c, tree: build_residual_system(tree, c)):
+        with pytest.raises(ValueError, match=message):
+            run(coeffs, rademacher)
+    foreign = AdaptedProcess.constant(trinomial, np.array([[0.1]]), 0, 1)
+    with pytest.raises(ValueError, match=message):
+        LinearCoefficients.build(rademacher, 1, 1, G=[[1.0]], x0=[0.0], D=foreign)
+    with pytest.raises(ValueError, match="^tree and coefficients disagree on the horizon$"):
+        solve_linear(coeffs, rademacher_tree(3))
+
+
+def test_a_misspelled_coefficient_is_a_type_error():
+    with pytest.raises(TypeError, match="'Ahatt'"):
+        LinearCoefficients.build(rademacher_tree(2), 1, 1, G=[[1.0]], x0=[0.0], Ahatt=0.2)
+
+
+def _stored(name: str, value, T: int, m: int, n: int) -> bytes:
+    """The stored array of coefficient ``name`` built from ``value``."""
+    coeffs = LinearCoefficients.build(rademacher_tree(T), m, n, G=np.eye(n, m), x0=np.zeros(m), **{name: value})
+    return getattr(coeffs, name).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(MATRICES)),
+    horizon=st.integers(1, 3),
+    m=st.integers(1, 2),
+    n=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_accepted_matrix_form_stores_the_same_array(name, horizon, m, n, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols, side = MATRICES[name]
+    dims = {"m": m, "n": n}
+    single = rng.uniform(-0.5, 0.5, size=(dims[rows], dims[cols]))
+    # a single Chat applies on 1..T-1 only: the terminal z-coupling is zero
+    last = horizon - 1 if name == "Chat" else horizon
+    stack = np.zeros((horizon,) + single.shape)
+    stack[:last] = single
+    first = 1 if side == "backward" else 0  # the unused slot 0 of a backward matrix
+    stored = np.zeros((first + horizon,) + single.shape)
+    stored[first : first + last] = single
+    forms = [single, stack, single.tolist(), stack.tolist()]
+    if single.shape == (1, 1):
+        forms += [float(single[0, 0]), [float(single[0, 0])], stack[:, 0, 0], stack[:, 0, 0].tolist()]
+    for form in forms:
+        assert _stored(name, form, horizon, m, n) == stored.tobytes(), form
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    horizon=st.integers(1, 3),
+    m=st.integers(1, 2),
+    n=st.integers(1, 2),
+    forms=st.lists(st.sampled_from(("none", "column", "flat", "process")), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solvability_margins_are_bit_identical_under_offsets_in_every_form(horizon, m, n, forms, seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, horizon)
+    coeffs = random_linear_coefficients(rng, tree, m, n, with_offsets=False)
+    matrices = {name: getattr(coeffs, name)[side == "backward" :] for name, (_, _, side) in MATRICES.items()}
+    dims = {"m": m, "n": n}
+    offsets = {}
+    for (name, (rows, side)), form in zip(OFFSETS.items(), forms):
+        column = rng.uniform(-50.0, 50.0, size=(dims[rows], 1))
+        process = random_process(rng, tree, column.shape, *domain(side, horizon), 50.0)
+        offsets[name] = {"none": None, "column": column, "flat": column.ravel().tolist(), "process": process}[form]
+    rebuilt = LinearCoefficients.build(tree, m, n, G=coeffs.G, x0=rng.uniform(-9, 9, size=m), **matrices, **offsets)
+    for name in MATRICES:
+        assert getattr(rebuilt, name).tobytes() == getattr(coeffs, name).tobytes()
+    assert check_solvability(rebuilt, tree).entries == check_solvability(coeffs, tree).entries
 
 
 def test_offset_copy_shares_homogeneous_arrays():

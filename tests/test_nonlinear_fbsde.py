@@ -34,8 +34,8 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
-from fbsdelta.linear_fbsde import _offset_slabs, _solve_linear
-from fbsdelta.nonlinear_fbsde import _distance, _homotopy_offsets, _scaled_add
+from fbsdelta.linear_fbsde import _solve_linear
+from fbsdelta.nonlinear_fbsde import _distance, _homotopy_offsets
 from helpers import (
     counting_model,
     decoupled_model,
@@ -63,7 +63,7 @@ def frozen_level(model, tree, alpha: float, frozen) -> tuple:
     the continuation solves it: the anchor system plus alpha times the
     frozen offsets."""
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
-    offsets = _scaled_add(_offset_slabs(anchor), _homotopy_offsets(model, tree, slab_lists(frozen)), alpha)
+    offsets = _homotopy_offsets(model, tree, slab_lists(frozen), alpha)
     return _solve_linear(anchor, riccati_matrices(anchor), tree, offsets)
 
 
@@ -269,8 +269,9 @@ def test_continuation_config_validation():
             ContinuationConfig(validation_tol=bad)
 
 
-def _model(m=1, n=1, G=((1.0,),), beta1=1.0, beta2=1.0, **functions):
-    return lambda: NonlinearModel(m, n, np.array(G), beta1, beta2, np.full((m, 1), 0.4), **functions)
+def _model(m=1, n=1, G=((1.0,),), beta1=1.0, beta2=1.0, x0=None, **functions):
+    x0 = np.full((m, 1), 0.4) if x0 is None else x0
+    return lambda: NonlinearModel(m, n, np.array(G), beta1, beta2, x0, **functions)
 
 
 def _continuation(**functions):
@@ -299,6 +300,12 @@ def _offset_on_the_wrong_domain():
         (_model(G=[[0.0]]), "terminal coupling G must have full rank min(m, n); smallest singular value 0.0e+00"),
         (_model(beta1=0.0, beta2=0.0), "at least one coupling weight must be positive"),
         (_model(beta1=-1.0), "the coupling weights must be nonnegative"),
+        (_model(G=[[np.nan]]), "G contains non-finite entries"),
+        (_model(G=[[np.inf]]), "G contains non-finite entries"),
+        (_model(beta1=np.nan), "beta1 contains non-finite entries"),
+        (_model(beta1=np.inf), "beta1 contains non-finite entries"),
+        (_model(beta2=-np.inf), "beta2 contains non-finite entries"),
+        (_model(x0=[np.nan]), "x0 contains non-finite entries"),
         (_model(n=2, G=[[1.0], [0.5]], beta1=0.0), "beta1 must be positive when n > m"),
         (_model(m=2, G=[[1.0, 0.5]], beta2=0.0), "beta2 must be positive when m > n"),
         (lambda: ContinuationConfig(picard_max_iters=0), "iteration limits must be positive"),
@@ -552,7 +559,7 @@ def test_batched_monotonicity_check_matches_the_per_sample_loop(seed):
 def test_continuation_calls_the_model_once_per_slab():
     model, calls = counting_model(mild_coupled_model(m=2, seed=5))
     tree = rademacher_tree(3)
-    _homotopy_offsets(model, tree, slab_lists(zero_solution(tree, 2, 2)))
+    _homotopy_offsets(model, tree, slab_lists(zero_solution(tree, 2, 2)), 1.0)
     assert calls == {"b": 3, "sigma": 3, "f": 3, "h": 1}
     calls.clear()
     solve_continuation(model, tree)
