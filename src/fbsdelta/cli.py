@@ -664,17 +664,17 @@ def _cmd_check_monotone(scenario: Scenario, solver: SolverConfig) -> _Outcome:
 def _cmd_compare_oracle(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     tree = scenario.tree
     threshold = solver.tol_or(1e-6)
+    # the system first: an oversized one is refused before the reference solve
     if scenario.kind == "bsde":
         gen, eta = scenario.bsde
-        reference = solve_bsde(tree, gen, eta)
         system = build_residual_system(tree, gen, eta=eta)
+        reference = solve_bsde(tree, gen, eta)
     elif scenario.kind == "linear":
-        reference = solve_linear(scenario.linear, tree)
         system = build_residual_system(tree, scenario.linear)
+        reference = solve_linear(scenario.linear, tree)
     else:
-        config = _continuation_config(solver)
-        reference = solve_continuation(scenario.nonlinear, tree, config).solution
         system = build_residual_system(tree, scenario.nonlinear)
+        reference = solve_continuation(scenario.nonlinear, tree, _continuation_config(solver)).solution
     oracle = solve_global_newton(system)
     print(
         f"oracle: {system.size} unknowns, {oracle.trace.iterations} damped Newton iterations, "

@@ -18,8 +18,12 @@ finite-difference Jacobians, a method of its own, so the oracle is an
 independent check of the solvers.
 Each residual row reads only its node, the node's parent and its children, so
 the Jacobian is built with one evaluation of F per colour of columns (Curtis,
-Powell & Reid 1974), a count that depends on the branch counts and the
-dimensions but not on the size of the tree.
+Powell & Reid 1974): K_max + 2 node colours (K_max the largest branch count)
+times the unknowns per node, 12 for m = n = 1 on a binary tree, whatever its
+size.  While Newton contracts it keeps its last Jacobian (a chord step;
+Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003), and it
+measures convergence on F itself, never on the Jacobian.  The Jacobian is a
+dense matrix, so a system of more than DENSE_SIZE_LIMIT unknowns is refused.
 Plain backward equations (no forward state) are covered by the same machinery
 with an empty X block.
 """
@@ -47,12 +51,18 @@ NEWTON_MAX_ITERS = 50
 FD_STEP = 1e-7
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 30
+# a full Newton step that cuts the sup-residual by this factor keeps its Jacobian
+REUSE_CONTRACTION = 0.1
+# largest system the dense Jacobian serves: the matrix and the solve's copy of
+# it take 2 * 8 * size**2 bytes, about 1 GiB at this size
+DENSE_SIZE_LIMIT = 8000
 
 
 @dataclass(frozen=True)
 class NewtonTrace:
     converged: bool
     iterations: int
+    jacobians: int  # Jacobians built
     residual_norms: tuple[float, ...]
     step_sizes: tuple[float, ...]
     message: str
@@ -74,11 +84,23 @@ class ResidualSystem:
     anything with ``n``, ``x0`` and the slab protocol that
     :func:`~fbsdelta.linear_fbsde.equation_defects` reads.  Its functions must
     be row-local (row i of a result reads only row i of the inputs), which is
-    what the colouring in :meth:`jacobian` relies on.
+    what the colouring in :meth:`jacobian` relies on.  A system of more than
+    ``DENSE_SIZE_LIMIT`` unknowns is refused with OracleFailedError.
     """
 
     tree: ProbabilityTree
     problem: LinearCoefficients | NonlinearModel | BackwardSystem
+
+    def __post_init__(self):
+        # from the node counts alone, before any array of the system's size exists
+        size = sum(
+            self.tree.node_count(t) * math.prod(shape) for lo, hi, shape in self._blocks for t in range(lo, hi + 1)
+        )
+        if size > DENSE_SIZE_LIMIT:
+            raise OracleFailedError(
+                f"the oracle's dense Jacobian would have {size} unknowns and need {16 * size**2:.3e} bytes "
+                f"with the solve's copy, over the limit of {DENSE_SIZE_LIMIT} unknowns"
+            )
 
     @property
     def m(self) -> int:
@@ -92,11 +114,16 @@ class ResidualSystem:
     def size(self) -> int:
         return self._layout[0]
 
+    @property
+    def _blocks(self) -> tuple:
+        """The stacked unknowns as (first time, last time, slab shape) per
+        block: X for t = 1..T, Y for t = 0..T, Z for t = 0..T-1."""
+        T = self.tree.horizon
+        return ((1, T, (self.m, 1)), (0, T, (self.n, 1)), (0, T - 1, (self.n, self.tree.d)))
+
     @cached_property
     def _layout(self) -> tuple[int, list, list[np.ndarray], list[np.ndarray]]:
-        """The stacked unknowns: X for t = 1..T, Y for t = 0..T, Z for t = 0..T-1."""
-        T, d = self.tree.horizon, self.tree.d
-        return _stacking(self.tree, ((1, T, (self.m, 1)), (0, T, (self.n, 1)), (0, T - 1, (self.n, d))))
+        return _stacking(self.tree, self._blocks)
 
     # -- packing -------------------------------------------------------
 
@@ -130,18 +157,20 @@ class ResidualSystem:
         slabs = (*defects.forward, *defects.y_projection, *defects.z_projection, defects.terminal)
         return np.concatenate([slab.ravel() for slab in slabs])
 
-    def jacobian(self, vec: np.ndarray) -> np.ndarray:
+    def jacobian(self, vec: np.ndarray, *, _base: np.ndarray | None = None) -> np.ndarray:
         """Forward-difference Jacobian, one residual evaluation per colour of
         columns (plus the base point) rather than per unknown.
 
         All columns of one colour are bumped together; since no residual row
         depends on two of them, each row's difference belongs to the one
         column of that colour in the row's structural neighbourhood, so the
-        result equals the column-by-column quotients exactly.
+        result equals the column-by-column quotients exactly.  ``_base`` is
+        the residual at ``vec`` when the caller already holds it (Newton
+        does), which saves the base evaluation.
         """
         vec = np.asarray(vec, dtype=float)
         groups, rows, cols, colours = self._colouring
-        base = self.residual(vec)
+        base = self.residual(vec) if _base is None else _base
         diffs = np.empty((len(groups), self.size))
         for c, group in enumerate(groups):
             bumped = vec.copy()
@@ -160,9 +189,12 @@ class ResidualSystem:
         An unknown at node a enters only the residual rows of a, of its
         parent and of its children (the model functions are row-local), so
         two unknowns share a row only if their nodes are at most two edges
-        apart.  The node colour (t mod 3, index among siblings) differs
-        across any such pair; a column's colour adds its block (X, Y, Z) and
-        component, so no row sees two columns of one colour.
+        apart: parent and child, siblings, or grandparent and grandchild.
+        K_max + 2 node colours keep every such pair apart: the root takes 0,
+        and the children of a node coloured c whose parent is coloured p take,
+        in sibling order, the colours outside {c, p}.  A column's colour adds
+        its block (X, Y, Z) and component, so no row sees two columns of one
+        colour.
         """
         tree, m, n = self.tree, self.m, self.n
         T, d = tree.horizon, tree.d
@@ -170,24 +202,30 @@ class ResidualSystem:
         _, _, col_index, col_slot = self._layout
         row_index = _stacking(tree, ((1, T, (m, 1)), (0, T - 1, (n, 1)), (0, T - 1, (n, d)), (T, T, (n, 1))))[2]
         k_max = max(tree.branch_count(t) for t in range(T))
+        # the root's parent stands in with colour k_max + 1, so its children take 1..K
+        node_colour, parent_colour = np.zeros(1, dtype=np.intp), np.full(1, k_max + 1)
         colour = np.empty(self.size, dtype=np.intp)
         rows, cols = [], []
         for t in range(T + 1):
             count = tree.node_count(t)
-            ranks = np.arange(count)
             related = [row_index[t]]
-            sibling = np.zeros(count, dtype=np.intp)
             if t > 0:
-                sibling = ranks % tree.branch_count(t - 1)
-                related.append(row_index[t - 1][ranks // tree.branch_count(t - 1)])
+                related.append(row_index[t - 1][np.arange(count) // tree.branch_count(t - 1)])
             if t < T:
                 related.append(row_index[t + 1].reshape(count, -1))
             related = np.hstack(related)
-            node_colour = (t % 3) * k_max + sibling
             colour[col_index[t]] = node_colour[:, None] * width + col_slot[t][None, :]
             shape = col_index[t].shape + related.shape[1:]
             rows.append(np.broadcast_to(related[:, None, :], shape).ravel())
             cols.append(np.broadcast_to(col_index[t][:, :, None], shape).ravel())
+            if t < T:
+                # the k-th child of a node coloured c, whose parent is coloured
+                # p, takes the k-th colour outside {c, p}: skip the smaller, then the larger
+                parent, q = np.divmod(np.arange(tree.node_count(t + 1)), tree.branch_count(t))
+                c, p = node_colour[parent], parent_colour[parent]
+                q += q >= np.minimum(c, p)
+                q += q >= np.maximum(c, p)
+                node_colour, parent_colour = q, c
         _, colour = np.unique(colour, return_inverse=True)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         groups = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
@@ -247,7 +285,7 @@ class OracleSolution:
     trace: NewtonTrace
 
 
-def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTrace) -> OracleSolution:
+def _assemble_solution(system: ResidualSystem, vec: np.ndarray, sup: float, trace: NewtonTrace) -> OracleSolution:
     tree = system.tree
     T = tree.horizon
     x, y, z = system.unpack(vec)
@@ -257,9 +295,34 @@ def _assemble_solution(system: ResidualSystem, vec: np.ndarray, trace: NewtonTra
         Y=AdaptedProcess(tree, 0, T, tuple(y)),
         Z=AdaptedProcess(tree, 0, T - 1, tuple(z)),
         N=AdaptedProcess(tree, 0, T, tuple(n_slabs)),
-        equation_residual=float(np.abs(system.residual(vec)).max()),
+        equation_residual=sup,
         trace=trace,
     )
+
+
+def _direction(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """The Newton direction, or a least-squares one when ``jac`` is singular."""
+    try:
+        return np.linalg.solve(jac, -res)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jac, -res, rcond=None)[0]
+
+
+def _line_search(system: ResidualSystem, vec, res, sup: float, direction, tries: int):
+    """The first of the steps 1, 1/2, 1/4, ... (at most ``tries``) whose trial
+    point passes the sufficient-decrease rule, as (step, point, residual);
+    None if none does."""
+    scaled = res / sup
+    phi0 = float(scaled @ scaled)
+    s = 1.0
+    for _ in range(tries):
+        trial = vec + s * direction
+        trial_res = system.residual(trial)
+        trial_scaled = trial_res / sup
+        if float(trial_scaled @ trial_scaled) <= (1.0 - 2.0 * ARMIJO_SLOPE * s) * phi0:
+            return s, trial, trial_res
+        s *= 0.5
+    return None
 
 
 # A trial residual past the float range reads inf and fails the line search.
@@ -274,41 +337,42 @@ def solve_global_newton(system: ResidualSystem, max_iters: int = NEWTON_MAX_ITER
     a standard sufficient-decrease rule.  The scaling keeps the merit finite
     at the current point, so a residual near the float range cannot pass
     every trial as inf <= inf.
+
+    While Newton contracts, the last Jacobian is kept (a chord step): after a
+    full step that cut the sup-residual by ``REUSE_CONTRACTION``, the next
+    step first tries the full step along the kept Jacobian's direction.  A
+    new Jacobian is built after a damped step, after a step that contracted
+    less, and when that full chord step fails the sufficient-decrease rule
+    (then at the same point, followed by the usual backtracking).  So a failed
+    line search always comes from a fresh Jacobian.
     """
     vec = np.zeros(system.size)
+    res = system.residual(vec)
     norms: list[float] = []
     steps: list[float] = []
+    jac, jacobians = None, 0
     for iteration in range(max_iters):
-        res = system.residual(vec)
         sup = float(np.abs(res).max())
+        if steps and (steps[-1] < 1.0 or sup > REUSE_CONTRACTION * norms[-1]):
+            jac = None
         norms.append(sup)
         if sup <= NEWTON_TOL:
-            trace = NewtonTrace(True, iteration, tuple(norms), tuple(steps), "converged")
-            return _assemble_solution(system, vec, trace)
-        jac = system.jacobian(vec)
-        try:
-            direction = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            direction = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        scaled = res / sup
-        phi0 = float(scaled @ scaled)
-        s = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            trial = vec + s * direction
-            trial_res = system.residual(trial) / sup
-            if float(trial_res @ trial_res) <= (1.0 - 2.0 * ARMIJO_SLOPE * s) * phi0:
-                break
-            s *= 0.5
-        else:
-            trace = NewtonTrace(False, iteration, tuple(norms), tuple(steps), "line search stalled")
+            trace = NewtonTrace(True, iteration, jacobians, tuple(norms), tuple(steps), "converged")
+            return _assemble_solution(system, vec, sup, trace)
+        found = None if jac is None else _line_search(system, vec, res, sup, _direction(jac, res), 1)
+        if found is None:
+            jac = system.jacobian(vec, _base=res)
+            jacobians += 1
+            found = _line_search(system, vec, res, sup, _direction(jac, res), MAX_BACKTRACKS)
+        if found is None:
+            trace = NewtonTrace(False, iteration, jacobians, tuple(norms), tuple(steps), "line search stalled")
             raise OracleFailedError(
                 f"line search could not reduce the residual below {sup:.3e}", trace
             )
+        s, vec, res = found
         steps.append(s)
-        vec = vec + s * direction
-    res = system.residual(vec)
     norms.append(float(np.abs(res).max()))
-    trace = NewtonTrace(False, max_iters, tuple(norms), tuple(steps), "iteration limit reached")
+    trace = NewtonTrace(False, max_iters, jacobians, tuple(norms), tuple(steps), "iteration limit reached")
     raise OracleFailedError(
         f"no convergence within {max_iters} iterations (residual {norms[-1]:.3e})", trace
     )

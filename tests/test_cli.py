@@ -956,6 +956,20 @@ def test_oversized_trees_exit_3_before_anything_of_their_size_is_built(tmp_path,
         assert peak < 2**20
 
 
+def test_compare_oracle_refuses_a_dense_system_past_its_limit_before_solving(tmp_path, capsys):
+    # within the node budget, but 2 * (2^15 - 1) + 2 * (2^14 - 1) = 98,300 unknowns
+    scenario = bsde_scenario()
+    scenario["tree"]["horizon"] = 14
+    path = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out"
+    code, peak = _peak_traced_bytes(lambda: main(["compare-oracle", path, "--out", str(out)]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("the oracle's dense Jacobian would have 98300 unknowns and need 1.546e+11 bytes")
+    assert not out.exists()
+    assert peak < 4 * 2**20
+
+
 def test_the_node_budget_admits_rademacher_horizon_21_and_checks_step_lists():
     assert _parse_tree({"horizon": 20, "step": "rademacher"}).node_count(20) == 2**20
     assert _parse_tree({"horizon": 21, "step": "rademacher"}).node_count(21) == NODE_BUDGET

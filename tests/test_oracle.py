@@ -1,6 +1,7 @@
 """Global Newton verification layer: structure, agreement, and failure modes."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
+from fbsdelta.oracle import DENSE_SIZE_LIMIT
 from helpers import (
     counting_model,
     decoupled_model,
@@ -148,6 +150,50 @@ def test_newton_reports_failure_with_trace():
     assert trace.message == "iteration limit reached"
 
 
+def test_a_linear_system_converges_with_one_jacobian():
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        tree = random_tree(rng, int(rng.integers(2, 5)))
+        coeffs = random_linear_coefficients(rng, tree, int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        oracle = solve_global_newton(build_residual_system(tree, coeffs))
+        assert oracle.trace.converged
+        assert oracle.trace.jacobians == 1
+        assert solution_gap(oracle, solve_linear(coeffs, tree)) <= MATCH_TOL
+
+
+def test_newton_keeps_its_jacobian_while_it_contracts():
+    system = build_residual_system(rademacher_tree(4), mild_coupled_model(m=2, seed=203, eps=2))
+    oracle = solve_global_newton(system)
+    assert oracle.trace.converged
+    assert oracle.equation_residual <= EQUATION_TOL
+    assert oracle.trace.jacobians < oracle.trace.iterations
+
+
+def test_a_stiff_model_still_fails_its_line_search_on_a_fresh_jacobian():
+    system = build_residual_system(rademacher_tree(4), mild_coupled_model(m=2, seed=201, eps=2))
+    message = r"^line search could not reduce the residual below 5\.538e-01$"
+    with pytest.raises(OracleFailedError, match=message) as exc:
+        solve_global_newton(system)
+    assert exc.value.trace.message == "line search stalled"
+
+
+def test_systems_past_the_dense_limit_are_refused_before_anything_is_allocated():
+    # m = n = 1 on a binary tree of horizon T has 5 * 2^T - 4 unknowns
+    fits = rademacher_tree(10)
+    assert build_residual_system(fits, LinearCoefficients.build(fits, 1, 1, G=[[1.0]], x0=[[0.0]])).size == 5116
+    assert 5116 <= DENSE_SIZE_LIMIT < 10236
+    tree = rademacher_tree(11)
+    coeffs = LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[[0.0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleFailedError, match=r"^the oracle's dense Jacobian would have 10236 unknowns and need 1\.676e\+09"):
+            build_residual_system(tree, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_dispatch_and_input_validation():
     tree = rademacher_tree(2)
     with pytest.raises(TypeError, match="no residual system"):
@@ -254,14 +300,22 @@ def test_unpack_returns_the_packed_slabs_as_views(system, seed):
 
 
 def colour_count(tree: ProbabilityTree, m: int, n: int) -> int:
-    """Distinct (t mod 3, index among siblings, block, component) over all unknowns."""
+    """Distinct (node colour, block, component) over all unknowns, where the
+    root's node colour is 0 and the children of a node coloured c, whose
+    parent is coloured p, take in sibling order the colours outside {c, p}."""
     T = tree.horizon
+    k_max = max(tree.branch_count(t) for t in range(T))
+    node_colour, parent_colour = {(): 0}, {(): 0}
     colours = set()
     for t in range(T + 1):
         blocks = ([("X", m)] if t > 0 else []) + [("Y", n)] + ([("Z", n * tree.d)] if t < T else [])
         for node in tree.nodes(t):
+            if node:
+                parent = node[:-1]
+                free = [q for q in range(k_max + 2) if q not in (node_colour[parent], parent_colour[parent])]
+                node_colour[node], parent_colour[node] = free[node[-1]], node_colour[parent]
             for block, width in blocks:
-                colours.update((t % 3, node[-1] if node else 0, block, i) for i in range(width))
+                colours.update((node_colour[node], block, i) for i in range(width))
     return len(colours)
 
 
@@ -275,19 +329,42 @@ def test_jacobian_costs_one_evaluation_per_colour_whatever_the_horizon(monkeypat
 
     monkeypatch.setattr(ResidualSystem, "residual", counted)
     rng = np.random.default_rng(31)
-    costs, sizes = {}, {}
-    for T in (3, 4, 8):
-        tree = rademacher_tree(T)
+
+    def cost(tree):
         system = build_residual_system(tree, random_linear_coefficients(rng, tree, 1, 1))
         vec = rng.uniform(-1.0, 1.0, size=system.size)
         calls.clear()
         system.jacobian(vec)
-        costs[T], sizes[T] = len(calls), system.size
-        assert costs[T] == 1 + colour_count(tree, 1, 1)
-    # 3 time classes x 2 siblings x (X, Y, Z); at T = 3 no Z unknown sits at
-    # a second sibling of a time divisible by 3, so one colour is empty
+        assert len(calls) == 1 + colour_count(tree, 1, 1)
+        return len(calls), system.size
+
+    costs, sizes = {}, {}
+    for T in (3, 4, 8):
+        costs[T], sizes[T] = cost(rademacher_tree(T))
+    # (K_max + 2) = 4 node colours x (X, Y, Z), whatever the horizon
     assert sizes == {3: 36, 4: 76, 8: 1276}
-    assert costs == {3: 1 + 17, 4: 1 + 18, 8: 1 + 18}
+    assert costs == {3: 1 + 12, 4: 1 + 12, 8: 1 + 12}
+    # mixed branch counts (2, 3, 2): K_max = 3, so 5 node colours x (X, Y, Z)
+    mixed = ProbabilityTree([random_increments(rng, k, 1) for k in (2, 3, 2)])
+    assert cost(mixed)[0] == 1 + 15
+
+
+def test_colouring_a_wide_step_takes_memory_linear_in_its_outcomes():
+    # one step of 300 outcomes: every unknown shares a row with the root's,
+    # so each takes a colour of its own, and the colouring stays small
+    rng = np.random.default_rng(37)
+    tree = ProbabilityTree([random_increments(rng, 300, 1)])
+    system = build_residual_system(tree, random_linear_coefficients(rng, tree, 1, 1))
+    tracemalloc.start()
+    try:
+        groups = system._colouring[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == system.size == 602
+    assert peak < 2**20
+    vec = rng.uniform(-1.0, 1.0, size=system.size)
+    assert np.array_equal(system.jacobian(vec), per_column_jacobian(system, vec))
 
 
 def test_oracle_agrees_with_the_linear_solver_beyond_a_thousand_unknowns():
