@@ -9,7 +9,8 @@ with Y_T = eta, N_0 = 0, N a martingale strongly orthogonal to the driving
 noise.  On a finite tree the recursion is closed-form: project the one-step
 aggregate Y_{t+1} + f(t+1, ...) onto F_t and onto the increment directions,
 and let N absorb the remainder.  The driver must not depend on z at the
-terminal time; there it is evaluated with z = 0.
+terminal time; there it is evaluated with z = 0.  :func:`driver_terms` and
+:func:`build_solution` are the slab-system layer every solver shares.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .filtration import (
     ProbabilityTree,
     is_martingale,
     is_strongly_orthogonal,
+    per_node,
     sup_abs,
 )
 
@@ -66,27 +68,27 @@ def compensator_slabs(tree: ProbabilityTree, aggregates: list, y_slabs: list, z_
 
 
 def driver_terms(problem, tree: ProbabilityTree, x, y: list, z: list) -> tuple[list, list]:
-    """The negated drivers of the slab system ``problem`` along the slab lists
+    """The drivers f of the slab system ``problem`` along the slab lists
     x (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
     the one-step aggregates Y_t + f(t, ...) they make; index t - 1 holds time
-    t = 1..T.  The driver is evaluated with z = None (zero) at T."""
-    horizon = tree.horizon
-    minus_f = [
-        problem.minus_driver(t, None if x is None else x[t], y[t], z[t] if t < horizon else None, tree.nodes(t))
-        for t in range(1, horizon + 1)
-    ]
-    return minus_f, [y[t + 1] - slab for t, slab in enumerate(minus_f)]
+    t = 1..T.  At T it passes a zero (N_T, n, d) slab for z, as the sweep
+    of :func:`solve_bsde` and ``check_monotone`` do."""
+    horizon, f = tree.horizon, []
+    for t in range(1, horizon + 1):
+        z_t = z[t] if t < horizon else np.zeros((tree.node_count(t), problem.n, tree.d))
+        f.append(problem.driver(t, None if x is None else x[t], y[t], z_t, tree.nodes(t)))
+    return f, [y[t + 1] + slab for t, slab in enumerate(f)]
 
 
-def backward_defect(tree: ProbabilityTree, t: int, y: list, z: list, n: list, minus_f: np.ndarray) -> np.ndarray:
+def backward_defect(tree: ProbabilityTree, t: int, y: list, z: list, n: list, f: np.ndarray) -> np.ndarray:
     """Defect of the backward equation from t to t + 1 on the time-(t+1)
-    slab: (Y_{t+1} - Y_t) - (-f) - Z_t dW_t - (N_{t+1} - N_t), where
-    ``minus_f`` is the negated driver at t + 1."""
+    slab: (Y_{t+1} - Y_t) + f - Z_t dW_t - (N_{t+1} - N_t), where ``f`` is
+    the driver at t + 1."""
     k = tree.branch_count(t)
     dy = y[t + 1] - np.repeat(y[t], k, axis=0)
     dn = n[t + 1] - np.repeat(n[t], k, axis=0)
     zdw = np.einsum("nrd,kd->nkr", z[t], tree.steps[t].points)
-    return dy - minus_f - zdw.reshape(dy.shape) - dn
+    return dy + f - zdw.reshape(dy.shape) - dn
 
 
 @dataclass(frozen=True)
@@ -109,36 +111,22 @@ class Generator:
     @classmethod
     def pointwise(cls, n: int, d: int, fn: Callable[[int, np.ndarray, np.ndarray, tuple], np.ndarray]):
         """Generator from a per-node driver, called once per row of a slab."""
-
-        def slab_fn(t, y, z, nodes):
-            out = np.empty((len(nodes), n))
-            for i, node in enumerate(nodes):
-                out[i] = np.asarray(fn(t, y[i], z[i], node), dtype=float).reshape(n)
-            return out
-
-        return cls(n, d, slab_fn)
-
-    def on_slab(self, tree: ProbabilityTree, t: int, y_slab: np.ndarray, z_slab: np.ndarray | None) -> np.ndarray:
-        """Driver values on the whole time-t slab as (N, n, 1); z = 0 when ``z_slab`` is None."""
-        count = y_slab.shape[0]
-        if z_slab is None:
-            z_slab = np.zeros((count, self.n, self.d))
-        value = np.asarray(self.fn(t, y_slab[:, :, 0], z_slab, tree.nodes(t)), dtype=float)
-        return value.reshape(count, self.n, 1)
+        return cls(n, d, per_node(fn, (n,)))
 
 
 @dataclass(frozen=True)
 class BackwardSystem:
     """A plain backward equation as a slab system: the coupled system with no
     forward state (m = 0), driver ``gen`` and terminal data ``eta``.  It
-    answers ``minus_driver`` and ``terminal_map`` of the slab protocol that
-    LinearCoefficients and NonlinearModel share; with m = 0 nothing calls
-    ``forward_terms``, so it has none."""
+    answers ``driver`` and ``terminal`` of the slab protocol that
+    LinearCoefficients and NonlinearModel share; with m = 0 nothing asks for
+    ``drift`` or ``noise_loading``, so it has neither."""
 
     tree: ProbabilityTree
     gen: Generator
     eta: AdaptedProcess
     m = 0
+    x0 = np.zeros((0, 1))
 
     def __post_init__(self):
         gen, eta, horizon = self.gen, self.eta, self.tree.horizon
@@ -153,14 +141,11 @@ class BackwardSystem:
     def n(self) -> int:
         return self.gen.n
 
-    @property
-    def x0(self) -> np.ndarray:
-        return np.zeros((0, 1))
+    def driver(self, t: int, x, y, z, nodes) -> np.ndarray:
+        """``gen.fn`` on the (N, n, 1) slab ``y`` as (N, n, 1); ``x`` is not read."""
+        return np.asarray(self.gen.fn(t, y[:, :, 0], z, nodes), dtype=float).reshape(len(nodes), self.n, 1)
 
-    def minus_driver(self, t: int, x, y, z, nodes) -> np.ndarray:
-        return -self.gen.on_slab(self.tree, t, y, z)
-
-    def terminal_map(self, x, nodes) -> np.ndarray:
+    def terminal(self, x, nodes) -> np.ndarray:
         return self.eta.at(self.tree.horizon)
 
 
@@ -176,49 +161,60 @@ class FbsdeSolution:
     residual_report: ResidualReport | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each caller reads or refuses a non-finite N itself
+def build_solution(problem, tree: ProbabilityTree, x, y: list, z: list, aggregates: list | None = None) -> FbsdeSolution:
+    """The solution of the slab system ``problem`` with the slab lists x
+    (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
+    the N they fix, from the one-step aggregates of :func:`driver_terms`
+    (``aggregates`` when the caller already holds them)."""
+    if aggregates is None:
+        aggregates = driver_terms(problem, tree, x, y, z)[1]
+    T = tree.horizon
+    n = compensator_slabs(tree, aggregates, y, z)
+    return FbsdeSolution(
+        X=None if x is None else AdaptedProcess(tree, 0, T, tuple(x)),
+        Y=AdaptedProcess(tree, 0, T, tuple(y)),
+        Z=AdaptedProcess(tree, 0, T - 1, tuple(z)),
+        N=AdaptedProcess(tree, 0, T, tuple(n)),
+    )
+
+
 def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> FbsdeSolution:
     """Solve the backward equation exactly by one backward sweep.
 
     Raises NonFiniteSolutionError if the sweep overflows.  Non-finite driver
     values are passed on, and every residual check reads them as inf.
     """
-    BackwardSystem(tree, gen, eta)  # validates the dimensions and the terminal data
+    system = BackwardSystem(tree, gen, eta)  # validates the dimensions and the terminal data
     horizon = tree.horizon
 
-    y_slabs: list[np.ndarray] = [np.empty(0)] * (horizon + 1)
-    z_slabs: list[np.ndarray | None] = [None] * (horizon + 1)
+    y_slabs: list[np.ndarray] = [np.empty(0)] * horizon + [np.array(eta.at(horizon))]
+    z_slabs: list[np.ndarray] = [np.empty(0)] * horizon
     aggregates: list[np.ndarray] = [np.empty(0)] * horizon
     drivers: list[np.ndarray] = [np.empty(0)] * horizon
-    y_slabs[horizon] = np.array(eta.at(horizon))
+    z_next = np.zeros((tree.node_count(horizon), gen.n, tree.d))  # z = 0 at T
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon - 1, -1, -1):
-            drivers[t] = gen.on_slab(tree, t + 1, y_slabs[t + 1], z_slabs[t + 1])
-            aggregate = y_slabs[t + 1] + drivers[t]
-            aggregates[t] = aggregate
-            y_slabs[t] = tree.expect_next(aggregate, t)
-            z_slabs[t] = tree.expect_next_increment(aggregate, t)
+            drivers[t] = system.driver(t + 1, None, y_slabs[t + 1], z_next, tree.nodes(t + 1))
+            aggregates[t] = y_slabs[t + 1] + drivers[t]
+            y_slabs[t] = tree.expect_next(aggregates[t], t)
+            z_slabs[t] = z_next = tree.expect_next_increment(aggregates[t], t)
 
-        n_slabs = compensator_slabs(tree, aggregates, y_slabs, z_slabs)
+    sol = build_solution(system, tree, None, y_slabs, z_slabs, aggregates)
 
     def sweep():
         for t in range(horizon - 1, -1, -1):  # drivers[t] holds f at t + 1
             if not np.isfinite(drivers[t]).all():
                 return  # non-finite driver values are passed on to the residual checks
             yield from (("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
-        yield from (("N", t, slab) for t, slab in enumerate(n_slabs))
+        yield from (("N", t, slab) for t, slab in enumerate(sol.N.values))
 
     # N_T sums the slabs of the sweep along each path to a leaf, so it is
     # finite unless one of them overflowed
-    if not np.isfinite(n_slabs[horizon]).all():
+    if not np.isfinite(sol.N.at(horizon)).all():
         refuse_non_finite(tree, sweep())
-
-    return FbsdeSolution(
-        X=None,
-        Y=AdaptedProcess(tree, 0, horizon, tuple(y_slabs)),
-        Z=AdaptedProcess(tree, 0, horizon - 1, tuple(z_slabs[:horizon])),
-        N=AdaptedProcess(tree, 0, horizon, tuple(n_slabs)),
-    )
+    return sol
 
 
 @dataclass(frozen=True)
@@ -243,10 +239,10 @@ def bsde_residuals(
     system = BackwardSystem(tree, gen, eta)
     horizon = tree.horizon
     y, z, n = sol.Y.values, sol.Z.values, sol.N.values
-    minus_f, _ = driver_terms(system, tree, None, y, z)
+    f, _ = driver_terms(system, tree, None, y, z)
     return BsdeResidualReport(
-        equation=max(sup_abs(backward_defect(tree, t, y, z, n, minus_f[t])) for t in range(horizon)),
-        terminal=sup_abs(y[horizon] - system.terminal_map(None, tree.nodes(horizon))),
+        equation=max(sup_abs(backward_defect(tree, t, y, z, n, f[t])) for t in range(horizon)),
+        terminal=sup_abs(y[horizon] - system.terminal(None, tree.nodes(horizon))),
         martingale=is_martingale(tree, sol.N).residual,
         orthogonality=is_strongly_orthogonal(tree, sol.N).residual,
     )

@@ -247,6 +247,23 @@ class ProbabilityTree:
         return np.einsum("k,nkr,kd->nrd", self.steps[t].probs, grouped, self.steps[t].points)
 
 
+def per_node(fn: Callable, shape: tuple[int, ...]) -> Callable:
+    """Slab function ``slab_fn(*args, nodes)`` from the per-node function
+    ``fn(*args, node)``: one call per node, with row i of each array argument
+    (other arguments, such as t, as they are), each result reshaped to
+    ``shape`` and stacked into an (N,) + shape array."""
+
+    def slab_fn(*args):
+        *head, nodes = args
+        out = np.empty((len(nodes), *shape))
+        for i, node in enumerate(nodes):
+            row = [a[i] if isinstance(a, np.ndarray) else a for a in head]
+            out[i] = np.asarray(fn(*row, node), dtype=float).reshape(shape)
+        return out
+
+    return slab_fn
+
+
 @dataclass(frozen=True)
 class AdaptedProcess:
     """Process adapted to a tree: one value array per time in its domain.
@@ -302,13 +319,8 @@ class AdaptedProcess:
         t_lo: int,
         t_hi: int,
     ) -> "AdaptedProcess":
-        vals = []
-        for t in range(t_lo, t_hi + 1):
-            slab = np.empty((tree.node_count(t),) + shape)
-            for i, node in enumerate(tree.nodes(t)):
-                slab[i] = np.asarray(fn(t, node), dtype=float).reshape(shape)
-            vals.append(slab)
-        return cls(tree, t_lo, t_hi, tuple(vals))
+        slab_fn = per_node(fn, shape)
+        return cls(tree, t_lo, t_hi, tuple(slab_fn(t, tree.nodes(t)) for t in range(t_lo, t_hi + 1)))
 
     # -- access ----------------------------------------------------------
 

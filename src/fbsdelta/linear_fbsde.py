@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsde import FbsdeSolution, NonFiniteSolutionError, backward_defect, compensator_slabs, driver_terms, refuse_non_finite
+from .bsde import FbsdeSolution, NonFiniteSolutionError, backward_defect, build_solution, driver_terms, refuse_non_finite
 from .filtration import AdaptedProcess, ProbabilityTree, is_martingale, is_strongly_orthogonal, sup_abs
 
 __all__ = [
@@ -120,6 +120,15 @@ def require_finite(value, name: str) -> np.ndarray:
     return arr
 
 
+def require_shape(value, shape: tuple[int, int], name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, from any layout of as many
+    entries; refuses any other size by ``name``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.size != shape[0] * shape[1]:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr.reshape(shape)
+
+
 def require_full_rank(G: np.ndarray) -> None:
     """Refuse a terminal coupling G of rank below min(m, n)."""
     s = np.linalg.svd(G, compute_uv=False)
@@ -165,14 +174,14 @@ def _matrix_per_time(value, name: str, T: int, dims: dict[str, int]) -> np.ndarr
     return out
 
 
-def _as_process(tree: ProbabilityTree, value, shape: tuple[int, int], t_lo: int, t_hi: int) -> AdaptedProcess:
+def _as_process(tree: ProbabilityTree, value, name: str, shape: tuple[int, int], t_lo: int, t_hi: int) -> AdaptedProcess:
     """None -> zeros; an adapted process as it is (LinearCoefficients checks
     its shape and domain); anything else -> that constant."""
     if value is None:
         return AdaptedProcess.zeros(tree, shape, t_lo, t_hi)
     if isinstance(value, AdaptedProcess):
         return value
-    return AdaptedProcess.constant(tree, np.asarray(value, dtype=float).reshape(shape), t_lo, t_hi)
+    return AdaptedProcess.constant(tree, require_shape(value, shape, name), t_lo, t_hi)
 
 
 @dataclass(frozen=True)
@@ -210,10 +219,9 @@ class LinearCoefficients:
             raise ValueError("horizon and dimensions must be positive")
         dims = {"m": m, "n": n}
         shapes = {name: _stored_shape(name, T, dims) for name in MATRICES}
-        for name, shape in {**shapes, "G": (n, m), "x0": (m, 1)}.items():
+        object.__setattr__(self, "x0", require_finite(require_shape(self.x0, (m, 1), "x0"), "x0"))
+        for name, shape in {**shapes, "G": (n, m)}.items():
             arr = np.asarray(getattr(self, name), dtype=float)
-            if name == "x0":
-                arr = arr.reshape(m, 1)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             object.__setattr__(self, name, require_finite(arr, name))
@@ -244,10 +252,10 @@ class LinearCoefficients:
             m=m,
             n=n,
             G=G,
-            x0=np.asarray(x0, dtype=float).reshape(m, 1),
+            x0=x0,
             **{name: _matrix_per_time(coefficients.get(name), name, T, dims) for name in MATRICES},
             **{
-                name: _as_process(tree, coefficients.get(name), (dims[rows], 1), *domain(side, T))
+                name: _as_process(tree, coefficients.get(name), name, (dims[rows], 1), *domain(side, T))
                 for name, (rows, side) in OFFSETS.items()
             },
         )
@@ -257,22 +265,19 @@ class LinearCoefficients:
     # -- the slab protocol shared with NonlinearModel; the coefficients do
     # not depend on the node, so ``nodes`` is not read
 
-    def forward_terms(self, t: int, x, y, z, nodes) -> tuple[np.ndarray, np.ndarray]:
-        """Drift A x + B y + C z + D and noise loading Abar x + Bbar y +
-        Cbar z + Dbar on the time-t slab."""
-        return (
-            _affine(self.A[t], self.B[t], self.C[t], x, y, z) + self.D.at(t),
-            _affine(self.Abar[t], self.Bbar[t], self.Cbar[t], x, y, z) + self.Dbar.at(t),
-        )
+    def drift(self, t: int, x, y, z, nodes) -> np.ndarray:
+        """A x + B y + C z + D on the time-t slab."""
+        return _affine(self.A[t], self.B[t], self.C[t], x, y, z) + self.D.at(t)
 
-    def minus_driver(self, t: int, x, y, z, nodes) -> np.ndarray:
-        """The negated driver Ahat x + Bhat y + Chat z + Dhat on the time-t
-        slab; ``z=None`` stands for z = 0 (the value used at t = T)."""
-        if z is None:
-            z = np.zeros((x.shape[0], self.n, 1))
-        return _affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + self.Dhat.at(t)
+    def noise_loading(self, t: int, x, y, z, nodes) -> np.ndarray:
+        """Abar x + Bbar y + Cbar z + Dbar on the time-t slab."""
+        return _affine(self.Abar[t], self.Bbar[t], self.Cbar[t], x, y, z) + self.Dbar.at(t)
 
-    def terminal_map(self, x, nodes) -> np.ndarray:
+    def driver(self, t: int, x, y, z, nodes) -> np.ndarray:
+        """f = -(Ahat x + Bhat y + Chat z + Dhat) on the time-t slab."""
+        return -(_affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + self.Dhat.at(t))
+
+    def terminal(self, x, nodes) -> np.ndarray:
         """The required Y_T = G x + g on the leaf slab."""
         return np.einsum("ij,njk->nik", self.G, x) + self.g.at(self.horizon)
 
@@ -475,17 +480,8 @@ def solve_linear(
     NonFiniteSolutionError if the sweep or N overflows.  The solution
     carries its residual report."""
     mats = _solvable_matrices(coeffs, tree, matrices)
-    x, y, z = _solve_linear(coeffs, mats, tree, _offset_slabs(coeffs))
-    T = coeffs.horizon
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-        n = compensator_slabs(tree, driver_terms(coeffs, tree, x, y, z)[1], y, z)
-    refuse_non_finite(tree, (("N", t, n[t]) for t in range(1, T + 1)))
-    sol = FbsdeSolution(
-        X=AdaptedProcess(tree, 0, T, tuple(x)),
-        Y=AdaptedProcess(tree, 0, T, tuple(y)),
-        Z=AdaptedProcess(tree, 0, T - 1, tuple(z)),
-        N=AdaptedProcess(tree, 0, T, tuple(n)),
-    )
+    sol = build_solution(coeffs, tree, *_solve_linear(coeffs, mats, tree, _offset_slabs(coeffs)))
+    refuse_non_finite(tree, (("N", t, slab) for t, slab in enumerate(sol.N.values) if t > 0))
     return replace(sol, residual_report=linear_residual(coeffs, tree, sol))
 
 
@@ -548,39 +544,42 @@ class ResidualReport:
 
 class EquationDefects(NamedTuple):
     """Defect slabs of the defining relations, index t for t = 0..T-1, and
-    the negated drivers they read, index t - 1 for t = 1..T."""
+    the drivers they read, index t - 1 for t = 1..T."""
 
     forward: list  # (X_{t+1} - X_t) - drift - vol dW_t on the time-(t+1) slab; empty when m = 0
     y_projection: list  # Y_t - E[Y_{t+1} + f | F_t]
     z_projection: list  # Z_t - E[(Y_{t+1} + f) dW_t | F_t]
-    terminal: np.ndarray  # Y_T - terminal_map(X_T)
-    minus_f: list  # -f(t, X_t, Y_t, Z_t) for t = 1..T, z = 0 at T
+    terminal: np.ndarray  # Y_T - terminal(X_T)
+    f: list  # f(t, X_t, Y_t, Z_t) for t = 1..T, z = 0 at T
 
 
 def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) -> EquationDefects:
     """Evaluate every defining relation of the slab system ``problem`` along
     the slab lists x (X_0..X_T), y (Y_0..Y_T) and z (Z_0..Z_{T-1}).
 
-    ``problem`` answers the slab protocol: ``m``,
-    ``forward_terms(t, x, y, z, nodes) -> (drift, vol)`` (called only when
-    m > 0, and then with d = 1), ``minus_driver(t, x, y, z, nodes)``
-    (``z=None`` at t = T) and ``terminal_map(x, nodes)``.
+    ``problem`` has ``m`` and ``n`` and answers the slab protocol, the
+    model's own four maps on whole slabs: ``drift(t, x, y, z, nodes)`` and
+    ``noise_loading(t, x, y, z, nodes)`` (asked for only when m > 0, and
+    then with d = 1), ``driver(t, x, y, z, nodes)`` (read through
+    :func:`~fbsdelta.bsde.driver_terms`, with z = 0 at t = T) and
+    ``terminal(x, nodes)``.
     """
     T = tree.horizon
     forward = []
     for t in range(T if problem.m else 0):
-        k = tree.branch_count(t)
+        k, nodes = tree.branch_count(t), tree.nodes(t)
         w = np.tile(tree.steps[t].points[:, 0], tree.node_count(t))[:, None, None]
-        drift, vol = problem.forward_terms(t, x[t], y[t], z[t], tree.nodes(t))
+        drift = problem.drift(t, x[t], y[t], z[t], nodes)
+        vol = problem.noise_loading(t, x[t], y[t], z[t], nodes)
         dx = x[t + 1] - np.repeat(x[t], k, axis=0)
         forward.append(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w)
-    minus_f, aggregates = driver_terms(problem, tree, x, y, z)
+    f, aggregates = driver_terms(problem, tree, x, y, z)
     return EquationDefects(
         forward=forward,
         y_projection=[y[t] - tree.expect_next(aggregates[t], t) for t in range(T)],
         z_projection=[z[t] - tree.expect_next_increment(aggregates[t], t) for t in range(T)],
-        terminal=y[T] - problem.terminal_map(x[T], tree.nodes(T)),
-        minus_f=minus_f,
+        terminal=y[T] - problem.terminal(x[T], tree.nodes(T)),
+        f=f,
     )
 
 
@@ -597,7 +596,7 @@ def linear_residual(problem, tree: ProbabilityTree, sol: FbsdeSolution) -> Resid
     defects = equation_defects(problem, tree, x, y, z)
     return ResidualReport(
         forward=_worst(defects.forward),
-        backward=_worst(backward_defect(tree, t, y, z, n, defects.minus_f[t]) for t in range(tree.horizon)),
+        backward=_worst(backward_defect(tree, t, y, z, n, defects.f[t]) for t in range(tree.horizon)),
         initial=sup_abs(x[0][0] - problem.x0),
         terminal=sup_abs(defects.terminal),
         y_projection=_worst(defects.y_projection),

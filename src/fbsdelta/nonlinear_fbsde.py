@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bsde import FbsdeSolution, compensator_slabs, driver_terms
-from .filtration import AdaptedProcess, ProbabilityTree
+from .bsde import FbsdeSolution, build_solution, driver_terms
+from .filtration import ProbabilityTree, per_node
 from .linear_fbsde import (
     _offset_slabs,
     _solvable_matrices,
@@ -41,13 +41,14 @@ from .linear_fbsde import (
     require_coupling_weights,
     require_finite,
     require_full_rank,
+    require_shape,
 )
 from .linear_fbsde import linear_residual as nonlinear_residual  # one residual report for every slab system
 
 __all__ = [
     "NonlinearModel", "ContinuationConfig", "ContinuationFailedError", "ContinuationResult", "ContinuationTrace",
     "StageRecord", "MonotonicityReport", "DualityReport", "check_monotone", "duality_gap", "nonlinear_residual",
-    "reconstruct_compensator", "solve_continuation",
+    "solve_continuation",
 ]
 
 # check_monotone draws every state component uniformly from [-SAMPLE_BOX, SAMPLE_BOX];
@@ -57,8 +58,13 @@ MONOTONE_SAMPLES = 200
 MONOTONE_TOL = 1e-9
 
 
-def _slab(value, rows: int, what: str, nodes) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+def _slab(fn, rows: int, what: str, *args) -> np.ndarray:
+    """``fn(*args)`` (the last argument is the N nodes) as an (N, rows, 1) slab, zeros
+    when ``fn`` is None; refuses another size or a non-finite value, naming ``what``."""
+    nodes = args[-1]
+    if fn is None:
+        return np.zeros((len(nodes), rows, 1))
+    arr = np.asarray(fn(*args), dtype=float)
     try:
         arr = arr.reshape(len(nodes), rows, 1)
     except ValueError as exc:
@@ -110,62 +116,29 @@ class NonlinearModel:
         if self.m > self.n and self.beta2 <= 0:
             raise ValueError("beta2 must be positive when m > n")
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "x0", x0.reshape(self.m, 1))
+        object.__setattr__(self, "x0", require_shape(x0, (self.m, 1), "x0"))
 
     @classmethod
     def pointwise(cls, m: int, n: int, G, beta1: float, beta2: float, x0, b=None, sigma=None, f=None, h=None):
         """Model from per-node callables ``b/sigma/f(t, x, y, z, node)`` with
         (m, 1), (n, 1), (n, 1) column arguments and ``h(x, node)``, each
         called once per row of a slab."""
+        fns = ((b, m), (sigma, m), (f, n), (h, n))
+        return cls(m, n, G, beta1, beta2, x0, *(None if fn is None else per_node(fn, (rows, 1)) for fn, rows in fns))
 
-        def per_row(fn, rows: int):
-            def slab_fn(*args):  # (t, x, y, z, nodes) or (x, nodes); t is the only non-array
-                *head, nodes = args
-                out = np.empty((len(nodes), rows, 1))
-                for i, node in enumerate(nodes):
-                    row = [a[i] if isinstance(a, np.ndarray) else a for a in head]
-                    out[i] = np.asarray(fn(*row, node), dtype=float).reshape(rows, 1)
-                return out
-
-            return None if fn is None else slab_fn
-
-        return cls(m, n, G, beta1, beta2, x0, per_row(b, m), per_row(sigma, m), per_row(f, n), per_row(h, n))
-
-    # -- slab evaluation with zero/linear defaults ----------------------
+    # -- the slab protocol: b, sigma, f and h with zero/linear defaults --
 
     def drift(self, t, x, y, z, nodes) -> np.ndarray:
-        if self.b is None:
-            return np.zeros((len(nodes), self.m, 1))
-        return _slab(self.b(t, x, y, z, nodes), self.m, f"b(t={t})", nodes)
+        return _slab(self.b, self.m, f"b(t={t})", t, x, y, z, nodes)
 
     def noise_loading(self, t, x, y, z, nodes) -> np.ndarray:
-        if self.sigma is None:
-            return np.zeros((len(nodes), self.m, 1))
-        return _slab(self.sigma(t, x, y, z, nodes), self.m, f"sigma(t={t})", nodes)
+        return _slab(self.sigma, self.m, f"sigma(t={t})", t, x, y, z, nodes)
 
     def driver(self, t, x, y, z, nodes) -> np.ndarray:
-        """f on a slab; ``z=None`` stands for z = 0 (the value used at t = T)."""
-        if self.f is None:
-            return np.zeros((len(nodes), self.n, 1))
-        if z is None:
-            z = np.zeros((len(nodes), self.n, 1))
-        return _slab(self.f(t, x, y, z, nodes), self.n, f"f(t={t})", nodes)
+        return _slab(self.f, self.n, f"f(t={t})", t, x, y, z, nodes)
 
     def terminal(self, x, nodes) -> np.ndarray:
-        if self.h is None:
-            return self.G @ x
-        return _slab(self.h(x, nodes), self.n, "h", nodes)
-
-    # -- the slab protocol shared with LinearCoefficients ----------------
-
-    def forward_terms(self, t, x, y, z, nodes) -> tuple[np.ndarray, np.ndarray]:
-        return self.drift(t, x, y, z, nodes), self.noise_loading(t, x, y, z, nodes)
-
-    def minus_driver(self, t, x, y, z, nodes) -> np.ndarray:
-        return -self.driver(t, x, y, z, nodes)
-
-    def terminal_map(self, x, nodes) -> np.ndarray:
-        return self.terminal(x, nodes)
+        return self.G @ x if self.h is None else _slab(self.h, self.n, "h", x, nodes)
 
 
 @np.errstate(over="ignore")  # an overflowed gap is inf, which no tolerance accepts
@@ -203,8 +176,8 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
         nodes = tree.nodes(t)
         d_vals.append(model.drift(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ y[t]))
         dbar_vals.append(model.noise_loading(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ z[t]))
-    minus_f = driver_terms(model, tree, x, y, z)[0]
-    dhat_vals = [model.beta1 * (G @ x[t + 1]) + slab for t, slab in enumerate(minus_f)]
+    f = driver_terms(model, tree, x, y, z)[0]
+    dhat_vals = [model.beta1 * (G @ x[t + 1]) - slab for t, slab in enumerate(f)]
     g_vals = [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
     return tuple([alpha * slab for slab in part] for part in (d_vals, dbar_vals, dhat_vals, g_vals))
 
@@ -375,9 +348,7 @@ def solve_continuation(
                 f"stage from alpha={alpha:.6g} stalled even at the minimum step (distance {distances[-1]:.3e})"
             )
 
-    T = tree.horizon
-    X, Y, Z = (AdaptedProcess(tree, 0, hi, tuple(slabs)) for slabs, hi in zip(current, (T, T, T - 1)))
-    solution = FbsdeSolution(X, Y, Z, reconstruct_compensator(model, tree, X, Y, Z))
+    solution = build_solution(model, tree, *current)
     report = nonlinear_residual(model, tree, solution)
     solution = replace(solution, residual_report=report)
     trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], report.max)
@@ -390,19 +361,6 @@ def solve_continuation(
             trace,
         )
     return ContinuationResult(solution=solution, trace=trace)
-
-
-# -- reconstruction ------------------------------------------------------------
-
-
-def reconstruct_compensator(
-    model: NonlinearModel, tree: ProbabilityTree, X: AdaptedProcess, Y: AdaptedProcess, Z: AdaptedProcess
-) -> AdaptedProcess:
-    """Orthogonal remainder implied by (X, Y, Z): accumulate the part of each
-    backward increment not explained by the driver and the Z dW term."""
-    x, y, z = X.values, Y.values, Z.values
-    aggregates = driver_terms(model, tree, x, y, z)[1]
-    return AdaptedProcess(tree, 0, tree.horizon, tuple(compensator_slabs(tree, aggregates, y, z)))
 
 
 # -- structural diagnostics --------------------------------------------------
@@ -484,7 +442,7 @@ def check_monotone(
         nodes = picked(tree.nodes(t), t)
         slack = np.zeros(samples)
         if 1 <= t <= T:
-            df = gap(model.driver(t, x, y, z if t < T else None, nodes))
+            df = gap(model.driver(t, x, y, z if t < T else np.zeros_like(z), nodes))
             slack += -pairing(Gt @ df, dx) + beta1 * pairing(G @ dx, G @ dx)
         if t <= T - 1:
             db = gap(model.drift(t, x, y, z, nodes))
@@ -536,13 +494,13 @@ def duality_gap(
         raise ValueError("the duality pairing requires a shared terminal coupling G")
     T = tree.horizon
 
-    def realized(problem, sol: FbsdeSolution) -> tuple[list, list]:  # (drift, vol) at t and -f at t + 1
+    def realized(problem, sol: FbsdeSolution) -> tuple[list, list]:  # (drift, vol) at t and f at t + 1
         x, y, z = sol.X.values, sol.Y.values, sol.Z.values
-        terms = [problem.forward_terms(t, x[t], y[t], z[t], tree.nodes(t)) for t in range(T)]
-        return terms, driver_terms(problem, tree, x, y, z)[0]
+        args = [(t, x[t], y[t], z[t], tree.nodes(t)) for t in range(T)]
+        return [(problem.drift(*a), problem.noise_loading(*a)) for a in args], driver_terms(problem, tree, x, y, z)[0]
 
-    terms_a, mf_a = realized(problem_a, sol_a)
-    terms_b, mf_b = realized(problem_b, sol_b)
+    terms_a, f_a = realized(problem_a, sol_a)
+    terms_b, f_b = realized(problem_b, sol_b)
 
     def pair(t: int, left: np.ndarray, right: np.ndarray) -> float:
         probs = tree.node_probabilities(t)
@@ -556,7 +514,7 @@ def duality_gap(
     rhs = 0.0
     for t in range(T):
         (drift_a, vol_a), (drift_b, vol_b) = terms_a[t], terms_b[t]
-        rhs += pair(t + 1, sol_a.X.at(t + 1) - sol_b.X.at(t + 1), mf_a[t] - mf_b[t])
+        rhs -= pair(t + 1, sol_a.X.at(t + 1) - sol_b.X.at(t + 1), f_a[t] - f_b[t])
         rhs += pair(t, drift_a - drift_b, sol_a.Y.at(t) - sol_b.Y.at(t))
         rhs += pair(t, vol_a - vol_b, sol_a.Z.at(t) - sol_b.Z.at(t))
     return DualityReport(lhs=lhs, rhs=rhs)

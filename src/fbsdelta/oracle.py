@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsde import BackwardSystem, Generator, compensator_slabs, driver_terms
+from .bsde import BackwardSystem, Generator, build_solution
 from .filtration import AdaptedProcess, ProbabilityTree
 from .linear_fbsde import LinearCoefficients, equation_defects, require_coupled_tree
 from .nonlinear_fbsde import NonlinearModel
@@ -81,9 +81,10 @@ class ResidualSystem:
     """Square residual map of one slab system ``problem`` on one tree.
 
     ``problem`` is a LinearCoefficients, NonlinearModel or BackwardSystem:
-    anything with ``n``, ``x0`` and the slab protocol that
-    :func:`~fbsdelta.linear_fbsde.equation_defects` reads.  Its functions must
-    be row-local (row i of a result reads only row i of the inputs), which is
+    anything with ``m``, ``n``, ``x0`` and the slab protocol that
+    :func:`~fbsdelta.linear_fbsde.equation_defects` reads (``drift``,
+    ``noise_loading``, ``driver`` and ``terminal``).  Those four must be
+    row-local (row i of a result reads only row i of the inputs), which is
     what the colouring in :meth:`jacobian` relies on.  A system of more than
     ``DENSE_SIZE_LIMIT`` unknowns is refused with OracleFailedError.
     """
@@ -285,21 +286,6 @@ class OracleSolution:
     trace: NewtonTrace
 
 
-def _assemble_solution(system: ResidualSystem, vec: np.ndarray, sup: float, trace: NewtonTrace) -> OracleSolution:
-    tree = system.tree
-    T = tree.horizon
-    x, y, z = system.unpack(vec)
-    n_slabs = compensator_slabs(tree, driver_terms(system.problem, tree, x, y, z)[1], y, z)
-    return OracleSolution(
-        X=AdaptedProcess(tree, 0, T, tuple(x)) if system.m else None,
-        Y=AdaptedProcess(tree, 0, T, tuple(y)),
-        Z=AdaptedProcess(tree, 0, T - 1, tuple(z)),
-        N=AdaptedProcess(tree, 0, T, tuple(n_slabs)),
-        equation_residual=sup,
-        trace=trace,
-    )
-
-
 def _direction(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
     """The Newton direction, or a least-squares one when ``jac`` is singular."""
     try:
@@ -358,7 +344,9 @@ def solve_global_newton(system: ResidualSystem, max_iters: int = NEWTON_MAX_ITER
         norms.append(sup)
         if sup <= NEWTON_TOL:
             trace = NewtonTrace(True, iteration, jacobians, tuple(norms), tuple(steps), "converged")
-            return _assemble_solution(system, vec, sup, trace)
+            x, y, z = system.unpack(vec)
+            sol = build_solution(system.problem, system.tree, x if system.m else None, y, z)
+            return OracleSolution(sol.X, sol.Y, sol.Z, sol.N, equation_residual=sup, trace=trace)
         found = None if jac is None else _line_search(system, vec, res, sup, _direction(jac, res), 1)
         if found is None:
             jac = system.jacobian(vec, _base=res)

@@ -444,11 +444,13 @@ def _mutated(factory, section, key, value):
         (_mutated(linear_scenario, "model", "m", 0), "model.m and model.n must be at least 1"),
         (_mutated(nonlinear_scenario, "model", "n", 0), "model.m and model.n must be at least 1"),
         ([bsde_scenario()], "the top level of a scenario must be an object"),
+        (_mutated(linear_scenario, "model", "x0", [0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
+        (_mutated(nonlinear_scenario, "model", "x0", [0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
     ],
     ids=[
         "trinomial-parameter", "step-shorthand", "step-and-steps", "empty-steps", "horizon", "node-table",
         "expr-and-table", "expr-fault", "time-table", "time-keys", "offset-size", "bsde-n", "bsde-d",
-        "linear-m", "nonlinear-n", "top-level",
+        "linear-m", "nonlinear-n", "top-level", "linear-x0", "nonlinear-x0",
     ],
 )
 def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):

@@ -23,10 +23,10 @@ from fbsdelta import (
     check_solvability,
     linear_residual,
     nonlinear_residual,
-    reconstruct_compensator,
     riccati_matrices,
     solve_linear,
 )
+from fbsdelta.bsde import build_solution
 from fbsdelta.linear_fbsde import MATRICES, OFFSETS, _offset_backward, _offset_slabs, _solvable_matrices, domain
 from helpers import (
     rademacher_tree,
@@ -226,7 +226,7 @@ def test_linear_and_slab_model_forms_give_the_same_report_and_compensator(branch
     for field in dataclasses.fields(ResidualReport):
         assert abs(getattr(linear, field.name) - getattr(nonlinear, field.name)) <= EXACT_TOL
     assert linear.max <= RESIDUAL_TOL
-    compensator = reconstruct_compensator(model, tree, sol.X, sol.Y, sol.Z)
+    compensator = build_solution(model, tree, sol.X.values, sol.Y.values, sol.Z.values).N
     assert (compensator - sol.N).sup_norm() <= EXACT_TOL
 
 
@@ -384,6 +384,18 @@ def test_shape_and_tree_validation():
         solve_linear(coeffs, rademacher_tree(3))
     with pytest.raises(ValueError, match="horizon"):
         check_solvability(coeffs, rademacher_tree(3))
+
+
+@pytest.mark.parametrize("name", ["x0", *OFFSETS])
+def test_a_wrong_size_initial_state_or_constant_offset_is_refused_by_name(name):
+    tree = rademacher_tree(2)
+    given = {"x0": [0.0], name: [1.0, 2.0]}
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \(1, 1\), got \(2,\)$"):
+        LinearCoefficients.build(tree, 1, 1, G=[[1.0]], **given)
+    if name == "x0":  # the constructor refuses it the same way
+        coeffs = LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.0])
+        with pytest.raises(ValueError, match=r"^x0 must have shape \(1, 1\), got \(2,\)$"):
+            dataclasses.replace(coeffs, x0=[0.1, 0.2])
 
 
 def test_offsets_on_a_tree_with_other_node_counts_are_refused():

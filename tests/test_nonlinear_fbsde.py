@@ -26,7 +26,6 @@ from fbsdelta import (
     duality_gap,
     linear_residual,
     nonlinear_residual,
-    reconstruct_compensator,
     riccati_matrices,
     solution_gap,
     solve_bsde,
@@ -34,6 +33,7 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
+from fbsdelta.bsde import build_solution
 from fbsdelta.linear_fbsde import _solve_linear
 from fbsdelta.nonlinear_fbsde import _distance, _homotopy_offsets
 from helpers import (
@@ -311,6 +311,7 @@ def _offset_on_the_wrong_domain():
         (lambda: ContinuationConfig(picard_max_iters=0), "iteration limits must be positive"),
         # an offset given on a wider domain is refused, not cut to [0, T - 1]
         (_offset_on_the_wrong_domain, "D must be (1, 1)-valued on [0, 1]"),
+        (_model(x0=[0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
     ],
 )
 def test_bad_models_and_settings_are_refused_by_name(build, message):
@@ -471,7 +472,7 @@ def test_slab_models_agree_with_their_pointwise_wrapping(name):
     for field in dataclasses.fields(report_slab):
         assert abs(getattr(report_slab, field.name) - getattr(report_pointwise, field.name)) <= SLAB_TOL
 
-    compensators = [reconstruct_compensator(model, tree, sol.X, sol.Y, sol.Z) for model in (slab, pointwise)]
+    compensators = [build_solution(model, tree, sol.X.values, sol.Y.values, sol.Z.values).N for model in (slab, pointwise)]
     assert (compensators[0] - compensators[1]).sup_norm() <= SLAB_TOL
 
     anchor = anchor_coefficients(tree, slab.G, slab.beta1, slab.beta2, slab.x0)
