@@ -50,6 +50,7 @@ from .linear_fbsde import (
     NotSolvableError,
     domain,
     require_coupled_tree,
+    require_table_budget,
     riccati_matrices,
     solve_linear,
 )
@@ -72,6 +73,10 @@ EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_VALIDATION = 3
 EXIT_INPUT = 4
+
+# The residual bound behind a solution's "ok": solve-bsde's --tol moves it,
+# solve-linear's does not (there --tol is the singularity cutoff).
+RESIDUAL_BOUND = 1e-10
 
 
 class ScenarioError(ValueError):
@@ -327,6 +332,7 @@ def _parse_linear(tree: ProbabilityTree, payload: dict) -> LinearCoefficients:
     n = _as_int(_require(payload, "n", "model"), "model.n")
     if m < 1 or n < 1:
         raise ScenarioError("model.m and model.n must be at least 1")
+    _build_checked(require_table_budget, tree, m, n)  # before an offset fills the nodes
     matrices = {key: _parse_array(payload[key], f"model.{key}") for key in MATRICES if payload.get(key) is not None}
     dims = {"m": m, "n": n}
     offsets = {
@@ -353,6 +359,7 @@ def _parse_nonlinear(tree: ProbabilityTree, payload: dict) -> NonlinearModel:
     n = _as_int(_require(payload, "n", "model"), "model.n")
     if m < 1 or n < 1:
         raise ScenarioError("model.m and model.n must be at least 1")
+    _build_checked(require_table_budget, tree, m, n)  # the continuation's anchor table
     fns = {
         key: _slab_function(_parse_expr_list(payload[key], count, m, n, f"model.{key}"), "xyz")
         for key, count in (("drift", m), ("noise_loading", m), ("driver", n))
@@ -430,13 +437,13 @@ def _parse_solver(value) -> SolverConfig:
     return SolverConfig(**{key: _setting(key, value[key], f"solver.{key}") for key in _SETTINGS if key in value})
 
 
-def _continuation_config(solver: SolverConfig) -> ContinuationConfig:
+def _continuation_config(solver: SolverConfig, validation_tol: float) -> ContinuationConfig:
     return _build_checked(
         ContinuationConfig,
         delta_init=solver.delta_init,
         delta_min=min(solver.delta_min, solver.delta_init),
         picard_tol=solver.picard_tol, picard_max_iters=solver.picard_max_iters,
-        validation_tol=solver.tol_or(solver.validation_tol),
+        validation_tol=validation_tol,
     )
 
 
@@ -581,7 +588,7 @@ def _cmd_solve_bsde(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     report = bsde_residuals(tree, gen, eta, sol)
     sup_n = sol.N.sup_norm()
     print(f"solved backward equation: horizon {tree.horizon}, {tree.node_count(tree.horizon)} terminal nodes")
-    summary = _report_residuals(report, solver.tol_or(1e-10))
+    summary = _report_residuals(report, solver.tol_or(RESIDUAL_BOUND))
     complete = "  (complete: the orthogonal part vanishes)" if sup_n <= 1e-12 else ""
     print(f"sup |N| = {sup_n:.12g}{complete}")
     return EXIT_OK, summary | {"sup_N": float(sup_n)}, _solution_tables(tree, sol)
@@ -599,7 +606,7 @@ def _cmd_solve_linear(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     print("decoupling sequence P_t (defined for t = 1..T):")
     for t in range(1, coeffs.horizon + 1):
         print(f"  P[{t}] = {_matrix_text(matrices.P[t])}")
-    summary = _report_residuals(sol.residual_report, solver.tol_or(1e-10)) | {
+    summary = _report_residuals(sol.residual_report, RESIDUAL_BOUND) | {
         "gamma": [entry._asdict() for entry in matrices.gamma_reports],
         "P": [{"t": t, "matrix": matrices.P[t].tolist()} for t in range(1, coeffs.horizon + 1)],
     }
@@ -627,7 +634,7 @@ def _check_monotone(scenario: Scenario, solver: SolverConfig, tol: float = MONOT
 
 def _cmd_solve_nonlinear(scenario: Scenario, solver: SolverConfig) -> _Outcome:
     model, tree = scenario.nonlinear, scenario.tree
-    config = _continuation_config(solver)
+    config = _continuation_config(solver, solver.tol_or(solver.validation_tol))
     mono = _check_monotone(scenario, solver)
     tag = "verified" if mono.ok else "assumption-unverified"
     print(
@@ -674,7 +681,8 @@ def _cmd_compare_oracle(scenario: Scenario, solver: SolverConfig) -> _Outcome:
         reference = solve_linear(scenario.linear, tree)
     else:
         system = build_residual_system(tree, scenario.nonlinear)
-        reference = solve_continuation(scenario.nonlinear, tree, _continuation_config(solver)).solution
+        config = _continuation_config(solver, solver.validation_tol)  # --tol is the difference threshold here
+        reference = solve_continuation(scenario.nonlinear, tree, config).solution
     oracle = solve_global_newton(system)
     print(
         f"oracle: {system.size} unknowns, {oracle.trace.iterations} damped Newton iterations, "

@@ -123,7 +123,7 @@ def validate_increments(dist: IncrementDistribution, tol: float = MOMENT_TOL) ->
     probs, points = dist.probs, dist.points
     min_p = float(probs.min())
     if min_p <= 0.0:
-        failures.append(("probabilities_strictly_positive", -min_p))
+        failures.append(("probabilities_strictly_positive", abs(min_p)))  # +0.0 for a zero, not -0.0
     sum_dev = abs(float(probs.sum()) - 1.0)
     if sum_dev > tol:
         failures.append(("probabilities_sum_to_one", sum_dev))

@@ -32,6 +32,7 @@ Y_t = P_{t+1} u + q_t and Z_t = P_{t+1} v + r_t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -51,6 +52,9 @@ SINGULAR_TOL = 1e-10
 CONSISTENCY_TOL = 1e-12
 # Rank check threshold for the terminal coupling matrix G.
 RANK_TOL = 1e-10
+# Most floats a coefficient table may hold, matrices and offsets together
+# (128 MiB): the offsets of m = n = 1 on a tree at the node budget take 5 * 2^21.
+TABLE_BUDGET = 2**24
 
 # The coefficient table.  Each matrix has (rows, columns) in terms of the
 # dimensions m and n and acts on the forward step (t = 0..T-1) or the
@@ -155,6 +159,20 @@ def _stored_shape(name: str, T: int, dims: dict[str, int]) -> tuple[int, int, in
     return (T + (side == "backward"), dims[rows], dims[cols])
 
 
+def require_table_budget(tree: ProbabilityTree, m: int, n: int) -> None:
+    """Refuse, before any of it exists, a coefficient table of more than
+    TABLE_BUDGET floats: the matrices as stored plus the offsets on the nodes."""
+    T, dims = tree.horizon, {"m": m, "n": n}
+    size = sum(math.prod(_stored_shape(name, T, dims)) for name in MATRICES)
+    for rows, side in OFFSETS.values():
+        lo, hi = domain(side, T)
+        size += dims[rows] * sum(tree.node_count(t) for t in range(lo, hi + 1))
+    if size > TABLE_BUDGET:
+        raise ValueError(
+            f"the coefficient table for m={m}, n={n} would have {size} entries, over the budget of {TABLE_BUDGET}"
+        )
+
+
 def _matrix_per_time(value, name: str, T: int, dims: dict[str, int]) -> np.ndarray:
     """The table's matrix ``name`` as stored: None -> zeros; a single matrix
     -> one at every time of its side (a single Chat on t = 1..T-1 only, the
@@ -246,6 +264,7 @@ class LinearCoefficients:
         if unknown:
             raise TypeError(f"LinearCoefficients.build() got an unexpected keyword argument {unknown[0]!r}")
         require_coupled_tree(tree)
+        require_table_budget(tree, m, n)
         T, dims = tree.horizon, {"m": m, "n": n}
         coeffs = cls(
             horizon=T,
@@ -403,10 +422,9 @@ class SolvabilityReport:
     entries: tuple[GammaReport, ...]
 
 
-def check_solvability(coeffs: LinearCoefficients, tree: ProbabilityTree | None = None) -> SolvabilityReport:
+def check_solvability(coeffs: LinearCoefficients, tree: ProbabilityTree) -> SolvabilityReport:
     """Invertibility margins of every Gamma_t; reads no offset data at all."""
-    if tree is not None:
-        require_coupled_tree(tree, coeffs)
+    require_coupled_tree(tree, coeffs)
     mats = riccati_matrices(coeffs)
     return SolvabilityReport(
         solvable=mats.failure_t is None,

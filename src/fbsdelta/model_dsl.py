@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -69,7 +71,37 @@ class Call:
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
-_FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "tanh": 1, "abs": 1, "min": 2, "max": 2}
+
+def _nan_passing(pick: Callable) -> Callable:
+    """min or max that gives NaN when an operand is NaN, as NumPy's do."""
+    return lambda a, b: math.nan if math.isnan(a) or math.isnan(b) else pick(a, b)
+
+
+_Op = namedtuple("_Op", "level arity real array")
+_ATOM = 5  # print level of literals, variables and calls
+
+# Every operation once: print level (1 for + -, 2 for * /, 3 for unary minus, 4
+# for ^), arity, float rule (eval_expr) and array rule (compile_expr).  Keys are
+# the operator symbols, "u-" for unary minus, and the function names.
+_OPS = {
+    "+": _Op(1, 2, operator.add, np.add),
+    "-": _Op(1, 2, operator.sub, np.subtract),
+    "*": _Op(2, 2, operator.mul, np.multiply),
+    "/": _Op(2, 2, operator.truediv, np.divide),
+    "u-": _Op(3, 1, operator.neg, np.negative),
+    "^": _Op(4, 2, operator.pow, np.power),
+    "sin": _Op(_ATOM, 1, math.sin, np.sin),
+    "cos": _Op(_ATOM, 1, math.cos, np.cos),
+    "exp": _Op(_ATOM, 1, math.exp, np.exp),
+    "tanh": _Op(_ATOM, 1, math.tanh, np.tanh),
+    "abs": _Op(_ATOM, 1, abs, np.abs),
+    "min": _Op(_ATOM, 2, _nan_passing(min), np.minimum),
+    "max": _Op(_ATOM, 2, _nan_passing(max), np.maximum),
+}
+
+# Most levels an expression nests: the whole text is one, and each sign, power,
+# parenthesis and call argument opens one more (about five parser frames each).
+NESTING_LIMIT = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^(),]))"
@@ -77,8 +109,7 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
@@ -94,11 +125,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, m: int, n: int):
-        self.text = text
-        self.m = m
-        self.n = n
+        self.text, self.m, self.n = text, m, n
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -136,10 +166,16 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise ExprSyntaxError(f"expression nested deeper than {NESTING_LIMIT} levels at position {self.peek()[2]}")
         if self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -166,7 +202,7 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {value or 'end of input'!r} at position {at} in {self.text!r}")
 
     def call(self, name: str, at: int) -> Expr:
-        if name not in _FUNCTIONS:
+        if name not in _OPS:  # its identifier keys are the function names
             raise ExprSyntaxError(f"unknown function {name!r} at position {at}")
         self.expect_op("(")
         args = [self.addsub()]
@@ -174,7 +210,7 @@ class _Parser:
             self.advance()
             args.append(self.addsub())
         self.expect_op(")")
-        arity = _FUNCTIONS[name]
+        arity = _OPS[name].arity
         if len(args) != arity:
             raise ExprSyntaxError(f"function {name} takes {arity} argument(s), got {len(args)}")
         return Call(name, tuple(args))
@@ -200,121 +236,98 @@ def parse_expr(text: str, m: int = 0, n: int = 0) -> Expr:
     return _Parser(text, m, n).parse()
 
 
-# -- evaluation ------------------------------------------------------------
+# -- one traversal ------------------------------------------------------------
 
 
-def _nan_min(a: float, b: float) -> float:
-    return math.nan if math.isnan(a) or math.isnan(b) else min(a, b)
+def _postorder(expr: Expr) -> list[tuple[Expr, _Op | None]]:
+    """(node, operation) of every node, each after its operands taken left
+    to right; a leaf's operation is None.  Any depth of tree works."""
+    steps, pending = [], [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, BinOp):
+            key, operands = node.op, (node.left, node.right)
+        elif isinstance(node, Call):
+            key, operands = node.fn, node.args
+        elif isinstance(node, Neg):
+            key, operands = "u-", (node.operand,)
+        else:
+            key, operands = None, ()
+        op = _OPS.get(key)
+        if op is None and not isinstance(node, (Num, Var)) or op and op.arity != len(operands):
+            raise TypeError(f"not an expression node: {node!r}")
+        steps.append((node, op))
+        pending.extend(operands)
+    steps.reverse()
+    return steps
 
 
-def _nan_max(a: float, b: float) -> float:
-    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+def _fold(steps, leaf: Callable, apply: Callable):
+    """The root's value: ``leaf(node)`` of each leaf, ``apply(node, op, args)`` of each operation."""
+    values = []
+    push, pop = values.append, values.pop
+    for node, op in steps:
+        if op is None:
+            push(leaf(node))
+        elif op.arity == 1:
+            push(apply(node, op, (pop(),)))
+        else:  # every operation takes one or two operands
+            right = pop()
+            push(apply(node, op, (pop(), right)))
+    return values[0]
 
 
-_CALL_FN = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh, "abs": abs,
-    "min": _nan_min, "max": _nan_max,
-}
-_BINARY_FN = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+# -- evaluation with Python floats and with NumPy arrays ------------------------
 
 
-def _checked(expr: Expr, value, operands: tuple[float, ...]) -> float:
-    """Refuse what IEEE arithmetic would flag: a NaN made from non-NaN
-    operands, an infinity made from finite ones, or a complex power."""
+def _leaf(t: float, vectors: dict, node: Expr):
+    """A literal's value, ``t``, or entry i - 1 of vector x, y or z for xi, yi or zi."""
+    if isinstance(node, Num):
+        return node.value
+    if node.name == "t":
+        return t
+    vec, index = vectors[node.name[0]], int(node.name[1:]) - 1
+    if index >= len(vec):
+        raise ExprEvalError(f"variable {node.name} has no binding (vector of length {len(vec)})")
+    return vec[index]
+
+
+def _refusal(node: Expr, reason) -> ExprEvalError:
+    return ExprEvalError(f"cannot evaluate {format_expr(node)!r}: {reason}")
+
+
+def _apply_float(node: Expr, op: _Op, args: tuple[float, ...]) -> float:
+    """The float rule, refusing what IEEE arithmetic would flag: a NaN made
+    from non-NaN operands, an infinity made from finite ones, or a complex power."""
+    try:
+        value = op.real(*args)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise _refusal(node, exc) from exc
     if isinstance(value, complex):
-        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: negative base raised to a non-integer power")
-    if math.isnan(value) and not any(math.isnan(a) for a in operands):
-        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: undefined result")
-    if math.isinf(value) and all(math.isfinite(a) for a in operands):
-        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: result out of range")
+        raise _refusal(node, "negative base raised to a non-integer power")
+    if math.isnan(value) and not any(math.isnan(a) for a in args):
+        raise _refusal(node, "undefined result")
+    if math.isinf(value) and all(math.isfinite(a) for a in args):
+        raise _refusal(node, "result out of range")
     return value
 
 
-def eval_expr(
-    expr: Expr,
-    t: float = 0.0,
-    x: Sequence[float] = (),
-    y: Sequence[float] = (),
-    z: Sequence[float] = (),
-) -> float:
+def eval_expr(expr: Expr, t: float = 0.0, x: Sequence[float] = (), y: Sequence[float] = (), z: Sequence[float] = ()) -> float:
     """Evaluate with the given variable bindings; exact float semantics.
 
     An operation that overflows, divides by zero or has no real value raises
     :class:`ExprEvalError` naming that subexpression; underflow gives 0.
     This is the reference for :func:`compile_expr`.
     """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        name = expr.name
-        if name == "t":
-            return float(t)
-        vec = {"x": x, "y": y, "z": z}[name[0]]
-        index = int(name[1:]) - 1
-        if index >= len(vec):
-            raise ExprEvalError(f"variable {name} has no binding (vector of length {len(vec)})")
-        return float(vec[index])
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, t, x, y, z)
-    if isinstance(expr, BinOp):
-        args = (eval_expr(expr.left, t, x, y, z), eval_expr(expr.right, t, x, y, z))
-        fn = _BINARY_FN[expr.op]
-    elif isinstance(expr, Call):
-        args = tuple(eval_expr(a, t, x, y, z) for a in expr.args)
-        fn = _CALL_FN[expr.fn]
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
+    vectors = {"x": x, "y": y, "z": z}
+    return _fold(_postorder(expr), lambda node: float(_leaf(float(t), vectors, node)), _apply_float)
+
+
+def _apply_array(node: Expr, op: _Op, args: tuple) -> np.ndarray:
     try:
-        value = fn(*args)
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise ExprEvalError(f"cannot evaluate {format_expr(expr)!r}: {exc}") from exc
-    return _checked(expr, value, args)
-
-
-# -- compilation to NumPy ------------------------------------------------------
-
-_UFUNC = {
-    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
-    "sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh, "abs": np.abs,
-    "min": np.minimum, "max": np.maximum,
-}
-
-def _compile(expr: Expr):
-    """Closure evaluating ``expr`` on the bindings (t, x, y, z)."""
-    if isinstance(expr, Num):
-        value = expr.value
-        return lambda b: value
-    if isinstance(expr, Var):
-        if expr.name == "t":
-            return lambda b: b[0]
-        slot, index, name = {"x": 1, "y": 2, "z": 3}[expr.name[0]], int(expr.name[1:]) - 1, expr.name
-
-        def var(b):
-            cols = b[slot]
-            if index >= cols.shape[1]:
-                raise ExprEvalError(f"variable {name} has no binding (vector of length {cols.shape[1]})")
-            return cols[:, index]
-
-        return var
-    if isinstance(expr, Neg):
-        operand = _compile(expr.operand)
-        return lambda b: np.negative(operand(b))
-    if isinstance(expr, BinOp):
-        key, parts = expr.op, (_compile(expr.left), _compile(expr.right))
-    elif isinstance(expr, Call):
-        key, parts = expr.fn, tuple(_compile(a) for a in expr.args)
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    ufunc, text = _UFUNC[key], format_expr(expr)
-
-    def apply(b):
-        args = [part(b) for part in parts]
-        try:
-            return ufunc(*args)
-        except FloatingPointError as exc:
-            raise ExprEvalError(f"cannot evaluate {text!r}: {exc}") from exc
-
-    return apply
+        return op.array(*args)
+    except FloatingPointError as exc:
+        raise _refusal(node, exc) from exc
 
 
 def compile_expr(expr: Expr) -> Callable[..., np.ndarray]:
@@ -328,17 +341,17 @@ def compile_expr(expr: Expr) -> Callable[..., np.ndarray]:
     Transcendental functions come from NumPy and may differ from ``math``
     in the last few bits.
     """
-    run = _compile(expr)
+    steps = _postorder(expr)
 
     def evaluate(t: float, x=None, y=None, z=None) -> np.ndarray:
         cols = [None if a is None else np.asarray(a, dtype=float) for a in (x, y, z)]
         rows = next((a.shape[0] for a in cols if a is not None), None)
         if rows is None:
             raise ValueError("compiled expressions need at least one binding array")
-        empty = np.empty((rows, 0))
-        bindings = (float(t), *(empty if a is None else a for a in cols))
+        # transposed, so that entry j of a binding is its column j, as _leaf reads it
+        columns = {name: (np.empty((rows, 0)) if a is None else a).T for name, a in zip("xyz", cols)}
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            out = run(bindings)
+            out = _fold(steps, partial(_leaf, float(t), columns), _apply_array)
         return np.array(np.broadcast_to(out, (rows,)), dtype=float)
 
     return evaluate
@@ -346,46 +359,33 @@ def compile_expr(expr: Expr) -> Callable[..., np.ndarray]:
 
 # -- printing ----------------------------------------------------------------
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(expr: Expr) -> int:
-    if isinstance(expr, BinOp):
-        if expr.op in "+-":
-            return _LEVEL_ADD
-        if expr.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(expr, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
-
 
 def _wrap(text: str, need: bool) -> str:
     return f"({text})" if need else text
 
 
+def _apply_text(node: Expr, op: _Op, args: tuple[tuple[str, int], ...]) -> tuple[str, int]:
+    """(text, print level) of an operation from its operands' (text, level)."""
+    level = op.level
+    if isinstance(node, Call):
+        return f"{node.fn}({', '.join(text for text, _ in args)})", level
+    if isinstance(node, Neg):
+        [(text, inner)] = args
+        return "-" + _wrap(text, inner < level), level
+    (left, left_level), (right, right_level) = args
+    key = node.op
+    # ^ is right-associative: its left operand must sit strictly above it, and
+    # its right operand may be any unary-level expression
+    power = key == "^"
+    left = _wrap(left, left_level <= level if power else left_level < level)
+    right = _wrap(right, right_level < _OPS["u-"].level if power else right_level <= level)
+    return (f"{left} {key} {right}" if key in "+-" else f"{left}{key}{right}"), level
+
+
 def format_expr(expr: Expr) -> str:
     """Render with minimal parentheses; reparsing yields an identical tree."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = format_expr(expr.operand)
-        return "-" + _wrap(inner, _level(expr.operand) < _LEVEL_NEG)
-    if isinstance(expr, Call):
-        return f"{expr.fn}({', '.join(format_expr(a) for a in expr.args)})"
-    if isinstance(expr, BinOp):
-        level = _level(expr)
-        left, right = format_expr(expr.left), format_expr(expr.right)
-        if expr.op == "^":
-            # right-associative; left operand must sit strictly above ^,
-            # right operand may be any unary-level expression
-            left = _wrap(left, _level(expr.left) <= _LEVEL_POW)
-            right = _wrap(right, _level(expr.right) < _LEVEL_NEG)
-        else:
-            left = _wrap(left, _level(expr.left) < level)
-            right = _wrap(right, _level(expr.right) <= level)
-        return f"{left} {expr.op} {right}" if expr.op in "+-" else f"{left}{expr.op}{right}"
-    raise TypeError(f"not an expression node: {expr!r}")
+
+    def leaf(node):
+        return (repr(node.value) if isinstance(node, Num) else node.name), _ATOM
+
+    return _fold(_postorder(expr), leaf, _apply_text)[0]

@@ -313,7 +313,7 @@ def _line_search(system: ResidualSystem, vec, res, sup: float, direction, tries:
 
 # A trial residual past the float range reads inf and fails the line search.
 @np.errstate(over="ignore")
-def solve_global_newton(system: ResidualSystem, max_iters: int = NEWTON_MAX_ITERS) -> OracleSolution:
+def solve_global_newton(system: ResidualSystem) -> OracleSolution:
     """Drive the stacked residual from zero to sup-norm ``NEWTON_TOL`` by
     damped Newton steps.
 
@@ -337,7 +337,7 @@ def solve_global_newton(system: ResidualSystem, max_iters: int = NEWTON_MAX_ITER
     norms: list[float] = []
     steps: list[float] = []
     jac, jacobians = None, 0
-    for iteration in range(max_iters):
+    for iteration in range(NEWTON_MAX_ITERS):
         sup = float(np.abs(res).max())
         if steps and (steps[-1] < 1.0 or sup > REUSE_CONTRACTION * norms[-1]):
             jac = None
@@ -360,9 +360,9 @@ def solve_global_newton(system: ResidualSystem, max_iters: int = NEWTON_MAX_ITER
         s, vec, res = found
         steps.append(s)
     norms.append(float(np.abs(res).max()))
-    trace = NewtonTrace(False, max_iters, jacobians, tuple(norms), tuple(steps), "iteration limit reached")
+    trace = NewtonTrace(False, NEWTON_MAX_ITERS, jacobians, tuple(norms), tuple(steps), "iteration limit reached")
     raise OracleFailedError(
-        f"no convergence within {max_iters} iterations (residual {norms[-1]:.3e})", trace
+        f"no convergence within {NEWTON_MAX_ITERS} iterations (residual {norms[-1]:.3e})", trace
     )
 
 

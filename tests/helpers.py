@@ -399,3 +399,18 @@ def reference_process_csv(tree: ProbabilityTree, proc: AdaptedProcess, prefix: s
             values = ",".join(f"{v:.17g}" for v in slab[i].reshape(-1))
             lines.append(f"{t},{path},{values}")
     return "\n".join(lines) + "\n"
+
+
+def long_sum(terms: int) -> str:
+    """A flat chain of + and - over ``terms`` products c*y1 and c*y2, exact in both evaluators."""
+    signs = (" + ", " + ", " - ")
+    return "0.0*y1" + "".join(f"{signs[i % 3]}{(i % 9) / 4}*y{1 + i % 2}" for i in range(1, terms))
+
+
+# (text nested k levels below the top, characters before the innermost operand per level)
+NESTINGS = {
+    "parentheses": (lambda k: "(" * k + "y1" + ")" * k, 1),
+    "signs": (lambda k: "-" * k + "y1", 1),
+    "powers": (lambda k: "y1^" * k + "y1", 3),
+    "call-arguments": (lambda k: "abs(" * k + "y1" + ")" * k, 4),
+}

@@ -260,3 +260,11 @@ def test_overflow_in_the_sweep_is_refused_naming_the_slab():
         solve_bsde(tree, gen(nan_at=1), eta)
     # a NaN driver at the horizon comes first: passed on, not refused
     assert solve_bsde(tree, gen(nan_at=3), eta).Y.sup_norm() == np.inf
+
+
+def test_an_overflowing_compensator_is_refused_naming_its_node():
+    tree = ProbabilityTree([IncrementDistribution.trinomial(0.45)])
+    eta = AdaptedProcess(tree, 1, 1, (np.array([-1.7e308, 1.7e308, -1.7e308]).reshape(3, 1, 1),))
+    # Y_0 = E[eta] and Z_0 = E[eta dW] = 0 are finite, N_1 = eta - Y_0 - Z_0 dW is not at the middle leaf
+    with pytest.raises(NonFiniteSolutionError, match=r"^N_1 is not finite at node \(1,\)$"):
+        solve_bsde(tree, zero_generator(1, 1), eta)

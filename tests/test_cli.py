@@ -38,8 +38,9 @@ from fbsdelta.cli import (
     main,
 )
 from fbsdelta.filtration import NODE_BUDGET
-from fbsdelta.linear_fbsde import MATRICES
-from helpers import random_increments, rademacher_tree, reference_process_csv
+from fbsdelta.linear_fbsde import MATRICES, TABLE_BUDGET
+from fbsdelta.model_dsl import NESTING_LIMIT
+from helpers import NESTINGS, long_sum, random_increments, rademacher_tree, reference_process_csv
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):
@@ -348,6 +349,21 @@ def test_validation_failures_exit_3(tmp_path):
         assert main([command, path]) == 3, f"case {i} ({command})"
 
 
+def test_tol_moves_only_the_documented_threshold_of_each_command(tmp_path, capsys):
+    # solve-linear: --tol is the singularity cutoff; the residual bound stays 1e-10
+    out = tmp_path / "linear"
+    assert main(["solve-linear", write_scenario(tmp_path, linear_scenario()), "--tol", "1e-17", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert 1e-17 < summary["residuals"]["max"] <= 1e-10 and summary["ok"] is True
+    # compare-oracle: --tol is the difference threshold, not the continuation reference's validation_tol
+    capsys.readouterr()
+    nonlinear = write_scenario(tmp_path, nonlinear_scenario(), "nonlinear.json")
+    assert main(["compare-oracle", nonlinear, "--tol", "1e-15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert re.search(r"^sup-difference \S+ against threshold 1e-15: FAILED$", captured.out, re.MULTILINE)
+
+
 def test_bad_flag_values_exit_3(tmp_path, capsys):
     path = write_scenario(tmp_path, bsde_scenario())
     linear = write_scenario(tmp_path, linear_scenario(), "linear.json")
@@ -446,11 +462,15 @@ def _mutated(factory, section, key, value):
         ([bsde_scenario()], "the top level of a scenario must be an object"),
         (_mutated(linear_scenario, "model", "x0", [0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
         (_mutated(nonlinear_scenario, "model", "x0", [0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
+        (
+            _mutated(bsde_scenario, "tree", "step", {"points": [[-1], [0], [1]], "probs": [0.5, 0.0, 0.5]}),
+            "invalid increment step at t=0: probabilities_strictly_positive (residual 0.000e+00)",
+        ),
     ],
     ids=[
         "trinomial-parameter", "step-shorthand", "step-and-steps", "empty-steps", "horizon", "node-table",
         "expr-and-table", "expr-fault", "time-table", "time-keys", "offset-size", "bsde-n", "bsde-d",
-        "linear-m", "nonlinear-n", "top-level", "linear-x0", "nonlinear-x0",
+        "linear-m", "nonlinear-n", "top-level", "linear-x0", "nonlinear-x0", "zero-probability",
     ],
 )
 def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):
@@ -485,6 +505,23 @@ def test_input_and_usage_problems_exit_4(tmp_path):
     assert main(["solve-bsde", "x.json", "--tol", "abc"]) == 4
 
 
+def test_a_driver_of_20000_terms_solves(tmp_path, capsys):
+    scenario = bsde_scenario()
+    scenario["model"]["driver"] = [long_sum(20_000), "0.2*tanh(y2) - 0.1*z2"]
+    assert main(["solve-bsde", write_scenario(tmp_path, scenario)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind", list(NESTINGS))
+def test_nesting_deeper_than_the_limit_exits_4_naming_the_position(tmp_path, capsys, kind):
+    nest, width = NESTINGS[kind]
+    scenario = bsde_scenario()
+    scenario["model"]["driver"] = ["y1", nest(3000)]
+    assert main(["solve-bsde", write_scenario(tmp_path, scenario)]) == 4
+    message = f"expression nested deeper than {NESTING_LIMIT} levels at position {width * NESTING_LIMIT}"
+    assert capsys.readouterr().err == f"error: model.driver[1]: {message}\n"
+
+
 @pytest.mark.parametrize(
     "driver,terminal,named",
     [
@@ -512,6 +549,18 @@ def test_overflowing_backward_sweep_exits_2_without_a_summary(tmp_path, capsys):
     assert "is not finite" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
     assert main(["compare-oracle", path]) == 2
+
+
+def test_an_overflowing_compensator_exits_2_naming_its_node(tmp_path, capsys):
+    scenario = bsde_scenario()
+    scenario["tree"] = {"horizon": 1, "step": "trinomial(0.45)"}
+    # Y_0 and Z_0 stay finite; N_1 = eta - Y_0 overflows at the middle leaf
+    scenario["model"].update(n=1, driver=["0"], terminal={"0": [-1.7e308], "1": [1.7e308], "2": [-1.7e308]})
+    path = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out"
+    assert main(["solve-bsde", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "N_1 is not finite at node (1,)\n"
+    assert not out.exists()
 
 
 def test_oracle_line_search_refuses_an_overflowing_merit(tmp_path, capsys):
@@ -972,6 +1021,22 @@ def test_compare_oracle_refuses_a_dense_system_past_its_limit_before_solving(tmp
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize(
+    "factory, m", [(linear_scenario, 2100), (linear_scenario, 10**6), (nonlinear_scenario, 10**6)],
+    ids=["linear-just-over", "linear-10**6", "nonlinear-10**6"],
+)
+def test_oversized_coefficient_tables_exit_3_before_they_are_built(tmp_path, capsys, factory, m):
+    scenario = factory()
+    scenario["model"]["m"] = m  # G, x0 and the expression lists keep one column
+    path = write_scenario(tmp_path, scenario)
+    code, peak = _peak_traced_bytes(lambda: main(["validate", path]))
+    assert code == 3
+    entries = 4 * m**2 + 17 * m + 16  # horizon 2, n = 1: A and Abar are two m x m matrices each
+    expected = f"the coefficient table for m={m}, n=1 would have {entries} entries, over the budget of {TABLE_BUDGET}"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert peak < 2**20
+
+
 def test_the_node_budget_admits_rademacher_horizon_21_and_checks_step_lists():
     assert _parse_tree({"horizon": 20, "step": "rademacher"}).node_count(20) == 2**20
     assert _parse_tree({"horizon": 21, "step": "rademacher"}).node_count(21) == NODE_BUDGET
@@ -1075,10 +1140,15 @@ _FUZZ_BASES = (
     lambda: _table_scenario(_terminal_table()),
     _mixed_steps_scenario,
 )
+_LONG_SUM = " + ".join(["0.5*t"] * 600)
+# Nested far past the parser's limit: Hypothesis raises the recursion limit while a test runs,
+# so a few hundred levels would not reach it in a parser without that limit.
+_DEEP = "(" * 3000 + "t" + ")" * 3000
 # Every integer here is at most 4, so no mutant can ask for a large tree, dimension or sample count.
 _FUZZ_VALUES = (
     None, True, False, 0, -1, 2, 4, 0.5, 1e308, -1e308, "text", "rademacher", "trinomial(0.3)",
     "1 +", "x1", "log(0 - 1)", "1/0", "exp(1000)", [], {}, [1e308], [[1e308]], ["y1"], {"expr": ["1/t"]}, {"0": [1.0]},
+    _LONG_SUM, _DEEP, [_LONG_SUM], [_DEEP],
 )
 _DROP = object()
 _FUZZ_COMMANDS = ("validate", "solve-bsde", "solve-linear", "solve-nonlinear", "check-monotone", "compare-oracle")

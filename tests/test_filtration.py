@@ -33,6 +33,13 @@ def test_biased_two_point_step_fails_mean_condition():
     assert names["mean_zero"] == pytest.approx(0.2, abs=1e-15)
 
 
+@pytest.mark.parametrize("probs, residual", [([0.5, 0.0, 0.5], 0.0), ([0.5, -0.0, 0.5], 0.0), ([0.6, -0.1, 0.5], 0.1)])
+def test_the_positivity_check_reports_a_nonnegative_residual(probs, residual):
+    report = validate_increments(IncrementDistribution(points=[[-1.0], [0.0], [1.0]], probs=probs))
+    got = dict(report.failures)["probabilities_strictly_positive"]
+    assert got == residual and np.copysign(1.0, got) == 1.0
+
+
 def test_rademacher_and_trinomial_are_valid():
     assert validate_increments(IncrementDistribution.rademacher()).ok
     tri = IncrementDistribution.trinomial(1.0 / 6.0)

@@ -270,7 +270,7 @@ def test_an_overflowing_riccati_recursion_is_refused_by_name(matrices, named):
     # an SVD of the overflowed Gamma_t would raise LinAlgError instead
     tree = rademacher_tree(2)
     coeffs = LinearCoefficients.build(tree, 1, 1, x0=[1.0], **matrices)
-    for run in (riccati_matrices, check_solvability, lambda c: solve_linear(c, tree)):
+    for run in (riccati_matrices, lambda c: check_solvability(c, tree), lambda c: solve_linear(c, tree)):
         with pytest.raises(NonFiniteSolutionError, match=rf"^{named} is not finite$"):
             run(coeffs)
 

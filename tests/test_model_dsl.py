@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fbsdelta.model_dsl import (
+    NESTING_LIMIT,
     BinOp,
     Call,
     ExprEvalError,
@@ -21,6 +22,7 @@ from fbsdelta.model_dsl import (
 )
 
 from golden_expressions import GOLDEN_EXPRESSIONS, dims_of
+from helpers import NESTINGS, long_sum
 
 
 @pytest.mark.parametrize("text,bindings,expected", GOLDEN_EXPRESSIONS)
@@ -135,6 +137,27 @@ def test_print_parse_round_trip_on_random_trees():
         reparsed = parse_expr(printed, m=2, n=2)
         assert reparsed == ast, printed
         assert format_expr(reparsed) == printed
+
+
+def test_a_flat_sum_of_20000_terms_evaluates_prints_and_reparses():
+    expr = parse_expr(long_sum(20_000), m=0, n=2)
+    y = np.array([[0.5, -3.0], [1.25, 2.0]])
+    compiled = compile_expr(expr)(0.0, y=y)
+    assert compiled.tolist() == [eval_expr(expr, y=row) for row in y]
+    # texts, not trees, are compared: the dataclasses' own == recurses
+    printed = format_expr(expr)
+    assert format_expr(parse_expr(printed, m=0, n=2)) == printed
+
+
+@pytest.mark.parametrize("kind", list(NESTINGS))
+def test_nesting_deeper_than_the_limit_is_a_syntax_error_naming_the_position(kind):
+    nest, width = NESTINGS[kind]
+    printed = format_expr(parse_expr(nest(NESTING_LIMIT - 1), m=0, n=1))
+    assert format_expr(parse_expr(printed, m=0, n=1)) == printed
+    message = f"expression nested deeper than {NESTING_LIMIT} levels at position {width * NESTING_LIMIT}$"
+    for depth in (NESTING_LIMIT, 3000):
+        with pytest.raises(ExprSyntaxError, match=message):
+            parse_expr(nest(depth), m=0, n=1)
 
 
 # -- compiled evaluator ------------------------------------------------------------

@@ -138,12 +138,13 @@ def test_degenerate_instance_yields_a_singular_jacobian():
     assert np.linalg.svd(ref_jac, compute_uv=False)[-1] > 1e-6
 
 
-def test_newton_reports_failure_with_trace():
+def test_newton_reports_failure_with_trace(monkeypatch):
     model = mild_coupled_model(m=1, seed=8)
     tree = rademacher_tree(2)
     system = build_residual_system(tree, model)
-    with pytest.raises(OracleFailedError, match="no convergence") as exc:
-        solve_global_newton(system, max_iters=1)
+    monkeypatch.setattr("fbsdelta.oracle.NEWTON_MAX_ITERS", 1)
+    with pytest.raises(OracleFailedError, match="no convergence within 1 iterations") as exc:
+        solve_global_newton(system)
     trace = exc.value.trace
     assert not trace.converged
     assert len(trace.residual_norms) == 2
