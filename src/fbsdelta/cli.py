@@ -65,7 +65,7 @@ from .nonlinear_fbsde import (
     check_monotone,
     solve_continuation,
 )
-from .oracle import OracleFailedError, build_residual_system, solve_global_newton
+from .oracle import OracleFailedError, build_residual_system, component_gaps, solve_global_newton
 
 SCHEMA_VERSION = 1
 
@@ -173,8 +173,6 @@ def _build_checked(factory, *args, **kwargs):
     """Turn a library-level ValueError into a scenario validation failure."""
     try:
         return factory(*args, **kwargs)
-    except (ScenarioError, InputError):
-        raise
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -688,12 +686,10 @@ def _cmd_compare_oracle(scenario: Scenario, solver: SolverConfig) -> _Outcome:
         f"oracle: {system.size} unknowns, {oracle.trace.iterations} damped Newton iterations, "
         f"equation residual {oracle.equation_residual:.12g}"
     )
-    gaps = {}
-    for name in ("X", "Y", "Z", "N"):
-        ours, theirs = getattr(reference, name, None), getattr(oracle, name)
-        gaps[name] = None if ours is None or theirs is None else float((ours - theirs).sup_norm())
-        if gaps[name] is not None:
-            print(f"sup |{name}_solver - {name}_oracle| = {gaps[name]:.12g}")
+    gaps = component_gaps(reference, oracle)
+    for name, gap in gaps.items():
+        if gap is not None:
+            print(f"sup |{name}_solver - {name}_oracle| = {gap:.12g}")
     total = max(value for value in gaps.values() if value is not None)
     ok = total <= threshold
     print(f"sup-difference {total:.12g} against threshold {threshold:g}: {'ok' if ok else 'FAILED'}")

@@ -58,8 +58,15 @@ def sup_abs(a: np.ndarray) -> float:
     return worst if math.isfinite(worst) else math.inf
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _readonly(a) -> np.ndarray:
+    """``a`` as a read-only float array.  A writeable float array that owns
+    its data is frozen in place and returned, so whoever hands it over must
+    not write to it again; anything else (a view, another dtype, an array
+    already read-only, a list) is copied."""
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata and a.flags.writeable:
+        out = a
+    else:
+        out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -207,16 +214,6 @@ class ProbabilityTree:
             self._nodes_cache[t] = tuple(itertools.product(*ranges))
         return self._nodes_cache[t]
 
-    def node_index(self, node: tuple[int, ...]) -> int:
-        """Rank of a node among the nodes of its own time slice."""
-        rank = 0
-        for t, k in enumerate(node):
-            step = self.steps[t]
-            if not 0 <= k < step.branch_count:
-                raise ValueError(f"outcome index {k} at position {t} out of range")
-            rank = rank * step.branch_count + k
-        return rank
-
     def node_probabilities(self, t: int) -> np.ndarray:
         """Unconditional probabilities of the nodes at time t (rank order)."""
         if t not in self._probs_cache:
@@ -269,7 +266,10 @@ class AdaptedProcess:
     """Process adapted to a tree: one value array per time in its domain.
 
     ``values[i]`` holds the time ``t_lo + i`` slice with shape
-    (node_count(t), rows, cols), rows/cols fixed across the domain.
+    (node_count(t), rows, cols), rows/cols fixed across the domain.  The
+    slabs are read-only.  A writeable float array that owns its data is
+    frozen in place rather than copied, so a caller must not keep writing to
+    an array it has handed over; any other slab is copied.
     """
 
     tree: ProbabilityTree
@@ -332,35 +332,6 @@ class AdaptedProcess:
         if not self.t_lo <= t <= self.t_hi:
             raise ValueError(f"time {t} outside process domain [{self.t_lo}, {self.t_hi}]")
         return self.values[t - self.t_lo]
-
-    def value(self, t: int, node: tuple[int, ...]) -> np.ndarray:
-        if len(node) != t:
-            raise ValueError(f"node {node} does not live at time {t}")
-        return self.at(t)[self.tree.node_index(node)]
-
-    # -- algebra ----------------------------------------------------------
-
-    def _binary(self, other: "AdaptedProcess", op) -> "AdaptedProcess":
-        if not isinstance(other, AdaptedProcess):
-            return NotImplemented
-        if other.tree is not self.tree or (other.t_lo, other.t_hi) != (self.t_lo, self.t_hi):
-            raise ValueError("processes must share tree and domain")
-        return AdaptedProcess(self.tree, self.t_lo, self.t_hi, tuple(op(a, b) for a, b in zip(self.values, other.values)))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        return AdaptedProcess(self.tree, self.t_lo, self.t_hi, tuple(scalar * v for v in self.values))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     def sup_norm(self) -> float:
         return max(sup_abs(v) for v in self.values)

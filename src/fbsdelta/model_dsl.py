@@ -41,30 +41,55 @@ class ExprEvalError(ArithmeticError):
 # -- abstract syntax -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+_OPERANDS = ("operand", "left", "right", "args")  # the node fields that hold subexpressions
+
+
+class _Node:
+    """Equality, hash and repr that walk a tree of any depth without
+    recursion: equality and hash over the post-order list of nodes, repr
+    through :func:`format_expr`."""
+
+    def _key(self) -> tuple:
+        """Each node's class and own fields (not its operands) in post-order;
+        every class and operation has a fixed arity, so this is the whole tree."""
+        return tuple(
+            (type(node), *(v for k, v in vars(node).items() if k not in _OPERANDS)) for node, _ in _postorder(self)
+        )
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, _Node) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{format_expr(self)}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     fn: str
     args: tuple["Expr", ...]
 
@@ -255,7 +280,7 @@ def _postorder(expr: Expr) -> list[tuple[Expr, _Op | None]]:
             key, operands = None, ()
         op = _OPS.get(key)
         if op is None and not isinstance(node, (Num, Var)) or op and op.arity != len(operands):
-            raise TypeError(f"not an expression node: {node!r}")
+            raise TypeError(f"not an expression node: {type(node).__name__} with operation {key!r}")
         steps.append((node, op))
         pending.extend(operands)
     steps.reverse()

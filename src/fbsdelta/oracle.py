@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .bsde import BackwardSystem, Generator, build_solution
-from .filtration import AdaptedProcess, ProbabilityTree
+from .filtration import AdaptedProcess, ProbabilityTree, sup_abs
 from .linear_fbsde import LinearCoefficients, equation_defects, require_coupled_tree
 from .nonlinear_fbsde import NonlinearModel
 
@@ -135,21 +135,6 @@ class ResidualSystem:
             raise ValueError(f"expected a flat vector of {self.size} unknowns")
         x, y, z = ([vec[span].reshape(shape) for _, span, shape in block] for block in self._layout[1])
         return [self.problem.x0[None, :, :]] + x, y, z
-
-    def pack(
-        self,
-        y: AdaptedProcess,
-        z: AdaptedProcess,
-        x: AdaptedProcess | None = None,
-    ) -> np.ndarray:
-        if self.m and x is None:
-            raise ValueError("this system has forward unknowns; x is required")
-        vec = np.empty(self.size)
-        for proc, block in zip((x if self.m else None, y, z), self._layout[1]):
-            if proc is not None:
-                for t, span, _ in block:
-                    vec[span] = proc.at(t).ravel()
-        return vec
 
     # -- evaluation ------------------------------------------------------
 
@@ -366,13 +351,18 @@ def solve_global_newton(system: ResidualSystem) -> OracleSolution:
     )
 
 
+def component_gaps(first, second) -> dict[str, float | None]:
+    """sup |a - b| over the slabs of each component X, Y, Z and N of two
+    solutions, None for a component that either solution lacks."""
+    gaps = {}
+    for name in ("X", "Y", "Z", "N"):
+        pa, pb = getattr(first, name, None), getattr(second, name, None)
+        gaps[name] = None if pa is None or pb is None else max(
+            sup_abs(a - b) for a, b in zip(pa.values, pb.values, strict=True)
+        )
+    return gaps
+
+
 def solution_gap(first, second) -> float:
     """Largest sup-norm gap between the shared components of two solutions."""
-    worst = 0.0
-    for name in ("X", "Y", "Z", "N"):
-        pa = getattr(first, name, None)
-        pb = getattr(second, name, None)
-        if pa is None or pb is None:
-            continue
-        worst = max(worst, (pa - pb).sup_norm())
-    return worst
+    return max((gap for gap in component_gaps(first, second).values() if gap is not None), default=0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +79,34 @@ def random_process(
         rng.uniform(-scale, scale, size=(tree.node_count(t),) + shape) for t in range(t_lo, t_hi + 1)
     )
     return AdaptedProcess(tree, t_lo, t_hi, vals)
+
+
+def combine(*terms: tuple[float, AdaptedProcess]) -> AdaptedProcess:
+    """The linear combination sum(c * p) of (coefficient, process) pairs,
+    slab by slab, on the first process's tree and domain."""
+    first = terms[0][1]
+    slabs = tuple(sum(c * p.at(t) for c, p in terms) for t in range(first.t_lo, first.t_hi + 1))
+    return AdaptedProcess(first.tree, first.t_lo, first.t_hi, slabs)
+
+
+def permute_step(tree: ProbabilityTree, s: int, perm) -> tuple[ProbabilityTree, Callable]:
+    """The tree whose step s lists its outcomes in the order ``perm`` (new
+    outcome j is old outcome perm[j]), and ``move(proc)``, which carries a
+    process on ``tree`` over to it: each new node takes the row of the node
+    it was."""
+    steps = list(tree.steps)
+    steps[s] = IncrementDistribution(points=steps[s].points[perm], probs=steps[s].probs[perm])
+    ranks = []
+    for t in range(tree.horizon + 1):
+        grid = np.arange(tree.node_count(t)).reshape([tree.branch_count(u) for u in range(t)])
+        ranks.append((grid.take(perm, axis=s) if t > s else grid).ravel())
+    permuted = ProbabilityTree(steps)
+
+    def move(proc: AdaptedProcess) -> AdaptedProcess:
+        slabs = tuple(proc.at(t)[ranks[t]] for t in range(proc.t_lo, proc.t_hi + 1))
+        return AdaptedProcess(permuted, proc.t_lo, proc.t_hi, slabs)
+
+    return permuted, move
 
 
 def _round2(v: float) -> str:

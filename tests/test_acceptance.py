@@ -41,6 +41,7 @@ from fbsdelta import (
 from fbsdelta.cli import main as cli_main
 from golden_expressions import GOLDEN_EXPRESSIONS, dims_of
 from helpers import (
+    combine,
     dsl_generator,
     mild_coupled_model,
     rademacher_tree,
@@ -426,7 +427,7 @@ def test_criterion_09_solutions_are_stable_and_superpose():
                 d=1,
                 fn=lambda t, y, z, node, s=scale: gen.fn(t, y, z, node) + s * driver_dir,
             )
-            bumped = solve_bsde(tree, bumped_gen, eta + eta_dir * scale)
+            bumped = solve_bsde(tree, bumped_gen, combine((1.0, eta), (scale, eta_dir)))
             gaps.append(solution_gap(bumped, base))
         ratios_ok &= all(after <= before * (1.0 + 1e-9) for before, after in zip(gaps, gaps[1:]))
         vanish_ok &= gaps[-1] <= gaps[0] * 2.0 ** -(halvings - 3)
@@ -448,16 +449,16 @@ def test_criterion_09_solutions_are_stable_and_superpose():
             m,
             n,
             x0=bundle_a.x0 * lam + bundle_b.x0 * (1.0 - lam),
-            D=bundle_a.D * lam + bundle_b.D * (1.0 - lam),
-            Dbar=bundle_a.Dbar * lam + bundle_b.Dbar * (1.0 - lam),
-            Dhat=bundle_a.Dhat * lam + bundle_b.Dhat * (1.0 - lam),
-            g=bundle_a.g * lam + bundle_b.g * (1.0 - lam),
+            D=combine((lam, bundle_a.D), (1.0 - lam, bundle_b.D)),
+            Dbar=combine((lam, bundle_a.Dbar), (1.0 - lam, bundle_b.Dbar)),
+            Dhat=combine((lam, bundle_a.Dhat), (1.0 - lam, bundle_b.Dhat)),
+            g=combine((lam, bundle_a.g), (1.0 - lam, bundle_b.g)),
             **homogeneous,
         )
         sol_a, sol_b, sol_mix = (solve_linear(c, tree) for c in (bundle_a, bundle_b, mixed))
         for name in ("X", "Y", "Z", "N"):
-            combined = getattr(sol_a, name) * lam + getattr(sol_b, name) * (1.0 - lam)
-            worst_mix = max(worst_mix, (combined - getattr(sol_mix, name)).sup_norm())
+            mixture = (lam, getattr(sol_a, name)), (1.0 - lam, getattr(sol_b, name))
+            worst_mix = max(worst_mix, combine(*mixture, (-1.0, getattr(sol_mix, name))).sup_norm())
 
     ok = ratios_ok and vanish_ok and worst_mix <= 1e-9
     _verdict(

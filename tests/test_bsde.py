@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
     AdaptedProcess,
@@ -23,6 +25,8 @@ from fbsdelta import (
 from fbsdelta.cli import parse_scenario
 
 from helpers import (
+    combine,
+    permute_step,
     rademacher_tree,
     random_dsl_generator,
     random_terminal,
@@ -119,10 +123,26 @@ def test_linearity_in_terminal_data_for_linear_homogeneous_driver():
     gen = Generator.pointwise(n=n, d=2, fn=fn)
     eta = random_terminal(rng, tree, n)
     sol1 = solve_bsde(tree, gen, eta)
-    sol2 = solve_bsde(tree, gen, 2.5 * eta)
-    assert (sol2.Y - 2.5 * sol1.Y).sup_norm() <= RESIDUAL_TOL
-    assert (sol2.Z - 2.5 * sol1.Z).sup_norm() <= RESIDUAL_TOL
-    assert (sol2.N - 2.5 * sol1.N).sup_norm() <= RESIDUAL_TOL
+    sol2 = solve_bsde(tree, gen, combine((2.5, eta)))
+    assert combine((1.0, sol2.Y), (-2.5, sol1.Y)).sup_norm() <= RESIDUAL_TOL
+    assert combine((1.0, sol2.Z), (-2.5, sol1.Z)).sup_norm() <= RESIDUAL_TOL
+    assert combine((1.0, sol2.N), (-2.5, sol1.N)).sup_norm() <= RESIDUAL_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 3))
+def test_permuting_a_steps_outcomes_permutes_the_solution(seed, horizon):
+    # relabelling one step's outcomes relabels the nodes after it and nothing
+    # else; the rows at t = 0 (Y_0 among them) stay where they are
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, horizon, (2, 3))
+    gen, _, _ = random_dsl_generator(rng, n=2, d=1, horizon=horizon)
+    eta = random_terminal(rng, tree, 2)
+    s = int(rng.integers(horizon))
+    permuted, move = permute_step(tree, s, rng.permutation(tree.branch_count(s)))
+    ours, theirs = solve_bsde(permuted, gen, move(eta)), solve_bsde(tree, gen, eta)
+    for name in ("Y", "Z", "N"):
+        assert combine((1.0, getattr(ours, name)), (-1.0, move(getattr(theirs, name)))).sup_norm() <= EXACT_TOL, name
 
 
 def test_stability_under_shrinking_terminal_perturbations():
@@ -134,8 +154,8 @@ def test_stability_under_shrinking_terminal_perturbations():
     base = solve_bsde(tree, gen, eta)
     diffs = []
     for scale in (1.0, 0.5, 0.25, 0.125):
-        sol = solve_bsde(tree, gen, eta + scale * bump)
-        diffs.append((sol.Y - base.Y).sup_norm())
+        sol = solve_bsde(tree, gen, combine((1.0, eta), (scale, bump)))
+        diffs.append(combine((1.0, sol.Y), (-1.0, base.Y)).sup_norm())
     for larger, smaller in zip(diffs, diffs[1:]):
         assert smaller <= larger * (1.0 + 1e-9)
     assert diffs[-1] <= 0.5 * diffs[0]
@@ -206,7 +226,7 @@ def test_compiled_cli_driver_matches_a_pointwise_reference(step):
     eta = random_terminal(np.random.default_rng(29), tree, n=2)
     ours, theirs = solve_bsde(tree, compiled, eta), solve_bsde(tree, reference, eta)
     for name in ("Y", "Z", "N"):
-        assert (getattr(ours, name) - getattr(theirs, name)).sup_norm() <= 1e-13, name
+        assert combine((1.0, getattr(ours, name)), (-1.0, getattr(theirs, name))).sup_norm() <= 1e-13, name
     assert bsde_residuals(tree, compiled, eta, ours).max <= RESIDUAL_TOL
     if step == "rademacher":
         assert ours.N.sup_norm() <= EXACT_TOL

@@ -256,7 +256,7 @@ def test_per_node_tables_match_the_library_solve(tmp_path):
     _, rows = read_csv(out_dir / "Y.csv")
     for row in rows:
         t, node = int(row[0]), tuple(int(k) for k in row[1].split(".") if row[1])
-        assert float(row[2]) == sol.Y.value(t, node)[0, 0]
+        assert float(row[2]) == sol.Y.at(t)[tree.nodes(t).index(node), 0, 0]
 
 
 def test_terminal_node_table_for_backward_scenarios(tmp_path):
@@ -466,11 +466,12 @@ def _mutated(factory, section, key, value):
             _mutated(bsde_scenario, "tree", "step", {"points": [[-1], [0], [1]], "probs": [0.5, 0.0, 0.5]}),
             "invalid increment step at t=0: probabilities_strictly_positive (residual 0.000e+00)",
         ),
+        (bsde_scenario() | {"solver": [1]}, "solver must be an object"),
     ],
     ids=[
         "trinomial-parameter", "step-shorthand", "step-and-steps", "empty-steps", "horizon", "node-table",
         "expr-and-table", "expr-fault", "time-table", "time-keys", "offset-size", "bsde-n", "bsde-d",
-        "linear-m", "nonlinear-n", "top-level", "linear-x0", "nonlinear-x0", "zero-probability",
+        "linear-m", "nonlinear-n", "top-level", "linear-x0", "nonlinear-x0", "zero-probability", "solver-type",
     ],
 )
 def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):

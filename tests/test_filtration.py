@@ -11,9 +11,9 @@ from fbsdelta import (
     is_strongly_orthogonal,
     validate_increments,
 )
-from fbsdelta.filtration import NODE_BUDGET
+from fbsdelta.filtration import NODE_BUDGET, sup_abs
 
-from helpers import rademacher_tree, random_increments, random_process, random_tree
+from helpers import combine, rademacher_tree, random_increments, random_process, random_tree
 
 MOMENT_TOL = 1e-12
 EXACT_TOL = 1e-12
@@ -22,6 +22,42 @@ EXACT_TOL = 1e-12
 def test_structural_length_mismatch_raises():
     with pytest.raises(ValueError, match="mismatched lengths"):
         IncrementDistribution(points=[[-1.0], [1.0]], probs=[0.5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: IncrementDistribution(points=np.zeros((2, 1, 1)), probs=[0.5, 0.5]),
+            "increment points must form a (K, d) array",
+        ),
+        (
+            lambda: IncrementDistribution(points=np.zeros((0, 1)), probs=[]),
+            "an increment step needs at least one outcome",
+        ),
+        (lambda: IncrementDistribution(points=[[-np.inf], [1.0]], probs=[0.5, 0.5]), "increment data must be finite"),
+        (lambda: ProbabilityTree([]), "a tree needs at least one time step"),
+        (lambda: rademacher_tree(2).node_count(3), "time 3 outside [0, 2]"),
+        (lambda: AdaptedProcess(rademacher_tree(2), 1, 3, ()), "domain [1, 3] outside [0, 2]"),
+        (
+            lambda: AdaptedProcess(rademacher_tree(2), 0, 1, (np.zeros((1, 1, 1)),)),
+            "one value array per time in the domain is required",
+        ),
+        (
+            lambda: AdaptedProcess(rademacher_tree(2), 0, 1, (np.zeros((1, 1, 1)), np.zeros((2, 2, 1)))),
+            "slice at t=1 must have shape (nodes, 1, 1)",
+        ),
+    ],
+    ids=["points-rank", "no-outcome", "non-finite", "no-step", "time", "domain", "slab-count", "slab-shape"],
+)
+def test_malformed_filtration_data_is_refused_by_name(build, message):
+    with pytest.raises(ValueError) as refusal:
+        build()
+    assert str(refusal.value) == message
+
+
+def test_sup_abs_of_an_empty_array_is_zero():
+    assert sup_abs(np.empty((0, 2, 1))) == 0.0
 
 
 def test_biased_two_point_step_fails_mean_condition():
@@ -93,7 +129,7 @@ def test_node_ordering_and_probabilities():
     assert nodes == tuple(sorted(nodes))  # lexicographic
     assert nodes[0] == (0, 0) and nodes[-1] == (1, 2)
     for i, node in enumerate(nodes):
-        assert tree.node_index(node) == i
+        assert node[0] * 3 + node[1] == i  # mixed-radix rank: children of rank r take ranks 3r..3r+2
     probs = tree.node_probabilities(2)
     assert probs.sum() == pytest.approx(1.0, abs=MOMENT_TOL)
     assert probs[0] == pytest.approx(0.5 * 0.25)
@@ -192,9 +228,7 @@ def test_adapted_process_validation_and_access():
         AdaptedProcess.constant(tree, np.array([2.0, 1.0]), 0, 1)
     proc = AdaptedProcess.constant(tree, np.array([[2.0], [1.0]]), 0, 2)
     assert proc.shape == (2, 1)
-    assert proc.value(2, (1, 0))[0, 0] == 2.0
-    with pytest.raises(ValueError):
-        proc.value(1, (0, 1))  # node from the wrong time slice
+    assert proc.at(2)[tree.nodes(2).index((1, 0)), 0, 0] == 2.0
     with pytest.raises(ValueError):
         proc.at(5)
     # slices are frozen
@@ -202,14 +236,48 @@ def test_adapted_process_validation_and_access():
         proc.at(0)[0, 0, 0] = 3.0
 
 
+def test_a_fresh_float_slab_is_frozen_in_place_not_copied():
+    tree = rademacher_tree(1)
+    root, leaves = np.zeros((1, 1, 1)), np.array([[[1.0]], [[2.0]]])
+    proc = AdaptedProcess(tree, 0, 1, (root, leaves))
+    assert proc.at(0) is root and proc.at(1) is leaves
+    assert not root.flags.writeable and not leaves.flags.writeable
+
+
+def _foreign_slab(kind):
+    if kind == "view":
+        return np.array([[[1.0]], [[9.0]], [[2.0]]])[::2]
+    if kind == "int":
+        return np.array([[[1]], [[2]]])
+    if kind == "read-only":
+        slab = np.array([[[1.0]], [[2.0]]])
+        slab.setflags(write=False)
+        return slab
+    return [[[1.0]], [[2.0]]]
+
+
+@pytest.mark.parametrize("kind", ["view", "int", "read-only", "list"])
+def test_any_other_slab_is_copied(kind):
+    tree = rademacher_tree(1)
+    slab = _foreign_slab(kind)
+    writeable = slab.flags.writeable if isinstance(slab, np.ndarray) else None
+    proc = AdaptedProcess(tree, 1, 1, (slab,))
+    held = proc.at(1)
+    assert held is not slab and not np.shares_memory(held, np.asarray(slab))
+    assert held.dtype == np.float64 and not held.flags.writeable
+    assert np.array_equal(held[:, 0, 0], [1.0, 2.0])
+    if writeable is not None:
+        assert slab.flags.writeable == writeable  # the caller's array is left as it was
+
+
 def test_adapted_process_algebra_and_expectation():
     rng = np.random.default_rng(21)
     tree = random_tree(rng, 2, (2,), 1)
     a = random_process(rng, tree, (1, 1), 0, 2)
     b = random_process(rng, tree, (1, 1), 0, 2)
-    s = a + 2.0 * b - b
+    s = combine((1.0, a), (2.0, b), (-1.0, b))
     assert np.abs(s.at(1) - (a.at(1) + b.at(1))).max() <= EXACT_TOL
-    assert (a - a).sup_norm() == 0.0
+    assert combine((1.0, a), (-1.0, a)).sup_norm() == 0.0
     manual = float(tree.node_probabilities(2) @ a.at(2)[:, 0, 0])
     assert tree.expect_next(tree.expect_next(a.at(2), 1), 0)[0, 0, 0] == pytest.approx(manual, abs=EXACT_TOL)
 

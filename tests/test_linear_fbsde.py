@@ -29,6 +29,8 @@ from fbsdelta import (
 from fbsdelta.bsde import build_solution
 from fbsdelta.linear_fbsde import MATRICES, OFFSETS, _offset_backward, _offset_slabs, _solvable_matrices, domain
 from helpers import (
+    combine,
+    permute_step,
     rademacher_tree,
     random_increments,
     random_linear_coefficients,
@@ -227,7 +229,7 @@ def test_linear_and_slab_model_forms_give_the_same_report_and_compensator(branch
         assert abs(getattr(linear, field.name) - getattr(nonlinear, field.name)) <= EXACT_TOL
     assert linear.max <= RESIDUAL_TOL
     compensator = build_solution(model, tree, sol.X.values, sol.Y.values, sol.Z.values).N
-    assert (compensator - sol.N).sup_norm() <= EXACT_TOL
+    assert combine((1.0, compensator), (-1.0, sol.N)).sup_norm() <= EXACT_TOL
 
 
 def test_tampered_linear_y_is_caught_by_the_projection_check():
@@ -321,7 +323,7 @@ def test_solution_is_affine_in_offset_data():
     second = random_offsets(rng, tree, 2, 1)
     lam = 0.3
     mixed = {
-        key: first[key] * lam + second[key] * (1.0 - lam)
+        key: combine((lam, first[key]), (1.0 - lam, second[key]))
         for key in ("D", "Dbar", "Dhat", "g")
     }
     mixed["x0"] = lam * first["x0"] + (1.0 - lam) * second["x0"]
@@ -329,8 +331,24 @@ def test_solution_is_affine_in_offset_data():
     sol_b = solve_linear(dataclasses.replace(coeffs, **second), tree, matrices=mats)
     sol_m = solve_linear(dataclasses.replace(coeffs, **mixed), tree, matrices=mats)
     for name in ("X", "Y", "Z", "N"):
-        combo = getattr(sol_a, name) * lam + getattr(sol_b, name) * (1.0 - lam)
-        assert (getattr(sol_m, name) - combo).sup_norm() <= RESIDUAL_TOL
+        gap = combine((lam, getattr(sol_a, name)), (1.0 - lam, getattr(sol_b, name)), (-1.0, getattr(sol_m, name)))
+        assert gap.sup_norm() <= RESIDUAL_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 3), m=st.integers(1, 2), n=st.integers(1, 2))
+def test_permuting_a_steps_outcomes_permutes_the_solution(seed, horizon, m, n):
+    # the offsets are per-node data: they move with their nodes; the rows at
+    # t = 0 (Y_0 among them) stay where they are
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, horizon, (2, 3))
+    coeffs = random_linear_coefficients(rng, tree, m, n)
+    s = int(rng.integers(horizon))
+    permuted, move = permute_step(tree, s, rng.permutation(tree.branch_count(s)))
+    moved = dataclasses.replace(coeffs, **{name: move(getattr(coeffs, name)) for name in OFFSETS})
+    ours, theirs = solve_linear(moved, permuted), solve_linear(coeffs, tree)
+    for name in ("X", "Y", "Z", "N"):
+        assert combine((1.0, getattr(ours, name)), (-1.0, move(getattr(theirs, name)))).sup_norm() <= EXACT_TOL, name
 
 
 def test_precomputed_matrices_reproduce_the_solve_exactly():
@@ -396,6 +414,32 @@ def test_a_wrong_size_initial_state_or_constant_offset_is_refused_by_name(name):
         coeffs = LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.0])
         with pytest.raises(ValueError, match=r"^x0 must have shape \(1, 1\), got \(2,\)$"):
             dataclasses.replace(coeffs, x0=[0.1, 0.2])
+
+
+def _unit_coefficients() -> LinearCoefficients:
+    return LinearCoefficients.build(rademacher_tree(2), 1, 1, G=[[1.0]], x0=[0.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(_unit_coefficients(), m=0), "horizon and dimensions must be positive"),
+        (
+            lambda: dataclasses.replace(_unit_coefficients(), A=np.zeros((2, 2, 2))),
+            "A must have shape (2, 1, 1), got (2, 2, 2)",
+        ),
+        (
+            lambda: dataclasses.replace(_unit_coefficients(), D=np.zeros((2, 1, 1))),
+            "D must be an adapted process on [0, 1]",
+        ),
+        (lambda: anchor_coefficients(rademacher_tree(2), [1.0, 2.0], 1.0, 1.0, [[0.0]]), "G must be a matrix"),
+    ],
+    ids=["dimension", "matrix-shape", "offset-type", "anchor-G"],
+)
+def test_malformed_coefficients_are_refused_by_name(build, message):
+    with pytest.raises(ValueError) as refusal:
+        build()
+    assert str(refusal.value) == message
 
 
 def test_offsets_on_a_tree_with_other_node_counts_are_refused():

@@ -79,6 +79,10 @@ def test_parse_errors(text, m, n, match):
         parse_expr(text, m=m, n=n)
 
 
+def test_trailing_whitespace_is_ignored():
+    assert parse_expr("y1 + 1 \t ", m=0, n=1) == parse_expr("y1 + 1", m=0, n=1)
+
+
 def test_division_by_zero_names_the_subexpression():
     expr = parse_expr("1 + 2/(x1 - x1)", m=1, n=0)
     with pytest.raises(ExprEvalError, match=r"2\.0/\(x1 - x1\)"):
@@ -144,9 +148,11 @@ def test_a_flat_sum_of_20000_terms_evaluates_prints_and_reparses():
     y = np.array([[0.5, -3.0], [1.25, 2.0]])
     compiled = compile_expr(expr)(0.0, y=y)
     assert compiled.tolist() == [eval_expr(expr, y=row) for row in y]
-    # texts, not trees, are compared: the dataclasses' own == recurses
     printed = format_expr(expr)
-    assert format_expr(parse_expr(printed, m=0, n=2)) == printed
+    reparsed = parse_expr(printed, m=0, n=2)
+    assert reparsed == expr and hash(reparsed) == hash(expr)
+    assert format_expr(reparsed) == printed
+    assert repr(expr) == f"BinOp<{printed}>"
 
 
 @pytest.mark.parametrize("kind", list(NESTINGS))
@@ -181,6 +187,7 @@ def test_golden_values_exact_under_the_compiled_evaluator(text, bindings, expect
         ("y1/(y1 - y1)", 2.0, r"y1/\(y1 - y1\)"),
         ("exp(y1)", 1e3, r"exp\(y1\)"),
         ("0^-y1", 1.0, r"0\.0\^-y1"),
+        ("y1 - y1", np.inf, r"^cannot evaluate 'y1 - y1': (undefined result|invalid value encountered in subtract)$"),
     ],
 )
 def test_undefined_or_overflowing_operations_name_the_subexpression(evaluate, text, value, match):

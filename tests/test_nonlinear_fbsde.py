@@ -37,6 +37,7 @@ from fbsdelta.bsde import build_solution
 from fbsdelta.linear_fbsde import _solve_linear
 from fbsdelta.nonlinear_fbsde import _distance, _homotopy_offsets
 from helpers import (
+    combine,
     counting_model,
     decoupled_model,
     decoupled_slab_model,
@@ -118,7 +119,7 @@ def test_decoupled_model_matches_forward_then_backward_solve():
         children = (x_t + drift)[:, None, :, :] + vol[:, None, :, :] * points[None, :, None, None]
         x_slabs.append(children.reshape(tree.node_count(t + 1), model.m, 1))
     x_path = AdaptedProcess(tree, 0, tree.horizon, tuple(x_slabs))
-    assert (result.solution.X - x_path).sup_norm() <= GAP_TOL
+    assert combine((1.0, result.solution.X), (-1.0, x_path)).sup_norm() <= GAP_TOL
 
     gen = Generator(
         n=model.n,
@@ -234,7 +235,7 @@ def test_tampered_solution_is_flagged_by_the_residual_report():
     tree = rademacher_tree(2)
     sol = solve_continuation(model, tree).solution
     bump = AdaptedProcess.constant(tree, np.array([[0.01]]), 0, tree.horizon)
-    tampered = FbsdeSolution(X=sol.X, Y=sol.Y + bump, Z=sol.Z, N=sol.N)
+    tampered = FbsdeSolution(X=sol.X, Y=combine((1.0, sol.Y), (1.0, bump)), Z=sol.Z, N=sol.N)
     report = nonlinear_residual(model, tree, tampered)
     assert report.terminal >= 1e-3 or report.y_projection >= 1e-3
     assert report.max >= 1e-3
@@ -473,7 +474,7 @@ def test_slab_models_agree_with_their_pointwise_wrapping(name):
         assert abs(getattr(report_slab, field.name) - getattr(report_pointwise, field.name)) <= SLAB_TOL
 
     compensators = [build_solution(model, tree, sol.X.values, sol.Y.values, sol.Z.values).N for model in (slab, pointwise)]
-    assert (compensators[0] - compensators[1]).sup_norm() <= SLAB_TOL
+    assert combine((1.0, compensators[0]), (-1.0, compensators[1])).sup_norm() <= SLAB_TOL
 
     anchor = anchor_coefficients(tree, slab.G, slab.beta1, slab.beta2, slab.x0)
     linear = solve_linear(anchor, tree)
