@@ -98,6 +98,9 @@ class Generator:
     ``fn(t, y, z, nodes)`` takes ``y`` of shape (N, n), ``z`` of shape
     (N, n, d) and the N tree nodes the rows belong to (on a whole slab,
     ``tree.nodes(t)``), and returns the driver values as an (N, n) array.
+    ``nodes`` is a read-only sequence of outcome tuples in rank order:
+    indexing decodes one, slicing or a rank array gives another sequence,
+    and nothing is stored per node.
     It must not modify its arguments.  Per-node drivers
     ``fn(t, y, z, node)`` with ``y`` of length n and ``z`` of shape (n, d)
     are wrapped by :meth:`pointwise`.  At the horizon the driver is

@@ -22,6 +22,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -226,19 +227,21 @@ def _parse_tree(value) -> ProbabilityTree:
 # -- offset (inhomogeneous term) parsing -----------------------------------------
 
 
-def _node_paths(tree: ProbabilityTree, t: int) -> list[str]:
-    """Dot-separated outcome paths of the nodes at time t, in rank order ("" is the root)."""
-    paths = [""]
+def _node_labels(tree: ProbabilityTree, t: int) -> list[list[str]]:
+    """Dot-separated outcome paths of the nodes at times 0..t, one list per
+    time in rank order ("" is the root), built level by level in one pass."""
+    labels = [[""]]
     for s in range(t):
         outcomes = [str(k) for k in range(tree.branch_count(s))]
-        paths = outcomes if s == 0 else [p + "." + k for p in paths for k in outcomes]
-    return paths
+        dotted = ["." + k for k in outcomes]
+        labels.append(outcomes if s == 0 else [p + k for p in labels[-1] for k in dotted])
+    return labels
 
 
-def _slab_from_table(tree: ProbabilityTree, t: int, table, rows: int, where: str) -> np.ndarray:
+def _slab_from_table(paths: list[str], table, rows: int, where: str) -> np.ndarray:
+    """The (len(paths), rows, 1) slab of a table mapping each node path to its vector."""
     if not isinstance(table, dict):
         raise ScenarioError(f"{where} must map node paths to component vectors")
-    paths = _node_paths(tree, t)
     extra = sorted(set(table).difference(paths))
     if extra:
         raise ScenarioError(f"{where} has entries for unknown nodes: {extra}")
@@ -288,8 +291,9 @@ def _parse_offset(tree: ProbabilityTree, value, rows: int, t_lo: int, t_hi: int,
         wanted = {str(t) for t in range(t_lo, t_hi + 1)}
         if set(table) != wanted:
             raise ScenarioError(f"{where}.table must have exactly the time keys {sorted(wanted, key=int)}")
+        labels = _node_labels(tree, t_hi)
         slabs = tuple(
-            _slab_from_table(tree, t, table[str(t)], rows, f"{where}.table[{str(t)!r}]")
+            _slab_from_table(labels[t], table[str(t)], rows, f"{where}.table[{str(t)!r}]")
             for t in range(t_lo, t_hi + 1)
         )
         return AdaptedProcess(tree, t_lo, t_hi, slabs)
@@ -314,7 +318,7 @@ def _parse_bsde(tree: ProbabilityTree, payload: dict) -> tuple[Generator, Adapte
     horizon = tree.horizon
     raw = _require(payload, "terminal", "model")
     if isinstance(raw, dict):
-        slab = _slab_from_table(tree, horizon, raw, n, "model.terminal")
+        slab = _slab_from_table(_node_labels(tree, horizon)[horizon], raw, n, "model.terminal")
         eta = AdaptedProcess(tree, horizon, horizon, (slab,))
     else:
         vec = _parse_array(raw, "model.terminal")
@@ -500,23 +504,31 @@ def _component_names(prefix: str, rows: int, cols: int) -> list[str]:
     return [f"{prefix}{r + 1}_{c + 1}" for r in range(rows) for c in range(cols)]
 
 
-def _process_csv(tree: ProbabilityTree, proc: AdaptedProcess, prefix: str) -> str:
+def _process_csv(proc: AdaptedProcess, prefix: str, labels: list[list[str]]) -> str:
+    """The CSV table of ``proc``: one line per time and node, ``labels[t]``
+    naming the nodes at time t."""
     rows, cols = proc.shape
+    width = rows * cols
     lines = ["time,node," + ",".join(_component_names(prefix, rows, cols))]
     for t in range(proc.t_lo, proc.t_hi + 1):
-        paths = _node_paths(tree, t)
-        template = f"{t},%s," + ",".join(["%.17g"] * (rows * cols))
-        values = proc.at(t).reshape(len(paths), rows * cols).tolist()
-        lines += [template % (path, *row) for path, row in zip(paths, values)]
+        paths = labels[t]
+        # the paths and value columns interleaved line by line, formatted by one %
+        columns = [paths, *proc.at(t).reshape(len(paths), width).T.tolist()]
+        cells = [None] * (len(paths) * len(columns))
+        for j, column in enumerate(columns):
+            cells[j :: len(columns)] = column
+        line = f"{t},%s," + ",".join(["%.17g"] * width)
+        lines.append("\n".join([line] * len(paths)) % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
 def _solution_tables(tree: ProbabilityTree, sol) -> dict[str, str]:
+    labels = _node_labels(tree, tree.horizon)
     tables = {}
     for name, prefix in (("X", "x"), ("Y", "y"), ("Z", "z"), ("N", "n")):
         proc = getattr(sol, name, None)
         if proc is not None:
-            tables[f"{name}.csv"] = _process_csv(tree, proc, prefix)
+            tables[f"{name}.csv"] = _process_csv(proc, prefix, labels)
     return tables
 
 
@@ -725,6 +737,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache  # one parser per process; parsing leaves no state on it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="fbsdelta", description="Scenario-driven solvers for coupled stochastic difference systems.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -163,12 +165,110 @@ def require_node_budget(steps_per_count: dict[int, int]) -> None:
         raise ValueError(f"the tree would have {horizon + 1} time layers, over the node budget of {NODE_BUDGET}")
 
 
+# Ranks decoded per block when a sequence that is not a whole level is iterated.
+_DECODE_BLOCK = 4096
+
+
+class NodeSequence(Sequence):
+    """The nodes at time t of a tree, or some of them, as a read-only
+    sequence of outcome tuples ``(k_0, ..., k_{t-1})`` that stores none of
+    them, only their ranks.
+
+    An integer index (a NumPy integer too, negative ones counting from the
+    end) decodes that node's rank to its tuple through the mixed-radix
+    branch counts; a slice or a 1-D integer array of indices gives another
+    such sequence; ``index`` encodes a tuple back to its position.
+    Iterating a whole level runs ``itertools.product``.
+    """
+
+    __slots__ = ("_radices", "_ranks")
+
+    def __init__(self, radices: tuple[int, ...], ranks: range | np.ndarray):
+        self._radices = radices  # the branch counts K_0 .. K_{t-1}
+        self._ranks = ranks
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return NodeSequence(self._radices, self._ranks[i])
+        try:
+            i = operator.index(i)
+        except TypeError:
+            return NodeSequence(self._radices, self._take(i))
+        rank, digits = int(self._ranks[i]), []
+        for k in reversed(self._radices):
+            rank, digit = divmod(rank, k)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    def _take(self, index) -> np.ndarray:
+        """The ranks at the positions ``index`` (a 1-D integer array, or a list)."""
+        index = np.asarray(index)
+        if index.ndim != 1 or index.dtype.kind not in "iu" and index.size:
+            raise TypeError("nodes are indexed by an integer, a slice or a 1-D integer array")
+        index, n = index.astype(np.intp), len(self)
+        if index.size and not -n <= index.min() <= index.max() < n:
+            raise IndexError(f"node index out of range for {n} nodes")
+        index = np.where(index < 0, index + n, index)
+        ranks = self._ranks
+        out = ranks.start + ranks.step * index if isinstance(ranks, range) else ranks[index]
+        out.setflags(write=False)
+        return out
+
+    def _digits(self, ranks: np.ndarray) -> np.ndarray:
+        """The (len(ranks), t) outcome indices of ``ranks``."""
+        digits = np.empty((len(ranks), len(self._radices)), dtype=np.intp)
+        for s in reversed(range(len(self._radices))):
+            ranks, digits[:, s] = np.divmod(ranks, self._radices[s])
+        return digits
+
+    def __iter__(self):
+        if isinstance(self._ranks, range) and self._ranks == range(math.prod(self._radices)):  # a whole level
+            return itertools.product(*map(range, self._radices))
+        return self._decoded()
+
+    def _decoded(self):
+        for lo in range(0, len(self), _DECODE_BLOCK):
+            yield from map(tuple, self._digits(np.asarray(self._ranks[lo : lo + _DECODE_BLOCK])).tolist())
+
+    def index(self, node) -> int:
+        """Position of the tuple ``node`` here; ValueError when it is not here."""
+        radices, rank = self._radices, 0
+        if not isinstance(node, tuple) or len(node) != len(radices):
+            raise ValueError(f"{node!r} is not a node at time {len(radices)}")
+        for digit, k in zip(node, radices):
+            if not isinstance(digit, (int, np.integer)) or not 0 <= digit < k:
+                raise ValueError(f"{node!r} is not a node at time {len(radices)}")
+            rank = rank * k + int(digit)
+        if isinstance(self._ranks, range):
+            if rank in self._ranks:
+                return self._ranks.index(rank)
+        else:
+            hits = np.flatnonzero(self._ranks == rank)
+            if hits.size:
+                return int(hits[0])
+        raise ValueError(f"{node!r} is not in this node sequence")
+
+    def __contains__(self, node) -> bool:
+        try:
+            self.index(node)
+        except ValueError:
+            return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} nodes at time {len(self._radices)}>"
+
+
 class ProbabilityTree:
     """Dense product tree generated by a sequence of increment steps.
 
     Nodes at time t are tuples of outcome indices ``(k_0, ..., k_{t-1})``,
     ordered lexicographically; the children of the node with rank r at time t
     occupy the contiguous ranks ``r*K_t .. (r+1)*K_t - 1`` at time t+1.
+    :meth:`nodes` gives them as a :class:`NodeSequence`, which stores no tuple.
     """
 
     def __init__(self, steps: Sequence[IncrementDistribution]):
@@ -193,7 +293,8 @@ class ProbabilityTree:
         for step in steps:
             counts.append(counts[-1] * step.branch_count)
         self._counts = tuple(counts)
-        self._nodes_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        radices = tuple(step.branch_count for step in steps)
+        self._levels = {t: NodeSequence(radices[:t], range(count)) for t, count in enumerate(counts)}
         self._probs_cache: dict[int, np.ndarray] = {}
 
     # -- bookkeeping ---------------------------------------------------
@@ -206,13 +307,13 @@ class ProbabilityTree:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         return self._counts[t]
 
-    def nodes(self, t: int) -> tuple[tuple[int, ...], ...]:
-        """All nodes at time t in lexicographic (= rank) order."""
-        if t not in self._nodes_cache:
-            self.node_count(t)
-            ranges = [range(self.steps[s].branch_count) for s in range(t)]
-            self._nodes_cache[t] = tuple(itertools.product(*ranges))
-        return self._nodes_cache[t]
+    def nodes(self, t: int) -> NodeSequence:
+        """All nodes at time t in lexicographic (= rank) order, as a
+        read-only sequence of tuples that decodes each one when it is read."""
+        try:
+            return self._levels[t]
+        except KeyError:
+            raise ValueError(f"time {t} outside [0, {self.horizon}]") from None
 
     def node_probabilities(self, t: int) -> np.ndarray:
         """Unconditional probabilities of the nodes at time t (rank order)."""

@@ -580,7 +580,8 @@ def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) 
     ``noise_loading(t, x, y, z, nodes)`` (asked for only when m > 0, and
     then with d = 1), ``driver(t, x, y, z, nodes)`` (read through
     :func:`~fbsdelta.bsde.driver_terms`, with z = 0 at t = T) and
-    ``terminal(x, nodes)``.
+    ``terminal(x, nodes)``.  ``nodes`` is ``tree.nodes(t)``, a read-only
+    sequence of outcome tuples in rank order that stores none of them.
     """
     T = tree.horizon
     forward = []

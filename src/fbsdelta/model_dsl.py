@@ -385,18 +385,22 @@ def compile_expr(expr: Expr) -> Callable[..., np.ndarray]:
 # -- printing ----------------------------------------------------------------
 
 
-def _wrap(text: str, need: bool) -> str:
-    return f"({text})" if need else text
+def _wrap(pieces, need: bool):
+    return ("(", pieces, ")") if need else pieces
 
 
-def _apply_text(node: Expr, op: _Op, args: tuple[tuple[str, int], ...]) -> tuple[str, int]:
-    """(text, print level) of an operation from its operands' (text, level)."""
+def _apply_text(node: Expr, op: _Op, args: tuple) -> tuple:
+    """(pieces, print level) of an operation from its operands' (pieces,
+    level); pieces nest the operands' pieces, so no text is copied here."""
     level = op.level
     if isinstance(node, Call):
-        return f"{node.fn}({', '.join(text for text, _ in args)})", level
+        pieces = [node.fn, "("]
+        for i, (operand, _) in enumerate(args):
+            pieces += [", ", operand] if i else [operand]
+        return (*pieces, ")"), level
     if isinstance(node, Neg):
-        [(text, inner)] = args
-        return "-" + _wrap(text, inner < level), level
+        [(pieces, inner)] = args
+        return ("-", _wrap(pieces, inner < level)), level
     (left, left_level), (right, right_level) = args
     key = node.op
     # ^ is right-associative: its left operand must sit strictly above it, and
@@ -404,13 +408,22 @@ def _apply_text(node: Expr, op: _Op, args: tuple[tuple[str, int], ...]) -> tuple
     power = key == "^"
     left = _wrap(left, left_level <= level if power else left_level < level)
     right = _wrap(right, right_level < _OPS["u-"].level if power else right_level <= level)
-    return (f"{left} {key} {right}" if key in "+-" else f"{left}{key}{right}"), level
+    return (left, f" {key} " if key in "+-" else key, right), level
 
 
 def format_expr(expr: Expr) -> str:
-    """Render with minimal parentheses; reparsing yields an identical tree."""
+    """Render with minimal parentheses; reparsing yields an identical tree.
+    The fold nests each operation's pieces; one walk then joins the text,
+    so the time is linear in its length."""
 
     def leaf(node):
         return (repr(node.value) if isinstance(node, Num) else node.name), _ATOM
 
-    return _fold(_postorder(expr), leaf, _apply_text)[0]
+    text, pending = [], [_fold(_postorder(expr), leaf, _apply_text)[0]]
+    while pending:
+        pieces = pending.pop()
+        if isinstance(pieces, str):
+            text.append(pieces)
+        else:
+            pending.extend(reversed(pieces))
+    return "".join(text)

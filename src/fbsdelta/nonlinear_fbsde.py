@@ -81,13 +81,15 @@ class NonlinearModel:
 
     ``b``, ``sigma`` and ``f`` are slab callables ``fn(t, x, y, z, nodes)``:
     ``x`` of shape (N, m, 1), ``y`` and ``z`` of shape (N, n, 1) and the N
-    tree nodes the rows belong to (on a whole slab, ``tree.nodes(t)``).  They
-    return (N, m, 1), (N, m, 1) and (N, n, 1) arrays, or anything that
-    reshapes to them, and must not modify their arguments.  ``f`` is
-    evaluated at times 1..T with z frozen to zero at t = T.  ``h(x, nodes)``
-    returns (N, n, 1).  ``None`` means the zero function for b/sigma/f and
-    the plain linear map x -> G x for h.  Per-node callables are wrapped by
-    :meth:`pointwise`.
+    tree nodes the rows belong to (on a whole slab, ``tree.nodes(t)``): a
+    read-only sequence of outcome tuples in rank order, where indexing
+    decodes one, slicing or a rank array gives another sequence, and nothing
+    is stored per node.  They return (N, m, 1), (N, m, 1) and (N, n, 1)
+    arrays, or anything that reshapes to them, and must not modify their
+    arguments.  ``f`` is evaluated at times 1..T with z frozen to zero at
+    t = T.  ``h(x, nodes)`` returns (N, n, 1).  ``None`` means the zero
+    function for b/sigma/f and the plain linear map x -> G x for h.  Per-node
+    callables are wrapped by :meth:`pointwise`.
     """
 
     m: int
@@ -417,9 +419,9 @@ def check_monotone(
     states = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, size=(2, samples, m + 2 * n, 1))
     picks = rng.integers(counts[:, None], size=(len(counts), samples))
 
-    def picked(slab: tuple, row: int) -> tuple:
+    def picked(level, row: int):
         # the sampled nodes, once for each state of a pair
-        return tuple(map(slab.__getitem__, picks[row].tolist())) * 2
+        return level[np.tile(picks[row], 2)]
 
     def gap(values: np.ndarray) -> np.ndarray:
         return values[:samples] - values[samples:]

@@ -31,6 +31,7 @@ from fbsdelta import (
 from fbsdelta import cli
 from fbsdelta.cli import (
     ScenarioError,
+    _node_labels,
     _parse_tree,
     _process_csv,
     _slab_from_table,
@@ -477,6 +478,17 @@ def _mutated(factory, section, key, value):
 def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):
     assert main(["validate", write_scenario(tmp_path, scenario)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    path = write_scenario(tmp_path, bsde_scenario())
+    assert main(["validate", path]) == 0
+    first = capsys.readouterr()
+    assert main(["bogus"]) == 4
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_input_and_usage_problems_exit_4(tmp_path):
@@ -1105,7 +1117,8 @@ def processes_on_mixed_trees(draw):
 @given(case=processes_on_mixed_trees())
 def test_csv_tables_match_the_per_node_writer_and_parse_back_bit_for_bit(case):
     tree, proc = case
-    text = _process_csv(tree, proc, "y")
+    labels = _node_labels(tree, tree.horizon)
+    text = _process_csv(proc, "y", labels)
     assert text == reference_process_csv(tree, proc, "y")
     width = proc.shape[0] * proc.shape[1]
     tables = {t: {} for t in range(proc.t_lo, proc.t_hi + 1)}
@@ -1113,7 +1126,7 @@ def test_csv_tables_match_the_per_node_writer_and_parse_back_bit_for_bit(case):
         t, node, *values = line.split(",")
         tables[int(t)][node] = [float(v) for v in values]
     for t, table in tables.items():
-        slab = _slab_from_table(tree, t, json.loads(json.dumps(table)), width, "table")
+        slab = _slab_from_table(labels[t], json.loads(json.dumps(table)), width, "table")
         assert slab.tobytes() == proc.at(t).reshape(-1, width, 1).tobytes()
 
 

@@ -1,7 +1,13 @@
-"""Tree construction, conditional kernels, and the process-level checks."""
+"""Tree construction, node sequences, conditional kernels, and the process-level checks."""
+
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
     AdaptedProcess,
@@ -11,7 +17,7 @@ from fbsdelta import (
     is_strongly_orthogonal,
     validate_increments,
 )
-from fbsdelta.filtration import NODE_BUDGET, sup_abs
+from fbsdelta.filtration import NODE_BUDGET, NodeSequence, sup_abs
 
 from helpers import combine, rademacher_tree, random_increments, random_process, random_tree
 
@@ -126,7 +132,7 @@ def test_node_ordering_and_probabilities():
     tree = ProbabilityTree([IncrementDistribution.rademacher(), IncrementDistribution.trinomial(0.25)])
     assert tree.node_count(2) == 6
     nodes = tree.nodes(2)
-    assert nodes == tuple(sorted(nodes))  # lexicographic
+    assert tuple(nodes) == tuple(sorted(nodes))  # lexicographic
     assert nodes[0] == (0, 0) and nodes[-1] == (1, 2)
     for i, node in enumerate(nodes):
         assert node[0] * 3 + node[1] == i  # mixed-radix rank: children of rank r take ranks 3r..3r+2
@@ -134,6 +140,87 @@ def test_node_ordering_and_probabilities():
     assert probs.sum() == pytest.approx(1.0, abs=MOMENT_TOL)
     assert probs[0] == pytest.approx(0.5 * 0.25)
     assert probs[1] == pytest.approx(0.5 * 0.5)
+
+
+def _check_node_sequence(nodes, expected: list, data) -> None:
+    """``nodes`` against the tuple list ``expected``: length, every index,
+    NumPy integers, slices, rank arrays, iteration, ``index`` and refusals."""
+    n = len(expected)
+    assert len(nodes) == n
+    assert [nodes[i] for i in range(-n, n)] == expected + expected
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        assert nodes[np.int64(i)] == nodes[np.uint16(i)] == nodes[np.int32(i - n)] == expected[i]
+    assert tuple(nodes) == tuple(expected)
+    assert list(reversed(nodes)) == expected[::-1]
+    for i, node in enumerate(expected):
+        assert nodes.index(node) == i and node in nodes
+    for bad in (n, -n - 1, np.int64(n)):
+        with pytest.raises(IndexError):
+            nodes[bad]
+    with pytest.raises(IndexError):
+        nodes[np.array([0, n])]
+    for outside in ((0,) * (len(expected[0]) + 1), [0] * len(expected[0]), "0"):
+        with pytest.raises(ValueError):
+            nodes.index(outside)
+        assert outside not in nodes
+    cut = data.draw(st.slices(n))
+    part = nodes[cut]
+    assert isinstance(part, NodeSequence) and tuple(part) == tuple(expected[cut])
+    assert [part[i] for i in range(len(part))] == expected[cut]
+    ranks = data.draw(st.lists(st.integers(-n, n - 1), max_size=2 * n))
+    for index in (np.array(ranks, dtype=np.int64), ranks):
+        picked = nodes[index]
+        assert isinstance(picked, NodeSequence)
+        assert tuple(picked) == tuple(expected[i] for i in ranks)
+        assert [picked[i] for i in range(-len(ranks), len(ranks))] == [expected[i] for i in ranks * 2]
+        for node in picked:
+            assert picked[picked.index(node)] == node
+    if ranks and len(part):
+        # a rank array into a slice, and a slice of a rank array
+        inner = [i % len(part) for i in ranks]
+        assert tuple(part[np.array(inner)]) == tuple(expected[cut][i] for i in inner)
+        assert tuple(nodes[np.array(ranks)][1::2]) == tuple(expected[i] for i in ranks[1::2])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(radices=st.lists(st.integers(1, 4), max_size=6), data=st.data())
+def test_a_node_sequence_reads_as_the_tuple_of_its_nodes(radices, data):
+    expected = list(itertools.product(*map(range, radices)))
+    _check_node_sequence(NodeSequence(tuple(radices), range(math.prod(radices))), expected, data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(counts=st.lists(st.integers(2, 4), min_size=1, max_size=6), data=st.data())
+def test_each_tree_level_is_one_cached_node_sequence(counts, data):
+    # a one-outcome step cannot be centred with unit variance, so trees
+    # branch 2 to 4 ways; the sequence test above also takes one-way steps
+    rng = np.random.default_rng(len(counts))
+    tree = ProbabilityTree([random_increments(rng, k, 1) for k in counts])
+    for t in range(tree.horizon + 1):
+        assert tree.nodes(t) is tree.nodes(t)
+        _check_node_sequence(tree.nodes(t), list(itertools.product(*map(range, counts[:t]))), data)
+
+
+def test_long_node_sequences_decode_across_blocks():
+    nodes = rademacher_tree(13).nodes(13)
+    expected = list(itertools.product(range(2), repeat=13))
+    assert tuple(nodes[1:]) == tuple(expected[1:])
+    assert tuple(nodes[::-3]) == tuple(expected[::-3])
+    ranks = np.random.default_rng(0).integers(len(expected), size=10_000)
+    assert tuple(nodes[ranks]) == tuple(expected[i] for i in ranks)
+
+
+def test_a_tree_level_stores_no_node_tuples():
+    # 2^16 leaves: measured 11 kB here, and 11 MB when they were a tuple of tuples
+    tracemalloc.start()
+    try:
+        tree = rademacher_tree(16)
+        leaves = tree.nodes(16)
+        assert len(leaves) == 2**16 and leaves[-1] == (1,) * 16 and leaves.index((1,) * 16) == 2**16 - 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_conditional_expectation_tower_property():

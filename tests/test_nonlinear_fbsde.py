@@ -279,6 +279,11 @@ def _continuation(**functions):
     return lambda: solve_continuation(_model(**functions)(), rademacher_tree(2))
 
 
+def _monotone(**functions):
+    # the sampled nodes reach the model as a rank array into each level
+    return lambda: check_monotone(_model(**functions)(), rademacher_tree(2))
+
+
 def _offset_on_the_wrong_domain():
     tree = rademacher_tree(2)
     return LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.0], D=AdaptedProcess.zeros(tree, (1, 1), 0, 2))
@@ -295,6 +300,14 @@ def _offset_on_the_wrong_domain():
         (
             _continuation(h=lambda x, nodes: [np.nan if v == (1, 0) else 0.0 for v in nodes]),
             "h produced non-finite values at node (1, 0)",
+        ),
+        (
+            _monotone(f=lambda t, x, y, z, nodes: [np.inf if v == (1, 0) else 0.0 for v in nodes]),
+            "f(t=2) produced non-finite values at node (1, 0)",
+        ),
+        (
+            _monotone(h=lambda x, nodes: [np.nan if v == (0, 1) else 0.0 for v in nodes]),
+            "h produced non-finite values at node (0, 1)",
         ),
         (_model(m=0), "dimensions must be positive"),
         (_model(G=[[1.0], [0.5]]), "G must have shape (1, 1), got (2, 1)"),
