@@ -165,10 +165,6 @@ def require_node_budget(steps_per_count: dict[int, int]) -> None:
         raise ValueError(f"the tree would have {horizon + 1} time layers, over the node budget of {NODE_BUDGET}")
 
 
-# Ranks decoded per block when a sequence that is not a whole level is iterated.
-_DECODE_BLOCK = 4096
-
-
 class NodeSequence(Sequence):
     """The nodes at time t of a tree, or some of them, as a read-only
     sequence of outcome tuples ``(k_0, ..., k_{t-1})`` that stores none of
@@ -176,8 +172,9 @@ class NodeSequence(Sequence):
 
     An integer index (a NumPy integer too, negative ones counting from the
     end) decodes that node's rank to its tuple through the mixed-radix
-    branch counts; a slice or a 1-D integer array of indices gives another
-    such sequence; ``index`` encodes a tuple back to its position.
+    branch counts; a slice or a 1-D NumPy integer array of indices gives
+    another such sequence, and any other index raises TypeError; ``index``
+    encodes a tuple back to its position.
     Iterating a whole level runs ``itertools.product``.
     """
 
@@ -193,19 +190,24 @@ class NodeSequence(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return NodeSequence(self._radices, self._ranks[i])
+        if isinstance(i, np.ndarray):
+            return NodeSequence(self._radices, self._take(i))
         try:
             i = operator.index(i)
         except TypeError:
-            return NodeSequence(self._radices, self._take(i))
-        rank, digits = int(self._ranks[i]), []
+            raise TypeError("nodes are indexed by an integer, a slice or a 1-D integer array") from None
+        return self._decode(int(self._ranks[i]))
+
+    def _decode(self, rank: int) -> tuple:
+        """The outcome tuple of ``rank``, digit by digit in the branch counts."""
+        digits = []
         for k in reversed(self._radices):
             rank, digit = divmod(rank, k)
             digits.append(digit)
         return tuple(reversed(digits))
 
-    def _take(self, index) -> np.ndarray:
-        """The ranks at the positions ``index`` (a 1-D integer array, or a list)."""
-        index = np.asarray(index)
+    def _take(self, index: np.ndarray) -> np.ndarray:
+        """The ranks at the positions ``index``, a 1-D integer array."""
         if index.ndim != 1 or index.dtype.kind not in "iu" and index.size:
             raise TypeError("nodes are indexed by an integer, a slice or a 1-D integer array")
         index, n = index.astype(np.intp), len(self)
@@ -217,21 +219,11 @@ class NodeSequence(Sequence):
         out.setflags(write=False)
         return out
 
-    def _digits(self, ranks: np.ndarray) -> np.ndarray:
-        """The (len(ranks), t) outcome indices of ``ranks``."""
-        digits = np.empty((len(ranks), len(self._radices)), dtype=np.intp)
-        for s in reversed(range(len(self._radices))):
-            ranks, digits[:, s] = np.divmod(ranks, self._radices[s])
-        return digits
-
     def __iter__(self):
         if isinstance(self._ranks, range) and self._ranks == range(math.prod(self._radices)):  # a whole level
             return itertools.product(*map(range, self._radices))
-        return self._decoded()
-
-    def _decoded(self):
-        for lo in range(0, len(self), _DECODE_BLOCK):
-            yield from map(tuple, self._digits(np.asarray(self._ranks[lo : lo + _DECODE_BLOCK])).tolist())
+        ranks = self._ranks
+        return map(self._decode, ranks if isinstance(ranks, range) else ranks.tolist())
 
     def index(self, node) -> int:
         """Position of the tuple ``node`` here; ValueError when it is not here."""

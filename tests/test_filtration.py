@@ -168,13 +168,16 @@ def _check_node_sequence(nodes, expected: list, data) -> None:
     assert isinstance(part, NodeSequence) and tuple(part) == tuple(expected[cut])
     assert [part[i] for i in range(len(part))] == expected[cut]
     ranks = data.draw(st.lists(st.integers(-n, n - 1), max_size=2 * n))
-    for index in (np.array(ranks, dtype=np.int64), ranks):
-        picked = nodes[index]
-        assert isinstance(picked, NodeSequence)
-        assert tuple(picked) == tuple(expected[i] for i in ranks)
-        assert [picked[i] for i in range(-len(ranks), len(ranks))] == [expected[i] for i in ranks * 2]
-        for node in picked:
-            assert picked[picked.index(node)] == node
+    picked = nodes[np.array(ranks, dtype=np.int64)]
+    assert isinstance(picked, NodeSequence)
+    assert tuple(picked) == tuple(expected[i] for i in ranks)
+    assert [picked[i] for i in range(-len(ranks), len(ranks))] == [expected[i] for i in ranks * 2]
+    for node in picked:
+        assert picked[picked.index(node)] == node
+    # a list or a tuple (a node passed where its index belongs) is refused
+    for bad in (list(ranks), tuple(ranks), expected[0], 0.0, np.array([0.0]), np.zeros((1, 1), dtype=int)):
+        with pytest.raises(TypeError):
+            nodes[bad]
     if ranks and len(part):
         # a rank array into a slice, and a slice of a rank array
         inner = [i % len(part) for i in ranks]
@@ -201,7 +204,7 @@ def test_each_tree_level_is_one_cached_node_sequence(counts, data):
         _check_node_sequence(tree.nodes(t), list(itertools.product(*map(range, counts[:t]))), data)
 
 
-def test_long_node_sequences_decode_across_blocks():
+def test_long_partial_node_sequences_iterate_in_order():
     nodes = rademacher_tree(13).nodes(13)
     expected = list(itertools.product(range(2), repeat=13))
     assert tuple(nodes[1:]) == tuple(expected[1:])
