@@ -194,24 +194,25 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Fb
     y_slabs: list[np.ndarray] = [np.empty(0)] * horizon + [np.array(eta.at(horizon))]
     z_slabs: list[np.ndarray] = [np.empty(0)] * horizon
     aggregates: list[np.ndarray] = [np.empty(0)] * horizon
-    drivers: list[np.ndarray] = [np.empty(0)] * horizon
     z_next = np.zeros((tree.node_count(horizon), gen.n, tree.d))  # z = 0 at T
+    last_bad = -1  # the largest t whose driver slab (f at t + 1) is not finite
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon - 1, -1, -1):
-            drivers[t] = system.driver(t + 1, None, y_slabs[t + 1], z_next, tree.nodes(t + 1))
-            aggregates[t] = y_slabs[t + 1] + drivers[t]
+            driver = system.driver(t + 1, None, y_slabs[t + 1], z_next, tree.nodes(t + 1))
+            if last_bad < 0 and not np.isfinite(driver).all():
+                last_bad = t
+            aggregates[t] = y_slabs[t + 1] + driver
             y_slabs[t] = tree.expect_next(aggregates[t], t)
             z_slabs[t] = z_next = tree.expect_next_increment(aggregates[t], t)
 
     sol = build_solution(system, tree, None, y_slabs, z_slabs, aggregates)
 
     def sweep():
-        for t in range(horizon - 1, -1, -1):  # drivers[t] holds f at t + 1
-            if not np.isfinite(drivers[t]).all():
-                return  # non-finite driver values are passed on to the residual checks
+        for t in range(horizon - 1, last_bad, -1):  # non-finite drivers go on to the residual checks
             yield from (("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
-        yield from (("N", t, slab) for t, slab in enumerate(sol.N.values))
+        if last_bad < 0:
+            yield from (("N", t, slab) for t, slab in enumerate(sol.N.values))
 
     # N_T sums the slabs of the sweep along each path to a leaf, so it is
     # finite unless one of them overflowed

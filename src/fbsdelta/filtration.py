@@ -167,80 +167,67 @@ def require_node_budget(steps_per_count: dict[int, int]) -> None:
 
 class NodeSequence(Sequence):
     """The nodes at time t of a tree, or some of them, as a read-only
-    sequence of outcome tuples ``(k_0, ..., k_{t-1})`` that stores none of
-    them, only their ranks.
+    sequence of outcome tuples ``(k_0, ..., k_{t-1})`` held as their ranks,
+    the mixed-radix numbers in the branch counts that NumPy's
+    ``unravel_index`` and ``ravel_multi_index`` decode and encode.
 
     An integer index (a NumPy integer too, negative ones counting from the
-    end) decodes that node's rank to its tuple through the mixed-radix
-    branch counts; a slice or a 1-D NumPy integer array of indices gives
-    another such sequence, and any other index raises TypeError; ``index``
-    encodes a tuple back to its position.
-    Iterating a whole level runs ``itertools.product``.
+    end) decodes one node; a slice or a 1-D NumPy integer array of indices
+    gives another such sequence, holding the ranks it selects, and any other
+    index raises TypeError; ``index`` encodes a tuple back to its position.
+    A whole level holds no rank and iterates with ``itertools.product``.
     """
 
-    __slots__ = ("_radices", "_ranks")
+    __slots__ = ("_radices", "_ranks", "_len")
 
-    def __init__(self, radices: tuple[int, ...], ranks: range | np.ndarray):
+    def __init__(self, radices: tuple[int, ...], ranks: np.ndarray | None = None):
         self._radices = radices  # the branch counts K_0 .. K_{t-1}
-        self._ranks = ranks
+        self._ranks = ranks  # None for the whole level, else a read-only intp array
+        self._len = math.prod(radices) if ranks is None else len(ranks)
 
     def __len__(self) -> int:
-        return len(self._ranks)
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return NodeSequence(self._radices, self._ranks[i])
-        if isinstance(i, np.ndarray):
-            return NodeSequence(self._radices, self._take(i))
+            i = np.arange(*i.indices(self._len))  # its positions, taken as a rank array below
+        if isinstance(i, np.ndarray) and i.ndim == 1 and (i.dtype.kind in "iu" or not i.size):
+            i, n = i.astype(np.intp), self._len
+            if i.size and not -n <= i.min() <= i.max() < n:
+                raise IndexError(f"node index out of range for {n} nodes")
+            ranks = np.where(i < 0, i + n, i)
+            if self._ranks is not None:
+                ranks = self._ranks[ranks]
+            ranks.setflags(write=False)
+            return NodeSequence(self._radices, ranks)
         try:
             i = operator.index(i)
         except TypeError:
             raise TypeError("nodes are indexed by an integer, a slice or a 1-D integer array") from None
-        return self._decode(int(self._ranks[i]))
-
-    def _decode(self, rank: int) -> tuple:
-        """The outcome tuple of ``rank``, digit by digit in the branch counts."""
-        digits = []
-        for k in reversed(self._radices):
-            rank, digit = divmod(rank, k)
-            digits.append(digit)
-        return tuple(reversed(digits))
-
-    def _take(self, index: np.ndarray) -> np.ndarray:
-        """The ranks at the positions ``index``, a 1-D integer array."""
-        if index.ndim != 1 or index.dtype.kind not in "iu" and index.size:
-            raise TypeError("nodes are indexed by an integer, a slice or a 1-D integer array")
-        index, n = index.astype(np.intp), len(self)
-        if index.size and not -n <= index.min() <= index.max() < n:
-            raise IndexError(f"node index out of range for {n} nodes")
-        index = np.where(index < 0, index + n, index)
-        ranks = self._ranks
-        out = ranks.start + ranks.step * index if isinstance(ranks, range) else ranks[index]
-        out.setflags(write=False)
-        return out
+        rank = range(self._len)[i] if self._ranks is None else self._ranks[i]
+        return tuple(map(int, np.unravel_index(rank, self._radices)))
 
     def __iter__(self):
-        if isinstance(self._ranks, range) and self._ranks == range(math.prod(self._radices)):  # a whole level
+        if self._ranks is None:
             return itertools.product(*map(range, self._radices))
-        ranks = self._ranks
-        return map(self._decode, ranks if isinstance(ranks, range) else ranks.tolist())
+        # a leading radix 1 gives each row a first digit 0, so level 0 decodes to ()
+        digits = np.stack(np.unravel_index(self._ranks, (1, *self._radices)), axis=1)[:, 1:]
+        return map(tuple, digits.tolist())
 
     def index(self, node) -> int:
         """Position of the tuple ``node`` here; ValueError when it is not here."""
-        radices, rank = self._radices, 0
+        radices = self._radices
         if not isinstance(node, tuple) or len(node) != len(radices):
             raise ValueError(f"{node!r} is not a node at time {len(radices)}")
-        for digit, k in zip(node, radices):
-            if not isinstance(digit, (int, np.integer)) or not 0 <= digit < k:
-                raise ValueError(f"{node!r} is not a node at time {len(radices)}")
-            rank = rank * k + int(digit)
-        if isinstance(self._ranks, range):
-            if rank in self._ranks:
-                return self._ranks.index(rank)
-        else:
-            hits = np.flatnonzero(self._ranks == rank)
-            if hits.size:
-                return int(hits[0])
+        try:
+            rank = operator.index(np.ravel_multi_index(node, radices))
+        except (TypeError, ValueError):  # a digit that is not an int in range(K)
+            raise ValueError(f"{node!r} is not a node at time {len(radices)}") from None
+        if self._ranks is None:
+            return rank
+        hits = np.flatnonzero(self._ranks == rank)
+        if hits.size:
+            return int(hits[0])
         raise ValueError(f"{node!r} is not in this node sequence")
 
     def __contains__(self, node) -> bool:
@@ -260,7 +247,8 @@ class ProbabilityTree:
     Nodes at time t are tuples of outcome indices ``(k_0, ..., k_{t-1})``,
     ordered lexicographically; the children of the node with rank r at time t
     occupy the contiguous ranks ``r*K_t .. (r+1)*K_t - 1`` at time t+1.
-    :meth:`nodes` gives them as a :class:`NodeSequence`, which stores no tuple.
+    :meth:`nodes` gives each level as one :class:`NodeSequence`, which stores
+    nothing per node.
     """
 
     def __init__(self, steps: Sequence[IncrementDistribution]):
@@ -281,12 +269,8 @@ class ProbabilityTree:
         self.steps = steps
         self.horizon = len(steps)
         self.d = d
-        counts = [1]
-        for step in steps:
-            counts.append(counts[-1] * step.branch_count)
-        self._counts = tuple(counts)
         radices = tuple(step.branch_count for step in steps)
-        self._levels = {t: NodeSequence(radices[:t], range(count)) for t, count in enumerate(counts)}
+        self._levels = {t: NodeSequence(radices[:t]) for t in range(self.horizon + 1)}
         self._probs_cache: dict[int, np.ndarray] = {}
 
     # -- bookkeeping ---------------------------------------------------
@@ -297,7 +281,7 @@ class ProbabilityTree:
     def node_count(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        return self._counts[t]
+        return len(self._levels[t])
 
     def nodes(self, t: int) -> NodeSequence:
         """All nodes at time t in lexicographic (= rank) order, as a

@@ -1,7 +1,6 @@
 """Tree construction, node sequences, conditional kernels, and the process-level checks."""
 
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -154,12 +153,16 @@ def _check_node_sequence(nodes, expected: list, data) -> None:
     assert list(reversed(nodes)) == expected[::-1]
     for i, node in enumerate(expected):
         assert nodes.index(node) == i and node in nodes
+        wide = tuple(map(np.int64, node))
+        assert nodes.index(wide) == i and wide in nodes
     for bad in (n, -n - 1, np.int64(n)):
         with pytest.raises(IndexError):
             nodes[bad]
     with pytest.raises(IndexError):
         nodes[np.array([0, n])]
-    for outside in ((0,) * (len(expected[0]) + 1), [0] * len(expected[0]), "0"):
+    # a digit out of its range (a huge or a negative one) is no node either
+    out_of_range = [(digit,) + expected[0][1:] for digit in (10**30, -1)] if expected[0] else []
+    for outside in ((0,) * (len(expected[0]) + 1), [0] * len(expected[0]), "0", *out_of_range):
         with pytest.raises(ValueError):
             nodes.index(outside)
         assert outside not in nodes
@@ -189,7 +192,7 @@ def _check_node_sequence(nodes, expected: list, data) -> None:
 @given(radices=st.lists(st.integers(1, 4), max_size=6), data=st.data())
 def test_a_node_sequence_reads_as_the_tuple_of_its_nodes(radices, data):
     expected = list(itertools.product(*map(range, radices)))
-    _check_node_sequence(NodeSequence(tuple(radices), range(math.prod(radices))), expected, data)
+    _check_node_sequence(NodeSequence(tuple(radices)), expected, data)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -213,13 +216,18 @@ def test_long_partial_node_sequences_iterate_in_order():
     assert tuple(nodes[ranks]) == tuple(expected[i] for i in ranks)
 
 
-def test_a_tree_level_stores_no_node_tuples():
-    # 2^16 leaves: measured 11 kB here, and 11 MB when they were a tuple of tuples
+@pytest.mark.parametrize("horizon", [16, 21])  # 21: the node budget
+def test_a_tree_level_stores_no_node_tuples(horizon):
+    # measured 14 kB at both horizons, and 11 MB at 2^16 leaves when they were
+    # a tuple of tuples
+    n = 2**horizon
     tracemalloc.start()
     try:
-        tree = rademacher_tree(16)
-        leaves = tree.nodes(16)
-        assert len(leaves) == 2**16 and leaves[-1] == (1,) * 16 and leaves.index((1,) * 16) == 2**16 - 1
+        tree = rademacher_tree(horizon)
+        leaves = tree.nodes(horizon)
+        assert len(leaves) == n and leaves[-1] == (1,) * horizon and leaves.index((1,) * horizon) == n - 1
+        assert leaves.index(leaves[n - 2]) == n - 2
+        assert tuple(leaves[np.array([0, -1, n - 1])]) == ((0,) * horizon, (1,) * horizon, (1,) * horizon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
