@@ -20,16 +20,32 @@ Each residual row reads only its node, the node's parent and its children, so
 the Jacobian is built with one evaluation of F per colour of columns (Curtis,
 Powell & Reid 1974): K_max + 2 node colours (K_max the largest branch count)
 times the unknowns per node, 12 for m = n = 1 on a binary tree, whatever its
-size.  While Newton contracts it keeps its last Jacobian (a chord step;
-Kelley, Solving Nonlinear Equations with Newton's Method, SIAM 2003), and it
-measures convergence on F itself, never on the Jacobian.  The Jacobian is a
-dense matrix, so a system of more than DENSE_SIZE_LIMIT unknowns is refused.
+size.  For the same reason the Jacobian's block graph is the tree itself, and
+it is kept as per-level blocks (``JacobianBlocks``): per node a diagonal block
+and the couplings to its parent and its children.  Newton factorises it by
+block elimination, leaves first, which creates no fill outside the parents'
+diagonal blocks (Parter 1961, SIAM Review 3(2)): each level is one batched
+inversion of its pivot blocks, and time and memory are linear in the nodes.
+The storage is checked against BLOCK_BUDGET from the node counts before
+anything is allocated.  While Newton contracts it keeps its last
+factorisation (a chord step; Kelley, Solving Nonlinear Equations with
+Newton's Method, SIAM 2003), so a chord step is two sweeps of batched
+matrix-vector products, and it measures convergence on F itself, never on
+the Jacobian.
+
+What is independent, and what is not: the elimination factorises the
+numerical Jacobian of the whole residual map in a fixed order and never forms
+P_t, Gamma_t or an offset.  The paper's decoupling is a structured form of the
+same leaves-first elimination, so a singular Gamma_t and a singular pivot
+block come together.  The oracle's independence lies in its code and its data
+(finite differences of the defining equations), not in its algebra.
 Plain backward equations (no forward state) are covered by the same machinery
 with an empty X block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +58,7 @@ from .linear_fbsde import LinearCoefficients, equation_defects, require_coupled_
 from .nonlinear_fbsde import NonlinearModel
 
 __all__ = [
-    "NewtonTrace", "OracleFailedError", "OracleSolution", "ResidualSystem",
+    "JacobianBlocks", "NewtonTrace", "OracleFailedError", "OracleSolution", "ResidualSystem",
     "build_residual_system", "solution_gap", "solve_global_newton",
 ]
 
@@ -53,9 +69,10 @@ ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 30
 # a full Newton step that cuts the sup-residual by this factor keeps its Jacobian
 REUSE_CONTRACTION = 0.1
-# largest system the dense Jacobian serves: the matrix and the solve's copy of
-# it take 2 * 8 * size**2 bytes, about 1 GiB at this size
-DENSE_SIZE_LIMIT = 8000
+# the most floats one Jacobian may hold: its colour differences plus its
+# diagonal and coupling blocks (128 MiB); the factorisation and the cached
+# 32-bit scatter positions add less than as much again
+BLOCK_BUDGET = 2**24
 
 
 @dataclass(frozen=True)
@@ -77,6 +94,30 @@ class OracleFailedError(Exception):
 
 
 @dataclass(frozen=True)
+class JacobianBlocks:
+    """A Jacobian of a residual system as per-level node blocks; every entry
+    outside them is zero.
+
+    ``rows`` and ``cols`` give the positions of the residual rows and of the
+    unknowns in the stacked vectors, level by level and node by node: level t
+    takes N_t w_t of each, w_t to a node (so the blocks are square).  A
+    node's children are consecutive, K to a parent (K the branch count of the
+    parent's level), so node i of level t has parent i // K.
+    ``diagonal[t]``, shape (N_t, w_t, w_t), holds each node's rows against its
+    own unknowns.  For t >= 1, ``parent[t]``, shape (N_t, w_t, w_{t-1}), holds
+    each node's rows against its parent's unknowns, and ``child[t]``, shape
+    (N_{t-1}, w_{t-1}, K w_t), each parent's rows against the unknowns of its
+    K children side by side.  ``parent[0]`` and ``child[0]`` are None.
+    """
+
+    diagonal: tuple[np.ndarray, ...]
+    parent: tuple[np.ndarray | None, ...]
+    child: tuple[np.ndarray | None, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+@dataclass(frozen=True)
 class ResidualSystem:
     """Square residual map of one slab system ``problem`` on one tree.
 
@@ -85,8 +126,9 @@ class ResidualSystem:
     :func:`~fbsdelta.linear_fbsde.equation_defects` reads (``drift``,
     ``noise_loading``, ``driver`` and ``terminal``).  Those four must be
     row-local (row i of a result reads only row i of the inputs), which is
-    what the colouring in :meth:`jacobian` relies on.  A system of more than
-    ``DENSE_SIZE_LIMIT`` unknowns is refused with OracleFailedError.
+    what the colouring in :meth:`jacobian` relies on.  A system whose
+    Jacobian would hold more than ``BLOCK_BUDGET`` floats is refused with
+    OracleFailedError.
     """
 
     tree: ProbabilityTree
@@ -94,13 +136,19 @@ class ResidualSystem:
 
     def __post_init__(self):
         # from the node counts alone, before any array of the system's size exists
-        size = sum(
-            self.tree.node_count(t) * math.prod(shape) for lo, hi, shape in self._blocks for t in range(lo, hi + 1)
-        )
-        if size > DENSE_SIZE_LIMIT:
+        tree, T = self.tree, self.tree.horizon
+        widths = [sum(math.prod(shape) for lo, hi, shape in self._blocks if lo <= t <= hi) for t in range(T + 1)]
+        counts = [tree.node_count(t) for t in range(T + 1)]
+        size = sum(count * width for count, width in zip(counts, widths))
+        colours = (max(tree.branch_count(t) for t in range(T)) + 2) * sum(math.prod(s) for *_, s in self._blocks)
+        # the colour differences, then per node its diagonal block and the two
+        # couplings to its parent
+        above = [0] + widths[:-1]
+        floats = colours * size + sum(n * w * (w + 2 * a) for n, w, a in zip(counts, widths, above))
+        if floats > BLOCK_BUDGET:
             raise OracleFailedError(
-                f"the oracle's dense Jacobian would have {size} unknowns and need {16 * size**2:.3e} bytes "
-                f"with the solve's copy, over the limit of {DENSE_SIZE_LIMIT} unknowns"
+                f"the oracle's Jacobian for {size} unknowns would hold {floats} floats ({8 * floats:.3e} bytes), "
+                f"over the budget of {BLOCK_BUDGET}"
             )
 
     @property
@@ -143,34 +191,39 @@ class ResidualSystem:
         slabs = (*defects.forward, *defects.y_projection, *defects.z_projection, defects.terminal)
         return np.concatenate([slab.ravel() for slab in slabs])
 
-    def jacobian(self, vec: np.ndarray, *, _base: np.ndarray | None = None) -> np.ndarray:
-        """Forward-difference Jacobian, one residual evaluation per colour of
-        columns (plus the base point) rather than per unknown.
+    def jacobian(self, vec: np.ndarray, *, _base: np.ndarray | None = None) -> JacobianBlocks:
+        """Forward-difference Jacobian as per-level node blocks, one residual
+        evaluation per colour of columns (plus the base point) rather than
+        per unknown.
 
         All columns of one colour are bumped together; since no residual row
         depends on two of them, each row's difference belongs to the one
-        column of that colour in the row's structural neighbourhood, so the
-        result equals the column-by-column quotients exactly.  ``_base`` is
-        the residual at ``vec`` when the caller already holds it (Newton
+        column of that colour in the row's structural neighbourhood, so each
+        block entry equals the column-by-column quotient exactly.  ``_base``
+        is the residual at ``vec`` when the caller already holds it (Newton
         does), which saves the base evaluation.
         """
         vec = np.asarray(vec, dtype=float)
-        groups, rows, cols, colours = self._colouring
+        groups, scatter, pieces, rows, cols = self._colouring
         base = self.residual(vec) if _base is None else _base
         diffs = np.empty((len(groups), self.size))
         for c, group in enumerate(groups):
             bumped = vec.copy()
             bumped[group] += FD_STEP
             diffs[c] = (self.residual(bumped) - base) / FD_STEP
-        jac = np.zeros((self.size, self.size))
-        jac[rows, cols] = diffs[colours, rows]
-        return jac
+        entries = np.take(diffs, scatter)
+        blocks = [entries[start:end].reshape(shape) for start, end, shape in pieces]
+        return JacobianBlocks((blocks[0], *blocks[1::3]), (None, *blocks[2::3]), (None, *blocks[3::3]), rows, cols)
 
     @cached_property
-    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """Column colouring and structural nonzeros of the Jacobian: the
-        columns bumped together per colour, and each structural nonzero
-        ``(rows[i], cols[i])`` with the colour ``colours[i]`` of its column.
+    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[tuple], np.ndarray, np.ndarray]:
+        """Column colouring of the Jacobian: the columns bumped together per
+        colour; where each block entry sits in the (colour, residual row)
+        array of differences, as one array of flat positions, block after
+        block (the root's diagonal block, then per level t >= 1 the diagonal,
+        parent and child blocks of :class:`JacobianBlocks`), with each
+        block's (start, end, shape) in it; and the ``rows`` and ``cols`` of
+        :class:`JacobianBlocks`.
 
         An unknown at node a enters only the residual rows of a, of its
         parent and of its children (the model functions are row-local), so
@@ -191,19 +244,8 @@ class ResidualSystem:
         # the root's parent stands in with colour k_max + 1, so its children take 1..K
         node_colour, parent_colour = np.zeros(1, dtype=np.intp), np.full(1, k_max + 1)
         colour = np.empty(self.size, dtype=np.intp)
-        rows, cols = [], []
         for t in range(T + 1):
-            count = tree.node_count(t)
-            related = [row_index[t]]
-            if t > 0:
-                related.append(row_index[t - 1][np.arange(count) // tree.branch_count(t - 1)])
-            if t < T:
-                related.append(row_index[t + 1].reshape(count, -1))
-            related = np.hstack(related)
             colour[col_index[t]] = node_colour[:, None] * width + col_slot[t][None, :]
-            shape = col_index[t].shape + related.shape[1:]
-            rows.append(np.broadcast_to(related[:, None, :], shape).ravel())
-            cols.append(np.broadcast_to(col_index[t][:, :, None], shape).ravel())
             if t < T:
                 # the k-th child of a node coloured c, whose parent is coloured
                 # p, takes the k-th colour outside {c, p}: skip the smaller, then the larger
@@ -213,9 +255,22 @@ class ResidualSystem:
                 q += q >= np.maximum(c, p)
                 node_colour, parent_colour = q, c
         _, colour = np.unique(colour, return_inverse=True)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
         groups = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
-        return groups, rows, cols, colour[cols]
+        # entry (row, column) of the Jacobian is differences[colour of the column, row]
+        at = [colour[index] * self.size for index in col_index]
+        scatter = [at[0][:, None, :] + row_index[0][:, :, None]]
+        for t in range(1, T + 1):
+            above, (count, w) = len(row_index[t - 1]), row_index[t].shape
+            scatter.append(at[t][:, None, :] + row_index[t][:, :, None])
+            # the level's nodes grouped by parent: (parent, sibling) axes
+            scatter.append((at[t - 1][:, None, None, :] + row_index[t].reshape(above, -1, w, 1)).reshape(count, w, -1))
+            scatter.append(at[t].reshape(above, 1, -1) + row_index[t - 1][:, :, None])
+        ends = itertools.accumulate(block.size for block in scatter)
+        pieces = [(end - block.size, end, block.shape) for end, block in zip(ends, scatter)]
+        # under BLOCK_BUDGET every position fits in 32 bits
+        flat = np.concatenate([block.ravel() for block in scatter]).astype(np.int32)
+        rows, cols = (np.concatenate([index.ravel() for index in where]) for where in (row_index, col_index))
+        return groups, flat, pieces, rows, cols
 
 
 def _stacking(tree: ProbabilityTree, blocks) -> tuple[int, list, list[np.ndarray], list[np.ndarray]]:
@@ -271,12 +326,86 @@ class OracleSolution:
     trace: NewtonTrace
 
 
-def _direction(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """The Newton direction, or a least-squares one when ``jac`` is singular."""
+@dataclass(frozen=True)
+class _Elimination:
+    """Leaves-first block elimination of a JacobianBlocks: per level t the
+    inverse of its pivot block S_t (the diagonal block less the Schur updates
+    of its children) and S_t^{-1} times the parent coupling (None at t = 0),
+    and each level's slice of the blocks' ``rows`` and ``cols``."""
+
+    blocks: JacobianBlocks
+    inverse: tuple[np.ndarray, ...]
+    solved_parent: tuple[np.ndarray | None, ...]
+    levels: tuple[slice, ...]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """J^{-1} rhs by two sweeps of batched matrix-vector products: the
+        reduced right-hand sides from the leaves to the root, then the
+        unknowns from the root to the leaves."""
+        child, inverse, solved_parent, levels = self.blocks.child, self.inverse, self.solved_parent, self.levels
+        T = len(levels) - 1
+        r = rhs[self.blocks.rows]
+        reduced: list = [None] * (T + 1)
+        for t in range(T, -1, -1):
+            level = r[levels[t]].reshape(inverse[t].shape[:2])
+            if t < T:
+                # the children's reduced right-hand sides, siblings side by side
+                level -= (child[t + 1] @ reduced[t + 1].reshape(len(level), -1, 1))[..., 0]
+            reduced[t] = (inverse[t] @ level[..., None])[..., 0]
+        x = reduced[0]
+        r[levels[0]] = x.ravel()
+        for t in range(1, T + 1):
+            x = reduced[t] - (solved_parent[t].reshape(len(x), -1, x.shape[1]) @ x[..., None]).reshape(reduced[t].shape)
+            r[levels[t]] = x.ravel()
+        out = np.empty_like(rhs)
+        out[self.blocks.cols] = r
+        return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _factorise(blocks: JacobianBlocks) -> _Elimination:
+    """Eliminate the nodes leaves first, one batched inversion per level over
+    its pivot blocks.  Raises _SingularPivot at the first pivot that fails."""
+    T = len(blocks.diagonal) - 1
+    inverse: list = [None] * (T + 1)
+    solved_parent: list = [None] * (T + 1)
+    for t in range(T, -1, -1):
+        pivot = blocks.diagonal[t]
+        if t < T:
+            # S_t^{-1} U of the K children stacked: their Schur updates sum in one product
+            pivot = pivot - blocks.child[t + 1] @ solved_parent[t + 1].reshape(len(pivot), -1, pivot.shape[1])
+        inverse[t] = _invert_pivots(pivot, t)
+        if t:
+            solved_parent[t] = inverse[t] @ blocks.parent[t]
+    sizes = [len(block) * block.shape[1] for block in blocks.diagonal]
+    levels = tuple(slice(end - size, end) for end, size in zip(itertools.accumulate(sizes), sizes))
+    return _Elimination(blocks, tuple(inverse), tuple(solved_parent), levels)
+
+
+class _SingularPivot(Exception):
+    """A pivot block of the elimination is singular or has a non-finite
+    inverse; the arguments are its time t and its node's index in level t."""
+
+
+def _invert_pivots(pivot: np.ndarray, t: int) -> np.ndarray:
+    """Batched inverse of a level's pivot blocks; _SingularPivot names the
+    first block that is singular or has a non-finite inverse."""
     try:
-        return np.linalg.solve(jac, -res)
+        inverse = np.linalg.inv(pivot)
+        if np.isfinite(inverse).all():
+            return inverse
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(jac, -res, rcond=None)[0]
+        pass
+    for index, block in enumerate(pivot):
+        try:
+            if not np.isfinite(np.linalg.inv(block)).all():
+                break
+        except np.linalg.LinAlgError:
+            break
+    else:
+        index = 0
+    raise _SingularPivot(t, index)
 
 
 def _line_search(system: ResidualSystem, vec, res, sup: float, direction, tries: int):
@@ -302,46 +431,53 @@ def solve_global_newton(system: ResidualSystem) -> OracleSolution:
     """Drive the stacked residual from zero to sup-norm ``NEWTON_TOL`` by
     damped Newton steps.
 
-    Each step solves the finite-difference Jacobian system (falling back to a
-    least-squares direction when it is singular) and backtracks until the
-    squared norm of the residual, divided by the current sup-norm, satisfies
-    a standard sufficient-decrease rule.  The scaling keeps the merit finite
-    at the current point, so a residual near the float range cannot pass
-    every trial as inf <= inf.
+    Each step solves the finite-difference Jacobian system by leaves-first
+    block elimination and backtracks until the squared norm of the residual,
+    divided by the current sup-norm, satisfies a standard sufficient-decrease
+    rule.  The scaling keeps the merit finite at the current point, so a
+    residual near the float range cannot pass every trial as inf <= inf.  A
+    singular or non-finite pivot block ends the iteration as a stalled line
+    search does, naming the time and node of the pivot.
 
-    While Newton contracts, the last Jacobian is kept (a chord step): after a
-    full step that cut the sup-residual by ``REUSE_CONTRACTION``, the next
-    step first tries the full step along the kept Jacobian's direction.  A
-    new Jacobian is built after a damped step, after a step that contracted
-    less, and when that full chord step fails the sufficient-decrease rule
-    (then at the same point, followed by the usual backtracking).  So a failed
-    line search always comes from a fresh Jacobian.
+    While Newton contracts, the last Jacobian's factorisation is kept (a chord
+    step): after a full step that cut the sup-residual by
+    ``REUSE_CONTRACTION``, the next step first tries the full step along the
+    kept factorisation's direction, which factorises nothing.  A new Jacobian
+    is built after a damped step, after a step that contracted less, and when
+    that full chord step fails the sufficient-decrease rule (then at the same
+    point, followed by the usual backtracking).  So a failed line search
+    always comes from a fresh Jacobian.
     """
     vec = np.zeros(system.size)
     res = system.residual(vec)
     norms: list[float] = []
     steps: list[float] = []
-    jac, jacobians = None, 0
+    factors, jacobians = None, 0
     for iteration in range(NEWTON_MAX_ITERS):
         sup = float(np.abs(res).max())
         if steps and (steps[-1] < 1.0 or sup > REUSE_CONTRACTION * norms[-1]):
-            jac = None
+            factors = None
         norms.append(sup)
         if sup <= NEWTON_TOL:
             trace = NewtonTrace(True, iteration, jacobians, tuple(norms), tuple(steps), "converged")
             x, y, z = system.unpack(vec)
             sol = build_solution(system.problem, system.tree, x if system.m else None, y, z)
             return OracleSolution(sol.X, sol.Y, sol.Z, sol.N, equation_residual=sup, trace=trace)
-        found = None if jac is None else _line_search(system, vec, res, sup, _direction(jac, res), 1)
+        found = None if factors is None else _line_search(system, vec, res, sup, factors.solve(-res), 1)
+        reason = ""
         if found is None:
-            jac = system.jacobian(vec, _base=res)
             jacobians += 1
-            found = _line_search(system, vec, res, sup, _direction(jac, res), MAX_BACKTRACKS)
+            try:
+                factors = _factorise(system.jacobian(vec, _base=res))
+            except _SingularPivot as pivot:
+                t, index = pivot.args
+                node = system.tree.nodes(t)[index]
+                reason = f": no Newton direction, the pivot block at t={t}, node {node} is singular or not finite"
+            else:
+                found = _line_search(system, vec, res, sup, factors.solve(-res), MAX_BACKTRACKS)
         if found is None:
             trace = NewtonTrace(False, iteration, jacobians, tuple(norms), tuple(steps), "line search stalled")
-            raise OracleFailedError(
-                f"line search could not reduce the residual below {sup:.3e}", trace
-            )
+            raise OracleFailedError(f"line search could not reduce the residual below {sup:.3e}{reason}", trace)
         s, vec, res = found
         steps.append(s)
     norms.append(float(np.abs(res).max()))

@@ -1,9 +1,9 @@
 """Run the suite with BLAS on one thread, as the benchmark does.
 
 A multi-threaded BLAS may sum in another order, so iterates that pass
-through many dense solves (the oracle on stiff models) would end in digits
-that depend on the machine's CPU count.  The variables must be set before
-NumPy loads, and pytest loads this file before any test module.
+through many BLAS products and solves (the oracle on stiff models) would end
+in digits that depend on the machine's CPU count.  The variables must be set
+before NumPy loads, and pytest loads this file before any test module.
 """
 
 import os

@@ -398,6 +398,24 @@ def per_column_jacobian(system, vec, step: float = FD_STEP) -> np.ndarray:
     return jac
 
 
+def dense_jacobian(blocks) -> np.ndarray:
+    """The dense matrix of an oracle Jacobian's per-level node blocks
+    (``JacobianBlocks``), zero outside them."""
+    jac = np.zeros((blocks.rows.size, blocks.cols.size))
+    ends = np.cumsum([diagonal[:, 0].size for diagonal in blocks.diagonal])[:-1]
+    rows, cols = (
+        [part.reshape(diagonal.shape[:2]) for part, diagonal in zip(np.split(where, ends), blocks.diagonal)]
+        for where in (blocks.rows, blocks.cols)
+    )
+    for t, diagonal in enumerate(blocks.diagonal):
+        jac[rows[t][:, :, None], cols[t][:, None, :]] = diagonal
+        if t:
+            parent = np.arange(len(rows[t])) // (len(rows[t]) // len(rows[t - 1]))
+            jac[rows[t][:, :, None], cols[t - 1][parent][:, None, :]] = blocks.parent[t]
+            jac[rows[t - 1][:, :, None], cols[t].reshape(len(rows[t - 1]), 1, -1)] = blocks.child[t]
+    return jac
+
+
 def spot_check_terminal_independence(
     tree: ProbabilityTree, gen: Generator, samples: int = 32, seed: int = 0, box: float = 5.0
 ) -> float:

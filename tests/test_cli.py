@@ -41,6 +41,7 @@ from fbsdelta.cli import (
 from fbsdelta.filtration import NODE_BUDGET
 from fbsdelta.linear_fbsde import MATRICES, TABLE_BUDGET
 from fbsdelta.model_dsl import NESTING_LIMIT
+from fbsdelta.oracle import BLOCK_BUDGET
 from helpers import NESTINGS, long_sum, random_increments, rademacher_tree, reference_process_csv
 
 
@@ -1020,16 +1021,20 @@ def test_oversized_trees_exit_3_before_anything_of_their_size_is_built(tmp_path,
         assert peak < 2**20
 
 
-def test_compare_oracle_refuses_a_dense_system_past_its_limit_before_solving(tmp_path, capsys):
-    # within the node budget, but 2 * (2^15 - 1) + 2 * (2^14 - 1) = 98,300 unknowns
+def test_compare_oracle_refuses_a_system_past_the_block_budget_before_solving(tmp_path, capsys):
+    # within the node budget, but 2 * (2^18 - 1) + 2 * (2^17 - 1) = 786,428
+    # unknowns, whose Jacobian would hold more than BLOCK_BUDGET floats
     scenario = bsde_scenario()
-    scenario["tree"]["horizon"] = 14
+    scenario["tree"]["horizon"] = 17
     path = write_scenario(tmp_path, scenario)
     out = tmp_path / "out"
     code, peak = _peak_traced_bytes(lambda: main(["compare-oracle", path, "--out", str(out)]))
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("the oracle's dense Jacobian would have 98300 unknowns and need 1.546e+11 bytes")
+    assert err == (
+        "the oracle's Jacobian for 786428 unknowns would hold 21495664 floats (1.720e+08 bytes), "
+        f"over the budget of {BLOCK_BUDGET}\n"
+    )
     assert not out.exists()
     assert peak < 4 * 2**20
 

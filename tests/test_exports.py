@@ -83,7 +83,7 @@ import numpy as np
 import fbsdelta.cli
 from fbsdelta import (
     IncrementDistribution, NonlinearModel, ProbabilityTree, anchor_coefficients,
-    check_monotone, solve_continuation, solve_linear,
+    build_residual_system, check_monotone, solve_continuation, solve_global_newton, solve_linear,
 )
 tree = ProbabilityTree([IncrementDistribution.rademacher()] * 2)
 G = np.array([[1.0, 0.2], [-0.1, 0.9]])
@@ -95,14 +95,16 @@ model = NonlinearModel(
     f=lambda t, x, y, z, nodes: x,
 )
 solve_continuation(model, tree)
+assert solve_global_newton(build_residual_system(tree, model)).trace.converged
 assert check_monotone(model, tree, samples=50, beta1=0.5, beta2=0.5).ok
 print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
 """
 
 
 def test_the_solvers_run_without_loading_scipy():
-    # Gamma_t is solved with NumPy: importing the command line and running the
-    # linear solver, the continuation and the monotonicity check load no SciPy.
+    # Gamma_t and the oracle's pivot blocks are solved with NumPy: importing the
+    # command line and running the linear solver, the continuation, the Newton
+    # oracle and the monotonicity check load no SciPy.
     src = os.path.dirname(os.path.dirname(fbsdelta.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -18,18 +18,21 @@ from fbsdelta import (
     ResidualSystem,
     anchor_coefficients,
     build_residual_system,
+    check_solvability,
     nonlinear_residual,
     riccati_matrices,
     solution_gap,
     solve_bsde,
+    solve_continuation,
     solve_global_newton,
     solve_linear,
 )
-from fbsdelta.oracle import DENSE_SIZE_LIMIT
+from fbsdelta.oracle import BLOCK_BUDGET, _factorise
 from helpers import (
     counting_model,
     decoupled_model,
     decoupled_slab_model,
+    dense_jacobian,
     mild_coupled_model,
     per_column_jacobian,
     pointwise_twin,
@@ -67,7 +70,7 @@ def test_system_is_square_with_the_expected_count():
         assert system.size == expected
         vec = rng.uniform(-1.0, 1.0, size=system.size)
         assert system.residual(vec).shape == (system.size,)
-        assert system.jacobian(vec).shape == (system.size, system.size)
+        assert dense_jacobian(system.jacobian(vec)).shape == (system.size, system.size)
 
 
 def test_oracle_agrees_with_the_linear_solver():
@@ -131,13 +134,29 @@ def test_degenerate_instance_yields_a_singular_jacobian():
     degenerate = singular_instance(tree)
     system = build_residual_system(tree, degenerate)
     assert np.abs(system.residual(np.zeros(system.size))).max() == 0.0
-    jac = system.jacobian(np.zeros(system.size))
+    jac = dense_jacobian(system.jacobian(np.zeros(system.size)))
     assert np.linalg.svd(jac, compute_uv=False)[-1] <= 1e-10
 
     solvable = anchor_coefficients(tree, [[1.0]], 1.0, 1.0, [[0.0]])
     reference = build_residual_system(tree, solvable)
-    ref_jac = reference.jacobian(np.zeros(reference.size))
+    ref_jac = dense_jacobian(reference.jacobian(np.zeros(reference.size)))
     assert np.linalg.svd(ref_jac, compute_uv=False)[-1] > 1e-6
+
+
+def test_a_singular_step_stops_newton_at_its_pivot_block():
+    # criterion 04's singular step with a nonzero start: Gamma_1 is singular,
+    # and so is the pivot block of the first node at t = 1
+    tree = rademacher_tree(2)
+    coeffs = LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.5], B=np.array([[[0.0]], [[1.0]]]))
+    assert check_solvability(coeffs, tree).failure_t == 1
+    message = (
+        r"^line search could not reduce the residual below 5\.000e-01: no Newton direction, "
+        r"the pivot block at t=1, node \(0,\) is singular or not finite$"
+    )
+    with pytest.raises(OracleFailedError, match=message) as exc:
+        solve_global_newton(build_residual_system(tree, coeffs))
+    assert exc.value.trace.message == "line search stalled"
+    assert exc.value.trace.jacobians == 1
 
 
 def test_newton_reports_failure_with_trace(monkeypatch):
@@ -164,12 +183,21 @@ def test_a_linear_system_converges_with_one_jacobian():
         assert solution_gap(oracle, solve_linear(coeffs, tree)) <= MATCH_TOL
 
 
-def test_newton_keeps_its_jacobian_while_it_contracts():
+def test_newton_keeps_its_jacobian_while_it_contracts(monkeypatch):
+    # a chord step solves with the kept factors: one factorisation per Jacobian
+    factorised = []
+
+    def counted(blocks):
+        factorised.append(1)
+        return _factorise(blocks)
+
+    monkeypatch.setattr("fbsdelta.oracle._factorise", counted)
     system = build_residual_system(rademacher_tree(4), mild_coupled_model(m=2, seed=203, eps=2))
     oracle = solve_global_newton(system)
     assert oracle.trace.converged
     assert oracle.equation_residual <= EQUATION_TOL
     assert oracle.trace.jacobians < oracle.trace.iterations
+    assert len(factorised) == oracle.trace.jacobians
 
 
 def test_a_stiff_model_still_fails_its_line_search_on_a_fresh_jacobian():
@@ -180,16 +208,17 @@ def test_a_stiff_model_still_fails_its_line_search_on_a_fresh_jacobian():
     assert exc.value.trace.message == "line search stalled"
 
 
-def test_systems_past_the_dense_limit_are_refused_before_anything_is_allocated():
-    # m = n = 1 on a binary tree of horizon T has 5 * 2^T - 4 unknowns
-    fits = rademacher_tree(10)
-    assert build_residual_system(fits, LinearCoefficients.build(fits, 1, 1, G=[[1.0]], x0=[[0.0]])).size == 5116
-    assert 5116 <= DENSE_SIZE_LIMIT < 10236
-    tree = rademacher_tree(11)
+def test_systems_past_the_block_budget_are_refused_before_anything_is_allocated():
+    # m = n = 1 on a binary tree of horizon T has 5 * 2^T - 4 unknowns; its
+    # Jacobian holds 12 colour differences per unknown plus the node blocks
+    fits = rademacher_tree(17)
+    assert build_residual_system(fits, LinearCoefficients.build(fits, 1, 1, G=[[1.0]], x0=[[0.0]])).size == 655356
+    tree = rademacher_tree(18)
     coeffs = LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[[0.0]])
     tracemalloc.start()
     try:
-        with pytest.raises(OracleFailedError, match=r"^the oracle's dense Jacobian would have 10236 unknowns and need 1\.676e\+09"):
+        message = r"^the oracle's Jacobian for 1310716 unknowns would hold 27000722 floats \(2\.160e\+08 bytes\)"
+        with pytest.raises(OracleFailedError, match=message + rf", over the budget of {BLOCK_BUDGET}$"):
             build_residual_system(tree, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -269,7 +298,17 @@ def residual_systems(draw) -> ResidualSystem:
 @given(system=residual_systems(), seed=st.integers(0, 2**32 - 1))
 def test_coloured_jacobian_equals_the_per_column_reference(system, seed):
     vec = np.random.default_rng(seed).uniform(-1.0, 1.0, size=system.size)
-    assert np.array_equal(system.jacobian(vec), per_column_jacobian(system, vec))
+    assert np.array_equal(dense_jacobian(system.jacobian(vec)), per_column_jacobian(system, vec))
+
+
+@_PROPERTY
+@given(system=residual_systems(), seed=st.integers(0, 2**32 - 1))
+def test_the_block_elimination_direction_equals_the_dense_solve(system, seed):
+    vec = np.random.default_rng(seed).uniform(-1.0, 1.0, size=system.size)
+    res = system.residual(vec)
+    blocks = system.jacobian(vec, _base=res)
+    dense = np.linalg.solve(dense_jacobian(blocks), -res)
+    assert np.abs(_factorise(blocks).solve(-res) - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @_PROPERTY
@@ -282,7 +321,7 @@ def test_the_jacobian_determinant_is_the_product_of_the_gamma_determinants(seed,
     tree = random_tree(rng, horizon, (2, 3))
     coeffs = random_linear_coefficients(rng, tree, m, n, scale=1.5)
     system = build_residual_system(tree, coeffs)
-    sign, logdet = np.linalg.slogdet(system.jacobian(np.zeros(system.size)))
+    sign, logdet = np.linalg.slogdet(dense_jacobian(system.jacobian(np.zeros(system.size))))
     gammas = riccati_matrices(coeffs).gammas
     expected = sum(tree.node_count(t) * np.linalg.slogdet(gammas[t])[1] for t in range(horizon))
     assert sign != 0.0 and abs(logdet - expected) <= 1e-6
@@ -380,17 +419,26 @@ def test_colouring_a_wide_step_takes_memory_linear_in_its_outcomes():
     assert len(groups) == system.size == 602
     assert peak < 2**20
     vec = rng.uniform(-1.0, 1.0, size=system.size)
-    assert np.array_equal(system.jacobian(vec), per_column_jacobian(system, vec))
+    assert np.array_equal(dense_jacobian(system.jacobian(vec)), per_column_jacobian(system, vec))
 
 
 def test_oracle_agrees_with_the_linear_solver_beyond_a_thousand_unknowns():
     started = time.perf_counter()
-    tree = rademacher_tree(8)
+    tree = rademacher_tree(15)
     coeffs = random_linear_coefficients(np.random.default_rng(43), tree, 1, 1)
     system = build_residual_system(tree, coeffs)
-    assert system.size == 1276
+    assert system.size == 163836
     oracle = solve_global_newton(system)
     assert oracle.trace.converged
     assert oracle.equation_residual <= EQUATION_TOL
     assert solution_gap(oracle, solve_linear(coeffs, tree)) <= MATCH_TOL
     assert time.perf_counter() - started < 10.0
+
+
+def test_oracle_agrees_with_the_continuation_beyond_eight_thousand_unknowns():
+    model, tree = mild_coupled_model(m=2, seed=5), rademacher_tree(10)
+    system = build_residual_system(tree, model)
+    assert system.size == 10232
+    oracle = solve_global_newton(system)
+    assert oracle.equation_residual <= EQUATION_TOL
+    assert solution_gap(oracle, solve_continuation(model, tree).solution) <= 1e-6
