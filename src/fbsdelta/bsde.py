@@ -185,8 +185,9 @@ def build_solution(problem, tree: ProbabilityTree, x, y: list, z: list, aggregat
 def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> FbsdeSolution:
     """Solve the backward equation exactly by one backward sweep.
 
-    Raises NonFiniteSolutionError if the sweep overflows.  Non-finite driver
-    values are passed on, and every residual check reads them as inf.
+    Raises NonFiniteSolutionError if the sweep overflows or the terminal
+    data is not finite.  Non-finite driver values are passed on, and every
+    residual check reads them as inf.
     """
     system = BackwardSystem(tree, gen, eta)  # validates the dimensions and the terminal data
     horizon = tree.horizon
@@ -195,29 +196,41 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Fb
     z_slabs: list[np.ndarray] = [np.empty(0)] * horizon
     aggregates: list[np.ndarray] = [np.empty(0)] * horizon
     z_next = np.zeros((tree.node_count(horizon), gen.n, tree.d))  # z = 0 at T
-    last_bad = -1  # the largest t whose driver slab (f at t + 1) is not finite
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon - 1, -1, -1):
             driver = system.driver(t + 1, None, y_slabs[t + 1], z_next, tree.nodes(t + 1))
-            if last_bad < 0 and not np.isfinite(driver).all():
-                last_bad = t
             aggregates[t] = y_slabs[t + 1] + driver
             y_slabs[t] = tree.expect_next(aggregates[t], t)
             z_slabs[t] = z_next = tree.expect_next_increment(aggregates[t], t)
 
     sol = build_solution(system, tree, None, y_slabs, z_slabs, aggregates)
+    # N_T sums the slabs of the sweep along each path to a leaf, so it is
+    # finite unless one of them overflowed
+    if np.isfinite(sol.N.at(horizon)).all():
+        return sol
+
+    # Non-finite driver values go on to the residual checks, so the scan stops
+    # above the largest t whose driver (f at t + 1) is not finite.  Y is
+    # finite above some time and not at or below it, so that t can only be
+    # where the aggregate turns non-finite over a finite Y_{t+1}; the driver
+    # there, evaluated again, tells a non-finite driver from a sum that overflowed.
+    finite = [np.isfinite(slab).all() for slab in y_slabs[1:]]
+    last_bad = next((t for t in range(horizon - 1, -1, -1) if finite[t] and not np.isfinite(aggregates[t]).all()), -1)
+    if last_bad >= 0:
+        z_at = z_slabs[last_bad + 1] if last_bad + 1 < horizon else np.zeros((tree.node_count(horizon), gen.n, tree.d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            driver = system.driver(last_bad + 1, None, y_slabs[last_bad + 1], z_at, tree.nodes(last_bad + 1))
+        if np.isfinite(driver).all():
+            last_bad = -1
 
     def sweep():
-        for t in range(horizon - 1, last_bad, -1):  # non-finite drivers go on to the residual checks
+        for t in range(horizon - 1, last_bad, -1):
             yield from (("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
         if last_bad < 0:
             yield from (("N", t, slab) for t, slab in enumerate(sol.N.values))
 
-    # N_T sums the slabs of the sweep along each path to a leaf, so it is
-    # finite unless one of them overflowed
-    if not np.isfinite(sol.N.at(horizon)).all():
-        refuse_non_finite(tree, sweep())
+    refuse_non_finite(tree, sweep())
     return sol
 
 

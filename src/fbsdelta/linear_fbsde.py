@@ -340,8 +340,10 @@ class RiccatiMatrices:
     Gamma_t^{-1} [I + A_t; Abar_t], the (2m, m) map from X_t to the forward
     step's (u, v); with Gamma_t it is kept so repeated solves with fresh
     inhomogeneous data redo no matrix recursion and solve Gamma_t only for
-    the offset part.  ``failure_t`` is the largest t whose Gamma_t was
-    (numerically) singular, or None; ``inv_IA`` stays zero at and below it.
+    the offset part.  ``BC[t]`` is the (2m, 2n) block [B_t C_t; Bbar_t
+    Cbar_t] that carries the offset process into that part.  ``failure_t``
+    is the largest t whose Gamma_t was (numerically) singular, or None;
+    ``inv_IA`` stays zero at and below it.
     """
 
     P: np.ndarray
@@ -349,6 +351,7 @@ class RiccatiMatrices:
     sigma_min: np.ndarray
     gamma_reports: tuple[GammaReport, ...]
     inv_IA: np.ndarray = field(repr=False)
+    BC: np.ndarray = field(repr=False)
     failure_t: int | None = None
 
 
@@ -411,6 +414,7 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
         sigma_min=sigma_min,
         gamma_reports=tuple(sorted(reports)),
         inv_IA=inv_IA,
+        BC=np.block([[coeffs.B, coeffs.C], [coeffs.Bbar, coeffs.Cbar]]),
         failure_t=failure_t,
     )
 
@@ -460,10 +464,9 @@ def _offset_backward(
     for t in range(T - 1, -1, -1):
         ep = ep_slabs[t] = tree.expect_next(p_slabs[t + 1], t)
         epdw = epdw_slabs[t] = tree.expect_next_increment(p_slabs[t + 1], t)
-        bc = np.block([[coeffs.B[t], coeffs.C[t]], [coeffs.Bbar[t], coeffs.Cbar[t]]])
         qr = np.concatenate([ep, epdw], axis=1)[:, :, 0].T  # (2n, N_t)
         dd = np.concatenate([D[t], Dbar[t]], axis=1)[:, :, 0].T  # (2m, N_t)
-        w = w_slabs[t] = np.linalg.solve(mats.gammas[t], bc @ qr + dd).T[:, :, None]
+        w = w_slabs[t] = np.linalg.solve(mats.gammas[t], mats.BC[t] @ qr + dd).T[:, :, None]
         if t == 0:
             break
         p_next = mats.P[t + 1]

@@ -15,9 +15,13 @@ G) and the model itself.  Each interpolation level is solved by freezing the
 nonlinearity at the previous iterate and solving the resulting linear system
 exactly, walking alpha from 0 to 1 in adaptive steps.  Each stage makes one
 fixed-point attempt against the anchor at its target alpha: plain Picard
-while the observed contraction can still reach the tolerance within the
-iteration budget, Anderson mixing of depth ``MIXING_DEPTH`` after that.  The
-step halves when the attempt stalls.  Inside the solver every process is a
+while the observed contraction can still reach the stage's tolerance within
+the iteration budget, Anderson mixing of depth ``MIXING_DEPTH`` after that.
+The step halves when the attempt stalls.  As in predictor-corrector
+continuation (Allgower & Georg, 2003), a stage below alpha = 1 is a stepping
+stone, corrected only to sqrt(picard_tol), and each stage starts from the
+secant through the last two accepted ladder points; only the alpha = 1 point
+is driven to picard_tol and returned.  Inside the solver every process is a
 list of raw time slabs; adapted processes are built only for the returned
 solution.
 """
@@ -197,11 +201,15 @@ class ContinuationConfig:
     """Step control for the interpolation ladder.
 
     ``delta_init`` is the first attempted alpha step.  Each stage target gets
-    one fixed-point attempt of at most ``picard_max_iters`` linear solves,
-    from the last accepted triple: plain Picard against the anchor while the
-    observed contraction can still reach ``picard_tol`` within that budget,
-    Anderson mixing after that.  When the attempt stalls the step halves,
-    down to ``delta_min``.
+    one fixed-point attempt of at most ``picard_max_iters`` linear solves:
+    plain Picard against the anchor while the observed contraction can still
+    reach the stage's tolerance within that budget, Anderson mixing after
+    that.  When the attempt stalls the step halves, down to ``delta_min``.
+    The stage at alpha = 1 is solved to ``picard_tol``; a stage below it is
+    a stepping stone, accepted at max(picard_tol, sqrt(picard_tol)).  The
+    attempt starts from the anchor solution until a stage is accepted, then
+    from the secant through the last two accepted ladder points.  The answer
+    must pass the residual check against ``validation_tol``.
     """
 
     delta_init: float = 0.5
@@ -284,12 +292,27 @@ def _unflatten(flat: np.ndarray, like: tuple) -> tuple:
     return tuple([next(pieces).reshape(slab.shape) for slab in part] for part in like)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the linear solve refuses an overflowed offset, by name
+def _secant(before: tuple, last: tuple, target: float) -> tuple:
+    """The (x, y, z) slab lists on the line through the ladder points
+    ``before`` and ``last``, each an (alpha, slab lists) pair, at ``target``."""
+    (alpha_prev, u_prev), (alpha, u) = before, last
+    ratio = (target - alpha) / (alpha - alpha_prev)
+    return tuple([a + ratio * (a - b) for a, b in zip(part, part_prev)] for part, part_prev in zip(u, u_prev))
+
+
 def solve_continuation(
     model: NonlinearModel,
     tree: ProbabilityTree,
     config: ContinuationConfig | None = None,
 ) -> ContinuationResult:
     """Walk the interpolation parameter from the anchor system to the model.
+
+    Stepping stones (targets below 1) stop at max(picard_tol,
+    sqrt(picard_tol)), and each stage starts from the secant through the last
+    two accepted ladder points (from the anchor solution before that); a
+    level's fixed point does not depend on the start, and only the alpha = 1
+    point, solved to ``picard_tol``, is returned.
 
     Raises NotSolvableError if the anchor itself is not solvable and
     ContinuationFailedError if stages keep stalling at the minimum step or the
@@ -306,16 +329,16 @@ def solve_continuation(
         counters["solves"] += 1
         return _solve_linear(anchor, mats, tree, offsets)
 
-    def stage(u: tuple, alpha: float) -> tuple[tuple | None, tuple[float, ...]]:
-        """The level-alpha fixed point reached from ``u`` (None when the
-        attempt stalls) and the distance of every iteration."""
+    def stage(u: tuple, alpha: float, tol: float) -> tuple[tuple | None, tuple[float, ...]]:
+        """The level-alpha fixed point reached from ``u`` to distance ``tol``
+        (None when the attempt stalls) and the distance of every iteration."""
         distances, images, defects = [], [], []  # flattened history, kept once the stage mixes
         for _ in range(config.picard_max_iters):
             v = linear_solve(_homotopy_offsets(model, tree, u, alpha))
             distances.append(_distance(tree, u, v))
-            if distances[-1] <= config.picard_tol:
+            if distances[-1] <= tol:
                 return v, tuple(distances)
-            mixing = images or _out_of_reach(distances, config.picard_tol, config.picard_max_iters)
+            mixing = images or _out_of_reach(distances, tol, config.picard_max_iters)
             if mixing and math.isfinite(distances[-1]):  # an overflowed v goes on, to be refused by name
                 images = images[-MIXING_DEPTH:] + [_flatten(v)]
                 defects = defects[-MIXING_DEPTH:] + [images[-1] - _flatten(u)]
@@ -324,7 +347,10 @@ def solve_continuation(
             u = v
         return None, tuple(distances)
 
+    # a stepping stone (target below 1) only has to be close enough to predict the next one
+    stone_tol = max(config.picard_tol, math.sqrt(config.picard_tol))
     current = linear_solve(_offset_slabs(anchor))
+    previous = None  # the ladder point (alpha, slabs) accepted before ``current``
     records: list[StageRecord] = []
     grid = [0.0]
     alpha, delta, targets = 0.0, config.delta_init, 0
@@ -333,15 +359,16 @@ def solve_continuation(
         trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan)
         return ContinuationFailedError(message, alpha, delta, trace)
 
-    while alpha < 1.0 - 1e-12:
+    while alpha < 1.0:
         if targets > 4000:
             raise failed(f"continuation abandoned after {targets} stage targets")
         targets += 1
-        target = min(1.0, alpha + delta)
-        reached, distances = stage(current, target)
+        target = 1.0 if alpha + delta > 1.0 - 1e-12 else alpha + delta  # a rounded sum still ends at 1
+        start = current if previous is None else _secant(previous, (alpha, current), target)
+        reached, distances = stage(start, target, config.picard_tol if target == 1.0 else stone_tol)
         records.append(StageRecord(alpha, target, delta, reached is not None, distances))
         if reached is not None:
-            current, alpha = reached, target
+            previous, current, alpha = (alpha, current), reached, target
             grid.append(target)
             continue
         delta *= 0.5

@@ -283,6 +283,20 @@ def test_overflow_in_the_sweep_is_refused_naming_the_slab():
     assert solve_bsde(tree, gen(nan_at=3), eta).Y.sup_norm() == np.inf
 
 
+@pytest.mark.parametrize(
+    "driver",
+    [lambda t, y, z, nodes: np.zeros((len(nodes), 1)), lambda t, y, z, nodes: -0.5 * y],
+    ids=["zero", "nan-carrying"],
+)
+def test_non_finite_terminal_data_is_refused_whatever_the_driver(driver):
+    # only driver values are passed on; a NaN terminal value reaches Y_2
+    # through the sweep, also when the driver carries it on as NaN
+    tree = rademacher_tree(3)
+    eta = AdaptedProcess(tree, 3, 3, (np.array([np.nan] + [1.0] * 7).reshape(8, 1, 1),))
+    with pytest.raises(NonFiniteSolutionError, match=r"^Y_2 is not finite at node \(0, 0\)$"):
+        solve_bsde(tree, Generator(1, 1, driver), eta)
+
+
 def test_a_large_solve_holds_little_more_than_its_slabs():
     # 2^18 leaves, so the leaf slab is 2 MB.  The traced peak measured 9.0
     # leaf slabs: the returned Y, Z and N (5) plus the sweep's aggregates and

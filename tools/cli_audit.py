@@ -7,9 +7,11 @@ cli-scenarios workload's scenario files and command lines.  Every command
 line then runs as ``python -m fbsdelta.cli ...`` once under each checkout's
 ``src/``, from a copy of those inputs of its own, with BLAS on one thread.
 The audit compares stdout, stderr, the exit code and every file of the
-``--out`` tree, byte for byte.  It prints the first difference and exits 1,
-or prints how many runs matched and exits 0.  Everything it writes goes to a
-temporary directory that it deletes at the end.
+``--out`` tree, byte for byte.  It prints every run that differs, with each
+part that differs (the first differing line of a stream, every differing
+file of the tree), then how many runs matched; it exits 1 when any run
+differs and 0 otherwise.  Everything it writes goes to a temporary
+directory that it deletes at the end.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _run(checkout: str, argv: list[str], cwd: str) -> tuple[int, str, str]:
 
 
 def _tree_difference(first: str, second: str) -> str | None:
-    """The first file that differs between two directory trees, or None."""
+    """The files that differ between two directory trees, or None."""
     listings = []
     for root in (first, second):
         files = set()
@@ -57,10 +59,12 @@ def _tree_difference(first: str, second: str) -> str | None:
         listings.append(files)
     if listings[0] != listings[1]:
         return f"file sets differ: {sorted(listings[0] ^ listings[1])[:5]}"
-    for rel in sorted(listings[0]):
-        if not filecmp.cmp(os.path.join(first, rel), os.path.join(second, rel), shallow=False):
-            return f"{rel} differs"
-    return None
+    differ = [
+        rel
+        for rel in sorted(listings[0])
+        if not filecmp.cmp(os.path.join(first, rel), os.path.join(second, rel), shallow=False)
+    ]
+    return f"{', '.join(differ)} differ" if differ else None
 
 
 def _first_line_difference(a: str, b: str) -> str:
@@ -70,9 +74,27 @@ def _first_line_difference(a: str, b: str) -> str:
     return f"line counts {len(a.splitlines())} vs {len(b.splitlines())}"
 
 
-def audit(parent: str, change: str, seeds: tuple[int, ...], work: str) -> str | None:
-    """The first difference between the two checkouts, or None; prints progress."""
-    runs = 0
+def _differences(sides: list, argv: list[str]) -> tuple[int, list[str]]:
+    """The parent's exit code and what differs between the two checkouts'
+    runs of ``argv``: the exit code, stdout and stderr (each with its first
+    differing line) and the files of the ``--out`` tree."""
+    (code_a, out_a, err_a), (code_b, out_b, err_b) = (_run(side, argv, run_dir) for side, run_dir in sides)
+    found = [f"exit code {code_a} vs {code_b}"] if code_a != code_b else []
+    for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
+        if a != b:
+            found.append(f"{stream} {_first_line_difference(a, b)}")
+    if "--out" in argv:
+        out_dir = argv[argv.index("--out") + 1]
+        problem = _tree_difference(*(os.path.join(run_dir, out_dir) for _, run_dir in sides))
+        if problem:
+            found.append(f"--out {problem}")
+    return code_a, found
+
+
+def audit(parent: str, change: str, seeds: tuple[int, ...], work: str) -> int:
+    """The number of runs that differ between the two checkouts; prints each
+    run as identical or with every part of it that differs."""
+    runs = differing = 0
     for seed in seeds:
         seed_dir = os.path.join(work, f"seed-{seed}")
         inputs = os.path.join(seed_dir, "inputs")
@@ -82,22 +104,17 @@ def audit(parent: str, change: str, seeds: tuple[int, ...], work: str) -> str | 
         for _, run_dir in sides:
             shutil.copytree(inputs, run_dir)
         for name, argv in ops:
-            (code_a, out_a, err_a), (code_b, out_b, err_b) = (_run(side, argv, run_dir) for side, run_dir in sides)
-            where = f"seed {seed}, {name} ({' '.join(argv)})"
-            if code_a != code_b:
-                return f"{where}: exit code {code_a} vs {code_b}"
-            for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
-                if a != b:
-                    return f"{where}: {stream} {_first_line_difference(a, b)}"
-            out_dir = argv[argv.index("--out") + 1] if "--out" in argv else None
-            if out_dir is not None:
-                problem = _tree_difference(*(os.path.join(run_dir, out_dir) for _, run_dir in sides))
-                if problem:
-                    return f"{where}: --out {problem}"
             runs += 1
-            print(f"seed {seed}: {name} identical (exit {code_a})")
-    print(f"{runs} runs identical: stdout, stderr, exit codes and --out trees")
-    return None
+            code, found = _differences(sides, argv)
+            if not found:
+                print(f"seed {seed}: {name} identical (exit {code})")
+                continue
+            differing += 1
+            print(f"DIFFERENCE seed {seed}: {name} ({' '.join(argv)})")
+            for item in found:
+                print(f"    {item}")
+    print(f"{runs - differing} of {runs} runs identical: stdout, stderr, exit codes and --out trees")
+    return differing
 
 
 def main(argv=None) -> int:
@@ -107,11 +124,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     parent, change = (os.path.abspath(path) for path in (args.parent, args.change))
     with tempfile.TemporaryDirectory(prefix="cli-audit-") as work:
-        difference = audit(parent, change, SEEDS, work)
-    if difference is not None:
-        print(f"DIFFERENCE: {difference}")
-        return 1
-    return 0
+        differing = audit(parent, change, SEEDS, work)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
