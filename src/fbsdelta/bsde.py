@@ -72,11 +72,13 @@ def driver_terms(problem, tree: ProbabilityTree, x, y: list, z: list) -> tuple[l
     x (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
     the one-step aggregates Y_t + f(t, ...) they make; index t - 1 holds time
     t = 1..T.  At T it passes a zero (N_T, n, d) slab for z, as the sweep
-    of :func:`solve_bsde` and ``check_monotone`` do."""
-    horizon, f = tree.horizon, []
+    of :func:`solve_bsde` and ``check_monotone`` do.  The slabs may be
+    stacks of copies of whole levels, as in
+    :func:`~fbsdelta.linear_fbsde.equation_defects`."""
+    horizon, copies, f = tree.horizon, len(y[0]), []
     for t in range(1, horizon + 1):
-        z_t = z[t] if t < horizon else np.zeros((tree.node_count(t), problem.n, tree.d))
-        f.append(problem.driver(t, None if x is None else x[t], y[t], z_t, tree.nodes(t)))
+        z_t = z[t] if t < horizon else np.zeros((len(y[t]), problem.n, tree.d))
+        f.append(problem.driver(t, None if x is None else x[t], y[t], z_t, tree.nodes(t).tile(copies)))
     return f, [y[t + 1] + slab for t, slab in enumerate(f)]
 
 
@@ -149,7 +151,8 @@ class BackwardSystem:
         return np.asarray(self.gen.fn(t, y[:, :, 0], z, nodes), dtype=float).reshape(len(nodes), self.n, 1)
 
     def terminal(self, x, nodes) -> np.ndarray:
-        return self.eta.at(self.tree.horizon)
+        """``eta`` at the rows of ``nodes``; ``x`` is not read."""
+        return nodes.take(self.eta.at(self.tree.horizon))
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,20 @@ class NodeSequence(Sequence):
             return int(hits[0])
         raise ValueError(f"{node!r} is not in this node sequence")
 
+    def take(self, slab: np.ndarray) -> np.ndarray:
+        """The rows of the whole-level slab ``slab`` at these nodes: ``slab``
+        itself for a whole level, with no gather and no copy."""
+        return slab if self._ranks is None else slab[self._ranks]
+
+    def tile(self, copies: int) -> NodeSequence:
+        """These nodes ``copies`` times over, one run after another: the
+        nodes of a stack of ``copies`` slabs (itself for one copy)."""
+        if copies == 1:
+            return self
+        ranks = np.tile(np.arange(self._len) if self._ranks is None else self._ranks, copies)
+        ranks.setflags(write=False)
+        return NodeSequence(self._radices, ranks)
+
     def __contains__(self, node) -> bool:
         try:
             self.index(node)
@@ -302,11 +316,18 @@ class ProbabilityTree:
         return self._probs_cache[t]
 
     def children_view(self, values_next: np.ndarray, t: int) -> np.ndarray:
-        """Reshape a time-(t+1) value array to (count(t), K_t, ...)."""
+        """Reshape a time-(t+1) value array to (count(t), K_t, ...); a stack
+        of c whole time-(t+1) slabs, one after another, to
+        (c count(t), K_t, ...).  Any other row count is a ValueError."""
+        rows, count = len(values_next), self.node_count(t + 1)
+        if not rows or rows % count:
+            raise ValueError(f"expected whole time-{t + 1} slabs of {count} rows, got {rows} rows")
         k = self.branch_count(t)
-        return values_next.reshape((self.node_count(t), k) + values_next.shape[1:])
+        return values_next.reshape((rows // k, k) + values_next.shape[1:])
 
     # -- conditional kernels on raw arrays -----------------------------
+    # Each takes a time-(t+1) slab, or a stack of whole ones, and returns the
+    # time-t slab, or the stack of them in the same order.
 
     def expect_next(self, values_next: np.ndarray, t: int) -> np.ndarray:
         """E[x_{t+1} | F_t] for a (count(t+1), r, c) value array."""

@@ -281,24 +281,24 @@ class LinearCoefficients:
         require_coupled_tree(tree, coeffs)
         return coeffs
 
-    # -- the slab protocol shared with NonlinearModel; the coefficients do
-    # not depend on the node, so ``nodes`` is not read
+    # -- the slab protocol shared with NonlinearModel; the matrices do not
+    # depend on the node, and the offsets are read at the rows of ``nodes``
 
     def drift(self, t: int, x, y, z, nodes) -> np.ndarray:
         """A x + B y + C z + D on the time-t slab."""
-        return _affine(self.A[t], self.B[t], self.C[t], x, y, z) + self.D.at(t)
+        return _affine(self.A[t], self.B[t], self.C[t], x, y, z) + nodes.take(self.D.at(t))
 
     def noise_loading(self, t: int, x, y, z, nodes) -> np.ndarray:
         """Abar x + Bbar y + Cbar z + Dbar on the time-t slab."""
-        return _affine(self.Abar[t], self.Bbar[t], self.Cbar[t], x, y, z) + self.Dbar.at(t)
+        return _affine(self.Abar[t], self.Bbar[t], self.Cbar[t], x, y, z) + nodes.take(self.Dbar.at(t))
 
     def driver(self, t: int, x, y, z, nodes) -> np.ndarray:
         """f = -(Ahat x + Bhat y + Chat z + Dhat) on the time-t slab."""
-        return -(_affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + self.Dhat.at(t))
+        return -(_affine(self.Ahat[t], self.Bhat[t], self.Chat[t], x, y, z) + nodes.take(self.Dhat.at(t)))
 
     def terminal(self, x, nodes) -> np.ndarray:
         """The required Y_T = G x + g on the leaf slab."""
-        return np.einsum("ij,njk->nik", self.G, x) + self.g.at(self.horizon)
+        return np.einsum("ij,njk->nik", self.G, x) + nodes.take(self.g.at(self.horizon))
 
 
 def _affine(A, B, C, x, y, z) -> np.ndarray:
@@ -585,12 +585,17 @@ def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) 
     :func:`~fbsdelta.bsde.driver_terms`, with z = 0 at t = T) and
     ``terminal(x, nodes)``.  ``nodes`` is ``tree.nodes(t)``, a read-only
     sequence of outcome tuples in rank order that stores none of them.
+
+    The slabs may also be stacks of c copies, the time-t slab holding c whole
+    levels one after another (c = len(y[0]), since N_0 = 1): every row's
+    children are still K consecutive rows, so one call evaluates the c
+    systems, each map once per time on the level's nodes repeated c times.
     """
-    T = tree.horizon
+    T, copies = tree.horizon, len(y[0])
     forward = []
     for t in range(T if problem.m else 0):
-        k, nodes = tree.branch_count(t), tree.nodes(t)
-        w = np.tile(tree.steps[t].points[:, 0], tree.node_count(t))[:, None, None]
+        k, nodes = tree.branch_count(t), tree.nodes(t).tile(copies)
+        w = np.tile(tree.steps[t].points[:, 0], len(x[t]))[:, None, None]
         drift = problem.drift(t, x[t], y[t], z[t], nodes)
         vol = problem.noise_loading(t, x[t], y[t], z[t], nodes)
         dx = x[t + 1] - np.repeat(x[t], k, axis=0)
@@ -600,7 +605,7 @@ def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) 
         forward=forward,
         y_projection=[y[t] - tree.expect_next(aggregates[t], t) for t in range(T)],
         z_projection=[z[t] - tree.expect_next_increment(aggregates[t], t) for t in range(T)],
-        terminal=y[T] - problem.terminal(x[T], tree.nodes(T)),
+        terminal=y[T] - problem.terminal(x[T], tree.nodes(T).tile(copies)),
         f=f,
     )
 

@@ -15,8 +15,8 @@ G) and the model itself.  Each interpolation level is solved by freezing the
 nonlinearity at the previous iterate and solving the resulting linear system
 exactly, walking alpha from 0 to 1 in adaptive steps.  Each stage makes one
 fixed-point attempt against the anchor at its target alpha: plain Picard
-while the observed contraction can still reach the stage's tolerance within
-the iteration budget, Anderson mixing of depth ``MIXING_DEPTH`` after that.
+while the observed contraction can still reach picard_tol within the
+iteration budget, Anderson mixing of depth ``MIXING_DEPTH`` after that.
 The step halves when the attempt stalls.  As in predictor-corrector
 continuation (Allgower & Georg, 2003), a stage below alpha = 1 is a stepping
 stone, corrected only to sqrt(picard_tol), and each stage starts from the
@@ -203,9 +203,10 @@ class ContinuationConfig:
     ``delta_init`` is the first attempted alpha step.  Each stage target gets
     one fixed-point attempt of at most ``picard_max_iters`` linear solves:
     plain Picard against the anchor while the observed contraction can still
-    reach the stage's tolerance within that budget, Anderson mixing after
-    that.  When the attempt stalls the step halves, down to ``delta_min``.
-    The stage at alpha = 1 is solved to ``picard_tol``; a stage below it is
+    reach ``picard_tol`` within that budget, Anderson mixing after that (on
+    a stepping stone too, though it is accepted at a looser tolerance).
+    When the attempt stalls the step halves, down to ``delta_min``.  The
+    stage at alpha = 1 is solved to ``picard_tol``; a stage below it is
     a stepping stone, accepted at max(picard_tol, sqrt(picard_tol)).  The
     attempt starts from the anchor solution until a stage is accepted, then
     from the secant through the last two accepted ladder points.  The answer
@@ -338,7 +339,9 @@ def solve_continuation(
             distances.append(_distance(tree, u, v))
             if distances[-1] <= tol:
                 return v, tuple(distances)
-            mixing = images or _out_of_reach(distances, tol, config.picard_max_iters)
+            # judged against picard_tol on a stepping stone too: its looser tol
+            # would keep a slowly contracting stage on plain Picard for longer
+            mixing = images or _out_of_reach(distances, config.picard_tol, config.picard_max_iters)
             if mixing and math.isfinite(distances[-1]):  # an overflowed v goes on, to be refused by name
                 images = images[-MIXING_DEPTH:] + [_flatten(v)]
                 defects = defects[-MIXING_DEPTH:] + [images[-1] - _flatten(u)]

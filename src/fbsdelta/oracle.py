@@ -17,11 +17,15 @@ continuation).  F is driven to zero by a damped Newton iteration with
 finite-difference Jacobians, a method of its own, so the oracle is an
 independent check of the solvers.
 Each residual row reads only its node, the node's parent and its children, so
-the Jacobian is built with one evaluation of F per colour of columns (Curtis,
+the Jacobian is built from one bumped vector per colour of columns (Curtis,
 Powell & Reid 1974): K_max + 2 node colours (K_max the largest branch count)
 times the unknowns per node, 12 for m = n = 1 on a binary tree, whatever its
-size.  For the same reason the Jacobian's block graph is the tree itself, and
-it is kept as per-level blocks (``JacobianBlocks``): per node a diagonal block
+size.  The bumped vectors of a chunk of colours, up to STACK_FLOATS floats,
+go through F as one stack, each slab holding the copies of its level one
+after another, so a small system takes one evaluation of F per Jacobian and
+each model map is called once per slab.  For the same reason the Jacobian's
+block graph is the tree itself, and it is kept as per-level blocks
+(``JacobianBlocks``): per node a diagonal block
 and the couplings to its parent and its children.  Newton factorises it by
 block elimination, leaves first, which creates no fill outside the parents'
 diagonal blocks (Parter 1961, SIAM Review 3(2)): each level is one batched
@@ -65,6 +69,12 @@ __all__ = [
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITERS = 50
 FD_STEP = 1e-7
+# the most floats of bumped vectors one residual evaluation of a Jacobian
+# takes side by side (512 KiB): a chunk holds as many colours as fit, and
+# always one.  Measured from 2^14 to 2^18: a larger bound saves at most a
+# few ms per Jacobian on systems of 5,000 to 20,000 unknowns and adds to
+# their peak; above 2^15 unknowns every bound gives one colour per chunk
+STACK_FLOATS = 2**16
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 30
 # a full Newton step that cuts the sup-residual by this factor keeps its Jacobian
@@ -126,9 +136,10 @@ class ResidualSystem:
     :func:`~fbsdelta.linear_fbsde.equation_defects` reads (``drift``,
     ``noise_loading``, ``driver`` and ``terminal``).  Those four must be
     row-local (row i of a result reads only row i of the inputs), which is
-    what the colouring in :meth:`jacobian` relies on.  A system whose
-    Jacobian would hold more than ``BLOCK_BUDGET`` floats is refused with
-    OracleFailedError.
+    what the colouring in :meth:`jacobian` relies on, and what lets
+    :meth:`residual` evaluate a stack of vectors as one system whose slabs
+    hold each level once per vector.  A system whose Jacobian would hold
+    more than ``BLOCK_BUDGET`` floats is refused with OracleFailedError.
     """
 
     tree: ProbabilityTree
@@ -177,40 +188,58 @@ class ResidualSystem:
     # -- packing -------------------------------------------------------
 
     def unpack(self, vec: np.ndarray):
-        """Slab lists (X_0..X_T, Y_0..Y_T, Z_0..Z_{T-1}) viewing ``vec``; X_0 is x0."""
+        """Slab lists (X_0..X_T, Y_0..Y_T, Z_0..Z_{T-1}) viewing the flat
+        vector ``vec``; X_0 is x0.  For a (c, size) stack of vectors each
+        slab holds the c vectors' slabs one after another, as
+        :func:`~fbsdelta.linear_fbsde.equation_defects` reads them."""
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.size,):
-            raise ValueError(f"expected a flat vector of {self.size} unknowns")
-        x, y, z = ([vec[span].reshape(shape) for _, span, shape in block] for block in self._layout[1])
-        return [self.problem.x0[None, :, :]] + x, y, z
+        if vec.ndim not in (1, 2) or vec.shape[-1] != self.size:
+            raise ValueError(f"expected a flat vector of {self.size} unknowns, or a stack of them")
+        stack = vec.reshape(-1, self.size)
+        copies = len(stack)
+        x, y, z = (
+            [stack[:, span].reshape((copies * shape[0], *shape[1:])) for _, span, shape in block]
+            for block in self._layout[1]
+        )
+        return [np.repeat(self.problem.x0[None, :, :], copies, axis=0)] + x, y, z
 
     # -- evaluation ------------------------------------------------------
 
     def residual(self, vec: np.ndarray) -> np.ndarray:
-        defects = equation_defects(self.problem, self.tree, *self.unpack(vec))
+        """F at the flat vector ``vec``, or F at each vector of a (c, size)
+        stack as a (c, size) stack, from one evaluation of the equations."""
+        x, y, z = self.unpack(vec)
+        defects = equation_defects(self.problem, self.tree, x, y, z)
         slabs = (*defects.forward, *defects.y_projection, *defects.z_projection, defects.terminal)
-        return np.concatenate([slab.ravel() for slab in slabs])
+        copies = len(y[0])
+        return np.concatenate([slab.reshape(copies, -1) for slab in slabs], axis=1).reshape(np.shape(vec))
 
     def jacobian(self, vec: np.ndarray, *, _base: np.ndarray | None = None) -> JacobianBlocks:
-        """Forward-difference Jacobian as per-level node blocks, one residual
-        evaluation per colour of columns (plus the base point) rather than
-        per unknown.
+        """Forward-difference Jacobian as per-level node blocks, one bumped
+        vector per colour of columns rather than per unknown, and one
+        residual evaluation per chunk of colours (plus the base point).
 
         All columns of one colour are bumped together; since no residual row
         depends on two of them, each row's difference belongs to the one
         column of that colour in the row's structural neighbourhood, so each
-        block entry equals the column-by-column quotient exactly.  ``_base``
-        is the residual at ``vec`` when the caller already holds it (Newton
-        does), which saves the base evaluation.
+        block entry equals the column-by-column quotient exactly.  A chunk's
+        bumped vectors are evaluated as one stack (see :meth:`residual`); it
+        holds as many colours as keep the stack within ``STACK_FLOATS``
+        floats, and at least one.  ``_base`` is the residual at ``vec`` when
+        the caller already holds it (Newton does), which saves the base
+        evaluation.
         """
         vec = np.asarray(vec, dtype=float)
         groups, scatter, pieces, rows, cols = self._colouring
         base = self.residual(vec) if _base is None else _base
         diffs = np.empty((len(groups), self.size))
-        for c, group in enumerate(groups):
-            bumped = vec.copy()
-            bumped[group] += FD_STEP
-            diffs[c] = (self.residual(bumped) - base) / FD_STEP
+        chunk = max(1, STACK_FLOATS // self.size)
+        for first in range(0, len(groups), chunk):
+            part = groups[first : first + chunk]
+            bumped = np.tile(vec, (len(part), 1))
+            for copy, group in zip(bumped, part):
+                copy[group] += FD_STEP
+            diffs[first : first + len(part)] = (self.residual(bumped) - base) / FD_STEP
         entries = np.take(diffs, scatter)
         blocks = [entries[start:end].reshape(shape) for start, end, shape in pieces]
         return JacobianBlocks((blocks[0], *blocks[1::3]), (None, *blocks[2::3]), (None, *blocks[3::3]), rows, cols)

@@ -380,6 +380,19 @@ def test_adapted_process_algebra_and_expectation():
     assert tree.expect_next(tree.expect_next(a.at(2), 1), 0)[0, 0, 0] == pytest.approx(manual, abs=EXACT_TOL)
 
 
+def test_kernels_on_a_stack_of_whole_levels_equal_one_call_per_level():
+    rng = np.random.default_rng(4)
+    tree = random_tree(rng, 3, branch_choices=(2, 3))
+    for t in range(tree.horizon):
+        levels = [rng.uniform(-1.0, 1.0, size=(tree.node_count(t + 1), 2, 1)) for _ in range(3)]
+        for kernel in (tree.expect_next, tree.expect_next_increment):
+            for k in (1, 2, 3):
+                stacked = kernel(np.concatenate(levels[:k]), t)
+                assert np.array_equal(stacked, np.concatenate([kernel(level, t) for level in levels[:k]]))
+        with pytest.raises(ValueError, match="whole time-"):
+            tree.expect_next(np.concatenate(levels)[1:], t)
+
+
 def test_kernels_require_a_slab_of_the_next_time():
     rng = np.random.default_rng(2)
     tree = rademacher_tree(2)

@@ -1,5 +1,6 @@
 """Global Newton verification layer: structure, agreement, and failure modes."""
 
+import math
 import time
 import tracemalloc
 
@@ -27,7 +28,8 @@ from fbsdelta import (
     solve_global_newton,
     solve_linear,
 )
-from fbsdelta.oracle import BLOCK_BUDGET, _factorise
+from fbsdelta import oracle
+from fbsdelta.oracle import BLOCK_BUDGET, STACK_FLOATS, _factorise
 from helpers import (
     counting_model,
     decoupled_model,
@@ -374,34 +376,72 @@ def colour_count(tree: ProbabilityTree, m: int, n: int) -> int:
     return len(colours)
 
 
-def test_jacobian_costs_one_evaluation_per_colour_whatever_the_horizon(monkeypatch):
+def test_jacobian_calls_each_model_map_once_per_slab_whatever_the_horizon():
+    # within STACK_FLOATS every colour's bumped vector goes into one stacked
+    # evaluation, so each map is called once per time, however many colours
+    for T in (3, 4, 8):
+        model, calls = counting_model(mild_coupled_model(m=1, seed=5))
+        system = build_residual_system(rademacher_tree(T), model)
+        # (K_max + 2) = 4 node colours x (X, Y, Z)
+        assert len(system._colouring[0]) == colour_count(system.tree, 1, 1) == 12
+        assert 12 * system.size <= STACK_FLOATS
+        vec = np.random.default_rng(T).uniform(-1.0, 1.0, size=system.size)
+        base = system.residual(vec)
+        calls.clear()
+        system.jacobian(vec, _base=base)
+        assert calls == {"b": T, "sigma": T, "f": T, "h": 1}
+
+
+def counted_residuals(monkeypatch) -> list:
+    """The stacks (one row per vector) that ResidualSystem.residual is called on."""
     calls = []
     residual = ResidualSystem.residual
 
     def counted(self, vec):
-        calls.append(1)
+        calls.append(np.atleast_2d(vec).shape[0])
         return residual(self, vec)
 
     monkeypatch.setattr(ResidualSystem, "residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("per_chunk", [1, 5, 11, 12, 15])
+def test_past_the_stack_bound_the_jacobian_takes_one_evaluation_per_chunk(monkeypatch, per_chunk):
     rng = np.random.default_rng(31)
-
-    def cost(tree):
+    for tree in (rademacher_tree(4), ProbabilityTree([random_increments(rng, k, 1) for k in (2, 3, 2)])):
         system = build_residual_system(tree, random_linear_coefficients(rng, tree, 1, 1))
+        colours = colour_count(tree, 1, 1)  # 12 on the binary tree, 15 for K_max = 3
         vec = rng.uniform(-1.0, 1.0, size=system.size)
-        calls.clear()
-        system.jacobian(vec)
-        assert len(calls) == 1 + colour_count(tree, 1, 1)
-        return len(calls), system.size
+        base = system.residual(vec)
+        whole = system.jacobian(vec, _base=base)
+        monkeypatch.setattr(oracle, "STACK_FLOATS", (per_chunk + 1) * system.size - 1)
+        calls = counted_residuals(monkeypatch)
+        chunked = system.jacobian(vec, _base=base)
+        monkeypatch.undo()
+        sizes = [min(per_chunk, colours - first) for first in range(0, colours, per_chunk)]
+        assert calls == sizes and len(calls) == math.ceil(colours / per_chunk)
+        for name in ("diagonal", "parent", "child"):
+            for a, b in zip(getattr(whole, name), getattr(chunked, name), strict=True):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
-    costs, sizes = {}, {}
-    for T in (3, 4, 8):
-        costs[T], sizes[T] = cost(rademacher_tree(T))
-    # (K_max + 2) = 4 node colours x (X, Y, Z), whatever the horizon
-    assert sizes == {3: 36, 4: 76, 8: 1276}
-    assert costs == {3: 1 + 12, 4: 1 + 12, 8: 1 + 12}
-    # mixed branch counts (2, 3, 2): K_max = 3, so 5 node colours x (X, Y, Z)
-    mixed = ProbabilityTree([random_increments(rng, k, 1) for k in (2, 3, 2)])
-    assert cost(mixed)[0] == 1 + 15
+
+def test_the_largest_jacobian_keeps_one_colour_per_evaluation_and_its_peak():
+    # 163,836 unknowns: a chunk of one colour, as with one evaluation per
+    # colour (a 37.8 MiB peak, measured); stacking all 12 colours at once
+    # peaks at 88.5 MiB
+    tree = rademacher_tree(15)
+    system = build_residual_system(tree, random_linear_coefficients(np.random.default_rng(43), tree, 1, 1))
+    assert system.size == 163836 and STACK_FLOATS < 2 * system.size
+    vec = np.random.default_rng(1).uniform(-1.0, 1.0, size=system.size)
+    base = system.residual(vec)
+    system._colouring  # built once per system, and not part of a Jacobian's peak
+    tracemalloc.start()
+    try:
+        system.jacobian(vec, _base=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 37.8 * 2**20
 
 
 def test_colouring_a_wide_step_takes_memory_linear_in_its_outcomes():

@@ -1,10 +1,13 @@
 """The slab-system layer's shared rules: every path evaluates the driver with
-an all-zero z of the slab's shape at the horizon, and one builder makes N."""
+an all-zero z of the slab's shape at the horizon, one builder makes N, and
+every map reads per-node data at the rows of the nodes it is given."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
     Generator,
@@ -19,7 +22,13 @@ from fbsdelta import (
     solve_linear,
 )
 from fbsdelta.bsde import BackwardSystem, build_solution
-from helpers import mild_coupled_model, rademacher_tree, random_terminal, random_tree
+from helpers import (
+    mild_coupled_model,
+    rademacher_tree,
+    random_linear_coefficients,
+    random_terminal,
+    random_tree,
+)
 
 
 class RecordingDriver:
@@ -101,3 +110,52 @@ def test_the_backward_solve_builds_the_same_n_as_the_solution_builder():
     for ours, theirs in zip(sol.N.values, rebuilt.N.values):
         assert np.array_equal(ours, theirs)
     assert rebuilt.N.sup_norm() > 0.0  # the driver's z-dependence leaves a nonzero N
+
+
+def _node_values(nodes) -> np.ndarray:
+    """A value per row that reads the outcome tuple of the row's node."""
+    return np.array([sum((k + 1) * 0.1**i for i, k in enumerate(node)) for node in nodes]).reshape(-1, 1, 1)
+
+
+def _problem(kind: str, rng: np.random.Generator, tree):
+    """A slab system of ``kind`` on ``tree`` whose maps read per-node data."""
+    if kind == "linear":
+        return random_linear_coefficients(rng, tree, 2, 1)
+    if kind == "nonlinear":
+        model = mild_coupled_model(m=2, seed=int(rng.integers(100)))
+        return dataclasses.replace(
+            model,
+            b=lambda t, x, y, z, nodes: model.b(t, x, y, z, nodes) + _node_values(nodes),
+            f=lambda t, x, y, z, nodes: model.f(t, x, y, z, nodes) * (1.0 + _node_values(nodes)),
+            h=lambda x, nodes: model.h(x, nodes) - _node_values(nodes),
+        )
+    gen = Generator(n=2, d=1, fn=lambda t, y, z, nodes: np.tanh(y) * _node_values(nodes)[:, :, 0] - z[:, :, 0])
+    return BackwardSystem(tree, gen, random_terminal(rng, tree, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["linear", "nonlinear", "backward"]), seed=st.integers(0, 2**16), data=st.data())
+def test_each_map_on_a_rank_subset_equals_the_whole_slabs_rows(kind, seed, data):
+    # the rows of a subset, repeats and any order allowed, read their own
+    # nodes' data; within a few ulps, since NumPy's SIMD tails may differ
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, 3)
+    problem = _problem(kind, rng, tree)
+    T, m, n = tree.horizon, problem.m, problem.n
+    t = data.draw(st.integers(0, T), label="t")
+    level = tree.nodes(t)
+    ranks = np.array(data.draw(st.lists(st.integers(0, len(level) - 1), min_size=1, max_size=2 * len(level))))
+    x, y, z = (rng.uniform(-1.0, 1.0, size=(len(level), rows, 1)) for rows in (m, n, n))
+    maps = []
+    if m and t < T:
+        maps += [problem.drift, problem.noise_loading]
+    if t:
+        maps.append(problem.driver)
+    for fn in maps:
+        whole = fn(t, x, y, z, level)
+        part = fn(t, x[ranks], y[ranks], z[ranks], level[ranks])
+        np.testing.assert_allclose(part, whole[ranks], rtol=0, atol=8 * np.finfo(float).eps * np.abs(whole).max())
+    if t == T:
+        whole = problem.terminal(x, level)
+        part = problem.terminal(x[ranks], level[ranks])
+        np.testing.assert_allclose(part, whole[ranks], rtol=0, atol=8 * np.finfo(float).eps * np.abs(whole).max())
