@@ -432,7 +432,8 @@ def check_monotone(
     model be at least as dissipative as the solver's base family.  Pass smaller
     ``beta1``/``beta2`` (down to zero, plain monotonicity) to test a weaker
     inequality, e.g. for models that perturb the base family and keep only part
-    of its margin.  The tree must have one noise dimension, as for the solver.
+    of its margin.  The tree must have one noise dimension, as for the solver,
+    and at least one pair must be sampled.
     """
     require_coupled_tree(tree)
     rng = np.random.default_rng(seed)
@@ -442,6 +443,8 @@ def check_monotone(
     beta2 = model.beta2 if beta2 is None else float(beta2)
     if beta1 < 0.0 or beta2 < 0.0:
         raise ValueError("monotonicity margins beta1 and beta2 must be nonnegative")
+    if samples < 1:
+        raise ValueError(f"check_monotone needs samples >= 1, got {samples}")
     G, Gt = model.G, model.G.T
     # Two draws: the pairs of states, then a node at every time 0..T and a
     # leaf for the terminal map (row t of picks, row T + 1 for the leaf).

@@ -7,15 +7,16 @@ system is assembled into one square residual map F over the stacked unknowns
     Y_t(node) for t = 0..T,
     Z_t(node) for t = 0..T-1,
 
-with residual blocks ordered: forward equations at every child node
-(t ascending), conditional-mean projections of Y, increment projections of Z,
-then the terminal condition at the leaves.  The blocks are the defect slabs of
-``linear_fbsde.equation_defects``, the one statement of the equations that the
-residual reports read too.  That statement is all the oracle shares with the
-structured solvers: no solving step (no P_t, Gamma_t, offset process or
-continuation).  F is driven to zero by a damped Newton iteration with
-finite-difference Jacobians, a method of its own, so the oracle is an
-independent check of the solvers.
+level by level (t ascending), each node's X_t, Y_t and Z_t side by side.
+The residual rows, the defect slabs of ``linear_fbsde.equation_defects``,
+follow the same order: each node's forward defect (t >= 1), then its
+conditional-mean projection of Y and increment projection of Z (t < T) or
+its terminal defect (t = T), so level t takes N_t w_t of both, w_t to a node.
+``equation_defects`` is the one statement of the equations that the residual
+reports read too, and all the oracle shares with the structured solvers: no
+solving step (no P_t, Gamma_t, offset process or continuation).  F is driven
+to zero by a damped Newton iteration with finite-difference Jacobians, a
+method of its own, so the oracle is an independent check of the solvers.
 Each residual row reads only its node, the node's parent and its children, so
 the Jacobian is built from one bumped vector per colour of columns (Curtis,
 Powell & Reid 1974): K_max + 2 node colours (K_max the largest branch count)
@@ -23,19 +24,19 @@ times the unknowns per node, 12 for m = n = 1 on a binary tree, whatever its
 size.  The bumped vectors of a chunk of colours, up to STACK_FLOATS floats,
 go through F as one stack, each slab holding the copies of its level one
 after another, so a small system takes one evaluation of F per Jacobian and
-each model map is called once per slab.  For the same reason the Jacobian's
-block graph is the tree itself, and it is kept as per-level blocks
-(``JacobianBlocks``): per node a diagonal block
-and the couplings to its parent and its children.  Newton factorises it by
-block elimination, leaves first, which creates no fill outside the parents'
-diagonal blocks (Parter 1961, SIAM Review 3(2)): each level is one batched
-inversion of its pivot blocks, and time and memory are linear in the nodes.
-The storage is checked against BLOCK_BUDGET from the node counts before
-anything is allocated.  While Newton contracts it keeps its last
-factorisation (a chord step; Kelley, Solving Nonlinear Equations with
-Newton's Method, SIAM 2003), so a chord step is two sweeps of batched
-matrix-vector products, and it measures convergence on F itself, never on
-the Jacobian.
+each model map is called once per slab.  For the same reason the
+Jacobian's block graph is the tree itself, and it is kept as per-level blocks
+(``JacobianBlocks``): per node a diagonal block and the couplings to its
+parent and its children.  Newton factorises it by block elimination, leaves
+first, which creates no fill outside the parents' diagonal blocks (Parter
+1961, SIAM Review 3(2)): each level is one batched inversion of its pivot
+blocks over one contiguous span of the stacked vectors, and time and memory
+are linear in the nodes.  The storage is checked against BLOCK_BUDGET from
+the node counts before anything is allocated.  While Newton contracts it
+keeps its last factorisation (a chord step; Kelley, Solving Nonlinear
+Equations with Newton's Method, SIAM 2003), so a chord step is two sweeps of
+batched matrix-vector products, and it measures convergence on F itself,
+never on the Jacobian.
 
 What is independent, and what is not: the elimination factorises the
 numerical Jacobian of the whole residual map in a fixed order and never forms
@@ -50,7 +51,6 @@ with an empty X block.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,11 +108,11 @@ class JacobianBlocks:
     """A Jacobian of a residual system as per-level node blocks; every entry
     outside them is zero.
 
-    ``rows`` and ``cols`` give the positions of the residual rows and of the
-    unknowns in the stacked vectors, level by level and node by node: level t
-    takes N_t w_t of each, w_t to a node (so the blocks are square).  A
-    node's children are consecutive, K to a parent (K the branch count of the
-    parent's level), so node i of level t has parent i // K.
+    The residual rows and the unknowns are stacked in the same order, level by
+    level and node by node: level t takes N_t w_t of each, w_t to a node (so
+    the blocks are square).  A node's children are consecutive, K to a parent
+    (K the branch count of the parent's level), so node i of level t has
+    parent i // K.
     ``diagonal[t]``, shape (N_t, w_t, w_t), holds each node's rows against its
     own unknowns.  For t >= 1, ``parent[t]``, shape (N_t, w_t, w_{t-1}), holds
     each node's rows against its parent's unknowns, and ``child[t]``, shape
@@ -123,8 +123,6 @@ class JacobianBlocks:
     diagonal: tuple[np.ndarray, ...]
     parent: tuple[np.ndarray | None, ...]
     child: tuple[np.ndarray | None, ...]
-    rows: np.ndarray
-    cols: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,17 +146,14 @@ class ResidualSystem:
     def __post_init__(self):
         # from the node counts alone, before any array of the system's size exists
         tree, T = self.tree, self.tree.horizon
-        widths = [sum(math.prod(shape) for lo, hi, shape in self._blocks if lo <= t <= hi) for t in range(T + 1)]
-        counts = [tree.node_count(t) for t in range(T + 1)]
-        size = sum(count * width for count, width in zip(counts, widths))
-        colours = (max(tree.branch_count(t) for t in range(T)) + 2) * sum(math.prod(s) for *_, s in self._blocks)
+        colours = (max(tree.branch_count(t) for t in range(T)) + 2) * (self.m + self.n + self.n * tree.d)
         # the colour differences, then per node its diagonal block and the two
-        # couplings to its parent
-        above = [0] + widths[:-1]
-        floats = colours * size + sum(n * w * (w + 2 * a) for n, w, a in zip(counts, widths, above))
+        # couplings to its parent: N_t w_t (w_t + 2 w_{t-1}) floats at level t
+        above = [0] + [width for _, width in self._levels]
+        floats = colours * self.size + sum((s.stop - s.start) * (w + 2 * a) for (s, w), a in zip(self._levels, above))
         if floats > BLOCK_BUDGET:
             raise OracleFailedError(
-                f"the oracle's Jacobian for {size} unknowns would hold {floats} floats ({8 * floats:.3e} bytes), "
+                f"the oracle's Jacobian for {self.size} unknowns would hold {floats} floats ({8 * floats:.3e} bytes), "
                 f"over the budget of {BLOCK_BUDGET}"
             )
 
@@ -172,36 +167,41 @@ class ResidualSystem:
 
     @property
     def size(self) -> int:
-        return self._layout[0]
-
-    @property
-    def _blocks(self) -> tuple:
-        """The stacked unknowns as (first time, last time, slab shape) per
-        block: X for t = 1..T, Y for t = 0..T, Z for t = 0..T-1."""
-        T = self.tree.horizon
-        return ((1, T, (self.m, 1)), (0, T, (self.n, 1)), (0, T - 1, (self.n, self.tree.d)))
+        return self._levels[-1][0].stop
 
     @cached_property
-    def _layout(self) -> tuple[int, list, list[np.ndarray], list[np.ndarray]]:
-        return _stacking(self.tree, self._blocks)
+    def _levels(self) -> tuple[tuple[slice, int], ...]:
+        """Per level t, the span of a stacked vector that holds it and the
+        width w_t of each of its N_t nodes: X_t (t >= 1), Y_t and Z_t (t < T)."""
+        tree, T, levels = self.tree, self.tree.horizon, []
+        for t in range(T + 1):
+            width = self.m * (t > 0) + self.n + self.n * tree.d * (t < T)
+            start = levels[-1][0].stop if levels else 0
+            levels.append((slice(start, start + tree.node_count(t) * width), width))
+        return tuple(levels)
 
     # -- packing -------------------------------------------------------
 
     def unpack(self, vec: np.ndarray):
         """Slab lists (X_0..X_T, Y_0..Y_T, Z_0..Z_{T-1}) viewing the flat
         vector ``vec``; X_0 is x0.  For a (c, size) stack of vectors each
-        slab holds the c vectors' slabs one after another, as
+        slab, a copy, holds the c vectors' slabs one after another, as
         :func:`~fbsdelta.linear_fbsde.equation_defects` reads them."""
         vec = np.asarray(vec, dtype=float)
         if vec.ndim not in (1, 2) or vec.shape[-1] != self.size:
             raise ValueError(f"expected a flat vector of {self.size} unknowns, or a stack of them")
         stack = vec.reshape(-1, self.size)
-        copies = len(stack)
-        x, y, z = (
-            [stack[:, span].reshape((copies * shape[0], *shape[1:])) for _, span, shape in block]
-            for block in self._layout[1]
-        )
-        return [np.repeat(self.problem.x0[None, :, :], copies, axis=0)] + x, y, z
+        m, n, T = self.m, self.n, self.tree.horizon
+        x, y, z = [np.repeat(self.problem.x0[None, :, :], len(stack), axis=0)], [], []
+        for t, (span, width) in enumerate(self._levels):
+            # (copies x nodes, entries): each node's X_t, Y_t and Z_t side by side
+            level, first = stack[:, span].reshape(-1, width), m * (t > 0)
+            if t:
+                x.append(level[:, :m, None])
+            y.append(level[:, first : first + n, None])
+            if t < T:
+                z.append(level[:, first + n :].reshape(len(level), n, -1))
+        return x, y, z
 
     # -- evaluation ------------------------------------------------------
 
@@ -210,9 +210,13 @@ class ResidualSystem:
         stack as a (c, size) stack, from one evaluation of the equations."""
         x, y, z = self.unpack(vec)
         defects = equation_defects(self.problem, self.tree, x, y, z)
-        slabs = (*defects.forward, *defects.y_projection, *defects.z_projection, defects.terminal)
         copies = len(y[0])
-        return np.concatenate([slab.reshape(copies, -1) for slab in slabs], axis=1).reshape(np.shape(vec))
+        # per level, each node's defects side by side: forward (t >= 1, none
+        # when m = 0), then the Y and Z projections (t < T) or terminal (t = T)
+        tails = [*zip(defects.y_projection, defects.z_projection), (defects.terminal,)]
+        levels = ([*defects.forward[max(t - 1, 0) : t], *tail] for t, tail in enumerate(tails))
+        rows = [np.concatenate([slab.reshape(len(slab), -1) for slab in level], axis=1) for level in levels]
+        return np.concatenate([row.reshape(copies, -1) for row in rows], axis=1).reshape(np.shape(vec))
 
     def jacobian(self, vec: np.ndarray, *, _base: np.ndarray | None = None) -> JacobianBlocks:
         """Forward-difference Jacobian as per-level node blocks, one bumped
@@ -230,7 +234,7 @@ class ResidualSystem:
         evaluation.
         """
         vec = np.asarray(vec, dtype=float)
-        groups, scatter, pieces, rows, cols = self._colouring
+        groups, scatter, pieces = self._colouring
         base = self.residual(vec) if _base is None else _base
         diffs = np.empty((len(groups), self.size))
         chunk = max(1, STACK_FLOATS // self.size)
@@ -242,17 +246,16 @@ class ResidualSystem:
             diffs[first : first + len(part)] = (self.residual(bumped) - base) / FD_STEP
         entries = np.take(diffs, scatter)
         blocks = [entries[start:end].reshape(shape) for start, end, shape in pieces]
-        return JacobianBlocks((blocks[0], *blocks[1::3]), (None, *blocks[2::3]), (None, *blocks[3::3]), rows, cols)
+        return JacobianBlocks((blocks[0], *blocks[1::3]), (None, *blocks[2::3]), (None, *blocks[3::3]))
 
     @cached_property
-    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[tuple], np.ndarray, np.ndarray]:
+    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[tuple]]:
         """Column colouring of the Jacobian: the columns bumped together per
-        colour; where each block entry sits in the (colour, residual row)
+        colour; and where each block entry sits in the (colour, residual row)
         array of differences, as one array of flat positions, block after
         block (the root's diagonal block, then per level t >= 1 the diagonal,
         parent and child blocks of :class:`JacobianBlocks`), with each
-        block's (start, end, shape) in it; and the ``rows`` and ``cols`` of
-        :class:`JacobianBlocks`.
+        block's (start, end, shape) in it.
 
         An unknown at node a enters only the residual rows of a, of its
         parent and of its children (the model functions are row-local), so
@@ -265,16 +268,18 @@ class ResidualSystem:
         colour.
         """
         tree, m, n = self.tree, self.m, self.n
-        T, d = tree.horizon, tree.d
-        width = m + n + n * d
-        _, _, col_index, col_slot = self._layout
-        row_index = _stacking(tree, ((1, T, (m, 1)), (0, T - 1, (n, 1)), (0, T - 1, (n, d)), (T, T, (n, 1))))[2]
+        T, width = tree.horizon, m + n + n * tree.d
+        # per level, the positions of each node's rows and unknowns (the same
+        # order), a (node_count(t), w_t) array
+        index = [np.arange(span.start, span.stop).reshape(-1, w) for span, w in self._levels]
         k_max = max(tree.branch_count(t) for t in range(T))
         # the root's parent stands in with colour k_max + 1, so its children take 1..K
         node_colour, parent_colour = np.zeros(1, dtype=np.intp), np.full(1, k_max + 1)
         colour = np.empty(self.size, dtype=np.intp)
         for t in range(T + 1):
-            colour[col_index[t]] = node_colour[:, None] * width + col_slot[t][None, :]
+            # an entry's slot: its block's offset (X 0, Y m, Z m + n) plus its component
+            slot = np.arange(0 if t else m, width if t < T else m + n)
+            colour[index[t]] = node_colour[:, None] * width + slot[None, :]
             if t < T:
                 # the k-th child of a node coloured c, whose parent is coloured
                 # p, takes the k-th colour outside {c, p}: skip the smaller, then the larger
@@ -286,44 +291,18 @@ class ResidualSystem:
         _, colour = np.unique(colour, return_inverse=True)
         groups = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
         # entry (row, column) of the Jacobian is differences[colour of the column, row]
-        at = [colour[index] * self.size for index in col_index]
-        scatter = [at[0][:, None, :] + row_index[0][:, :, None]]
+        at = [colour[rows] * self.size for rows in index]
+        scatter = [at[0][:, None, :] + index[0][:, :, None]]
         for t in range(1, T + 1):
-            above, (count, w) = len(row_index[t - 1]), row_index[t].shape
-            scatter.append(at[t][:, None, :] + row_index[t][:, :, None])
+            above, (count, w) = len(index[t - 1]), index[t].shape
+            scatter.append(at[t][:, None, :] + index[t][:, :, None])
             # the level's nodes grouped by parent: (parent, sibling) axes
-            scatter.append((at[t - 1][:, None, None, :] + row_index[t].reshape(above, -1, w, 1)).reshape(count, w, -1))
-            scatter.append(at[t].reshape(above, 1, -1) + row_index[t - 1][:, :, None])
+            scatter.append((at[t - 1][:, None, None, :] + index[t].reshape(above, -1, w, 1)).reshape(count, w, -1))
+            scatter.append(at[t].reshape(above, 1, -1) + index[t - 1][:, :, None])
         ends = itertools.accumulate(block.size for block in scatter)
         pieces = [(end - block.size, end, block.shape) for end, block in zip(ends, scatter)]
         # under BLOCK_BUDGET every position fits in 32 bits
-        flat = np.concatenate([block.ravel() for block in scatter]).astype(np.int32)
-        rows, cols = (np.concatenate([index.ravel() for index in where]) for where in (row_index, col_index))
-        return groups, flat, pieces, rows, cols
-
-
-def _stacking(tree: ProbabilityTree, blocks) -> tuple[int, list, list[np.ndarray], list[np.ndarray]]:
-    """Layout of a vector stacking ``blocks``, each (first time, last time,
-    slab shape) with one slab per time, times ascending: the length, per block
-    the (t, slice, slab shape) of each slab, and per time t the positions of
-    each node's entries as a (node_count(t), entries) array, with the label of
-    each entry (its offset across the concatenated block widths)."""
-    T = tree.horizon
-    index: list[list[np.ndarray]] = [[] for _ in range(T + 1)]
-    labels: list[list[np.ndarray]] = [[] for _ in range(T + 1)]
-    spans = []
-    pos = label = 0
-    for lo, hi, shape in blocks:
-        width = math.prod(shape)
-        spans.append([])
-        for t in range(lo, hi + 1):
-            count = tree.node_count(t)
-            spans[-1].append((t, slice(pos, pos + count * width), (count,) + shape))
-            index[t].append(pos + np.arange(count * width).reshape(count, width))
-            labels[t].append(label + np.arange(width))
-            pos += count * width
-        label += width
-    return pos, spans, [np.hstack(ix) for ix in index], [np.concatenate(lb) for lb in labels]
+        return groups, np.concatenate([block.ravel() for block in scatter]).astype(np.int32), pieces
 
 
 def build_residual_system(
@@ -359,8 +338,8 @@ class OracleSolution:
 class _Elimination:
     """Leaves-first block elimination of a JacobianBlocks: per level t the
     inverse of its pivot block S_t (the diagonal block less the Schur updates
-    of its children) and S_t^{-1} times the parent coupling (None at t = 0),
-    and each level's slice of the blocks' ``rows`` and ``cols``."""
+    of its children), S_t^{-1} times the parent coupling (None at t = 0), and
+    the span of the stacked vectors that holds the level."""
 
     blocks: JacobianBlocks
     inverse: tuple[np.ndarray, ...]
@@ -369,27 +348,24 @@ class _Elimination:
 
     @np.errstate(over="ignore", invalid="ignore")
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """J^{-1} rhs by two sweeps of batched matrix-vector products: the
-        reduced right-hand sides from the leaves to the root, then the
-        unknowns from the root to the leaves."""
+        """J^{-1} rhs, written over ``rhs``, by two sweeps of batched
+        matrix-vector products: the reduced right-hand sides from the leaves
+        to the root, then the unknowns from the root to the leaves."""
         child, inverse, solved_parent, levels = self.blocks.child, self.inverse, self.solved_parent, self.levels
         T = len(levels) - 1
-        r = rhs[self.blocks.rows]
         reduced: list = [None] * (T + 1)
         for t in range(T, -1, -1):
-            level = r[levels[t]].reshape(inverse[t].shape[:2])
+            level = rhs[levels[t]].reshape(inverse[t].shape[:2])
             if t < T:
                 # the children's reduced right-hand sides, siblings side by side
                 level -= (child[t + 1] @ reduced[t + 1].reshape(len(level), -1, 1))[..., 0]
             reduced[t] = (inverse[t] @ level[..., None])[..., 0]
         x = reduced[0]
-        r[levels[0]] = x.ravel()
+        rhs[levels[0]] = x.ravel()
         for t in range(1, T + 1):
             x = reduced[t] - (solved_parent[t].reshape(len(x), -1, x.shape[1]) @ x[..., None]).reshape(reduced[t].shape)
-            r[levels[t]] = x.ravel()
-        out = np.empty_like(rhs)
-        out[self.blocks.cols] = r
-        return out
+            rhs[levels[t]] = x.ravel()
+        return rhs
 
 
 @np.errstate(over="ignore", invalid="ignore")

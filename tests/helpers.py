@@ -400,20 +400,32 @@ def per_column_jacobian(system, vec, step: float = FD_STEP) -> np.ndarray:
 
 def dense_jacobian(blocks) -> np.ndarray:
     """The dense matrix of an oracle Jacobian's per-level node blocks
-    (``JacobianBlocks``), zero outside them."""
-    jac = np.zeros((blocks.rows.size, blocks.cols.size))
-    ends = np.cumsum([diagonal[:, 0].size for diagonal in blocks.diagonal])[:-1]
-    rows, cols = (
-        [part.reshape(diagonal.shape[:2]) for part, diagonal in zip(np.split(where, ends), blocks.diagonal)]
-        for where in (blocks.rows, blocks.cols)
-    )
+    (``JacobianBlocks``), zero outside them.  Rows and unknowns share the
+    oracle's level-major order, so the positions of level t's nodes follow
+    from the diagonal blocks' shapes alone."""
+    shapes = [diagonal.shape[:2] for diagonal in blocks.diagonal]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    index = [np.arange(end - math.prod(shape), end).reshape(shape) for end, shape in zip(ends, shapes)]
+    jac = np.zeros((ends[-1], ends[-1]))
     for t, diagonal in enumerate(blocks.diagonal):
-        jac[rows[t][:, :, None], cols[t][:, None, :]] = diagonal
+        jac[index[t][:, :, None], index[t][:, None, :]] = diagonal
         if t:
-            parent = np.arange(len(rows[t])) // (len(rows[t]) // len(rows[t - 1]))
-            jac[rows[t][:, :, None], cols[t - 1][parent][:, None, :]] = blocks.parent[t]
-            jac[rows[t - 1][:, :, None], cols[t].reshape(len(rows[t - 1]), 1, -1)] = blocks.child[t]
+            parent = np.arange(len(index[t])) // (len(index[t]) // len(index[t - 1]))
+            jac[index[t][:, :, None], index[t - 1][parent][:, None, :]] = blocks.parent[t]
+            jac[index[t - 1][:, :, None], index[t].reshape(len(index[t - 1]), 1, -1)] = blocks.child[t]
     return jac
+
+
+def packed(tree: ProbabilityTree, X: AdaptedProcess | None, Y: AdaptedProcess, Z: AdaptedProcess) -> np.ndarray:
+    """A solution's X_1..X_T (None when m = 0), Y_0..Y_T and Z_0..Z_{T-1}
+    stacked in the oracle's order: level by level, each node's X_t, Y_t and
+    Z_t side by side."""
+    T = tree.horizon
+    levels = []
+    for t in range(T + 1):
+        slabs = ([X.at(t)] if X is not None and t else []) + [Y.at(t)] + ([Z.at(t)] if t < T else [])
+        levels.append(np.hstack([slab.reshape(len(slab), -1) for slab in slabs]).ravel())
+    return np.concatenate(levels)
 
 
 def spot_check_terminal_independence(

@@ -456,6 +456,14 @@ def test_mild_coupled_model_stays_dissipative():
         check_monotone(model, tree, beta1=-1.0)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_monotonicity_check_refuses_fewer_than_one_sample(samples):
+    # no sample would pass with both slacks at -inf, and a negative count
+    # would reach NumPy as a negative dimension
+    with pytest.raises(ValueError, match=rf"samples >= 1, got {samples}$"):
+        check_monotone(mild_coupled_model(m=2, seed=5), rademacher_tree(2), samples=samples)
+
+
 def test_wrong_sign_driver_fails_the_monotonicity_check():
     tree = rademacher_tree(2)
     model = NonlinearModel(

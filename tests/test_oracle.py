@@ -36,6 +36,7 @@ from helpers import (
     decoupled_slab_model,
     dense_jacobian,
     mild_coupled_model,
+    packed,
     per_column_jacobian,
     pointwise_twin,
     rademacher_tree,
@@ -85,9 +86,8 @@ def test_oracle_agrees_with_the_linear_solver():
         structured = solve_linear(coeffs, tree)
         system = build_residual_system(tree, coeffs)
         # the structured solution is already a root of the stacked equations
-        slabs = (*structured.X.values[1:], *structured.Y.values, *structured.Z.values)
-        packed = np.concatenate([s.ravel() for s in slabs])
-        assert np.abs(system.residual(packed)).max() <= EQUATION_TOL
+        root = packed(tree, structured.X, structured.Y, structured.Z)
+        assert np.abs(system.residual(root)).max() <= EQUATION_TOL
         oracle = solve_global_newton(system)
         assert oracle.equation_residual <= EQUATION_TOL
         assert oracle.trace.converged
@@ -102,8 +102,8 @@ def test_oracle_agrees_with_the_backward_solver():
     structured = solve_bsde(tree, gen, eta)
     system = build_residual_system(tree, gen, eta=eta)
     assert system.m == 0
-    packed = np.concatenate([s.ravel() for s in (*structured.Y.values, *structured.Z.values)])
-    assert np.abs(system.residual(packed)).max() <= EQUATION_TOL
+    root = packed(tree, None, structured.Y, structured.Z)
+    assert np.abs(system.residual(root)).max() <= EQUATION_TOL
     oracle = solve_global_newton(system)
     assert oracle.X is None
     assert oracle.equation_residual <= EQUATION_TOL
@@ -342,7 +342,7 @@ def test_unpack_returns_the_packed_slabs_as_views(system, seed):
         return AdaptedProcess(tree, 0, t_hi, tuple(rng.uniform(-1.0, 1.0, (counts[t],) + shape) for t in range(t_hi + 1)))
 
     x, y, z = process((m, 1), T) if m else None, process((n, 1), T), process((n, d), T - 1)
-    vec = np.concatenate([s.ravel() for s in (*(x.values[1:] if m else ()), *y.values, *z.values)])
+    vec = packed(tree, x, y, z)
     assert vec.shape == (system.size,)
     xs, ys, zs = system.unpack(vec)
     assert len(xs) == len(ys) == T + 1 and len(zs) == T
@@ -354,6 +354,17 @@ def test_unpack_returns_the_packed_slabs_as_views(system, seed):
             assert np.array_equal(xs[t], x.at(t)) and np.shares_memory(xs[t], vec)
         if t < T:
             assert np.array_equal(zs[t], z.at(t)) and np.shares_memory(zs[t], vec)
+    # a stack of three distinct vectors: each slab holds the three vectors'
+    # slabs one after another, and F of the stack is F of each vector
+    stack = np.stack([vec, *rng.uniform(-1.0, 1.0, (2, system.size))])
+    singles = [system.unpack(row) for row in stack]
+    for slabs, parts in zip(system.unpack(stack), zip(*singles), strict=True):
+        for t, slab in enumerate(slabs):
+            assert np.array_equal(slab, np.concatenate([part[t] for part in parts]))
+    residuals = system.residual(stack)
+    assert residuals.shape == stack.shape
+    for row, residual in zip(stack, residuals):
+        assert np.array_equal(residual, system.residual(row))
 
 
 def colour_count(tree: ProbabilityTree, m: int, n: int) -> int:
