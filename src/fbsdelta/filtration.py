@@ -339,7 +339,8 @@ class ProbabilityTree:
         if values_next.shape[2] != 1:
             raise ValueError("increment covariation expects column-vector values")
         grouped = self.children_view(values_next[:, :, 0], t)
-        return np.einsum("k,nkr,kd->nrd", self.steps[t].probs, grouped, self.steps[t].points)
+        step = self.steps[t]
+        return np.einsum("nkr,kd->nrd", grouped, step.probs[:, None] * step.points)
 
 
 def per_node(fn: Callable, shape: tuple[int, ...]) -> Callable:

@@ -27,7 +27,8 @@ r_t = E[p_{t+1} dW_t|F_t], the forward step's conditional mean and increment
 Gamma_t^{-1} meets the data once per time step: the matrix recursion keeps
 the first factor (P_t is built from it), the offset pass solves for w_t (p_t
 reads it), and the forward sweep only applies the two and reads
-Y_t = P_{t+1} u + q_t and Z_t = P_{t+1} v + r_t.
+Y_t = P_{t+1} u + q_t and Z_t = P_{t+1} v + r_t.  Both passes treat a level
+as one (N_t, entries) array, so each map is one matrix product per level.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ class LinearCoefficients:
 
 
 def _affine(A, B, C, x, y, z) -> np.ndarray:
-    return np.einsum("ij,njk->nik", A, x) + np.einsum("ij,njk->nik", B, y) + np.einsum("ij,njk->nik", C, z)
+    return np.einsum("ij,njk->nik", np.concatenate([A, B, C], axis=1), np.concatenate([x, y, z], axis=1))
 
 
 def anchor_coefficients(tree: ProbabilityTree, G, beta1: float, beta2: float, x0, **offsets) -> LinearCoefficients:
@@ -341,9 +342,12 @@ class RiccatiMatrices:
     step's (u, v); with Gamma_t it is kept so repeated solves with fresh
     inhomogeneous data redo no matrix recursion and solve Gamma_t only for
     the offset part.  ``BC[t]`` is the (2m, 2n) block [B_t C_t; Bbar_t
-    Cbar_t] that carries the offset process into that part.  ``failure_t``
-    is the largest t whose Gamma_t was (numerically) singular, or None;
-    ``inv_IA`` stays zero at and below it.
+    Cbar_t] that carries the offset process into that part.  ``back[t]``
+    (t = 1..T-1) is the (n, 2n + 2m) back map [I - Bhat_t, -Chat_t, (I -
+    Bhat_t) P_{t+1}, -Chat_t P_{t+1}] from a node's [q_t, r_t, w_t] to p_t +
+    Dhat_t; its last two blocks times ``inv_IA[t]`` give P_t + Ahat_t.
+    ``failure_t`` is the largest t whose Gamma_t was (numerically) singular,
+    or None; ``inv_IA`` and ``back`` stay zero at and below it.
     """
 
     P: np.ndarray
@@ -351,6 +355,7 @@ class RiccatiMatrices:
     sigma_min: np.ndarray
     gamma_reports: tuple[GammaReport, ...]
     inv_IA: np.ndarray = field(repr=False)
+    back: np.ndarray = field(repr=False)
     BC: np.ndarray = field(repr=False)
     failure_t: int | None = None
 
@@ -371,6 +376,7 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
     gammas = np.zeros((T, 2 * m, 2 * m))
     sigma_min = np.full(T, np.nan)
     inv_IA = np.zeros((T, 2 * m, m))
+    back = np.zeros((T, n, 2 * n + 2 * m))
     reports: list[GammaReport] = []
     failure_t: int | None = None
     eye_m, eye_n = np.eye(m), np.eye(n)
@@ -399,9 +405,9 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
             g_map = p_next @ inv_IA[t, :m]
             h_map = p_next @ inv_IA[t, m:]
             P[t] = -coeffs.Ahat[t] + (eye_n - coeffs.Bhat[t]) @ g_map - coeffs.Chat[t] @ h_map
-            condensed = -coeffs.Ahat[t] + np.hstack(
-                [(eye_n - coeffs.Bhat[t]) @ p_next, -coeffs.Chat[t] @ p_next]
-            ) @ inv_IA[t]
+            fold = np.hstack([eye_n - coeffs.Bhat[t], -coeffs.Chat[t]])
+            back[t] = np.hstack([fold, fold[:, :n] @ p_next, fold[:, n:] @ p_next])
+            condensed = -coeffs.Ahat[t] + back[t, :, 2 * n :] @ inv_IA[t]
             gap = float(np.abs(P[t] - condensed).max())
             if gap > CONSISTENCY_TOL * max(1.0, float(np.abs(P[t]).max())):
                 raise ArithmeticError(
@@ -414,6 +420,7 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
         sigma_min=sigma_min,
         gamma_reports=tuple(sorted(reports)),
         inv_IA=inv_IA,
+        back=back,
         BC=np.block([[coeffs.B, coeffs.C], [coeffs.Bbar, coeffs.Cbar]]),
         failure_t=failure_t,
     )
@@ -446,38 +453,27 @@ def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, ...]:
 
 def _offset_backward(
     coeffs: LinearCoefficients, tree: ProbabilityTree, mats: RiccatiMatrices, offsets: tuple
-) -> tuple[list, list, list, list]:
+) -> tuple[list, list]:
     """Slabs of the offset process p_t for t = 1..T (index 0 unused), for the
-    homogeneous part of ``coeffs`` and the offset slabs ``offsets``, with
-    q_t = E[p_{t+1}|F_t], r_t = E[p_{t+1} dW_t|F_t] and the forward step's
-    offset part w_t = Gamma_t^{-1}[B_t q_t + C_t r_t + D_t; Bbar_t q_t +
-    Cbar_t r_t + Dbar_t], an (N_t, 2m, 1) slab, for t = 0..T-1: one Gamma_t
-    solve per time step."""
-    T, m, n = coeffs.horizon, coeffs.m, coeffs.n
+    homogeneous part of ``coeffs`` and the offset slabs ``offsets``, and for
+    t = 0..T-1 the (N_t, 2n + 2m) block [q_t, r_t, w_t] of the forward step,
+    with q_t = E[p_{t+1}|F_t], r_t = E[p_{t+1} dW_t|F_t] and the offset part
+    w_t = Gamma_t^{-1}[B_t q_t + C_t r_t + D_t; Bbar_t q_t + Cbar_t r_t +
+    Dbar_t]: one Gamma_t solve per time step.  p_t is that block times the
+    back map ``mats.back[t]``, less Dhat_t: one product per level."""
+    T, n = coeffs.horizon, coeffs.n
     D, Dbar, Dhat, (g,) = offsets
-    eye_n = np.eye(n)
     p_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
-    ep_slabs: list[np.ndarray] = [np.empty(0)] * T
-    epdw_slabs: list[np.ndarray] = [np.empty(0)] * T
-    w_slabs: list[np.ndarray] = [np.empty(0)] * T
-    p_slabs[T] = np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[T], g) - Dhat[T - 1]
+    blocks: list[np.ndarray] = [np.empty(0)] * T
+    p_slabs[T] = (g[:, :, 0] @ (np.eye(n) - coeffs.Bhat[T]).T)[:, :, None] - Dhat[T - 1]
     for t in range(T - 1, -1, -1):
-        ep = ep_slabs[t] = tree.expect_next(p_slabs[t + 1], t)
-        epdw = epdw_slabs[t] = tree.expect_next_increment(p_slabs[t + 1], t)
-        qr = np.concatenate([ep, epdw], axis=1)[:, :, 0].T  # (2n, N_t)
-        dd = np.concatenate([D[t], Dbar[t]], axis=1)[:, :, 0].T  # (2m, N_t)
-        w = w_slabs[t] = np.linalg.solve(mats.gammas[t], mats.BC[t] @ qr + dd).T[:, :, None]
-        if t == 0:
-            break
-        p_next = mats.P[t + 1]
-        g_t = ep + np.einsum("ij,njk->nik", p_next, w[:, :m])
-        h_t = epdw + np.einsum("ij,njk->nik", p_next, w[:, m:])
-        p_slabs[t] = (
-            np.einsum("ij,njk->nik", eye_n - coeffs.Bhat[t], g_t)
-            - np.einsum("ij,njk->nik", coeffs.Chat[t], h_t)
-            - Dhat[t - 1]
-        )
-    return p_slabs, ep_slabs, epdw_slabs, w_slabs
+        ep, epdw = tree.expect_next(p_slabs[t + 1], t), tree.expect_next_increment(p_slabs[t + 1], t)
+        qr = np.concatenate([ep, epdw], axis=1)[:, :, 0]
+        rhs = qr @ mats.BC[t].T + np.concatenate([D[t], Dbar[t]], axis=1)[:, :, 0]
+        blocks[t] = np.concatenate([qr, np.linalg.solve(mats.gammas[t], rhs.T).T], axis=1)
+        if t:
+            p_slabs[t] = (blocks[t] @ mats.back[t].T)[:, :, None] - Dhat[t - 1]
+    return p_slabs, blocks
 
 
 def _solvable_matrices(
@@ -515,23 +511,19 @@ def _solve_linear(
     (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
     naming the process, time and node, when its own arithmetic overflows."""
     (g,) = offsets[3]
-    _, ep_slabs, epdw_slabs, w_slabs = _offset_backward(coeffs, tree, mats, offsets)
-    T, m = coeffs.horizon, coeffs.m
-
-    x_slabs: list[np.ndarray] = [coeffs.x0[None, :, :]]
-    y_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
-    z_slabs: list[np.ndarray] = [np.empty(0)] * T
-
+    _, blocks = _offset_backward(coeffs, tree, mats, offsets)
+    T, m, n = coeffs.horizon, coeffs.m, coeffs.n
+    x2d, x_slabs, y_slabs, z_slabs = coeffs.x0.T, [coeffs.x0[None, :, :]], [], []
     for t in range(T):
-        uv = np.einsum("ij,njk->nik", mats.inv_IA[t], x_slabs[t]) + w_slabs[t]
-        u, v = uv[:, :m], uv[:, m:]
+        uv = x2d @ mats.inv_IA[t].T + blocks[t][:, 2 * n :]
         points = tree.steps[t].points[:, 0]
-        children = u[:, None, :, :] + v[:, None, :, :] * points[None, :, None, None]
-        x_slabs.append(children.reshape(tree.node_count(t + 1), m, 1))
-        p_mat = mats.P[t + 1]
-        y_slabs[t] = np.einsum("ij,njk->nik", p_mat, u) + ep_slabs[t]
-        z_slabs[t] = np.einsum("ij,njk->nik", p_mat, v) + epdw_slabs[t]
-    y_slabs[T] = np.einsum("ij,njk->nik", coeffs.G, x_slabs[T]) + g
+        x2d = (uv[:, None, :m] + uv[:, None, m:] * points[None, :, None]).reshape(-1, m)
+        x_slabs.append(x2d[:, :, None])
+        # u_t and v_t of a node as consecutive rows, so one product gives Y_t and Z_t side by side
+        yz = (uv.reshape(-1, m) @ mats.P[t + 1].T).reshape(-1, 2 * n) + blocks[t][:, : 2 * n]
+        y_slabs.append(yz[:, :n, None])
+        z_slabs.append(yz[:, n:, None])
+    y_slabs.append((x2d @ coeffs.G.T)[:, :, None] + g)
 
     def sweep():
         for t in range(T):
@@ -574,6 +566,13 @@ class EquationDefects(NamedTuple):
     f: list  # f(t, X_t, Y_t, Z_t) for t = 1..T, z = 0 at T
 
 
+# Row-locality, bit for bit: row i of every defect slab reads only row i of
+# the slabs (and its children's rows), with arithmetic that does not depend on
+# how many rows a slab holds, so the oracle's stacked evaluations equal the
+# single ones exactly.  This path (equation_defects, the tree kernels and
+# _affine) therefore uses einsum and elementwise ufuncs only: OpenBLAS splits
+# a product by its row count, and its last bits follow the split.  The linear
+# sweep is never stacked, so it may use BLAS.
 def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) -> EquationDefects:
     """Evaluate every defining relation of the slab system ``problem`` along
     the slab lists x (X_0..X_T), y (Y_0..Y_T) and z (Z_0..Z_{T-1}).

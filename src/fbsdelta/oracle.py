@@ -416,17 +416,24 @@ def _invert_pivots(pivot: np.ndarray, t: int) -> np.ndarray:
 def _line_search(system: ResidualSystem, vec, res, sup: float, direction, tries: int):
     """The first of the steps 1, 1/2, 1/4, ... (at most ``tries``) whose trial
     point passes the sufficient-decrease rule, as (step, point, residual);
-    None if none does."""
+    None if none does.  The full step takes one evaluation; the halvings
+    after it go as stacks of 2, 4, 8, ... trial points, each at most as many
+    as ``STACK_FLOATS`` holds (and one at least), so that a search evaluates
+    fewer than twice the trials it needs, and each trial's residual is bit
+    for bit that of its own evaluation."""
     scaled = res / sup
     phi0 = float(scaled @ scaled)
-    s = 1.0
-    for _ in range(tries):
-        trial = vec + s * direction
-        trial_res = system.residual(trial)
-        trial_scaled = trial_res / sup
-        if float(trial_scaled @ trial_scaled) <= (1.0 - 2.0 * ARMIJO_SLOPE * s) * phi0:
-            return s, trial, trial_res
-        s *= 0.5
+    steps = 0.5 ** np.arange(tries)
+    cap = max(1, STACK_FLOATS // system.size)
+    lo, width = 0, 1
+    while lo < tries:
+        hi = min(tries, lo + width)
+        trials = vec + steps[lo:hi, None] * direction
+        for s, trial, trial_res in zip(steps[lo:hi], trials, system.residual(trials)):
+            trial_scaled = trial_res / sup
+            if float(trial_scaled @ trial_scaled) <= (1.0 - 2.0 * ARMIJO_SLOPE * s) * phi0:
+                return float(s), trial, trial_res
+        lo, width = hi, min(2 * width, cap)
     return None
 
 

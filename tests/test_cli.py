@@ -1163,9 +1163,10 @@ _LONG_SUM = " + ".join(["0.5*t"] * 600)
 # Nested far past the parser's limit: Hypothesis raises the recursion limit while a test runs,
 # so a few hundred levels would not reach it in a parser without that limit.
 _DEEP = "(" * 3000 + "t" + ")" * 3000
-# Every integer here is at most 4, so no mutant can ask for a large tree, dimension or sample count.
+# Every integer here is at most 4, or past every size budget (10**6, 2**40, 10**400), so no mutant can
+# ask for a large tree, dimension or sample count that is allowed: the large ones are refused before allocation.
 _FUZZ_VALUES = (
-    None, True, False, 0, -1, 2, 4, 0.5, 1e308, -1e308, "text", "rademacher", "trinomial(0.3)",
+    None, True, False, 0, -1, 2, 4, 10**6, 2**40, 10**400, 0.5, 1e308, -1e308, "text", "rademacher", "trinomial(0.3)",
     "1 +", "x1", "log(0 - 1)", "1/0", "exp(1000)", [], {}, [1e308], [[1e308]], ["y1"], {"expr": ["1/t"]}, {"0": [1.0]},
     _LONG_SUM, _DEEP, [_LONG_SUM], [_DEEP],
 )

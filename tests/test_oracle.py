@@ -210,6 +210,57 @@ def test_a_stiff_model_still_fails_its_line_search_on_a_fresh_jacobian():
     assert exc.value.trace.message == "line search stalled"
 
 
+def one_trial_at_a_time(system, vec, res, sup, direction, tries):
+    """The backtracking line search with one residual evaluation per trial."""
+    scaled = res / sup
+    phi0 = float(scaled @ scaled)
+    s = 1.0
+    for _ in range(tries):
+        trial = vec + s * direction
+        trial_res = system.residual(trial)
+        trial_scaled = trial_res / sup
+        if float(trial_scaled @ trial_scaled) <= (1.0 - 2.0 * oracle.ARMIJO_SLOPE * s) * phi0:
+            return s, trial, trial_res
+        s *= 0.5
+    return None
+
+
+@pytest.mark.parametrize("per_stack", [None, 1, 4])
+def test_the_line_search_stacks_its_halvings_in_growing_chunks_and_takes_the_first_trial_that_passes(monkeypatch, per_stack):
+    # seed 201 takes damped steps from 1/2 down to 2^-25 and then stalls
+    system = build_residual_system(rademacher_tree(4), mild_coupled_model(m=2, seed=201, eps=2))
+    if per_stack is not None:
+        monkeypatch.setattr(oracle, "STACK_FLOATS", per_stack * system.size)
+    chunk = oracle.STACK_FLOATS // system.size
+    calls = counted_residuals(monkeypatch)
+    line_search, found_steps = oracle._line_search, []
+
+    def compared(system, vec, res, sup, direction, tries):
+        first = len(calls)
+        found = line_search(system, vec, res, sup, direction, tries)
+        stacks = calls[first:]
+        expected = one_trial_at_a_time(system, vec, res, sup, direction, tries)
+        del calls[first + len(stacks) :]
+        last = tries - 1 if expected is None else round(-math.log2(expected[0]))
+        widths, lo, width = [], 0, 1
+        while lo <= last:
+            widths.append(min(width, tries - lo))
+            lo, width = lo + width, min(2 * width, chunk)
+        assert stacks == widths
+        if expected is None:
+            assert found is None
+        else:
+            assert found[0] == expected[0]
+            assert found[1].tobytes() == expected[1].tobytes() and found[2].tobytes() == expected[2].tobytes()
+        found_steps.append(None if found is None else found[0])
+        return found
+
+    monkeypatch.setattr(oracle, "_line_search", compared)
+    with pytest.raises(OracleFailedError, match=r"^line search could not reduce the residual below 5\.538e-01$"):
+        solve_global_newton(system)
+    assert found_steps[-1] is None and 1.0 in found_steps and min(filter(None, found_steps)) == 2.0**-25
+
+
 def test_systems_past_the_block_budget_are_refused_before_anything_is_allocated():
     # m = n = 1 on a binary tree of horizon T has 5 * 2^T - 4 unknowns; its
     # Jacobian holds 12 colour differences per unknown plus the node blocks
