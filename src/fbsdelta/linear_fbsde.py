@@ -453,27 +453,26 @@ def _offset_slabs(coeffs: LinearCoefficients) -> tuple[list, ...]:
 
 def _offset_backward(
     coeffs: LinearCoefficients, tree: ProbabilityTree, mats: RiccatiMatrices, offsets: tuple
-) -> tuple[list, list]:
-    """Slabs of the offset process p_t for t = 1..T (index 0 unused), for the
-    homogeneous part of ``coeffs`` and the offset slabs ``offsets``, and for
-    t = 0..T-1 the (N_t, 2n + 2m) block [q_t, r_t, w_t] of the forward step,
-    with q_t = E[p_{t+1}|F_t], r_t = E[p_{t+1} dW_t|F_t] and the offset part
-    w_t = Gamma_t^{-1}[B_t q_t + C_t r_t + D_t; Bbar_t q_t + Cbar_t r_t +
-    Dbar_t]: one Gamma_t solve per time step.  p_t is that block times the
-    back map ``mats.back[t]``, less Dhat_t: one product per level."""
+) -> list:
+    """For t = 0..T-1 the (N_t, 2n + 2m) block [q_t, r_t, w_t] of the forward
+    step, for the homogeneous part of ``coeffs`` and the offset slabs
+    ``offsets``, with q_t = E[p_{t+1}|F_t], r_t = E[p_{t+1} dW_t|F_t] and the
+    offset part w_t = Gamma_t^{-1}[B_t q_t + C_t r_t + D_t; Bbar_t q_t +
+    Cbar_t r_t + Dbar_t]: one Gamma_t solve per time step.  The offset
+    process p_t is that block times the back map ``mats.back[t]``, less
+    Dhat_t: one product per level, and only p_{t+1} is kept."""
     T, n = coeffs.horizon, coeffs.n
     D, Dbar, Dhat, (g,) = offsets
-    p_slabs: list[np.ndarray] = [np.empty(0)] * (T + 1)
     blocks: list[np.ndarray] = [np.empty(0)] * T
-    p_slabs[T] = (g[:, :, 0] @ (np.eye(n) - coeffs.Bhat[T]).T)[:, :, None] - Dhat[T - 1]
+    p = (g[:, :, 0] @ (np.eye(n) - coeffs.Bhat[T]).T)[:, :, None] - Dhat[T - 1]
     for t in range(T - 1, -1, -1):
-        ep, epdw = tree.expect_next(p_slabs[t + 1], t), tree.expect_next_increment(p_slabs[t + 1], t)
+        ep, epdw = tree.expect_next(p, t), tree.expect_next_increment(p, t)
         qr = np.concatenate([ep, epdw], axis=1)[:, :, 0]
         rhs = qr @ mats.BC[t].T + np.concatenate([D[t], Dbar[t]], axis=1)[:, :, 0]
         blocks[t] = np.concatenate([qr, np.linalg.solve(mats.gammas[t], rhs.T).T], axis=1)
         if t:
-            p_slabs[t] = (blocks[t] @ mats.back[t].T)[:, :, None] - Dhat[t - 1]
-    return p_slabs, blocks
+            p = (blocks[t] @ mats.back[t].T)[:, :, None] - Dhat[t - 1]
+    return blocks
 
 
 def _solvable_matrices(
@@ -511,7 +510,7 @@ def _solve_linear(
     (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
     naming the process, time and node, when its own arithmetic overflows."""
     (g,) = offsets[3]
-    _, blocks = _offset_backward(coeffs, tree, mats, offsets)
+    blocks = _offset_backward(coeffs, tree, mats, offsets)
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
     x2d, x_slabs, y_slabs, z_slabs = coeffs.x0.T, [coeffs.x0[None, :, :]], [], []
     for t in range(T):

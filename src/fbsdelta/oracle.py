@@ -80,8 +80,8 @@ MAX_BACKTRACKS = 30
 # a full Newton step that cuts the sup-residual by this factor keeps its Jacobian
 REUSE_CONTRACTION = 0.1
 # the most floats one Jacobian may hold: its colour differences plus its
-# diagonal and coupling blocks (128 MiB); the factorisation and the cached
-# 32-bit scatter positions add less than as much again
+# diagonal and coupling blocks (128 MiB); the factorisation adds less than as
+# much again, and the colouring keeps three integers per unknown
 BLOCK_BUDGET = 2**24
 
 
@@ -226,15 +226,15 @@ class ResidualSystem:
         All columns of one colour are bumped together; since no residual row
         depends on two of them, each row's difference belongs to the one
         column of that colour in the row's structural neighbourhood, so each
-        block entry equals the column-by-column quotient exactly.  A chunk's
-        bumped vectors are evaluated as one stack (see :meth:`residual`); it
-        holds as many colours as keep the stack within ``STACK_FLOATS``
-        floats, and at least one.  ``_base`` is the residual at ``vec`` when
-        the caller already holds it (Newton does), which saves the base
-        evaluation.
+        block entry equals the column-by-column quotient exactly and is
+        gathered straight from the differences.  A chunk's bumped vectors are
+        evaluated as one stack (see :meth:`residual`); it holds as many
+        colours as keep the stack within ``STACK_FLOATS`` floats, and at
+        least one.  ``_base`` is the residual at ``vec`` when the caller
+        already holds it (Newton does), which saves the base evaluation.
         """
         vec = np.asarray(vec, dtype=float)
-        groups, scatter, pieces = self._colouring
+        groups, colour, index = self._colouring
         base = self.residual(vec) if _base is None else _base
         diffs = np.empty((len(groups), self.size))
         chunk = max(1, STACK_FLOATS // self.size)
@@ -244,18 +244,24 @@ class ResidualSystem:
             for copy, group in zip(bumped, part):
                 copy[group] += FD_STEP
             diffs[first : first + len(part)] = (self.residual(bumped) - base) / FD_STEP
-        entries = np.take(diffs, scatter)
-        blocks = [entries[start:end].reshape(shape) for start, end, shape in pieces]
-        return JacobianBlocks((blocks[0], *blocks[1::3]), (None, *blocks[2::3]), (None, *blocks[3::3]))
+
+        def block(rows, cols):
+            # entry (row, column) of the Jacobian is diffs[colour of the column, row]
+            return diffs[colour[cols][:, None, :], rows[:, :, None]]
+
+        # per level t >= 1 (rows of level t - 1 ``up``): each node against its
+        # parent's unknowns, and each parent against its children's side by side
+        return JacobianBlocks(
+            tuple(block(rows, rows) for rows in index),
+            (None, *(block(rows, np.repeat(up, len(rows) // len(up), axis=0)) for up, rows in zip(index, index[1:]))),
+            (None, *(block(up, rows.reshape(len(up), -1)) for up, rows in zip(index, index[1:]))),
+        )
 
     @cached_property
-    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[tuple]]:
+    def _colouring(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[np.ndarray]]:
         """Column colouring of the Jacobian: the columns bumped together per
-        colour; and where each block entry sits in the (colour, residual row)
-        array of differences, as one array of flat positions, block after
-        block (the root's diagonal block, then per level t >= 1 the diagonal,
-        parent and child blocks of :class:`JacobianBlocks`), with each
-        block's (start, end, shape) in it.
+        colour, each unknown's colour, and per level t the positions of its
+        nodes' rows and unknowns (the same order) as an (N_t, w_t) array.
 
         An unknown at node a enters only the residual rows of a, of its
         parent and of its children (the model functions are row-local), so
@@ -269,8 +275,6 @@ class ResidualSystem:
         """
         tree, m, n = self.tree, self.m, self.n
         T, width = tree.horizon, m + n + n * tree.d
-        # per level, the positions of each node's rows and unknowns (the same
-        # order), a (node_count(t), w_t) array
         index = [np.arange(span.start, span.stop).reshape(-1, w) for span, w in self._levels]
         k_max = max(tree.branch_count(t) for t in range(T))
         # the root's parent stands in with colour k_max + 1, so its children take 1..K
@@ -290,19 +294,7 @@ class ResidualSystem:
                 node_colour, parent_colour = q, c
         _, colour = np.unique(colour, return_inverse=True)
         groups = tuple(np.flatnonzero(colour == c) for c in range(colour.max() + 1))
-        # entry (row, column) of the Jacobian is differences[colour of the column, row]
-        at = [colour[rows] * self.size for rows in index]
-        scatter = [at[0][:, None, :] + index[0][:, :, None]]
-        for t in range(1, T + 1):
-            above, (count, w) = len(index[t - 1]), index[t].shape
-            scatter.append(at[t][:, None, :] + index[t][:, :, None])
-            # the level's nodes grouped by parent: (parent, sibling) axes
-            scatter.append((at[t - 1][:, None, None, :] + index[t].reshape(above, -1, w, 1)).reshape(count, w, -1))
-            scatter.append(at[t].reshape(above, 1, -1) + index[t - 1][:, :, None])
-        ends = itertools.accumulate(block.size for block in scatter)
-        pieces = [(end - block.size, end, block.shape) for end, block in zip(ends, scatter)]
-        # under BLOCK_BUDGET every position fits in 32 bits
-        return groups, np.concatenate([block.ravel() for block in scatter]).astype(np.int32), pieces
+        return groups, colour, index
 
 
 def build_residual_system(
@@ -402,14 +394,13 @@ def _invert_pivots(pivot: np.ndarray, t: int) -> np.ndarray:
             return inverse
     except np.linalg.LinAlgError:
         pass
+    # a batch fails only where a block fails on its own, through the same LAPACK call
     for index, block in enumerate(pivot):
         try:
             if not np.isfinite(np.linalg.inv(block)).all():
                 break
         except np.linalg.LinAlgError:
             break
-    else:
-        index = 0
     raise _SingularPivot(t, index)
 
 

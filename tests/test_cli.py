@@ -481,6 +481,32 @@ def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_REQUIRED_MODEL_KEYS = {
+    bsde_scenario: ("n", "driver", "terminal"),
+    linear_scenario: ("m", "n", "G", "x0"),
+    nonlinear_scenario: ("m", "n", "G", "beta1", "beta2", "x0"),
+}
+
+
+@pytest.mark.parametrize(
+    "factory, section, key",
+    [
+        (factory, section, key)
+        for factory, model_keys in _REQUIRED_MODEL_KEYS.items()
+        for section, keys in (
+            ("scenario", ("schema_version", "kind", "tree", "model")), ("tree", ("horizon", "step")), ("model", model_keys)
+        )
+        for key in keys
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)).removesuffix("_scenario"),
+)
+def test_a_missing_required_key_exits_3_naming_it(tmp_path, capsys, factory, section, key):
+    scenario = factory()
+    del (scenario if section == "scenario" else scenario[section])[key]
+    assert main(["validate", write_scenario(tmp_path, scenario)]) == 3
+    assert capsys.readouterr().err == f"error: {section} is missing required key {key!r}\n"
+
+
 def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
     path = write_scenario(tmp_path, bsde_scenario())
     assert main(["validate", path]) == 0

@@ -43,6 +43,9 @@ def test_structural_length_mismatch_raises():
         (lambda: IncrementDistribution(points=[[-np.inf], [1.0]], probs=[0.5, 0.5]), "increment data must be finite"),
         (lambda: ProbabilityTree([]), "a tree needs at least one time step"),
         (lambda: rademacher_tree(2).node_count(3), "time 3 outside [0, 2]"),
+        (lambda: rademacher_tree(2).nodes(3), "time 3 outside [0, 2]"),
+        (lambda: rademacher_tree(2).nodes(-1), "time -1 outside [0, 2]"),
+        (lambda: rademacher_tree(2).nodes(2)[np.array([0])].index((1, 1)), "(1, 1) is not in this node sequence"),
         (lambda: AdaptedProcess(rademacher_tree(2), 1, 3, ()), "domain [1, 3] outside [0, 2]"),
         (
             lambda: AdaptedProcess(rademacher_tree(2), 0, 1, (np.zeros((1, 1, 1)),)),
@@ -53,7 +56,10 @@ def test_structural_length_mismatch_raises():
             "slice at t=1 must have shape (nodes, 1, 1)",
         ),
     ],
-    ids=["points-rank", "no-outcome", "non-finite", "no-step", "time", "domain", "slab-count", "slab-shape"],
+    ids=[
+        "points-rank", "no-outcome", "non-finite", "no-step", "time", "nodes-after", "nodes-before", "ranked-index",
+        "domain", "slab-count", "slab-shape",
+    ],
 )
 def test_malformed_filtration_data_is_refused_by_name(build, message):
     with pytest.raises(ValueError) as refusal:

@@ -282,15 +282,15 @@ def test_backward_pair_follows_decoupling_field():
     tree = random_tree(rng, 3)
     coeffs = random_linear_coefficients(rng, tree, 2, 2)
     mats = riccati_matrices(coeffs)
-    p = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))[0]  # p_t at index t = 1..T
+    # per t the block [q_t, r_t, w_t], with q_t = E[p_{t+1}|F_t] and r_t = E[p_{t+1} dW_t|F_t]
+    blocks = _offset_backward(coeffs, tree, mats, _offset_slabs(coeffs))
     sol = solve_linear(coeffs, tree, matrices=mats)
+    n = coeffs.n
     for t in range(tree.horizon):
         ex = tree.expect_next(sol.X.at(t + 1), t)
         exdw = tree.expect_next_increment(sol.X.at(t + 1), t)
-        ep = tree.expect_next(p[t + 1], t)
-        epdw = tree.expect_next_increment(p[t + 1], t)
-        y_pred = np.einsum("ij,njk->nik", mats.P[t + 1], ex) + ep
-        z_pred = np.einsum("ij,njk->nik", mats.P[t + 1], exdw) + epdw
+        y_pred = np.einsum("ij,njk->nik", mats.P[t + 1], ex) + blocks[t][:, :n, None]
+        z_pred = np.einsum("ij,njk->nik", mats.P[t + 1], exdw) + blocks[t][:, n : 2 * n, None]
         assert np.abs(sol.Y.at(t) - y_pred).max() <= RESIDUAL_TOL
         assert np.abs(sol.Z.at(t) - z_pred).max() <= RESIDUAL_TOL
 

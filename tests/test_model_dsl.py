@@ -199,6 +199,21 @@ def test_undefined_or_overflowing_operations_name_the_subexpression(evaluate, te
             compile_expr(expr)(0.0, y=np.full((3, 1), value))
 
 
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (BinOp("%", Num(1.0), Num(2.0)), "BinOp with operation '%'"),
+        (Call("sin", (Num(1.0), Num(2.0))), "Call with operation 'sin'"),
+        (Neg("1"), "str with operation None"),
+    ],
+    ids=["operation", "arity", "leaf"],
+)
+def test_a_node_outside_the_grammar_is_refused_by_name(node, message):
+    with pytest.raises(TypeError) as refusal:
+        format_expr(node)
+    assert str(refusal.value) == f"not an expression node: {message}"
+
+
 def test_underflow_is_silent_in_both_evaluators():
     expr = parse_expr("exp(-1000*y1) + 10^(-400*y1)", m=0, n=1)
     assert eval_expr(expr, y=[1.0]) == 0.0

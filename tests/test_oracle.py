@@ -29,7 +29,7 @@ from fbsdelta import (
     solve_linear,
 )
 from fbsdelta import oracle
-from fbsdelta.oracle import BLOCK_BUDGET, STACK_FLOATS, _factorise
+from fbsdelta.oracle import BLOCK_BUDGET, STACK_FLOATS, _factorise, _invert_pivots, _SingularPivot
 from helpers import (
     counting_model,
     decoupled_model,
@@ -159,6 +159,19 @@ def test_a_singular_step_stops_newton_at_its_pivot_block():
         solve_global_newton(build_residual_system(tree, coeffs))
     assert exc.value.trace.message == "line search stalled"
     assert exc.value.trace.jacobians == 1
+
+
+@pytest.mark.parametrize(
+    "pivots",
+    [[2.0, 1e-320], [2.0, 1e-320, 0.0], [2.0, 0.0, 1e-320]],
+    ids=["inverse-inf", "inf-before-singular", "singular-before-inf"],
+)
+def test_a_failed_pivot_is_named_by_the_first_block_that_fails_on_its_own(pivots):
+    # 1 / 1e-320 overflows to inf; a zero block makes the batched inversion
+    # raise, so the last two fail in the batch and the first after it
+    with pytest.raises(_SingularPivot) as exc:
+        _invert_pivots(np.array(pivots)[:, None, None], 3)
+    assert exc.value.args == (3, 1)
 
 
 def test_newton_reports_failure_with_trace(monkeypatch):
@@ -487,23 +500,29 @@ def test_past_the_stack_bound_the_jacobian_takes_one_evaluation_per_chunk(monkey
                 assert (a is None and b is None) or np.array_equal(a, b)
 
 
+def traced(run):
+    """What calling ``run`` returns, and the tracemalloc peak of the call in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_the_largest_jacobian_keeps_one_colour_per_evaluation_and_its_peak():
     # 163,836 unknowns: a chunk of one colour, as with one evaluation per
-    # colour (a 37.8 MiB peak, measured); stacking all 12 colours at once
-    # peaks at 88.5 MiB
+    # colour (a 27.6 MiB peak, measured; stacking all 12 colours at once
+    # peaks at 88.5 MiB).  Building the colouring peaks at 9.9 MiB; a table of
+    # every block entry's position would take it to 32.9 MiB and a Jacobian
+    # to 37.8 MiB
     tree = rademacher_tree(15)
     system = build_residual_system(tree, random_linear_coefficients(np.random.default_rng(43), tree, 1, 1))
     assert system.size == 163836 and STACK_FLOATS < 2 * system.size
     vec = np.random.default_rng(1).uniform(-1.0, 1.0, size=system.size)
     base = system.residual(vec)
-    system._colouring  # built once per system, and not part of a Jacobian's peak
-    tracemalloc.start()
-    try:
-        system.jacobian(vec, _base=base)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.05 * 37.8 * 2**20
+    # built once per system, and not part of a Jacobian's peak
+    assert traced(lambda: system._colouring)[1] < 1.05 * 9.9 * 2**20
+    assert traced(lambda: system.jacobian(vec, _base=base))[1] < 1.05 * 27.6 * 2**20
 
 
 def test_colouring_a_wide_step_takes_memory_linear_in_its_outcomes():
@@ -512,12 +531,7 @@ def test_colouring_a_wide_step_takes_memory_linear_in_its_outcomes():
     rng = np.random.default_rng(37)
     tree = ProbabilityTree([random_increments(rng, 300, 1)])
     system = build_residual_system(tree, random_linear_coefficients(rng, tree, 1, 1))
-    tracemalloc.start()
-    try:
-        groups = system._colouring[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (groups, _, _), peak = traced(lambda: system._colouring)
     assert len(groups) == system.size == 602
     assert peak < 2**20
     vec = rng.uniform(-1.0, 1.0, size=system.size)
@@ -530,7 +544,10 @@ def test_oracle_agrees_with_the_linear_solver_beyond_a_thousand_unknowns():
     coeffs = random_linear_coefficients(np.random.default_rng(43), tree, 1, 1)
     system = build_residual_system(tree, coeffs)
     assert system.size == 163836
-    oracle = solve_global_newton(system)
+    # the colouring, one Jacobian and its factorisation: 33.9 MiB, measured
+    # (a table of every block entry's position would take it to 46.9 MiB)
+    oracle, peak = traced(lambda: solve_global_newton(system))
+    assert peak < 1.05 * 33.9 * 2**20
     assert oracle.trace.converged
     assert oracle.equation_residual <= EQUATION_TOL
     assert solution_gap(oracle, solve_linear(coeffs, tree)) <= MATCH_TOL
