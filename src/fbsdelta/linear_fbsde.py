@@ -49,8 +49,6 @@ __all__ = [
 
 # Gamma_t with smallest singular value at or below this margin counts as singular.
 SINGULAR_TOL = 1e-10
-# The two routes to P_t (expanded vs condensed) must agree to this tolerance.
-CONSISTENCY_TOL = 1e-12
 # Rank check threshold for the terminal coupling matrix G.
 RANK_TOL = 1e-10
 # Most floats a coefficient table may hold, matrices and offsets together
@@ -342,10 +340,12 @@ class RiccatiMatrices:
     step's (u, v); with Gamma_t it is kept so repeated solves with fresh
     inhomogeneous data redo no matrix recursion and solve Gamma_t only for
     the offset part.  ``BC[t]`` is the (2m, 2n) block [B_t C_t; Bbar_t
-    Cbar_t] that carries the offset process into that part.  ``back[t]``
-    (t = 1..T-1) is the (n, 2n + 2m) back map [I - Bhat_t, -Chat_t, (I -
-    Bhat_t) P_{t+1}, -Chat_t P_{t+1}] from a node's [q_t, r_t, w_t] to p_t +
-    Dhat_t; its last two blocks times ``inv_IA[t]`` give P_t + Ahat_t.
+    Cbar_t] that carries the offset process into that part, and Gamma_t =
+    I - BC[t] (I_2 (x) P_{t+1}).  ``back[t]`` (t = 1..T-1) is the (n, 2n +
+    2m) back map [I - Bhat_t, -Chat_t, (I - Bhat_t) P_{t+1}, -Chat_t
+    P_{t+1}] from a node's [q_t, r_t, w_t] to p_t + Dhat_t.  Its last two
+    blocks times ``inv_IA[t]`` are P_t + Ahat_t's products in the other
+    order, so the two agree only up to rounding, and nothing compares them.
     ``failure_t`` is the largest t whose Gamma_t was (numerically) singular,
     or None; ``inv_IA`` and ``back`` stay zero at and below it.
     """
@@ -377,51 +377,40 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
     sigma_min = np.full(T, np.nan)
     inv_IA = np.zeros((T, 2 * m, m))
     back = np.zeros((T, n, 2 * n + 2 * m))
-    reports: list[GammaReport] = []
     failure_t: int | None = None
-    eye_m, eye_n = np.eye(m), np.eye(n)
+    BC = np.block([[coeffs.B, coeffs.C], [coeffs.Bbar, coeffs.Cbar]])
+    IA = np.concatenate([np.eye(m) + coeffs.A, coeffs.Abar], axis=1)
+    fold = np.concatenate([np.eye(n) - coeffs.Bhat, -coeffs.Chat], axis=2)
+    eye_2 = np.eye(2)
 
     for t in range(T - 1, -1, -1):
         p_next = P[t + 1]
         if not np.isfinite(p_next).all():
             raise NonFiniteSolutionError(f"P_{t + 1} is not finite")
-        gamma = np.eye(2 * m)
-        gamma[:m, :m] -= coeffs.B[t] @ p_next
-        gamma[:m, m:] -= coeffs.C[t] @ p_next
-        gamma[m:, :m] -= coeffs.Bbar[t] @ p_next
-        gamma[m:, m:] -= coeffs.Cbar[t] @ p_next
+        gamma = np.eye(2 * m) - BC[t] @ np.kron(eye_2, p_next)
         if not np.isfinite(gamma).all():  # the SVD below cannot converge on it
             raise NonFiniteSolutionError(f"Gamma_{t} is not finite")
         gammas[t] = gamma
-        sigma = float(np.linalg.svd(gamma, compute_uv=False)[-1])
-        sigma_min[t] = sigma
-        invertible = sigma > singular_tol
-        reports.append(GammaReport(t=t, sigma_min=sigma, invertible=invertible))
-        if not invertible:
+        sigma_min[t] = np.linalg.svd(gamma, compute_uv=False)[-1]
+        if sigma_min[t] <= singular_tol:
             failure_t = t
             break
-        inv_IA[t] = np.linalg.solve(gamma, np.vstack([eye_m + coeffs.A[t], coeffs.Abar[t]]))
+        inv_IA[t] = np.linalg.solve(gamma, IA[t])
         if t >= 1:
-            g_map = p_next @ inv_IA[t, :m]
-            h_map = p_next @ inv_IA[t, m:]
-            P[t] = -coeffs.Ahat[t] + (eye_n - coeffs.Bhat[t]) @ g_map - coeffs.Chat[t] @ h_map
-            fold = np.hstack([eye_n - coeffs.Bhat[t], -coeffs.Chat[t]])
-            back[t] = np.hstack([fold, fold[:, :n] @ p_next, fold[:, n:] @ p_next])
-            condensed = -coeffs.Ahat[t] + back[t, :, 2 * n :] @ inv_IA[t]
-            gap = float(np.abs(P[t] - condensed).max())
-            if gap > CONSISTENCY_TOL * max(1.0, float(np.abs(P[t]).max())):
-                raise ArithmeticError(
-                    f"backward recursion consistency check failed at t={t}: gap {gap:.3e}"
-                )
+            fold_y, fold_z = fold[t, :, :n], fold[t, :, n:]
+            P[t] = -coeffs.Ahat[t] + fold_y @ (p_next @ inv_IA[t, :m]) + fold_z @ (p_next @ inv_IA[t, m:])
+            back[t] = np.hstack([fold[t], fold_y @ p_next, fold_z @ p_next])
 
     return RiccatiMatrices(
         P=P,
         gammas=gammas,
         sigma_min=sigma_min,
-        gamma_reports=tuple(sorted(reports)),
+        gamma_reports=tuple(
+            GammaReport(t=t, sigma_min=float(sigma_min[t]), invertible=t != failure_t) for t in range(failure_t or 0, T)
+        ),
         inv_IA=inv_IA,
         back=back,
-        BC=np.block([[coeffs.B, coeffs.C], [coeffs.Bbar, coeffs.Cbar]]),
+        BC=BC,
         failure_t=failure_t,
     )
 

@@ -324,18 +324,12 @@ def solve_continuation(
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
     mats = _solvable_matrices(anchor, tree)
 
-    counters = {"solves": 0}
-
-    def linear_solve(offsets: tuple) -> tuple:
-        counters["solves"] += 1
-        return _solve_linear(anchor, mats, tree, offsets)
-
     def stage(u: tuple, alpha: float, tol: float) -> tuple[tuple | None, tuple[float, ...]]:
         """The level-alpha fixed point reached from ``u`` to distance ``tol``
         (None when the attempt stalls) and the distance of every iteration."""
         distances, images, defects = [], [], []  # flattened history, kept once the stage mixes
         for _ in range(config.picard_max_iters):
-            v = linear_solve(_homotopy_offsets(model, tree, u, alpha))
+            v = _solve_linear(anchor, mats, tree, _homotopy_offsets(model, tree, u, alpha))
             distances.append(_distance(tree, u, v))
             if distances[-1] <= tol:
                 return v, tuple(distances)
@@ -352,27 +346,28 @@ def solve_continuation(
 
     # a stepping stone (target below 1) only has to be close enough to predict the next one
     stone_tol = max(config.picard_tol, math.sqrt(config.picard_tol))
-    current = linear_solve(_offset_slabs(anchor))
+    current = _solve_linear(anchor, mats, tree, _offset_slabs(anchor))
     previous = None  # the ladder point (alpha, slabs) accepted before ``current``
     records: list[StageRecord] = []
-    grid = [0.0]
-    alpha, delta, targets = 0.0, config.delta_init, 0
+    alpha, delta = 0.0, config.delta_init
+
+    def trace(final_residual: float) -> ContinuationTrace:
+        """The ladder so far: the anchor solve, then one linear solve per iteration."""
+        grid = (0.0, *(record.alpha_to for record in records if record.accepted))
+        return ContinuationTrace(tuple(records), grid, 1 + sum(record.iterations for record in records), final_residual)
 
     def failed(message: str) -> ContinuationFailedError:
-        trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], math.nan)
-        return ContinuationFailedError(message, alpha, delta, trace)
+        return ContinuationFailedError(message, alpha, delta, trace(math.nan))
 
     while alpha < 1.0:
-        if targets > 4000:
-            raise failed(f"continuation abandoned after {targets} stage targets")
-        targets += 1
+        if len(records) > 4000:
+            raise failed(f"continuation abandoned after {len(records)} stage targets")
         target = 1.0 if alpha + delta > 1.0 - 1e-12 else alpha + delta  # a rounded sum still ends at 1
         start = current if previous is None else _secant(previous, (alpha, current), target)
         reached, distances = stage(start, target, config.picard_tol if target == 1.0 else stone_tol)
         records.append(StageRecord(alpha, target, delta, reached is not None, distances))
         if reached is not None:
             previous, current, alpha = (alpha, current), reached, target
-            grid.append(target)
             continue
         delta *= 0.5
         if delta < config.delta_min:
@@ -383,16 +378,15 @@ def solve_continuation(
     solution = build_solution(model, tree, *current)
     report = nonlinear_residual(model, tree, solution)
     solution = replace(solution, residual_report=report)
-    trace = ContinuationTrace(tuple(records), tuple(grid), counters["solves"], report.max)
     if report.max > config.validation_tol:
         raise ContinuationFailedError(
             f"ladder reached alpha=1 but the solution residual {report.max:.3e} "
             f"exceeds {config.validation_tol:.1e}",
             1.0,
             delta,
-            trace,
+            trace(report.max),
         )
-    return ContinuationResult(solution=solution, trace=trace)
+    return ContinuationResult(solution=solution, trace=trace(report.max))
 
 
 # -- structural diagnostics --------------------------------------------------

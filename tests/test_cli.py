@@ -81,6 +81,30 @@ def linear_scenario():
     }
 
 
+def cancelling_linear_scenario():
+    """A solvable linear system whose P_1 = (1 - Bhat_1) P_2 u - Chat_1 P_2 v
+    cancels two terms near 1e7 down to -0.91: the smallest singular value of
+    Gamma_1 is 5e-8, 500 times the singularity margin, and sup|X| is 3.7e8."""
+    return {
+        "schema_version": 1,
+        "kind": "linear",
+        "tree": {"horizon": 2, "step": "rademacher"},
+        "model": {
+            "m": 1,
+            "n": 1,
+            "G": [[1.0]],
+            "x0": [1.0],
+            "C": -1.0,
+            "Bbar": -1.0,
+            "Cbar": -1e-7,
+            "A": 0.3,
+            "Abar": -0.2,
+            "Bhat": [1.7, 0.0],
+            "Chat": [0.7],
+        },
+    }
+
+
 def nonlinear_scenario(with_margins=True):
     scenario = {
         "schema_version": 1,
@@ -306,6 +330,24 @@ def test_singular_construction_exits_2_with_the_pinned_message(tmp_path, capsys)
     path = write_scenario(tmp_path, scenario)
     assert main(["solve-linear", path]) == 2
     assert "NotSolvable at t=1 (min singular value 0.0e0)" in capsys.readouterr().err
+
+
+def test_a_cancelling_decoupling_field_is_answered_or_refused_by_name(tmp_path, capsys):
+    # solvable, so the linear solve answers: to within 2 ulp of sup|X|, which
+    # the absolute residual tolerance does not certify; the oracle's Newton
+    # pivots are near singular, and it refuses with a typed error
+    path = write_scenario(tmp_path, cancelling_linear_scenario())
+    out_dir = tmp_path / "out"
+    assert main(["solve-linear", path, "--out", str(out_dir)]) == 0
+    assert "P[1] = [[-0.910000000149]]" in capsys.readouterr().out
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert all(entry["invertible"] for entry in summary["gamma"])
+    assert summary["gamma"][1]["sigma_min"] == pytest.approx(5e-8, rel=1e-6)
+    assert summary["ok"] is False
+    sup_x = max(abs(float(row[2])) for row in read_csv(out_dir / "X.csv")[1])
+    assert summary["residuals"]["max"] <= 2 * np.spacing(sup_x)
+    assert main(["compare-oracle", path]) == 2
+    assert "line search could not reduce the residual" in capsys.readouterr().err
 
 
 def test_validation_failures_exit_3(tmp_path):
@@ -1181,6 +1223,7 @@ _FUZZ_BASES = (
     bsde_scenario,
     linear_scenario,
     _full_linear_scenario,
+    cancelling_linear_scenario,
     nonlinear_scenario,
     lambda: _table_scenario(_terminal_table()),
     _mixed_steps_scenario,

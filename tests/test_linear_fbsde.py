@@ -1,6 +1,7 @@
 """Backward matrix recursion, solvability verdicts, and exact linear solves."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -383,6 +384,30 @@ def test_a_near_singular_gamma_costs_accuracy_only_in_proportion_to_its_conditio
         assert mats.sigma_min[1] == pytest.approx(sigma, rel=1e-6)
         bound = 300 * np.finfo(float).eps * np.linalg.cond(mats.gammas[1])
         assert solve_linear(coeffs, tree, matrices=mats).residual_report.max <= bound, seed
+
+
+def test_a_cancelling_decoupling_field_is_solved_to_a_few_ulp():
+    # Gamma_1 = [[1, 1], [1, 1 + eps]] has smallest singular value near
+    # eps / 2, so (u, v) = Gamma_1^{-1} [1 + A; Abar] are near 1/eps in size,
+    # and with Chat_1 = Bhat_1 - 1 + delta, P_1 = (1 - Bhat_1)(u + v) - delta v
+    # cancels them down to order one.  A check of P_t against its products in
+    # the other order failed on 654 of these 720 points.  This cannot be one
+    # more sigma of the near-singular test above: planted_gamma's P_t does not
+    # cancel, and that check passed on all 60 of its seeds at each sigma of
+    # 1e-6, 1e-7 and 1e-8.  The residual stays within a few ulp of the
+    # solution's size on every point
+    tree = rademacher_tree(2)
+    grid = itertools.product(
+        np.geomspace(1e-8, 1e-5, 10), (0.0, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7), (1.7, -0.4, 2.5), (0.3, -0.6), (-0.2, 0.5)
+    )
+    for eps, delta, bhat, a, abar in grid:
+        coeffs = LinearCoefficients.build(
+            tree, 1, 1, G=[[1.0]], x0=[[1.0]], A=a, Abar=abar, C=-1.0, Bbar=-1.0, Cbar=-eps,
+            Bhat=[[[bhat]], [[0.0]]], Chat=[[bhat - 1.0 + delta]], D=0.2, Dhat=-0.3, g=0.5,
+        )
+        sol = solve_linear(coeffs, tree)
+        sup = max(part.sup_norm() for part in (sol.X, sol.Y, sol.Z))
+        assert sol.residual_report.max <= 8 * np.spacing(sup), (eps, delta, bhat, a, abar)
 
 
 def test_precomputed_matrices_reproduce_the_solve_exactly():

@@ -261,6 +261,32 @@ def test_stalled_stages_halve_until_the_floor_and_fail():
     assert deltas == sorted(deltas, reverse=True)
 
 
+def test_a_ladder_of_too_many_targets_is_abandoned():
+    # every stage is accepted, but steps of 1e-4 would need 10,000 of them:
+    # the ladder gives up after 4001 targets, and its trace still counts one
+    # solve for the anchor and one per iteration
+    model = NonlinearModel(
+        m=1,
+        n=1,
+        G=[[1.0]],
+        beta1=1.0,
+        beta2=1.0,
+        x0=[[1.0]],
+        b=lambda t, x, y, z, nodes: -y + 0.1 * np.tanh(y),
+        sigma=lambda t, x, y, z, nodes: -z,
+        f=lambda t, x, y, z, nodes: x,
+    )
+    config = ContinuationConfig(delta_init=1e-4, delta_min=1e-4)
+    with pytest.raises(ContinuationFailedError, match="abandoned after 4001 stage targets") as exc:
+        solve_continuation(model, rademacher_tree(1), config)
+    assert exc.value.alpha == pytest.approx(0.4001)
+    trace = exc.value.trace
+    assert len(trace.stages) == 4001 and all(stage.accepted for stage in trace.stages)
+    assert trace.grid == (0.0, *(stage.alpha_to for stage in trace.stages))
+    assert trace.linear_solves == 1 + sum(stage.iterations for stage in trace.stages) == 4003
+    assert math.isnan(trace.final_residual)
+
+
 def test_an_overflowing_frozen_offset_is_refused_by_the_inner_solve():
     # the offset b + beta2 G^T y overflows once Y is of order 1e308; the
     # inner linear solve names the first slab it makes non-finite, and no
