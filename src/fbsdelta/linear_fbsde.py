@@ -381,13 +381,13 @@ def riccati_matrices(coeffs: LinearCoefficients, singular_tol: float = SINGULAR_
     BC = np.block([[coeffs.B, coeffs.C], [coeffs.Bbar, coeffs.Cbar]])
     IA = np.concatenate([np.eye(m) + coeffs.A, coeffs.Abar], axis=1)
     fold = np.concatenate([np.eye(n) - coeffs.Bhat, -coeffs.Chat], axis=2)
-    eye_2 = np.eye(2)
+    block_p = np.zeros((2 * n, 2 * m))  # I_2 (x) P_{t+1}: P_{t+1} in both diagonal blocks
 
     for t in range(T - 1, -1, -1):
-        p_next = P[t + 1]
+        p_next = block_p[:n, :m] = block_p[n:, m:] = P[t + 1]
         if not np.isfinite(p_next).all():
             raise NonFiniteSolutionError(f"P_{t + 1} is not finite")
-        gamma = np.eye(2 * m) - BC[t] @ np.kron(eye_2, p_next)
+        gamma = np.eye(2 * m) - BC[t] @ block_p
         if not np.isfinite(gamma).all():  # the SVD below cannot converge on it
             raise NonFiniteSolutionError(f"Gamma_{t} is not finite")
         gammas[t] = gamma

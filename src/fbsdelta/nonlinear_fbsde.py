@@ -21,9 +21,8 @@ The step halves when the attempt stalls.  As in predictor-corrector
 continuation (Allgower & Georg, 2003), a stage below alpha = 1 is a stepping
 stone, corrected only to sqrt(picard_tol), and each stage starts from the
 secant through the last two accepted ladder points; only the alpha = 1 point
-is driven to picard_tol and returned.  Inside the solver every process is a
-list of raw time slabs; adapted processes are built only for the returned
-solution.
+is driven to picard_tol and returned.  Each iterate is one flat vector, viewed
+as slabs where the model reads it; only the answer becomes adapted processes.
 """
 
 from __future__ import annotations
@@ -147,27 +146,6 @@ class NonlinearModel:
         return self.G @ x if self.h is None else _slab(self.h, self.n, "h", x, nodes)
 
 
-@np.errstate(over="ignore")  # an overflowed gap is inf, which no tolerance accepts
-def _distance(tree: ProbabilityTree, a: tuple, b: tuple) -> float:
-    """Root mean-square gap between two (x, y, z) slab lists: interior times
-    weigh all three components, the terminal time only the forward state and
-    backward value."""
-    total = 0.0
-    T = tree.horizon
-    for t in range(T):
-        probs = tree.node_probabilities(t)
-        gap = 0.0
-        for pa, pb in zip(a, b):
-            diff = pa[t] - pb[t]
-            gap += np.einsum("n,nrc->", probs, diff * diff)
-        total += gap
-    probs = tree.node_probabilities(T)
-    for pa, pb in zip(a[:2], b[:2]):
-        diff = pa[T] - pb[T]
-        total += np.einsum("n,nrc->", probs, diff * diff)
-    return math.sqrt(float(total))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the linear solve refuses an overflowed offset, by name
 def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tuple, alpha: float) -> tuple:
     """Offset slabs (laid out as by ``_offset_slabs``) that turn the anchor
@@ -194,6 +172,11 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
 # Anderson mixing depth: once plain Picard is out of reach, a stage combines up
 # to its last MIXING_DEPTH + 1 solutions into the next iterate.
 MIXING_DEPTH = 10
+
+
+def _require_count(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"need an integer {what} >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +207,7 @@ class ContinuationConfig:
             raise ValueError("need 0 < delta_min <= delta_init <= 1")
         if not (0 < self.picard_tol < math.inf and 0 < self.validation_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.picard_max_iters < 1:
-            raise ValueError("iteration limits must be positive")
+        _require_count(self.picard_max_iters, "picard_max_iters")
 
 
 class StageRecord(NamedTuple):
@@ -287,19 +269,23 @@ def _flatten(slabs: tuple) -> np.ndarray:
     return np.concatenate([slab.ravel() for part in slabs for slab in part])
 
 
-def _unflatten(flat: np.ndarray, like: tuple) -> tuple:
-    """Slab lists shaped like ``like`` holding the entries of ``flat``."""
-    pieces = iter(np.split(flat, np.cumsum([slab.size for part in like for slab in part])[:-1]))
-    return tuple([next(pieces).reshape(slab.shape) for slab in part] for part in like)
+def _unflatten(flat: np.ndarray, layout: tuple) -> tuple:
+    """Slab lists viewing the entries of ``flat``, one per shape in ``layout``."""
+    pieces = iter(np.split(flat, np.cumsum([math.prod(shape) for part in layout for shape in part])[:-1]))
+    return tuple([next(pieces).reshape(shape) for shape in part] for part in layout)
+
+
+def _node_weights(tree: ProbabilityTree, layout: tuple) -> np.ndarray:
+    """Each entry's node probability in an iterate laid out as ``layout``; Z
+    has no slab at the horizon, so there only X and Y weigh."""
+    probs = [tree.node_probabilities(t)[:, None, None] for t in range(tree.horizon + 1)]
+    return _flatten(tuple([np.broadcast_to(probs[t], shape) for t, shape in enumerate(part)] for part in layout))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the linear solve refuses an overflowed offset, by name
-def _secant(before: tuple, last: tuple, target: float) -> tuple:
-    """The (x, y, z) slab lists on the line through the ladder points
-    ``before`` and ``last``, each an (alpha, slab lists) pair, at ``target``."""
-    (alpha_prev, u_prev), (alpha, u) = before, last
-    ratio = (target - alpha) / (alpha - alpha_prev)
-    return tuple([a + ratio * (a - b) for a, b in zip(part, part_prev)] for part, part_prev in zip(u, u_prev))
+def _secant(alpha_prev: float, u_prev: np.ndarray, alpha: float, u: np.ndarray, target: float) -> np.ndarray:
+    """The iterate at ``target`` on the line through the ladder points (alpha_prev, u_prev) and (alpha, u)."""
+    return u + (target - alpha) / (alpha - alpha_prev) * (u - u_prev)
 
 
 def solve_continuation(
@@ -324,30 +310,33 @@ def solve_continuation(
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
     mats = _solvable_matrices(anchor, tree)
 
-    def stage(u: tuple, alpha: float, tol: float) -> tuple[tuple | None, tuple[float, ...]]:
+    def stage(u: np.ndarray, alpha: float, tol: float) -> tuple[np.ndarray | None, tuple[float, ...]]:
         """The level-alpha fixed point reached from ``u`` to distance ``tol``
         (None when the attempt stalls) and the distance of every iteration."""
-        distances, images, defects = [], [], []  # flattened history, kept once the stage mixes
+        distances, images, defects = [], [], []  # the history, kept once the stage mixes
         for _ in range(config.picard_max_iters):
-            v = _solve_linear(anchor, mats, tree, _homotopy_offsets(model, tree, u, alpha))
-            distances.append(_distance(tree, u, v))
+            v = _flatten(_solve_linear(anchor, mats, tree, _homotopy_offsets(model, tree, _unflatten(u, layout), alpha)))
+            with np.errstate(over="ignore"):  # an overflowed gap is inf, which no tolerance accepts
+                distances.append(math.sqrt(float(weights @ (u - v) ** 2)))
             if distances[-1] <= tol:
                 return v, tuple(distances)
             # judged against picard_tol on a stepping stone too: its looser tol
             # would keep a slowly contracting stage on plain Picard for longer
             mixing = images or _out_of_reach(distances, config.picard_tol, config.picard_max_iters)
             if mixing and math.isfinite(distances[-1]):  # an overflowed v goes on, to be refused by name
-                images = images[-MIXING_DEPTH:] + [_flatten(v)]
-                defects = defects[-MIXING_DEPTH:] + [images[-1] - _flatten(u)]
-                weights = np.linalg.lstsq(np.diff(defects, axis=0).T, defects[-1], rcond=None)[0]
-                v = _unflatten(images[-1] - np.diff(images, axis=0).T @ weights, v)
+                images = images[-MIXING_DEPTH:] + [v]
+                defects = defects[-MIXING_DEPTH:] + [v - u]
+                coefs = np.linalg.lstsq(np.diff(defects, axis=0).T, defects[-1], rcond=None)[0]
+                v = v - np.diff(images, axis=0).T @ coefs
             u = v
         return None, tuple(distances)
 
     # a stepping stone (target below 1) only has to be close enough to predict the next one
     stone_tol = max(config.picard_tol, math.sqrt(config.picard_tol))
     current = _solve_linear(anchor, mats, tree, _offset_slabs(anchor))
-    previous = None  # the ladder point (alpha, slabs) accepted before ``current``
+    layout = tuple(tuple(slab.shape for slab in part) for part in current)
+    current, weights = _flatten(current), _node_weights(tree, layout)
+    previous = None  # the ladder point (alpha, iterate) accepted before ``current``
     records: list[StageRecord] = []
     alpha, delta = 0.0, config.delta_init
 
@@ -363,7 +352,7 @@ def solve_continuation(
         if len(records) > 4000:
             raise failed(f"continuation abandoned after {len(records)} stage targets")
         target = 1.0 if alpha + delta > 1.0 - 1e-12 else alpha + delta  # a rounded sum still ends at 1
-        start = current if previous is None else _secant(previous, (alpha, current), target)
+        start = current if previous is None else _secant(*previous, alpha, current, target)
         reached, distances = stage(start, target, config.picard_tol if target == 1.0 else stone_tol)
         records.append(StageRecord(alpha, target, delta, reached is not None, distances))
         if reached is not None:
@@ -375,7 +364,7 @@ def solve_continuation(
                 f"stage from alpha={alpha:.6g} stalled even at the minimum step (distance {distances[-1]:.3e})"
             )
 
-    solution = build_solution(model, tree, *current)
+    solution = build_solution(model, tree, *_unflatten(current, layout))
     report = nonlinear_residual(model, tree, solution)
     solution = replace(solution, residual_report=report)
     if report.max > config.validation_tol:
@@ -437,8 +426,7 @@ def check_monotone(
     beta2 = model.beta2 if beta2 is None else float(beta2)
     if beta1 < 0.0 or beta2 < 0.0:
         raise ValueError("monotonicity margins beta1 and beta2 must be nonnegative")
-    if samples < 1:
-        raise ValueError(f"check_monotone needs samples >= 1, got {samples}")
+    _require_count(samples, "samples")
     G, Gt = model.G, model.G.T
     # Two draws: the pairs of states, then a node at every time 0..T and a
     # leaf for the terminal map (row t of picks, row T + 1 for the leaf).

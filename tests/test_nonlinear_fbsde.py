@@ -35,7 +35,7 @@ from fbsdelta import (
 )
 from fbsdelta.bsde import build_solution
 from fbsdelta.linear_fbsde import _solve_linear
-from fbsdelta.nonlinear_fbsde import _distance, _homotopy_offsets, _secant
+from fbsdelta.nonlinear_fbsde import _flatten, _homotopy_offsets, _node_weights, _secant
 from helpers import (
     combine,
     counting_model,
@@ -187,17 +187,16 @@ def test_stepping_stones_stop_at_the_square_root_tolerance():
 
 
 def test_the_secant_start_extends_the_last_two_ladder_points():
-    # on slabs affine in alpha the prediction is exact, whatever the step
+    # on iterates affine in alpha the prediction is exact, whatever the step
     rng = np.random.default_rng(3)
-    base, slope = ([[rng.normal(size=(2, 1, 1))] for _ in range(3)] for _ in range(2))
+    base, slope = (rng.normal(size=6) for _ in range(2))
 
     def at(alpha):
-        return tuple([b + alpha * s for b, s in zip(bp, sp)] for bp, sp in zip(base, slope))
+        return base + alpha * slope
 
     for alpha_prev, alpha, target in ((0.0, 0.5, 1.0), (0.5, 0.75, 0.875), (0.25, 0.5, 0.5625)):
-        predicted = _secant((alpha_prev, at(alpha_prev)), (alpha, at(alpha)), target)
-        for part, expected in zip(predicted, at(target)):
-            np.testing.assert_allclose(part[0], expected[0], rtol=0, atol=1e-14)
+        predicted = _secant(alpha_prev, at(alpha_prev), alpha, at(alpha), target)
+        np.testing.assert_allclose(predicted, at(target), rtol=0, atol=1e-14)
 
 
 def test_a_stalling_stage_switches_to_mixing_within_its_one_attempt():
@@ -336,6 +335,11 @@ def test_continuation_config_validation():
             ContinuationConfig(picard_tol=bad)
         with pytest.raises(ValueError, match="finite"):
             ContinuationConfig(validation_tol=bad)
+    # a count is an integer: a float or a bool reaches range() as a bare TypeError or as 1
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=rf"integer picard_max_iters >= 1, got {bad!r}$"):
+            ContinuationConfig(picard_max_iters=bad)
+    assert ContinuationConfig(picard_max_iters=np.int64(3)).picard_max_iters == 3
 
 
 def _model(m=1, n=1, G=((1.0,),), beta1=1.0, beta2=1.0, x0=None, **functions):
@@ -390,7 +394,7 @@ def _offset_on_the_wrong_domain():
         (_model(x0=[np.nan]), "x0 contains non-finite entries"),
         (_model(n=2, G=[[1.0], [0.5]], beta1=0.0), "beta1 must be positive when n > m"),
         (_model(m=2, G=[[1.0, 0.5]], beta2=0.0), "beta2 must be positive when m > n"),
-        (lambda: ContinuationConfig(picard_max_iters=0), "iteration limits must be positive"),
+        (lambda: ContinuationConfig(picard_max_iters=0), "need an integer picard_max_iters >= 1, got 0"),
         # an offset given on a wider domain is refused, not cut to [0, T - 1]
         (_offset_on_the_wrong_domain, "D must be (1, 1)-valued on [0, 1]"),
         (_model(x0=[0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
@@ -435,8 +439,10 @@ def test_weighted_distance_convention():
         N=AdaptedProcess.zeros(tree, (1, 1), 0, 1),
     )
     b = zero_solution(tree, 1, 1)
-    assert _distance(tree, slab_lists(a), slab_lists(b)) == pytest.approx(math.sqrt(20.0), abs=1e-12)
-    assert _distance(tree, slab_lists(a), slab_lists(a)) == 0.0
+    weights = _node_weights(tree, tuple(tuple(slab.shape for slab in part) for part in slab_lists(b)))
+    flat_a, flat_b = _flatten(slab_lists(a)), _flatten(slab_lists(b))
+    assert math.sqrt(weights @ (flat_a - flat_b) ** 2) == pytest.approx(math.sqrt(20.0), abs=1e-12)
+    assert math.sqrt(weights @ (flat_a - flat_a) ** 2) == 0.0
 
 
 # -- monotonicity -------------------------------------------------------------
@@ -482,11 +488,11 @@ def test_mild_coupled_model_stays_dissipative():
         check_monotone(model, tree, beta1=-1.0)
 
 
-@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True])
 def test_monotonicity_check_refuses_fewer_than_one_sample(samples):
-    # no sample would pass with both slacks at -inf, and a negative count
-    # would reach NumPy as a negative dimension
-    with pytest.raises(ValueError, match=rf"samples >= 1, got {samples}$"):
+    # no sample would pass with both slacks at -inf, a negative count would
+    # reach NumPy as a negative dimension, and a float as a bare TypeError
+    with pytest.raises(ValueError, match=rf"integer samples >= 1, got {samples!r}$"):
         check_monotone(mild_coupled_model(m=2, seed=5), rademacher_tree(2), samples=samples)
 
 
