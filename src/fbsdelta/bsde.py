@@ -41,8 +41,9 @@ GeneratorFn = Callable[[int, np.ndarray, np.ndarray, Sequence[tuple]], np.ndarra
 
 
 class NonFiniteSolutionError(ArithmeticError):
-    """A solution is not finite: the solver's own arithmetic overflowed on
-    finite values, or a non-finite result was about to be written out."""
+    """A solution is not finite: the solver's own arithmetic overflowed, its
+    data or a driver value was not finite, or a non-finite result was about
+    to be written out."""
 
 
 def refuse_non_finite(tree: ProbabilityTree, sweep) -> None:
@@ -167,7 +168,8 @@ class FbsdeSolution:
     residual_report: ResidualReport | None = None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # each caller reads or refuses a non-finite N itself
+# solve_bsde and solve_linear refuse a non-finite N by name, the other callers read it
+@np.errstate(over="ignore", invalid="ignore")
 def build_solution(problem, tree: ProbabilityTree, x, y: list, z: list, aggregates: list | None = None) -> FbsdeSolution:
     """The solution of the slab system ``problem`` with the slab lists x
     (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
@@ -188,9 +190,9 @@ def build_solution(problem, tree: ProbabilityTree, x, y: list, z: list, aggregat
 def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> FbsdeSolution:
     """Solve the backward equation exactly by one backward sweep.
 
-    Raises NonFiniteSolutionError if the sweep overflows or the terminal
-    data is not finite.  Non-finite driver values are passed on, and every
-    residual check reads them as inf.
+    Raises NonFiniteSolutionError, naming the first non-finite slab in
+    sweep order, if the sweep overflows or the terminal data or a driver
+    value is not finite.
     """
     system = BackwardSystem(tree, gen, eta)  # validates the dimensions and the terminal data
     horizon = tree.horizon
@@ -209,31 +211,10 @@ def solve_bsde(tree: ProbabilityTree, gen: Generator, eta: AdaptedProcess) -> Fb
 
     sol = build_solution(system, tree, None, y_slabs, z_slabs, aggregates)
     # N_T sums the slabs of the sweep along each path to a leaf, so it is
-    # finite unless one of them overflowed
-    if np.isfinite(sol.N.at(horizon)).all():
-        return sol
-
-    # Non-finite driver values go on to the residual checks, so the scan stops
-    # above the largest t whose driver (f at t + 1) is not finite.  Y is
-    # finite above some time and not at or below it, so that t can only be
-    # where the aggregate turns non-finite over a finite Y_{t+1}; the driver
-    # there, evaluated again, tells a non-finite driver from a sum that overflowed.
-    finite = [np.isfinite(slab).all() for slab in y_slabs[1:]]
-    last_bad = next((t for t in range(horizon - 1, -1, -1) if finite[t] and not np.isfinite(aggregates[t]).all()), -1)
-    if last_bad >= 0:
-        z_at = z_slabs[last_bad + 1] if last_bad + 1 < horizon else np.zeros((tree.node_count(horizon), gen.n, tree.d))
-        with np.errstate(over="ignore", invalid="ignore"):
-            driver = system.driver(last_bad + 1, None, y_slabs[last_bad + 1], z_at, tree.nodes(last_bad + 1))
-        if np.isfinite(driver).all():
-            last_bad = -1
-
-    def sweep():
-        for t in range(horizon - 1, last_bad, -1):
-            yield from (("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
-        if last_bad < 0:
-            yield from (("N", t, slab) for t, slab in enumerate(sol.N.values))
-
-    refuse_non_finite(tree, sweep())
+    # finite unless one of them is not
+    if not np.isfinite(sol.N.at(horizon)).all():
+        sweep = [(name, t, slabs[t]) for t in range(horizon - 1, -1, -1) for name, slabs in (("Y", y_slabs), ("Z", z_slabs))]
+        refuse_non_finite(tree, sweep + [("N", t, slab) for t, slab in enumerate(sol.N.values)])
     return sol
 
 

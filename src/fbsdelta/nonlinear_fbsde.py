@@ -174,9 +174,9 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
 MIXING_DEPTH = 10
 
 
-def _require_count(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"need an integer {what} >= 1, got {value!r}")
+def _require_count(value, what: str, least: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"need an integer {what} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -416,9 +416,14 @@ def check_monotone(
     ``beta1``/``beta2`` (down to zero, plain monotonicity) to test a weaker
     inequality, e.g. for models that perturb the base family and keep only part
     of its margin.  The tree must have one noise dimension, as for the solver,
-    and at least one pair must be sampled.
+    at least one pair must be sampled, ``seed`` must be an integer >= 0 and
+    ``tol`` finite and >= 0.
     """
     require_coupled_tree(tree)
+    _require_count(samples, "samples")
+    _require_count(seed, "seed", least=0)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"need a finite tol >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     T = tree.horizon
     m, n = model.m, model.n
@@ -426,7 +431,6 @@ def check_monotone(
     beta2 = model.beta2 if beta2 is None else float(beta2)
     if beta1 < 0.0 or beta2 < 0.0:
         raise ValueError("monotonicity margins beta1 and beta2 must be nonnegative")
-    _require_count(samples, "samples")
     G, Gt = model.G, model.G.T
     # Two draws: the pairs of states, then a node at every time 0..T and a
     # leaf for the terminal map (row t of picks, row T + 1 for the leaf).

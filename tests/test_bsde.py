@@ -259,14 +259,56 @@ def test_driver_is_called_once_per_slab():
 
 def test_non_finite_driver_values_fail_every_check():
     tree = ProbabilityTree([IncrementDistribution.trinomial(0.25)] * 3)
-    gen = Generator.pointwise(n=1, d=1, fn=lambda t, y, z, node: np.array([np.nan if t == 2 else 0.0]))
     eta = random_terminal(np.random.default_rng(37), tree, n=1)
-    sol = solve_bsde(tree, gen, eta)
-    assert bsde_residuals(tree, gen, eta, sol).max == np.inf
-    assert is_martingale(tree, sol.N).ok is False
-    assert is_martingale(tree, sol.N).residual == np.inf
-    assert is_strongly_orthogonal(tree, sol.N).ok is False
-    assert sol.Y.sup_norm() == np.inf
+    zero = Generator.pointwise(n=1, d=1, fn=lambda t, y, z, node: np.array([0.0]))
+    sol = solve_bsde(tree, zero, eta)
+    # a tampered copy of a finite solve: one non-finite Y entry and one N entry
+    y, n = [slab.copy() for slab in sol.Y.values], [slab.copy() for slab in sol.N.values]
+    y[1][2, 0, 0] = n[2][4, 0, 0] = np.nan
+    tampered = dataclasses.replace(sol, Y=AdaptedProcess(tree, 0, 3, tuple(y)), N=AdaptedProcess(tree, 0, 3, tuple(n)))
+    assert bsde_residuals(tree, zero, eta, tampered).max == np.inf
+    assert is_martingale(tree, tampered.N).ok is False
+    assert is_martingale(tree, tampered.N).residual == np.inf
+    assert is_strongly_orthogonal(tree, tampered.N).ok is False
+    assert tampered.Y.sup_norm() == np.inf
+    # the solver itself refuses a NaN driver at t = 2, naming Y_1 at the first parent
+    gen = Generator.pointwise(n=1, d=1, fn=lambda t, y, z, node: np.array([np.nan if t == 2 else 0.0]))
+    with pytest.raises(NonFiniteSolutionError, match=r"^Y_1 is not finite at node \(0,\)$"):
+        solve_bsde(tree, gen, eta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from((2, 3)),
+    d=st.sampled_from((1, 2)),
+    n=st.integers(1, 2),
+    horizon=st.integers(1, 4),
+    bad=st.sampled_from((np.nan, np.inf, -np.inf)),
+    data=st.data(),
+)
+def test_a_non_finite_driver_value_is_refused_at_its_parent(seed, k, d, n, horizon, bad, data):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, horizon, branch_choices=(k,), d=d)
+    t_bad = data.draw(st.integers(1, horizon))
+    node = data.draw(st.integers(0, tree.node_count(t_bad) - 1))
+    row = data.draw(st.integers(0, n - 1))
+
+    calls = []
+
+    def fn(t, y, z, nodes):
+        calls.append(t)
+        out = -0.3 * y
+        if t == t_bad:
+            out[node, row] = bad
+        return out
+
+    parent = tree.nodes(t_bad - 1)[node // tree.branch_count(t_bad - 1)]
+    with pytest.raises(NonFiniteSolutionError) as refused:
+        solve_bsde(tree, Generator(n, d, fn), random_terminal(rng, tree, n))
+    assert str(refused.value) == f"Y_{t_bad - 1} is not finite at node {parent}"
+    # the refusal evaluates no driver a second time
+    assert calls == list(range(horizon, 0, -1))
 
 
 def test_overflow_in_the_sweep_is_refused_naming_the_slab():
@@ -279,8 +321,9 @@ def test_overflow_in_the_sweep_is_refused_naming_the_slab():
     # Y_3 + f overflows at t = 2, before the NaN driver at t = 1 is reached
     with pytest.raises(NonFiniteSolutionError, match=r"Y_2 is not finite at node \(0, 0\)"):
         solve_bsde(tree, gen(nan_at=1), eta)
-    # a NaN driver at the horizon comes first: passed on, not refused
-    assert solve_bsde(tree, gen(nan_at=3), eta).Y.sup_norm() == np.inf
+    # a NaN driver at the horizon comes first, and is refused at its parents
+    with pytest.raises(NonFiniteSolutionError, match=r"^Y_2 is not finite at node \(0, 0\)$"):
+        solve_bsde(tree, gen(nan_at=3), eta)
 
 
 @pytest.mark.parametrize(
@@ -289,8 +332,8 @@ def test_overflow_in_the_sweep_is_refused_naming_the_slab():
     ids=["zero", "nan-carrying"],
 )
 def test_non_finite_terminal_data_is_refused_whatever_the_driver(driver):
-    # only driver values are passed on; a NaN terminal value reaches Y_2
-    # through the sweep, also when the driver carries it on as NaN
+    # a NaN terminal value reaches Y_2 through the sweep, also when the
+    # driver carries it on as NaN
     tree = rademacher_tree(3)
     eta = AdaptedProcess(tree, 3, 3, (np.array([np.nan] + [1.0] * 7).reshape(8, 1, 1),))
     with pytest.raises(NonFiniteSolutionError, match=r"^Y_2 is not finite at node \(0, 0\)$"):

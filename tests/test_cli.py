@@ -511,11 +511,14 @@ def _mutated(factory, section, key, value):
             "invalid increment step at t=0: probabilities_strictly_positive (residual 0.000e+00)",
         ),
         (bsde_scenario() | {"solver": [1]}, "solver must be an object"),
+        (_mutated(nonlinear_scenario, "model", "beta1", "1.0"), "model.beta1 must be a number, got '1.0'"),
+        (nonlinear_scenario() | {"solver": {"picard_tol": True}}, "solver.picard_tol must be a number, got True"),
     ],
     ids=[
         "trinomial-parameter", "step-shorthand", "step-and-steps", "empty-steps", "horizon", "node-table",
         "expr-and-table", "expr-fault", "time-table", "time-keys", "offset-size", "bsde-n", "bsde-d",
         "linear-m", "nonlinear-n", "top-level", "linear-x0", "nonlinear-x0", "zero-probability", "solver-type",
+        "string-number", "bool-number",
     ],
 )
 def test_scenario_refusals_name_the_fault(tmp_path, capsys, scenario, message):

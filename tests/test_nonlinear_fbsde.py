@@ -356,6 +356,10 @@ def _monotone(**functions):
     return lambda: check_monotone(_model(**functions)(), rademacher_tree(2))
 
 
+def _sampled(**setting):
+    return lambda: check_monotone(_model()(), rademacher_tree(2), **setting)
+
+
 def _offset_on_the_wrong_domain():
     tree = rademacher_tree(2)
     return LinearCoefficients.build(tree, 1, 1, G=[[1.0]], x0=[0.0], D=AdaptedProcess.zeros(tree, (1, 1), 0, 2))
@@ -398,6 +402,14 @@ def _offset_on_the_wrong_domain():
         # an offset given on a wider domain is refused, not cut to [0, T - 1]
         (_offset_on_the_wrong_domain, "D must be (1, 1)-valued on [0, 1]"),
         (_model(x0=[0.1, 0.2]), "x0 must have shape (1, 1), got (2,)"),
+        # an infinite tol would pass any slacks, a NaN one none
+        (_sampled(seed=2.5), "need an integer seed >= 0, got 2.5"),
+        (_sampled(seed=-1), "need an integer seed >= 0, got -1"),
+        (_sampled(seed=True), "need an integer seed >= 0, got True"),
+        (_sampled(tol=math.nan), "need a finite tol >= 0, got nan"),
+        (_sampled(tol=math.inf), "need a finite tol >= 0, got inf"),
+        (_sampled(tol=-math.inf), "need a finite tol >= 0, got -inf"),
+        (_sampled(tol=-1.0), "need a finite tol >= 0, got -1.0"),
     ],
 )
 def test_bad_models_and_settings_are_refused_by_name(build, message):
