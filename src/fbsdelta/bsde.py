@@ -68,19 +68,18 @@ def compensator_slabs(tree: ProbabilityTree, aggregates: list, y_slabs: list, z_
     return n_slabs
 
 
-def driver_terms(problem, tree: ProbabilityTree, x, y: list, z: list) -> tuple[list, list]:
+def driver_terms(problem, tree: ProbabilityTree, x, y: list, z: list) -> list:
     """The drivers f of the slab system ``problem`` along the slab lists
-    x (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
-    the one-step aggregates Y_t + f(t, ...) they make; index t - 1 holds time
-    t = 1..T.  At T it passes a zero (N_T, n, d) slab for z, as the sweep
-    of :func:`solve_bsde` and ``check_monotone`` do.  The slabs may be
-    stacks of copies of whole levels, as in
+    x (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1});
+    index t - 1 holds time t = 1..T.  At T it passes a zero (N_T, n, d)
+    slab for z, as the sweep of :func:`solve_bsde` and ``check_monotone``
+    do.  The slabs may be stacks of copies of whole levels, as in
     :func:`~fbsdelta.linear_fbsde.equation_defects`."""
     horizon, copies, f = tree.horizon, len(y[0]), []
     for t in range(1, horizon + 1):
         z_t = z[t] if t < horizon else np.zeros((len(y[t]), problem.n, tree.d))
         f.append(problem.driver(t, None if x is None else x[t], y[t], z_t, tree.nodes(t).tile(copies)))
-    return f, [y[t + 1] + slab for t, slab in enumerate(f)]
+    return f
 
 
 def backward_defect(tree: ProbabilityTree, t: int, y: list, z: list, n: list, f: np.ndarray) -> np.ndarray:
@@ -173,10 +172,11 @@ class FbsdeSolution:
 def build_solution(problem, tree: ProbabilityTree, x, y: list, z: list, aggregates: list | None = None) -> FbsdeSolution:
     """The solution of the slab system ``problem`` with the slab lists x
     (X_0..X_T, or None when m = 0), y (Y_0..Y_T) and z (Z_0..Z_{T-1}), and
-    the N they fix, from the one-step aggregates of :func:`driver_terms`
-    (``aggregates`` when the caller already holds them)."""
+    the N they fix, from the one-step aggregates Y_{t+1} + f of
+    :func:`driver_terms`' drivers (``aggregates`` when the caller already
+    holds them)."""
     if aggregates is None:
-        aggregates = driver_terms(problem, tree, x, y, z)[1]
+        aggregates = [y[t + 1] + f for t, f in enumerate(driver_terms(problem, tree, x, y, z))]
     T = tree.horizon
     n = compensator_slabs(tree, aggregates, y, z)
     return FbsdeSolution(
@@ -240,7 +240,7 @@ def bsde_residuals(
     system = BackwardSystem(tree, gen, eta)
     horizon = tree.horizon
     y, z, n = sol.Y.values, sol.Z.values, sol.N.values
-    f, _ = driver_terms(system, tree, None, y, z)
+    f = driver_terms(system, tree, None, y, z)
     return BsdeResidualReport(
         equation=max(sup_abs(backward_defect(tree, t, y, z, n, f[t])) for t in range(horizon)),
         terminal=sup_abs(y[horizon] - system.terminal(None, tree.nodes(horizon))),

@@ -227,11 +227,12 @@ def _parse_tree(value) -> ProbabilityTree:
 # -- offset (inhomogeneous term) parsing -----------------------------------------
 
 
-def _node_labels(tree: ProbabilityTree, t: int) -> list[list[str]]:
+def _node_labels(tree: ProbabilityTree, t: int, labels: list | None = None) -> list[list[str]]:
     """Dot-separated outcome paths of the nodes at times 0..t, one list per
-    time in rank order ("" is the root), built level by level in one pass."""
-    labels = [[""]]
-    for s in range(t):
+    time in rank order ("" is the root), built level by level in one pass;
+    ``labels``, the levels built so far, is extended in place when given."""
+    labels = [[""]] if labels is None else labels
+    for s in range(len(labels) - 1, t):
         outcomes = [str(k) for k in range(tree.branch_count(s))]
         dotted = ["." + k for k in outcomes]
         labels.append(outcomes if s == 0 else [p + k for p in labels[-1] for k in dotted])
@@ -242,15 +243,14 @@ def _slab_from_table(paths: list[str], table, rows: int, where: str) -> np.ndarr
     """The (len(paths), rows, 1) slab of a table mapping each node path to its vector."""
     if not isinstance(table, dict):
         raise ScenarioError(f"{where} must map node paths to component vectors")
-    extra = sorted(set(table).difference(paths))
-    if extra:
-        raise ScenarioError(f"{where} has entries for unknown nodes: {extra}")
-    missing = sorted(set(paths).difference(table))
-    if missing:
-        raise ScenarioError(f"{where} is missing nodes: {missing}")
+    entries = [table[p] for p in paths if p in table]
+    if not len(entries) == len(paths) == len(table):  # a path missing, or one too many
+        extra = sorted(set(table).difference(paths))
+        if extra:
+            raise ScenarioError(f"{where} has entries for unknown nodes: {extra}")
+        raise ScenarioError(f"{where} is missing nodes: {sorted(set(paths).difference(table))}")
     # All entries at once when each is a flat list of numbers; otherwise,
     # and on any fault, the per-entry loop below parses and names each entry.
-    entries = [table[p] for p in paths]
     try:
         if set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
             slab = np.asarray(entries, dtype=float).reshape(len(paths), rows, 1)
@@ -267,8 +267,9 @@ def _slab_from_table(paths: list[str], table, rows: int, where: str) -> np.ndarr
     return slab
 
 
-def _parse_offset(tree: ProbabilityTree, value, rows: int, t_lo: int, t_hi: int, where: str):
-    """Constant vector, t-only expressions, or a per-time per-node table."""
+def _parse_offset(tree: ProbabilityTree, value, rows: int, t_lo: int, t_hi: int, where: str, labels: list):
+    """Constant vector, t-only expressions, or a per-time per-node table,
+    whose node paths extend ``labels`` (see :func:`_node_labels`)."""
     if value is None:
         return None
     if isinstance(value, dict):
@@ -291,7 +292,7 @@ def _parse_offset(tree: ProbabilityTree, value, rows: int, t_lo: int, t_hi: int,
         wanted = {str(t) for t in range(t_lo, t_hi + 1)}
         if set(table) != wanted:
             raise ScenarioError(f"{where}.table must have exactly the time keys {sorted(wanted, key=int)}")
-        labels = _node_labels(tree, t_hi)
+        _node_labels(tree, t_hi, labels)
         slabs = tuple(
             _slab_from_table(labels[t], table[str(t)], rows, f"{where}.table[{str(t)!r}]")
             for t in range(t_lo, t_hi + 1)
@@ -336,9 +337,9 @@ def _parse_linear(tree: ProbabilityTree, payload: dict) -> LinearCoefficients:
         raise ScenarioError("model.m and model.n must be at least 1")
     _build_checked(require_table_budget, tree, m, n)  # before an offset fills the nodes
     matrices = {key: _parse_array(payload[key], f"model.{key}") for key in MATRICES if payload.get(key) is not None}
-    dims = {"m": m, "n": n}
+    dims, labels = {"m": m, "n": n}, [[""]]
     offsets = {
-        key: _parse_offset(tree, payload.get(key), dims[rows], *domain(side, tree.horizon), f"model.{key}")
+        key: _parse_offset(tree, payload.get(key), dims[rows], *domain(side, tree.horizon), f"model.{key}", labels)
         for key, (rows, side) in OFFSETS.items()
     }
     return _build_checked(

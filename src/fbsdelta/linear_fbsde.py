@@ -33,6 +33,7 @@ as one (N_t, entries) array, so each map is one matrix product per level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -455,8 +456,11 @@ def _offset_backward(
     blocks: list[np.ndarray] = [np.empty(0)] * T
     p = (g[:, :, 0] @ (np.eye(n) - coeffs.Bhat[T]).T)[:, :, None] - Dhat[T - 1]
     for t in range(T - 1, -1, -1):
-        ep, epdw = tree.expect_next(p, t), tree.expect_next_increment(p, t)
-        qr = np.concatenate([ep, epdw], axis=1)[:, :, 0]
+        # [q_t, r_t] = E[p_{t+1} [1, dW_t] | F_t], one einsum of each node's K children with
+        # [probs; probs * points]: bit for bit the tree's two kernels, as a matmul is not for K > 2
+        step = tree.steps[t]
+        weights = np.array([step.probs, step.probs * step.points[:, 0]])
+        qr = np.einsum("jk,nkr->njr", weights, p.reshape(-1, len(weights[0]), n)).reshape(-1, 2 * n)
         rhs = qr @ mats.BC[t].T + np.concatenate([D[t], Dbar[t]], axis=1)[:, :, 0]
         blocks[t] = np.concatenate([qr, np.linalg.solve(mats.gammas[t], rhs.T).T], axis=1)
         if t:
@@ -485,41 +489,55 @@ def solve_linear(
     NonFiniteSolutionError if the sweep or N overflows.  The solution
     carries its residual report."""
     mats = _solvable_matrices(coeffs, tree, matrices)
-    sol = build_solution(coeffs, tree, *_solve_linear(coeffs, mats, tree, _offset_slabs(coeffs)))
+    sol = build_solution(coeffs, tree, *_solve_linear(coeffs, mats, tree, _offset_slabs(coeffs))[1])
     refuse_non_finite(tree, (("N", t, slab) for t, slab in enumerate(sol.N.values) if t > 0))
     return replace(sol, residual_report=linear_residual(coeffs, tree, sol))
+
+
+def _unflatten(flat: np.ndarray, layout: tuple) -> tuple:
+    """Slab lists viewing the entries of ``flat``, one per shape in ``layout``."""
+    bounds = itertools.pairwise(itertools.accumulate((math.prod(s) for part in layout for s in part), initial=0))
+    return tuple([flat[start:stop].reshape(shape) for shape, (start, stop) in zip(part, bounds)] for part in layout)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, by name
 def _solve_linear(
     coeffs: LinearCoefficients, mats: RiccatiMatrices, tree: ProbabilityTree, offsets: tuple
-) -> tuple[list, list, list]:
-    """Slabs of X, Y and Z for the homogeneous part of ``coeffs``, whose
-    solvable recursion ``mats`` holds, and the offset slabs ``offsets``
-    (laid out as by :func:`_offset_slabs`).  Raises NonFiniteSolutionError,
-    naming the process, time and node, when its own arithmetic overflows."""
+) -> tuple[np.ndarray, tuple[list, list, list]]:
+    """X, Y and Z for the homogeneous part of ``coeffs``, whose solvable
+    recursion ``mats`` holds, and the offset slabs ``offsets`` (laid out as
+    by :func:`_offset_slabs`): one flat vector holding the slabs of X (t =
+    0..T), Y (t = 0..T) and Z (t = 0..T-1) in that order, and the slab lists
+    viewing it.  Raises NonFiniteSolutionError, naming the process, time and
+    node, when its own arithmetic overflows."""
     (g,) = offsets[3]
     blocks = _offset_backward(coeffs, tree, mats, offsets)
     T, m, n = coeffs.horizon, coeffs.m, coeffs.n
-    x2d, x_slabs, y_slabs, z_slabs = coeffs.x0.T, [coeffs.x0[None, :, :]], [], []
+    counts = [len(block) for block in blocks] + [len(g)]
+    layout = tuple([(count, rows, 1) for count in counts[:stop]] for rows, stop in ((m, None), (n, None), (n, T)))
+    flat = np.empty(sum(math.prod(shape) for part in layout for shape in part))
+    x_slabs, y_slabs, z_slabs = slabs = _unflatten(flat, layout)
+    x_slabs[0][...] = coeffs.x0
+    x2d = coeffs.x0.T
     for t in range(T):
         uv = x2d @ mats.inv_IA[t].T + blocks[t][:, 2 * n :]
         points = tree.steps[t].points[:, 0]
-        x2d = (uv[:, None, :m] + uv[:, None, m:] * points[None, :, None]).reshape(-1, m)
-        x_slabs.append(x2d[:, :, None])
+        x2d = x_slabs[t + 1][:, :, 0]
+        np.add(uv[:, None, :m], uv[:, None, m:] * points[None, :, None], out=x2d.reshape(len(uv), -1, m))
         # u_t and v_t of a node as consecutive rows, so one product gives Y_t and Z_t side by side
-        yz = (uv.reshape(-1, m) @ mats.P[t + 1].T).reshape(-1, 2 * n) + blocks[t][:, : 2 * n]
-        y_slabs.append(yz[:, :n, None])
-        z_slabs.append(yz[:, n:, None])
-    y_slabs.append((x2d @ coeffs.G.T)[:, :, None] + g)
+        yz = (uv.reshape(-1, m) @ mats.P[t + 1].T).reshape(-1, 2 * n)
+        np.add(yz[:, :n], blocks[t][:, :n], out=y_slabs[t][:, :, 0])
+        np.add(yz[:, n:], blocks[t][:, n : 2 * n], out=z_slabs[t][:, :, 0])
+    np.add(x2d @ coeffs.G.T, g[:, :, 0], out=y_slabs[T][:, :, 0])
 
     def sweep():
         for t in range(T):
             yield from (("X", t + 1, x_slabs[t + 1]), ("Y", t, y_slabs[t]), ("Z", t, z_slabs[t]))
         yield "Y", T, y_slabs[T]
 
-    refuse_non_finite(tree, sweep())
-    return x_slabs, y_slabs, z_slabs
+    if not np.isfinite(flat).all():  # one check; the walk names the first non-finite slab
+        refuse_non_finite(tree, sweep())
+    return flat, slabs
 
 
 @dataclass(frozen=True)
@@ -587,7 +605,8 @@ def equation_defects(problem, tree: ProbabilityTree, x: list, y: list, z: list) 
         vol = problem.noise_loading(t, x[t], y[t], z[t], nodes)
         dx = x[t + 1] - np.repeat(x[t], k, axis=0)
         forward.append(dx - np.repeat(drift, k, axis=0) - np.repeat(vol, k, axis=0) * w)
-    f, aggregates = driver_terms(problem, tree, x, y, z)
+    f = driver_terms(problem, tree, x, y, z)
+    aggregates = [y[t + 1] + slab for t, slab in enumerate(f)]
     return EquationDefects(
         forward=forward,
         y_projection=[y[t] - tree.expect_next(aggregates[t], t) for t in range(T)],

@@ -21,8 +21,9 @@ The step halves when the attempt stalls.  As in predictor-corrector
 continuation (Allgower & Georg, 2003), a stage below alpha = 1 is a stepping
 stone, corrected only to sqrt(picard_tol), and each stage starts from the
 secant through the last two accepted ladder points; only the alpha = 1 point
-is driven to picard_tol and returned.  Each iterate is one flat vector, viewed
-as slabs where the model reads it; only the answer becomes adapted processes.
+is driven to picard_tol and returned.  Each iterate is one flat vector, as the
+linear solve writes it, viewed as slabs where the model reads it; only the
+answer becomes adapted processes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .linear_fbsde import (
     _offset_slabs,
     _solvable_matrices,
     _solve_linear,
+    _unflatten,
     anchor_coefficients,
     require_coupled_tree,
     require_coupling_weights,
@@ -160,7 +162,7 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
         nodes = tree.nodes(t)
         d_vals.append(model.drift(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ y[t]))
         dbar_vals.append(model.noise_loading(t, x[t], y[t], z[t], nodes) + model.beta2 * (Gt @ z[t]))
-    f = driver_terms(model, tree, x, y, z)[0]
+    f = driver_terms(model, tree, x, y, z)
     dhat_vals = [model.beta1 * (G @ x[t + 1]) - slab for t, slab in enumerate(f)]
     g_vals = [model.terminal(x[T], tree.nodes(T)) - G @ x[T]]
     return tuple([alpha * slab for slab in part] for part in (d_vals, dbar_vals, dhat_vals, g_vals))
@@ -269,12 +271,6 @@ def _flatten(slabs: tuple) -> np.ndarray:
     return np.concatenate([slab.ravel() for part in slabs for slab in part])
 
 
-def _unflatten(flat: np.ndarray, layout: tuple) -> tuple:
-    """Slab lists viewing the entries of ``flat``, one per shape in ``layout``."""
-    pieces = iter(np.split(flat, np.cumsum([math.prod(shape) for part in layout for shape in part])[:-1]))
-    return tuple([next(pieces).reshape(shape) for shape in part] for part in layout)
-
-
 def _node_weights(tree: ProbabilityTree, layout: tuple) -> np.ndarray:
     """Each entry's node probability in an iterate laid out as ``layout``; Z
     has no slab at the horizon, so there only X and Y weigh."""
@@ -315,7 +311,7 @@ def solve_continuation(
         (None when the attempt stalls) and the distance of every iteration."""
         distances, images, defects = [], [], []  # the history, kept once the stage mixes
         for _ in range(config.picard_max_iters):
-            v = _flatten(_solve_linear(anchor, mats, tree, _homotopy_offsets(model, tree, _unflatten(u, layout), alpha)))
+            v = _solve_linear(anchor, mats, tree, _homotopy_offsets(model, tree, _unflatten(u, layout), alpha))[0]
             with np.errstate(over="ignore"):  # an overflowed gap is inf, which no tolerance accepts
                 distances.append(math.sqrt(float(weights @ (u - v) ** 2)))
             if distances[-1] <= tol:
@@ -333,9 +329,9 @@ def solve_continuation(
 
     # a stepping stone (target below 1) only has to be close enough to predict the next one
     stone_tol = max(config.picard_tol, math.sqrt(config.picard_tol))
-    current = _solve_linear(anchor, mats, tree, _offset_slabs(anchor))
-    layout = tuple(tuple(slab.shape for slab in part) for part in current)
-    current, weights = _flatten(current), _node_weights(tree, layout)
+    current, slabs = _solve_linear(anchor, mats, tree, _offset_slabs(anchor))
+    layout = tuple(tuple(slab.shape for slab in part) for part in slabs)
+    weights = _node_weights(tree, layout)
     previous = None  # the ladder point (alpha, iterate) accepted before ``current``
     records: list[StageRecord] = []
     alpha, delta = 0.0, config.delta_init
@@ -458,21 +454,24 @@ def check_monotone(
         top = float(slack.max(initial=-math.inf))
         return max(current, math.inf if math.isnan(top) else top)
 
+    # the state terms and the margins do not depend on t
+    g_dx, gt_dy, gt_dz = G @ dx, Gt @ dy, Gt @ dz
+    driver_margin, forward_margin = beta1 * pairing(g_dx, g_dx), beta2 * (pairing(gt_dy, gt_dy) + pairing(gt_dz, gt_dz))
     worst_coupling = -math.inf
     for t in range(T + 1):
         nodes = picked(tree.nodes(t), t)
         slack = np.zeros(samples)
         if 1 <= t <= T:
             df = gap(model.driver(t, x, y, z if t < T else np.zeros_like(z), nodes))
-            slack += -pairing(Gt @ df, dx) + beta1 * pairing(G @ dx, G @ dx)
+            slack += -pairing(Gt @ df, dx) + driver_margin
         if t <= T - 1:
             db = gap(model.drift(t, x, y, z, nodes))
             ds = gap(model.noise_loading(t, x, y, z, nodes))
             slack += pairing(G @ db, dy) + pairing(G @ ds, dz)
-            slack += beta2 * (pairing(Gt @ dy, Gt @ dy) + pairing(Gt @ dz, Gt @ dz))
+            slack += forward_margin
         worst_coupling = worst(worst_coupling, slack)
     dh = gap(model.terminal(x, picked(tree.nodes(T), T + 1)))
-    worst_terminal = worst(-math.inf, -pairing(dh, G @ dx))
+    worst_terminal = worst(-math.inf, -pairing(dh, g_dx))
     ok = worst_coupling <= tol and worst_terminal <= tol
     return MonotonicityReport(
         ok=ok,
@@ -518,7 +517,7 @@ def duality_gap(
     def realized(problem, sol: FbsdeSolution) -> tuple[list, list]:  # (drift, vol) at t and f at t + 1
         x, y, z = sol.X.values, sol.Y.values, sol.Z.values
         args = [(t, x[t], y[t], z[t], tree.nodes(t)) for t in range(T)]
-        return [(problem.drift(*a), problem.noise_loading(*a)) for a in args], driver_terms(problem, tree, x, y, z)[0]
+        return [(problem.drift(*a), problem.noise_loading(*a)) for a in args], driver_terms(problem, tree, x, y, z)
 
     terms_a, f_a = realized(problem_a, sol_a)
     terms_b, f_b = realized(problem_b, sol_b)

@@ -919,6 +919,8 @@ def _table_scenario(table):
             "model.terminal has entries for unknown nodes: ['', '2.0']",
         ),
         (_terminal_table(**{"0.1": None, "1.1": None}), "model.terminal is missing nodes: ['0.1', '1.1']"),
+        # as many entries as nodes, one of them unknown: the unknown one is named first
+        (_terminal_table(**{"0.1": None, "2.0": [1.0, 1.0]}), "model.terminal has entries for unknown nodes: ['2.0']"),
         (_terminal_table(**{"1.0": [1.0], "0.1": [1.0, 2.0, 3.0]}), "model.terminal['0.1'] must have 2 components"),
         (
             _terminal_table(**{"0.1": ["a", 1.0], "1.1": "b"}),
@@ -933,7 +935,7 @@ def _table_scenario(table):
         (_terminal_table(**{"1.0": [], "1.1": []}), "model.terminal['1.0'] must not be empty"),
         (_terminal_table(**{"1.0": [float("nan"), 1.0]}), "model.terminal['1.0'] must be finite"),
     ],
-    ids=["unknown", "missing", "wrong-size", "non-numeric", "ragged", "empty", "nan"],
+    ids=["unknown", "missing", "one-for-one", "wrong-size", "non-numeric", "ragged", "empty", "nan"],
 )
 def test_node_table_faults_exit_3_with_the_pinned_message(tmp_path, capsys, table, message):
     path = write_scenario(tmp_path, _table_scenario(table))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -27,8 +28,18 @@ from fbsdelta import (
     riccati_matrices,
     solve_linear,
 )
+from fbsdelta import linear_fbsde
 from fbsdelta.bsde import build_solution
-from fbsdelta.linear_fbsde import MATRICES, OFFSETS, _offset_backward, _offset_slabs, _solvable_matrices, domain
+from fbsdelta.linear_fbsde import (
+    MATRICES,
+    OFFSETS,
+    _offset_backward,
+    _offset_slabs,
+    _solvable_matrices,
+    _solve_linear,
+    _unflatten,
+    domain,
+)
 from helpers import (
     combine,
     permute_step,
@@ -294,6 +305,100 @@ def test_backward_pair_follows_decoupling_field():
         z_pred = np.einsum("ij,njk->nik", mats.P[t + 1], exdw) + blocks[t][:, n : 2 * n, None]
         assert np.abs(sol.Y.at(t) - y_pred).max() <= RESIDUAL_TOL
         assert np.abs(sol.Z.at(t) - z_pred).max() <= RESIDUAL_TOL
+
+
+def step_of_kind(rng, kind: str) -> IncrementDistribution:
+    if kind == "rademacher":
+        return IncrementDistribution.rademacher()
+    if kind == "trinomial":
+        return IncrementDistribution.trinomial(float(rng.uniform(0.1, 0.4)))
+    return random_increments(rng, 4, 1)  # a whitened four-point step
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kinds=st.lists(st.sampled_from(["rademacher", "trinomial", "whitened"]), min_size=1, max_size=3),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_fused_offset_projections_equal_the_tree_kernels_bit_for_bit(kinds, m, n, seed):
+    # [q_t, r_t] of each block, one product against [probs; probs * points],
+    # is E[p_{t+1}|F_t] and E[p_{t+1} dW_t|F_t] exactly as the tree computes them
+    rng = np.random.default_rng(seed)
+    tree = ProbabilityTree([step_of_kind(rng, kind) for kind in kinds])
+    coeffs = random_linear_coefficients(rng, tree, m, n)
+    mats = riccati_matrices(coeffs)
+    offsets = _offset_slabs(coeffs)
+    _, _, dhat, (g,) = offsets
+    blocks = _offset_backward(coeffs, tree, mats, offsets)
+    T = tree.horizon
+    p = (g[:, :, 0] @ (np.eye(n) - coeffs.Bhat[T]).T)[:, :, None] - dhat[T - 1]
+    for t in range(T - 1, -1, -1):
+        kernels = np.concatenate([tree.expect_next(p, t), tree.expect_next_increment(p, t)], axis=1)[:, :, 0]
+        assert np.array_equal(blocks[t][:, : 2 * n], kernels)
+        p = (blocks[t] @ mats.back[t].T)[:, :, None] - dhat[t - 1]
+
+
+def sweep_order(slabs: tuple) -> list:
+    """(name, t, slab) of the linear sweep in the order it computes them:
+    X_{t+1}, Y_t and Z_t for t = 0..T-1, then Y_T."""
+    x, y, z = slabs
+    T = len(z)
+    steps = [(("X", t + 1, x[t + 1]), ("Y", t, y[t]), ("Z", t, z[t])) for t in range(T)]
+    return [*itertools.chain(*steps), ("Y", T, y[T])]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    part=st.sampled_from(list(OFFSETS)),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf, 1.79e308, -1.79e308]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_non_finite_offset_is_refused_at_the_first_non_finite_slab_of_the_sweep(part, bad, seed, data):
+    # a non-finite entry, or a finite one whose products overflow somewhere downstream
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, data.draw(st.integers(1, 3), "horizon"))
+    m, n = data.draw(st.integers(1, 2), "m"), data.draw(st.integers(1, 2), "n")
+    coeffs = random_linear_coefficients(rng, tree, m, n)
+    mats = riccati_matrices(coeffs)
+    offsets = tuple([slab.copy() for slab in slabs] for slabs in _offset_slabs(coeffs))
+    slabs = offsets[list(OFFSETS).index(part)]
+    slab = slabs[data.draw(st.integers(0, len(slabs) - 1), "time index")]
+    slab[data.draw(st.integers(0, len(slab) - 1), "node"), data.draw(st.integers(0, slab.shape[1] - 1), "row")] = bad
+
+    # the same solve with its refusal switched off gives the slabs to walk here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear_fbsde, "refuse_non_finite", lambda tree, sweep: None)
+        flat, views = _solve_linear(coeffs, mats, tree, offsets)
+    assert all(np.shares_memory(flat, view) for part_views in views for view in part_views)
+    walk = [(name, t, s) for name, t, s in sweep_order(views) if not np.isfinite(s).all()]
+    if not walk:  # a finite value that did not overflow: nothing to refuse
+        assert np.isfinite(flat).all()
+        _solve_linear(coeffs, mats, tree, offsets)
+        return
+    name, t, first = walk[0]
+    node = tree.nodes(t)[np.flatnonzero(~np.isfinite(first).all(axis=(1, 2)))[0]]
+    with pytest.raises(NonFiniteSolutionError, match=rf"^{name}_{t} is not finite at node {re.escape(str(node))}$"):
+        _solve_linear(coeffs, mats, tree, offsets)
+
+
+def test_the_flat_vector_is_viewed_as_slabs_of_the_layout():
+    rng = np.random.default_rng(47)
+    tree = random_tree(rng, 3)
+    coeffs = random_linear_coefficients(rng, tree, 2, 1)
+    flat, slabs = _solve_linear(coeffs, riccati_matrices(coeffs), tree, _offset_slabs(coeffs))
+    layout = tuple(tuple(slab.shape for slab in part) for part in slabs)
+    counts = [tree.node_count(t) for t in range(tree.horizon + 1)]
+    assert layout == (
+        tuple((c, 2, 1) for c in counts), tuple((c, 1, 1) for c in counts), tuple((c, 1, 1) for c in counts[:-1])
+    )
+    views = _unflatten(flat, layout)
+    assert tuple(tuple(view.shape for view in part) for part in views) == layout
+    for ours, theirs in zip(itertools.chain(*views), itertools.chain(*slabs)):
+        assert ours.base is flat and np.array_equal(ours, theirs)
+    assert np.array_equal(np.concatenate([view.ravel() for view in itertools.chain(*views)]), flat)
 
 
 def test_one_linear_solve_makes_one_gamma_solve_per_time_step(monkeypatch):

@@ -65,7 +65,7 @@ def frozen_level(model, tree, alpha: float, frozen) -> tuple:
     frozen offsets."""
     anchor = anchor_coefficients(tree, model.G, model.beta1, model.beta2, model.x0)
     offsets = _homotopy_offsets(model, tree, slab_lists(frozen), alpha)
-    return _solve_linear(anchor, riccati_matrices(anchor), tree, offsets)
+    return _solve_linear(anchor, riccati_matrices(anchor), tree, offsets)[1]
 
 
 # -- continuation ------------------------------------------------------------
