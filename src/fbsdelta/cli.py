@@ -55,7 +55,7 @@ from .linear_fbsde import (
     riccati_matrices,
     solve_linear,
 )
-from .model_dsl import ExprEvalError, ExprSyntaxError, compile_expr, eval_expr, parse_expr
+from .model_dsl import ExprEvalError, ExprSyntaxError, compile_map, eval_expr, parse_expr
 from .nonlinear_fbsde import (
     MONOTONE_SAMPLES,
     MONOTONE_TOL,
@@ -158,14 +158,13 @@ def _slab_function(exprs: list, names: str, t: int | None = None):
     nodes), or of (*arrays, nodes) when ``t`` fixes the time, with one array
     per variable letter in ``names``.  Each expression reads the first column
     of every array (a 2-D array is its own first column) and gives one column
-    of the result."""
-    compiled = [compile_expr(e) for e in exprs]
+    of the result; the map is one program (:func:`compile_map`)."""
+    program = compile_map(exprs)
 
     def fn(*args):
         *arrays, _ = args
         time = t if t is not None else arrays.pop(0)
-        columns = {name: np.atleast_3d(a)[:, :, 0] for name, a in zip(names, arrays)}
-        return np.stack([c(time, **columns) for c in compiled], axis=1)
+        return program(time, **{name: np.atleast_3d(a)[:, :, 0] for name, a in zip(names, arrays)})
 
     return fn
 

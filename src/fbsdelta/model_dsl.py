@@ -10,9 +10,11 @@ arguments).  Expressions contain no randomness: node-dependent data belongs
 in per-node tables, not in formulas.
 
 ``eval_expr`` evaluates one point with Python floats and is the reference;
-``compile_expr`` turns an expression once into a NumPy function over column
-arrays, for evaluating a whole time slab in one call.  Both refuse the same
-operations with :class:`ExprEvalError`.
+``compile_map`` turns a map's expressions once into one NumPy program over
+column arrays, for evaluating a whole time slab in one call, and computes
+each subexpression the map shares once; ``compile_expr`` is its
+one-expression case.  Both evaluators refuse the same operations with
+:class:`ExprEvalError`.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ExprEvalError", "ExprSyntaxError", "compile_expr", "eval_expr", "format_expr", "parse_expr"]
+__all__ = ["ExprEvalError", "ExprSyntaxError", "compile_expr", "compile_map", "eval_expr", "format_expr", "parse_expr"]
 
 
 class ExprSyntaxError(ValueError):
@@ -348,38 +349,85 @@ def eval_expr(expr: Expr, t: float = 0.0, x: Sequence[float] = (), y: Sequence[f
     return _fold(_postorder(expr), lambda node: float(_leaf(float(t), vectors, node)), _apply_float)
 
 
-def _apply_array(node: Expr, op: _Op, args: tuple) -> np.ndarray:
-    try:
-        return op.array(*args)
-    except FloatingPointError as exc:
-        raise _refusal(node, exc) from exc
+def compile_map(exprs: Sequence[Expr]) -> Callable[..., np.ndarray]:
+    """Compile a map once into ``fn(t, x=None, y=None, z=None) -> (N, k)
+    array``, column j the value of ``exprs[j]``.
+
+    ``x``, ``y`` and ``z`` are 2-D column arrays of shapes (N, m), (N, n) and
+    (N, n); at least one must be given, and a missing one binds no variables.
+    Evaluation follows :func:`eval_expr`; transcendental functions come from
+    NumPy and may differ from ``math`` in the last few bits.  The map runs as
+    one register program that computes each distinct subexpression once, in
+    the expressions' order, so values and refusals are those of each
+    expression compiled alone.
+    """
+    # registers 0-2 hold the bindings transposed (entry j is column j) and 3
+    # holds t.  Each later one holds a literal or a subexpression, keyed by its
+    # operation and operand registers (float.hex keeps -0.0 apart; _Node
+    # equality would walk each subtree), and is dropped after its last reader.
+    start, made, code, roots, last = [np.empty((0, 0))] * 3 + [None], {"t": 3}, [], [], {}
+    for expr in exprs:
+        stack = []
+        for node, op in _postorder(expr):
+            if op is None:
+                args, key = (), float(node.value).hex() if isinstance(node, Num) else node.name
+            else:
+                args = tuple(stack[len(stack) - op.arity :])
+                del stack[len(stack) - op.arity :]
+                key = (op, *args)
+            reg = made.get(key)
+            if reg is None:
+                reg = made[key] = len(start)
+                start.append(node.value if isinstance(node, Num) else None)
+                if isinstance(node, Var):  # xi, yi or zi (t is register 3): column i - 1 of binding x, y or z
+                    rule, args = operator.itemgetter(int(node.name[1:]) - 1), ("xyz".index(node.name[0]),)
+                else:
+                    rule = op and op.array  # a literal is no instruction
+                if rule is not None:
+                    last.update(dict.fromkeys(args, len(code)))
+                    code.append([rule, *args, None][:3] + [reg, [], node])  # b is None for one operand
+            stack.append(reg)
+        roots.append(stack.pop())
+    kept = set(roots)
+    for reg, at in last.items():
+        if reg > 3 and start[reg] is None and reg not in kept:
+            code[at][4].append(reg)
+
+    def evaluate(t: float, x=None, y=None, z=None) -> np.ndarray:
+        named = [(name, np.asarray(a, dtype=float)) for name, a in zip("xyz", (x, y, z)) if a is not None]
+        if not named:
+            raise ValueError("compiled expressions need at least one binding array")
+        regs, (first, lead) = start.copy(), named[0]
+        for name, a in named:
+            if a.ndim != 2:
+                raise ValueError(f"binding {name} must be a 2-D array of rows, got shape {a.shape}")
+            if len(a) != len(lead):
+                raise ValueError(f"bindings {first} and {name} differ in rows: {len(lead)} and {len(a)}")
+            regs["xyz".index(name)] = a.T
+        regs[3] = float(t)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                for rule, a, b, reg, free, node in code:
+                    regs[reg] = rule(regs[a]) if b is None else rule(regs[a], regs[b])
+                    for r in free:
+                        regs[r] = None
+        except FloatingPointError as exc:
+            raise _refusal(node, exc) from exc
+        except IndexError:  # a load past the last column: eval_expr's refusal
+            _leaf(0.0, {node.name[0]: regs[a]}, node)
+        out = np.empty((len(lead), len(roots)))
+        for j, reg in enumerate(roots):
+            out[:, j] = regs[reg]
+        return out
+
+    return evaluate
 
 
 def compile_expr(expr: Expr) -> Callable[..., np.ndarray]:
-    """Compile once into ``fn(t, x=None, y=None, z=None) -> (N,) array``.
-
-    ``x``, ``y`` and ``z`` are column arrays of shapes (N, m), (N, n) and
-    (N, n), one row per evaluation point; at least one must be given, and a
-    missing one binds no variables.  Evaluation follows :func:`eval_expr`:
-    overflow, division by zero and undefined results raise
-    :class:`ExprEvalError` naming the subexpression, underflow gives 0.
-    Transcendental functions come from NumPy and may differ from ``math``
-    in the last few bits.
-    """
-    steps = _postorder(expr)
-
-    def evaluate(t: float, x=None, y=None, z=None) -> np.ndarray:
-        cols = [None if a is None else np.asarray(a, dtype=float) for a in (x, y, z)]
-        rows = next((a.shape[0] for a in cols if a is not None), None)
-        if rows is None:
-            raise ValueError("compiled expressions need at least one binding array")
-        # transposed, so that entry j of a binding is its column j, as _leaf reads it
-        columns = {name: (np.empty((rows, 0)) if a is None else a).T for name, a in zip("xyz", cols)}
-        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-            out = _fold(steps, partial(_leaf, float(t), columns), _apply_array)
-        return np.array(np.broadcast_to(out, (rows,)), dtype=float)
-
-    return evaluate
+    """Compile once into ``fn(t, x=None, y=None, z=None) -> (N,) array``:
+    the one-expression case of :func:`compile_map`."""
+    evaluate = compile_map([expr])
+    return lambda t, x=None, y=None, z=None: evaluate(t, x, y, z)[:, 0]
 
 
 # -- printing ----------------------------------------------------------------

@@ -15,7 +15,9 @@ from fbsdelta.model_dsl import (
     Neg,
     Num,
     Var,
+    _OPS,
     compile_expr,
+    compile_map,
     eval_expr,
     format_expr,
     parse_expr,
@@ -241,6 +243,52 @@ def test_compiled_evaluator_needs_a_row_count_and_bound_variables():
         compile_expr(parse_expr("y2", m=0, n=2))(0.0, y=np.ones((3, 1)))
 
 
+@pytest.mark.parametrize(
+    "bindings, message",
+    [
+        ({"y": np.array([1.0, 2.0, 3.0])}, "binding y must be a 2-D array of rows, got shape (3,)"),
+        ({"x": np.ones((3, 1)), "y": np.ones((1, 2))}, "bindings x and y differ in rows: 3 and 1"),
+        ({"y": np.ones((2, 2)), "z": np.ones((2, 2, 1))}, "binding z must be a 2-D array of rows, got shape (2, 2, 1)"),
+        ({"x": 1.0}, "binding x must be a 2-D array of rows, got shape ()"),
+    ],
+    ids=["one-dimensional", "row-counts", "three-dimensional", "scalar"],
+)
+def test_compiled_evaluator_refuses_malformed_bindings_by_name(bindings, message):
+    with pytest.raises(ValueError) as refusal:
+        compile_expr(parse_expr("y1 + 10*y2", m=1, n=2))(0.0, **bindings)
+    assert str(refusal.value) == message
+
+
+def _counting(monkeypatch, *keys) -> list:
+    """Replace the array rules of ``keys`` by ones that log each call."""
+    calls = []
+    for key in keys:
+        op = _OPS[key]
+        monkeypatch.setitem(_OPS, key, op._replace(array=lambda *a, rule=op.array, key=key: calls.append(key) or rule(*a)))
+    return calls
+
+
+def test_a_subexpression_shared_by_a_map_is_computed_once_per_call(monkeypatch):
+    calls = _counting(monkeypatch, "tanh")
+    program = compile_map([parse_expr("tanh(y1) + 1", m=0, n=1), parse_expr("2*tanh(y1)", m=0, n=1)])
+    y = np.array([[0.5], [-2.0]])
+    for evaluation in (1, 2):
+        assert program(0.0, y=y).tolist() == np.stack([np.tanh(y[:, 0]) + 1, 2 * np.tanh(y[:, 0])], axis=1).tolist()
+        assert calls == ["tanh"] * evaluation
+
+
+def test_a_map_of_two_20000_term_sums_sharing_every_term_builds_and_agrees(monkeypatch):
+    text = long_sum(20_000)
+    exprs = [parse_expr(text, m=0, n=2), parse_expr(f"({text})/4", m=0, n=2)]
+    y = np.array([[0.5, -3.0], [1.25, 2.0]])
+    alone = [compile_expr(expr)(0.0, y=y) for expr in exprs]
+    calls = _counting(monkeypatch, "+", "-")
+    joint = compile_map(exprs)(0.0, y=y)
+    assert len(calls) == 20_000 - 1  # the second sum's chain is the first's
+    for j, want in enumerate(alone):
+        assert joint[:, j].tolist() == want.tolist()
+
+
 # -- property tests: random grammar expressions and bindings ---------------------------
 
 _M = _N = 2
@@ -249,12 +297,14 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _LITERALS = st.one_of(st.integers(0, 9).map(float), st.floats(0.0, 1e3), _FINITE.map(abs))
 
 
-def expressions(ops="+-*/^", functions=("sin", "cos", "exp", "tanh", "abs", "min", "max")):
+def expressions(ops="+-*/^", functions=("sin", "cos", "exp", "tanh", "abs", "min", "max"), leaves=None):
     """Grammar trees over t, x1..x2, y1..y2, z1..z2 with non-negative literals
-    (a negative number is Neg of a literal, as the parser reads it)."""
+    (a negative number is Neg of a literal, as the parser reads it), or over
+    the given ``leaves``."""
     unary = [fn for fn in functions if fn not in ("min", "max")]
     binary = [fn for fn in functions if fn in ("min", "max")]
-    leaves = st.one_of(_LITERALS.map(Num), st.sampled_from(_NAMES).map(Var))
+    if leaves is None:
+        leaves = st.one_of(_LITERALS.map(Num), st.sampled_from(_NAMES).map(Var))
 
     def extend(children):
         options = [children.map(Neg), st.builds(BinOp, st.sampled_from(ops), children, children)]
@@ -374,3 +424,36 @@ def test_compiled_rational_expressions_agree_exactly_on_every_row(expr, batch):
 def test_random_expressions_survive_print_and_parse(expr):
     text = format_expr(expr)
     assert parse_expr(text, m=_M, n=_N) == expr, text
+
+
+@st.composite
+def maps(draw):
+    """2-4 expressions built over one pool of subtrees, which holds 0.0 and -0.0."""
+    pool = draw(st.lists(expressions(), min_size=1, max_size=3)) + [Num(0.0), Num(-0.0)]
+    return draw(st.lists(expressions(leaves=st.sampled_from(pool)), min_size=2, max_size=4))
+
+
+def _outcome(evaluate):
+    """The values, or the message of the ExprEvalError raised instead."""
+    try:
+        return evaluate()
+    except ExprEvalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(exprs=maps(), batch=bindings())
+def test_a_map_compiled_as_one_program_equals_its_expressions_compiled_alone(exprs, batch):
+    """Bit for bit, sign of zero included, and a refusal names the same first
+    failing subexpression: that of the first expression that fails alone."""
+    t, x, y, z = batch
+    joint = _outcome(lambda: compile_map(exprs)(t, x=x, y=y, z=z))
+    alone = [_outcome(lambda expr=expr: compile_expr(expr)(t, x=x, y=y, z=z)) for expr in exprs]
+    refusal = next((value for value in alone if isinstance(value, str)), None)
+    if refusal is not None:
+        assert joint == refusal
+    else:
+        assert not isinstance(joint, str), joint
+        assert joint.shape == (x.shape[0], len(exprs))
+        for j, value in enumerate(alone):
+            assert joint[:, j].view(np.int64).tolist() == value.view(np.int64).tolist(), format_expr(exprs[j])
