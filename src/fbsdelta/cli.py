@@ -748,7 +748,12 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument("--tol", metavar="X", type=float, default=None, help="main tolerance of the command")
         command.add_argument("--seed", metavar="N", type=int, default=None, help="sampling seed (monotonicity checks)")
         command.add_argument(
-            "--delta-init", metavar="X", type=float, dest="delta_init", default=None, help="initial continuation step"
+            "--delta-init",
+            metavar="X",
+            type=float,
+            dest="delta_init",
+            default=None,
+            help="first continuation step; later steps double after a fast stepping stone and halve after a stall",
         )
     return parser
 

@@ -17,11 +17,12 @@ exactly, walking alpha from 0 to 1 in adaptive steps.  Each stage makes one
 fixed-point attempt against the anchor at its target alpha: plain Picard
 while the observed contraction can still reach picard_tol within the
 iteration budget, Anderson mixing of depth ``MIXING_DEPTH`` after that.
-The step halves when the attempt stalls.  As in predictor-corrector
-continuation (Allgower & Georg, 2003), a stage below alpha = 1 is a stepping
-stone, corrected only to sqrt(picard_tol), and each stage starts from the
-secant through the last two accepted ladder points; only the alpha = 1 point
-is driven to picard_tol and returned.  Each iterate is one flat vector, as the
+As in predictor-corrector continuation (Allgower & Georg, 2003), the step
+halves when the attempt stalls and doubles after a stepping stone reached
+within ``FAST_STAGE`` iterations; a stage below alpha = 1 is a stepping stone,
+corrected only to sqrt(picard_tol), and each stage starts from the secant
+through the last two accepted ladder points; only the alpha = 1 point is
+driven to picard_tol and returned.  Each iterate is one flat vector, as the
 linear solve writes it, viewed as slabs where the model reads it; only the
 answer becomes adapted processes.
 """
@@ -174,6 +175,8 @@ def _homotopy_offsets(model: NonlinearModel, tree: ProbabilityTree, frozen: tupl
 # Anderson mixing depth: once plain Picard is out of reach, a stage combines up
 # to its last MIXING_DEPTH + 1 solutions into the next iterate.
 MIXING_DEPTH = 10
+# A stepping stone reached within FAST_STAGE iterations doubles the next step.
+FAST_STAGE = 3
 
 
 def _require_count(value, what: str, least: int = 1) -> None:
@@ -190,12 +193,14 @@ class ContinuationConfig:
     plain Picard against the anchor while the observed contraction can still
     reach ``picard_tol`` within that budget, Anderson mixing after that (on
     a stepping stone too, though it is accepted at a looser tolerance).
-    When the attempt stalls the step halves, down to ``delta_min``.  The
-    stage at alpha = 1 is solved to ``picard_tol``; a stage below it is
-    a stepping stone, accepted at max(picard_tol, sqrt(picard_tol)).  The
-    attempt starts from the anchor solution until a stage is accepted, then
-    from the secant through the last two accepted ladder points.  The answer
-    must pass the residual check against ``validation_tol``.
+    When the attempt stalls the step halves, down to ``delta_min``; after a
+    stepping stone accepted within ``FAST_STAGE`` iterations it doubles, to
+    at most what is left to alpha = 1.  The stage at alpha = 1 is solved to
+    ``picard_tol``; a stage below it is a stepping stone, accepted at
+    max(picard_tol, sqrt(picard_tol)).  The attempt starts from the anchor
+    solution until a stage is accepted, then from the secant through the last
+    two accepted ladder points.  The answer must pass the residual check
+    against ``validation_tol``.
     """
 
     delta_init: float = 0.5
@@ -353,6 +358,8 @@ def solve_continuation(
         records.append(StageRecord(alpha, target, delta, reached is not None, distances))
         if reached is not None:
             previous, current, alpha = (alpha, current), reached, target
+            if alpha < 1.0 and len(distances) <= FAST_STAGE:  # capped: a rejected last stage halves a real step
+                delta = min(2.0 * delta, 1.0 - alpha)
             continue
         delta *= 0.5
         if delta < config.delta_min:

@@ -2,12 +2,15 @@
 slab contract of nonlinear models."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbsdelta import (
     AdaptedProcess,
@@ -35,7 +38,7 @@ from fbsdelta import (
 )
 from fbsdelta.bsde import build_solution
 from fbsdelta.linear_fbsde import _solve_linear
-from fbsdelta.nonlinear_fbsde import _flatten, _homotopy_offsets, _node_weights, _secant
+from fbsdelta.nonlinear_fbsde import FAST_STAGE, _flatten, _homotopy_offsets, _node_weights, _secant
 from helpers import (
     combine,
     counting_model,
@@ -146,7 +149,8 @@ def test_fine_ladder_agrees_with_the_default_ladder():
     tree = rademacher_tree(3)
     coarse = solve_continuation(model, tree)
     fine = solve_continuation(model, tree, ContinuationConfig(delta_init=0.1))
-    assert len(fine.trace.grid) == 11
+    # every stepping stone takes 3 iterations, so the step doubles after each
+    assert fine.trace.grid == pytest.approx((0.0, 0.1, 0.3, 0.7, 1.0), rel=0, abs=1e-15)
     assert all(stage.accepted for stage in fine.trace.stages)
     assert solution_gap(coarse.solution, fine.solution) <= ORACLE_TOL
 
@@ -162,13 +166,14 @@ def test_single_stage_ladder_for_a_mild_model():
 def test_direct_stages_cost_one_solve_per_iteration():
     # a mild model contracts against the anchor at every fine stage, so
     # beyond the anchor solve each iteration is exactly one linear solve;
-    # loose stepping stones and secant starts keep that to a few per stage
+    # loose stepping stones, secant starts and steps that double after a
+    # fast stone keep that to a few stages of a few solves (measured 21)
     model = mild_coupled_model(m=2, seed=5)
     tree = rademacher_tree(4)
     trace = solve_continuation(model, tree, ContinuationConfig(delta_init=0.1)).trace
-    assert len(trace.grid) == 11
+    assert trace.grid == pytest.approx((0.0, 0.1, 0.3, 0.7, 1.0), rel=0, abs=1e-15)
     assert all(stage.accepted for stage in trace.stages)
-    assert trace.linear_solves == 1 + sum(stage.iterations for stage in trace.stages) <= 45
+    assert trace.linear_solves == 1 + sum(stage.iterations for stage in trace.stages) <= 21
 
 
 def test_stepping_stones_stop_at_the_square_root_tolerance():
@@ -178,12 +183,73 @@ def test_stepping_stones_stop_at_the_square_root_tolerance():
     trace = solve_continuation(mild_coupled_model(m=2, seed=5), rademacher_tree(4), config).trace
     stone_tol = math.sqrt(config.picard_tol)
     *stones, last = trace.stages
-    assert len(stones) == 9
+    assert len(stones) == 3
     for stage in stones:
         assert stage.alpha_to < 1.0
         assert stage.distance <= stone_tol < min(stage.distances[:-1], default=math.inf)
     assert last.alpha_to == 1.0 and trace.grid[-1] == 1.0
     assert last.distance <= config.picard_tol < min(last.distances[:-1], default=math.inf)
+
+
+def assert_step_control(trace, config):
+    """Each attempt's step is the previous one doubled (capped at 1 - alpha)
+    after a stepping stone accepted within FAST_STAGE iterations, halved
+    after a rejection and unchanged otherwise; its target is alpha plus the
+    step, or 1 when that reaches 1."""
+    alpha, delta = 0.0, config.delta_init
+    for stage in trace.stages:
+        assert (stage.alpha_from, stage.delta) == (alpha, delta)
+        assert stage.alpha_to == (1.0 if alpha + delta > 1.0 - 1e-12 else alpha + delta)
+        if not stage.accepted:
+            delta *= 0.5
+            continue
+        alpha = stage.alpha_to
+        if alpha < 1.0 and stage.iterations <= FAST_STAGE:
+            delta = min(2.0 * delta, 1.0 - alpha)
+
+
+@functools.cache
+def default_ladder_solution(m: int, seed: int):
+    return solve_continuation(mild_coupled_model(m=m, seed=seed), rademacher_tree(3)).solution
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.sampled_from((1, 2)),
+    seed=st.integers(0, 40),
+    delta_init=st.sampled_from((0.05, 0.1, 0.25)),
+    picard_max_iters=st.sampled_from((6, 80)),  # 6 refuses most last stages at first
+)
+def test_the_step_doubles_after_a_fast_stone_and_halves_after_a_stall(m, seed, delta_init, picard_max_iters):
+    config = ContinuationConfig(delta_init=delta_init, picard_max_iters=picard_max_iters)
+    result = solve_continuation(mild_coupled_model(m=m, seed=seed), rademacher_tree(3), config)
+    assert_step_control(result.trace, config)
+    assert result.trace.grid[-1] == 1.0
+    assert solution_gap(result.solution, default_ladder_solution(m, seed)) <= ORACLE_TOL
+
+
+def test_a_rejected_stage_after_a_growth_retries_a_strictly_smaller_target():
+    # the stone at 0.7 takes 3 iterations, so the step doubles from 0.4 and
+    # is capped at 0.3; the last stage needs 7 iterations and is refused at
+    # 6.  Its retry halves the capped step to a real target below 1, where
+    # an uncapped 0.8 would have halved to 0.4 and aimed at 1 again
+    model, tree = mild_coupled_model(m=1, seed=4), rademacher_tree(3)
+    config = ContinuationConfig(delta_init=0.1, picard_max_iters=6)
+    result = solve_continuation(model, tree, config)
+    stages = result.trace.stages
+    assert_step_control(result.trace, config)
+    grown = [
+        i for i in range(1, len(stages) - 1)
+        if stages[i - 1].accepted and stages[i - 1].iterations <= FAST_STAGE and not stages[i].accepted
+    ]
+    assert grown
+    for i in grown:
+        assert stages[i + 1].alpha_from == stages[i].alpha_from
+        assert stages[i + 1].alpha_to < stages[i].alpha_to
+    refused, retry = stages[3], stages[4]
+    assert (refused.alpha_to, refused.delta, retry.alpha_to) == pytest.approx((1.0, 0.3, 0.85), rel=0, abs=1e-15)
+    coarse = solve_continuation(model, tree)
+    assert solution_gap(result.solution, coarse.solution) <= ORACLE_TOL
 
 
 def test_the_secant_start_extends_the_last_two_ladder_points():
@@ -261,9 +327,13 @@ def test_stalled_stages_halve_until_the_floor_and_fail():
 
 
 def test_a_ladder_of_too_many_targets_is_abandoned():
-    # every stage is accepted, but steps of 1e-4 would need 10,000 of them:
-    # the ladder gives up after 4001 targets, and its trace still counts one
-    # solve for the anchor and one per iteration
+    # one iteration per attempt: a stone is accepted only when its first
+    # distance is within sqrt(picard_tol) = 1e-10.  The first step halves
+    # until that holds, doubles while it holds, and then settles where a
+    # doubled step stalls and the step after it passes, alternating between
+    # the two.  The ladder gives up after 4001 targets, far short of alpha =
+    # 1, and its trace still counts one solve for the anchor and one per
+    # iteration
     model = NonlinearModel(
         m=1,
         n=1,
@@ -275,14 +345,17 @@ def test_a_ladder_of_too_many_targets_is_abandoned():
         sigma=lambda t, x, y, z, nodes: -z,
         f=lambda t, x, y, z, nodes: x,
     )
-    config = ContinuationConfig(delta_init=1e-4, delta_min=1e-4)
+    config = ContinuationConfig(delta_init=1e-3, delta_min=1e-12, picard_tol=1e-20, picard_max_iters=1)
     with pytest.raises(ContinuationFailedError, match="abandoned after 4001 stage targets") as exc:
         solve_continuation(model, rademacher_tree(1), config)
-    assert exc.value.alpha == pytest.approx(0.4001)
     trace = exc.value.trace
-    assert len(trace.stages) == 4001 and all(stage.accepted for stage in trace.stages)
-    assert trace.grid == (0.0, *(stage.alpha_to for stage in trace.stages))
-    assert trace.linear_solves == 1 + sum(stage.iterations for stage in trace.stages) == 4003
+    assert len(trace.stages) == 4001
+    assert_step_control(trace, config)
+    assert trace.grid == (0.0, *(stage.alpha_to for stage in trace.stages if stage.accepted))
+    assert exc.value.alpha == trace.grid[-1] < 0.5
+    accepted = "".join("A" if stage.accepted else "r" for stage in trace.stages)
+    assert accepted.endswith("Ar" * 1000)
+    assert trace.linear_solves == 1 + sum(stage.iterations for stage in trace.stages) == 4002
     assert math.isnan(trace.final_residual)
 
 

@@ -10,8 +10,11 @@ operation runs once, and every array, number and string in its result
 digest per leaf of the result, named by its path.  The digest prints every
 operation that differs, with the first leaves that differ and the size of
 the difference: the largest |a - b| / max(1, sup|a|) over its differing
-numeric leaves, a from the parent and b from the change.  It then prints how
-many operations matched and the largest size of all; it exits 1 when any
+numeric leaves, a from the parent and b from the change.  It gives that size
+twice: over the solution leaves (those under an X, Y, Z or N field) and over
+every other leaf (reports and traces), so that a trace that takes other
+steps does not hide how far the solution moved.  It then prints how many
+operations matched and the largest size of each kind; it exits 1 when any
 operation differs and 0 otherwise.
 An operation that raises stops the digest with that checkout's traceback.
 Everything it writes goes to a temporary directory that it deletes at the
@@ -37,12 +40,18 @@ WORKLOADS = ("bsde-sweep", "coupled-certify")
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SHOWN = 5  # differing leaves printed per operation
 LEAVES = "leaves.npz"  # each side's numeric leaves, in its own work directory
+SOLUTION = frozenset("XYZN")  # the fields that hold a solution's processes
 
 
 def _digest(leaf) -> str:
     if isinstance(leaf, np.ndarray):
         return hashlib.sha256(f"{leaf.dtype.str}{leaf.shape}".encode() + leaf.tobytes()).hexdigest()
     return hashlib.sha256(f"{type(leaf).__name__}:{leaf!r}".encode()).hexdigest()
+
+
+def _in_solution(path: str) -> bool:
+    """Whether the leaf at ``path`` lies under a solution's X, Y, Z or N."""
+    return any(part.split("[")[0] in SOLUTION for part in path.split(".")[1:])
 
 
 def _numeric(leaf) -> bool:
@@ -130,7 +139,7 @@ def compare(parent: dict, change: dict, parent_leaves, change_leaves) -> int:
     with its first differing leaves and the size of the difference, read
     from both sides' numeric leaves (mappings from "operation|leaf" to
     value)."""
-    differing, largest = 0, 0.0
+    differing, largest = 0, {True: 0.0, False: 0.0}  # keyed by _in_solution
     for name in sorted(parent.keys() | change.keys()):
         a, b = parent.get(name), change.get(name)
         if a == b:
@@ -148,15 +157,17 @@ def compare(parent: dict, change: dict, parent_leaves, change_leaves) -> int:
             print(f"    ... {len(leaves) - SHOWN} more")
         keys = [f"{name}|{path}" for path in leaves]
         sized = [key for key in keys if key in parent_leaves and key in change_leaves]
-        size = max((difference_size(parent_leaves[key], change_leaves[key]) for key in sized), default=0.0)
-        largest = max(largest, size)
-        print(f"    size {size:.3g} (largest |a - b| / max(1, sup|a|) over {len(sized)} numeric leaves)")
+        for solution, kind in ((True, "solution"), (False, "other")):
+            group = [key for key in sized if _in_solution(key.partition("|")[2]) == solution]
+            size = max((difference_size(parent_leaves[key], change_leaves[key]) for key in group), default=0.0)
+            largest[solution] = max(largest[solution], size)
+            print(f"    {kind} size {size:.3g} (largest |a - b| / max(1, sup|a|) over {len(group)} numeric leaves)")
         if len(sized) < len(keys):
             print(f"    {len(keys) - len(sized)} differing leaves without a size: on one side only, or not numeric")
     total = len(parent.keys() | change.keys())
     print(f"{total - differing} of {total} operations identical: every array, number and string of the results")
     if differing:
-        print(f"largest difference size {largest:.3g} over the numeric leaves of both sides")
+        print(f"largest difference size: solution {largest[True]:.3g}, other {largest[False]:.3g}")
     return differing
 
 
